@@ -105,9 +105,6 @@ class FiniteAlgebra:
     def elements(self) -> range:
         return range(self.size)
 
-    def label(self, x: int) -> str:
-        return self.labels[x]
-
     def leq(self, x: int, y: int) -> bool:
         # lattice order derived from meet
         return self.meet[x][y] == x

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from .algebra import (FiniteAlgebra, builtin, direct_product,
                       enumerate_subalgebras, subalgebra)
 from .congruence import cep_instance, classify
-from .morphisms import (Homomorphism, enumerate_embeddings, enumerate_homs,
-                        tupled_hom)
+from .morphisms import (Homomorphism, brute_force_homs, enumerate_embeddings,
+                        enumerate_homs, tupled_hom)
 from .variety import VarietyDescriptor, require_in_variety, variety
 
 
@@ -125,13 +125,6 @@ def _compatible_pairs(v: VarietyDescriptor, d: Diagram):
                 count += 1
         census[si.name] = (len(homs_left), len(homs_right), count)
     return pairs, census
-
-
-def _uncovered(size: int, separated) -> tuple[int, int] | None:
-    for x, y in itertools.combinations(range(size), 2):
-        if not separated(x, y):
-            return (x, y)
-    return None
 
 
 def decide_amalgamation(v: VarietyDescriptor, d: Diagram) -> AmalgamationResult:
@@ -242,6 +235,20 @@ def _cep_spot_checks(v: VarietyDescriptor) -> bool:
     return True
 
 
+def _diagrams_over(v: VarietyDescriptor, base: FiniteAlgebra):
+    """Every diagram <base; B, C> with B, C SI members of v, over every
+    embedding pair, in a fixed order (B, then C, then f, then g)."""
+    sis = v.si_algebras()
+    for left in sis:
+        fs = enumerate_embeddings(base, left)
+        if not fs:
+            continue
+        for right in sis:
+            gs = enumerate_embeddings(base, right)
+            for f, g in itertools.product(fs, gs):
+                yield Diagram(base, left, right, f, g)
+
+
 def si_diagrams(v: VarietyDescriptor):
     """Every diagram of SI members over every embedding pair, in a fixed order.
 
@@ -249,16 +256,8 @@ def si_diagrams(v: VarietyDescriptor):
     constants pinning the embeddings of 2 this stays small and avoids an
     unproven symmetry shortcut.
     """
-    sis = v.si_algebras()
-    for base in sis:
-        for left in sis:
-            fs = enumerate_embeddings(base, left)
-            if not fs:
-                continue
-            for right in sis:
-                gs = enumerate_embeddings(base, right)
-                for f, g in itertools.product(fs, gs):
-                    yield Diagram(base, left, right, f, g)
+    for base in v.si_algebras():
+        yield from _diagrams_over(v, base)
 
 
 def classify_ap(v: VarietyDescriptor) -> APReport:
@@ -297,8 +296,8 @@ class ApplicationsReport:
     two_in_amal: bool
 
 
-def applications(v: VarietyDescriptor) -> ApplicationsReport:
-    """Derived properties.
+def applications(ap_report: APReport) -> ApplicationsReport:
+    """Derived properties, read off the AP report of the variety.
 
     tp: transferability = AP plus CEP (the CEP half is spot-verified).
     ei: enough injectives = tp plus residual smallness; residual smallness is
@@ -312,35 +311,35 @@ def applications(v: VarietyDescriptor) -> ApplicationsReport:
         one; the flag simply mirrors has_ap.
     two_in_amal: False iff some SI diagram based at 2 is obstructed
         (refutation-only semantics; True means no refutation was found).
+
+    Reading the joint embeddings and two_in_amal off the report is exact, not
+    a shortcut: homomorphisms preserve the constants, so 2 = {0, 1} has exactly
+    one embedding into every member.  The report's diagrams based at 2 are
+    therefore one per ordered SI pair (B, C), each the diagram <2; B, C> that
+    the joint-embedding question and refute_amal_base(v, 2) would decide.
     """
-    ap_report = classify_ap(v)
     has_ap = ap_report.has_ap
     cep_ok = ap_report.cep_spot_checks
     tp = has_ap and cep_ok
     residually_small = True  # finitely many finite SI members
     ei = tp and residually_small
 
-    two = builtin("2")
-    jep = []
-    for left, right in itertools.combinations_with_replacement(
-            sorted(v.si_names), 2):
-        d = diagram(two, builtin(left), builtin(right))
-        result = decide_amalgamation(v, d)
-        jep.append(JointEmbeddingResult((left, right), result.amalgamable))
-    embedding_property = all(r.embeddable for r in jep)
-
-    refutation = refute_amal_base(v, two)
+    over_two = {(d.left_name, d.right_name): d.result.amalgamable
+                for d in ap_report.diagrams if d.base_name == "2"}
+    jep = tuple(JointEmbeddingResult(pair, embeddable)
+                for pair, embeddable in sorted(over_two.items())
+                if pair[0] <= pair[1])
     return ApplicationsReport(
-        variety_name=v.name,
+        variety_name=ap_report.variety_name,
         has_ap=has_ap,
         cep_spot_checks=cep_ok,
         tp=tp,
         residually_small=residually_small,
         ei=ei,
-        jep_on_si_pairs=tuple(jep),
-        embedding_property=embedding_property,
+        jep_on_si_pairs=jep,
+        embedding_property=all(r.embeddable for r in jep),
         model_companion=has_ap,
-        two_in_amal=refutation is None,
+        two_in_amal=all(over_two.values()),
     )
 
 
@@ -348,24 +347,18 @@ def refute_amal_base(v: VarietyDescriptor,
                      algebra: FiniteAlgebra) -> tuple[Diagram, Obstruction] | None:
     """Search for a diagram based at `algebra` with no amalgam in v.
 
-    B and C range over the SI members and f, g over all embeddings.  A hit
-    refutes membership in the amalgamation class; absence of a hit proves
-    nothing (refutation-only semantics).
+    B and C range over the SI members and f, g over all embeddings, in the
+    order classify_ap decides them; for algebra = 2 the diagrams are exactly
+    the report's diagrams based at 2, which is why applications() can read
+    two_in_amal off the report instead of calling this.  A hit refutes
+    membership in the amalgamation class; absence of a hit proves nothing
+    (refutation-only semantics).
     """
     require_in_variety(algebra, v)
-    for left_name in sorted(v.si_names):
-        left = builtin(left_name)
-        fs = enumerate_embeddings(algebra, left)
-        if not fs:
-            continue
-        for right_name in sorted(v.si_names):
-            right = builtin(right_name)
-            gs = enumerate_embeddings(algebra, right)
-            for f, g in itertools.product(fs, gs):
-                d = Diagram(algebra, left, right, f, g)
-                result = decide_amalgamation(v, d)
-                if isinstance(result, Obstruction):
-                    return d, result
+    for d in _diagrams_over(v, algebra):
+        result = decide_amalgamation(v, d)
+        if isinstance(result, Obstruction):
+            return d, result
     return None
 
 
@@ -395,24 +388,11 @@ def brute_force_verify_obstruction(v: VarietyDescriptor, d: Diagram,
     """Re-verify an obstruction certificate independently of the backtracking
     searcher: enumerate ALL maps into each SI member, filter homomorphisms by
     direct table checks, and confirm the recorded pair stays unseparated."""
-    def all_homs(src: FiniteAlgebra, tgt: FiniteAlgebra):
-        for mapping in itertools.product(range(tgt.size), repeat=src.size):
-            if mapping[src.zero] != tgt.zero or mapping[src.one] != tgt.one:
-                continue
-            if any(mapping[src.star[x]] != tgt.star[mapping[x]]
-                   or mapping[src.quote[x]] != tgt.quote[mapping[x]]
-                   for x in range(src.size)):
-                continue
-            if any(mapping[src.join[x][y]] != tgt.join[mapping[x]][mapping[y]]
-                   or mapping[src.meet[x][y]] != tgt.meet[mapping[x]][mapping[y]]
-                   for x in range(src.size) for y in range(src.size)):
-                continue
-            yield mapping
-
     x, y = obstruction.pair
     for si in v.si_algebras():
-        for h in all_homs(d.left, si):
-            for k in all_homs(d.right, si):
+        homs_right = brute_force_homs(d.right, si)
+        for h in brute_force_homs(d.left, si):
+            for k in homs_right:
                 if any(h[d.f(z)] != k[d.g(z)] for z in range(d.base.size)):
                     continue
                 separated = (h[x] != h[y]) if obstruction.side == "left" else (k[x] != k[y])

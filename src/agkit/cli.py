@@ -195,7 +195,7 @@ def _cmd_lemmas(args, report: Report) -> str:
 
 def _cmd_applications(args, report: Report) -> str:
     v = variety(args.variety)
-    app = applications(v)
+    app = applications(classify_ap(v))
     detail = {
         "tp": app.tp, "ei": app.ei,
         "embedding_property": app.embedding_property,
@@ -224,6 +224,16 @@ def _cmd_free(args, report: Report) -> str:
         detail={"generators": list(free.generators)}))
     return (f"free algebra of {v.name} on {args.n} generator(s): "
             f"{free.algebra.size} elements; generators at indices {list(free.generators)}")
+
+
+def _cmd_verify_paper(args, report: Report) -> str:
+    report.records.extend(verify_paper().records)
+    lines = [f"FAIL {record.id} [{record.label}]: got {record.verdict!r}, "
+             f"expected {record.expected!r}" for record in report.failures()]
+    summary = report.summary()
+    lines.append(f"{summary['checks']} checks, {summary['failed']} failed -> "
+                 f"{'OK' if summary['ok'] else 'MISMATCH'}")
+    return "\n".join(lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -299,6 +309,7 @@ _HANDLERS = {
     "lemmas": _cmd_lemmas,
     "applications": _cmd_applications,
     "free": _cmd_free,
+    "verify-paper": _cmd_verify_paper,
 }
 
 
@@ -311,26 +322,10 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
 
     try:
-        if args.command == "verify-paper":
-            result = verify_paper(["verify-paper"] + argv[1:])
-            for record in result.records:
-                if not record.ok:
-                    print(f"FAIL {record.id} [{record.label}]: got {record.verdict!r}, "
-                          f"expected {record.expected!r}")
-            summary = result.summary()
-            print(f"{summary['checks']} checks, {summary['failed']} failed -> "
-                  f"{'OK' if summary['ok'] else 'MISMATCH'}")
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as handle:
-                    handle.write(result.to_json())
-            return 0 if result.ok else 1
-
         report = Report([args.command] + argv[1:], __version__)
         text = _HANDLERS[args.command](args, report)
-        _emit(report, text, getattr(args, "json", False))
-        if args.command == "lemmas" and not report.ok:
-            return 1
-        return 0
+        _emit(report, text, getattr(args, "json", False), getattr(args, "out", None))
+        return 0 if report.ok else 1
     except AgkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

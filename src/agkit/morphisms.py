@@ -147,6 +147,26 @@ def enumerate_homs(source: FiniteAlgebra, target: FiniteAlgebra,
     return [Homomorphism(source, target, mapping) for mapping in sorted(set(found))]
 
 
+def brute_force_homs(source: FiniteAlgebra, target: FiniteAlgebra) -> list[tuple[int, ...]]:
+    """Oracle for enumerate_homs: scan all |target|^|source| maps and keep the
+    ones that pass direct table checks.  It shares no code with the
+    backtracking search, so the two can be cross-checked."""
+    out = []
+    for mapping in itertools.product(range(target.size), repeat=source.size):
+        if mapping[source.zero] != target.zero or mapping[source.one] != target.one:
+            continue
+        if any(mapping[source.star[x]] != target.star[mapping[x]]
+               or mapping[source.quote[x]] != target.quote[mapping[x]]
+               for x in range(source.size)):
+            continue
+        if any(mapping[source.join[x][y]] != target.join[mapping[x]][mapping[y]]
+               or mapping[source.meet[x][y]] != target.meet[mapping[x]][mapping[y]]
+               for x in range(source.size) for y in range(source.size)):
+            continue
+        out.append(mapping)
+    return out
+
+
 def enumerate_embeddings(source: FiniteAlgebra,
                          target: FiniteAlgebra) -> list[Homomorphism]:
     if source.size > target.size:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Union
+from typing import Callable, Mapping, Union
 
 from . import caps
 from .algebra import FiniteAlgebra
@@ -211,9 +211,10 @@ class _Parser:
             conclusion = self.equation()
             self.expect("end", ("end of input",))
             return Sentence(tuple(equations), conclusion)
+        expected = ("'=>'", "end of input")
         if len(equations) != 1:
-            self.fail(("'=>'",))  # premises need a conclusion
-        self.expect("end", ("'=>'", "end of input"))
+            self.fail(expected)  # premises need a conclusion
+        self.expect("end", expected)
         return Sentence((), equations[0])
 
 
@@ -351,11 +352,6 @@ class Verdict:
 
     def __bool__(self) -> bool:
         return self.holds
-
-
-def assignments(algebra: FiniteAlgebra, variables: tuple[str, ...]) -> Iterator[dict[str, int]]:
-    for values in itertools.product(range(algebra.size), repeat=len(variables)):
-        yield dict(zip(variables, values))
 
 
 def holds_in(algebra: FiniteAlgebra, sentence: Sentence,

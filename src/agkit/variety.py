@@ -130,12 +130,6 @@ def satisfies_base(algebra: FiniteAlgebra, v: VarietyDescriptor) -> Verdict:
     return Verdict(True)
 
 
-def in_variety(algebra: FiniteAlgebra, v: VarietyDescriptor) -> bool:
-    """Membership = the ambient axioms plus the variety's base."""
-    return bool(satisfies_axiom_system(algebra, "ALMOST_GAUTAMA")) and \
-        satisfies_base(algebra, v).holds
-
-
 def require_in_variety(algebra: FiniteAlgebra, v: VarietyDescriptor) -> None:
     report = satisfies_axiom_system(algebra, "ALMOST_GAUTAMA")
     if not report.ok:
@@ -188,12 +182,7 @@ def generated_subvariety(algebra: FiniteAlgebra) -> VarietyDescriptor:
     quotients of subalgebras (for a finite algebra in a congruence-distributive
     variety, the SI members of the generated variety arise that way).
     """
-    ag_report = satisfies_axiom_system(algebra, "ALMOST_GAUTAMA")
-    if not ag_report.ok:
-        failure = ag_report.failures()[0]
-        witness = failure.verdict.witness or {}
-        raise NotInVarietyError("AG", algebra.name, failure.text,
-                                {k: algebra.labels[i] for k, i in witness.items()})
+    require_in_variety(algebra, variety("AG"))
     if algebra.size == 1:
         raise ValueError("the trivial algebra generates the trivial variety, "
                          "which is none of the eight nontrivial subvarieties")

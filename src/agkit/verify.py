@@ -14,11 +14,12 @@ import json
 
 from . import __version__
 from .algebra import BUILTIN_NAMES, builtin, direct_product, lattice_reduct
-from .amalgamation import (brute_force_verify_obstruction, classify_ap,
-                           decide_theorem_diagrams, diagram, theorem_diagrams,
+from .amalgamation import (APReport, brute_force_verify_obstruction, classify_ap,
+                           decide_amalgamation, diagram, theorem_diagrams,
                            Obstruction, applications)
 from .axioms import SYSTEM_NAMES, satisfies_axiom_system
 from .congruence import check_sc, classify
+from .errors import AgkitError
 from .report import Record, Report
 from .variety import all_varieties, discriminator_is_term_op, lemma_suite, verify_bases, variety
 
@@ -30,13 +31,34 @@ def load_expectations() -> dict:
     return raw
 
 
-def _product_key(names: tuple[str, str]) -> str:
-    return "x".join(names)
+def _attempt(compute, *args):
+    """compute(*args), or the AgkitError it raised."""
+    try:
+        return compute(*args)
+    except AgkitError as exc:
+        return exc
 
 
-def verify_paper(command: list[str] | None = None) -> Report:
+def _add_unit(report: Report, outcome, rows) -> None:
+    """Add the records of one unit of work: a variety or a theorem diagram.
+
+    `outcome` is the unit's result, or the AgkitError that computing it
+    raised.  Each row is (id, label, expected, read), where read(outcome)
+    gives the verdict and the detail.  An error gives every row verdict
+    "error" with the message in detail, so one failing unit neither aborts
+    the run nor hides the records of the others.
+    """
+    for record_id, label, expected, read in rows:
+        if isinstance(outcome, AgkitError):
+            verdict, detail = "error", {"error": str(outcome)}
+        else:
+            verdict, detail = read(outcome)
+        report.add(Record(record_id, label, verdict, expected, detail))
+
+
+def verify_paper() -> Report:
     expect = load_expectations()
-    report = Report(command or ["verify-paper"], __version__)
+    report = Report(["verify-paper"], __version__)
 
     # 1. axiom systems on the builtins
     section = expect["axiom_systems"]
@@ -58,7 +80,7 @@ def verify_paper(command: list[str] | None = None) -> Report:
     section = expect["si_classification"]
     subjects: list[tuple[str, object]] = [(n, builtin(n)) for n in BUILTIN_NAMES]
     for pair in itertools.combinations(BUILTIN_NAMES, 2):
-        subjects.append((_product_key(pair),
+        subjects.append(("x".join(pair),
                          direct_product([builtin(pair[0]), builtin(pair[1])])))
     for key, algebra in subjects:
         expected = key in section["all_true"]
@@ -73,24 +95,20 @@ def verify_paper(command: list[str] | None = None) -> Report:
                 id=f"si/{key}/{prop}", label=section["label"],
                 verdict=value, expected=expected))
 
-    # 3. reduction hypotheses, re-verified per variety
-    for v in all_varieties():
-        ap_report = classify_ap(v)
-        report.add(Record(
-            id=f"hereditarily_si/{v.name}", label=expect["hereditarily_si"]["label"],
-            verdict=ap_report.hereditarily_si,
-            expected=expect["hereditarily_si"]["expected"]))
-        report.add(Record(
-            id=f"cep/{v.name}", label=expect["cep_spot_checks"]["label"],
-            verdict=ap_report.cep_spot_checks,
-            expected=expect["cep_spot_checks"]["expected"]))
-        report.add(Record(
-            id=f"ap/{v.name}", label=expect["ap"]["label"],
-            verdict=ap_report.has_ap, expected=expect["ap"]["expected"][v.name],
-            detail={"obstructed": [d.result.as_dict() | {
-                "diagram": [d.base_name, d.left_name, d.right_name]}
-                for d in ap_report.obstructed()]} if not ap_report.has_ap else {},
-        ))
+    # 3. reduction hypotheses, re-verified per variety.  Each variety is
+    # classified once; section 7 reads its applications off the same report.
+    ap_reports = {v.name: _attempt(classify_ap, v) for v in all_varieties()}
+    for name, ap_report in ap_reports.items():
+        _add_unit(report, ap_report, [
+            (f"hereditarily_si/{name}", expect["hereditarily_si"]["label"],
+             expect["hereditarily_si"]["expected"], lambda r: (r.hereditarily_si, {})),
+            (f"cep/{name}", expect["cep_spot_checks"]["label"],
+             expect["cep_spot_checks"]["expected"], lambda r: (r.cep_spot_checks, {})),
+            (f"ap/{name}", expect["ap"]["label"], expect["ap"]["expected"][name],
+             lambda r: (r.has_ap, {"obstructed": [d.result.as_dict() | {
+                 "diagram": [d.base_name, d.left_name, d.right_name]}
+                 for d in r.obstructed()]} if not r.has_ap else {})),
+        ])
 
     # 4. equational-base matrix
     section = expect["base_matrix"]
@@ -128,35 +146,26 @@ def verify_paper(command: list[str] | None = None) -> Report:
 
     # 7. applications
     section = expect["applications"]
-    for v in all_varieties():
-        app = applications(v)
-        expected = section["expected"][v.name]
-        for prop, value in (
-                ("tp", app.tp), ("ei", app.ei),
-                ("embedding_property", app.embedding_property),
-                ("model_companion", app.model_companion),
-                ("two_in_amal", app.two_in_amal)):
-            report.add(Record(
-                id=f"applications/{v.name}/{prop}", label=section["label"],
-                verdict=value, expected=expected,
-                detail={"jep_failures": [
-                    list(r.pair) for r in app.jep_on_si_pairs if not r.embeddable]}
-                if prop == "embedding_property" and not value else {},
-            ))
+    for name, ap_report in ap_reports.items():
+        app = applications(ap_report) if isinstance(ap_report, APReport) else ap_report
+        _add_unit(report, app, [
+            (f"applications/{name}/{prop}", section["label"], section["expected"][name],
+             lambda a, prop=prop: (getattr(a, prop), {"jep_failures": [
+                 list(r.pair) for r in a.jep_on_si_pairs if not r.embeddable]}
+                 if prop == "embedding_property" and not a.embedding_property else {}))
+            for prop in ("tp", "ei", "embedding_property", "model_companion",
+                         "two_in_amal")])
 
     # 8. the witnessing diagrams, with independent brute-force re-verification
     section = expect["diagrams"]
-    outcomes = decide_theorem_diagrams()
     for key, (vname, base, left, right) in theorem_diagrams().items():
-        result = outcomes[key]
-        kind = "obstruction" if isinstance(result, Obstruction) else "amalgam"
-        report.add(Record(
-            id=f"diagram/{key}", label=section["label"],
-            verdict=kind, expected=section["expected"][key],
-            detail=result.as_dict() | {"variety": vname,
-                                       "diagram": [base, left, right]}))
+        d = diagram(builtin(base), builtin(left), builtin(right))
+        result = _attempt(decide_amalgamation, variety(vname), d)
+        _add_unit(report, result, [(
+            f"diagram/{key}", section["label"], section["expected"][key],
+            lambda r: ("obstruction" if isinstance(r, Obstruction) else "amalgam",
+                       r.as_dict() | {"variety": vname, "diagram": [base, left, right]}))])
         if isinstance(result, Obstruction):
-            d = diagram(builtin(base), builtin(left), builtin(right))
             report.add(Record(
                 id=f"diagram/{key}/reverified", label=section["label"],
                 verdict=brute_force_verify_obstruction(variety(vname), d, result),

@@ -5,29 +5,12 @@ import itertools
 import pytest
 
 from agkit import BUILTIN_NAMES, FiniteAlgebra, builtin
+from agkit.morphisms import brute_force_homs  # noqa: F401  (re-exported for the tests)
 
 
 @pytest.fixture(scope="session")
 def builtins() -> dict[str, FiniteAlgebra]:
     return {name: builtin(name) for name in BUILTIN_NAMES}
-
-
-def brute_force_homs(source: FiniteAlgebra, target: FiniteAlgebra) -> list[tuple[int, ...]]:
-    """Oracle: scan all |target|^|source| maps and filter by direct table checks."""
-    out = []
-    for mapping in itertools.product(range(target.size), repeat=source.size):
-        if mapping[source.zero] != target.zero or mapping[source.one] != target.one:
-            continue
-        if any(mapping[source.star[x]] != target.star[mapping[x]]
-               or mapping[source.quote[x]] != target.quote[mapping[x]]
-               for x in range(source.size)):
-            continue
-        if any(mapping[source.join[x][y]] != target.join[mapping[x]][mapping[y]]
-               or mapping[source.meet[x][y]] != target.meet[mapping[x]][mapping[y]]
-               for x in range(source.size) for y in range(source.size)):
-            continue
-        out.append(mapping)
-    return out
 
 
 def brute_force_congruences(algebra: FiniteAlgebra):

@@ -116,7 +116,7 @@ def test_decide_rejects_nonmembers():
 
 def test_applications_ap_varieties():
     for name in ("BA", "RDBLST", "RKLST", "DMBA"):
-        report = applications(variety(name))
+        report = applications(classify_ap(variety(name)))
         assert report.tp and report.ei
         assert report.embedding_property
         assert report.model_companion
@@ -126,7 +126,7 @@ def test_applications_ap_varieties():
 
 def test_applications_non_ap_varieties():
     for name in ("G", "V_DBLST_DMBA", "V_KLST_DMBA", "AG"):
-        report = applications(variety(name))
+        report = applications(classify_ap(variety(name)))
         assert not (report.tp or report.ei)
         assert not report.embedding_property
         assert not report.model_companion
@@ -134,9 +134,22 @@ def test_applications_non_ap_varieties():
 
 
 def test_joint_embedding_failure_pair_in_g():
-    report = applications(variety("G"))
+    report = applications(classify_ap(variety("G")))
     failing = [r.pair for r in report.jep_on_si_pairs if not r.embeddable]
     assert failing == [("3_dblst", "3_klst")]
+
+
+def test_applications_agree_with_deciding_each_base_two_diagram():
+    # oracle: the derivation applications() ran itself before it took the report
+    two = builtin("2")
+    for v in all_varieties():
+        report = applications(classify_ap(v))
+        pairs = list(itertools.combinations_with_replacement(sorted(v.si_names), 2))
+        assert [r.pair for r in report.jep_on_si_pairs] == pairs
+        for r in report.jep_on_si_pairs:
+            d = diagram(two, builtin(r.pair[0]), builtin(r.pair[1]))
+            assert r.embeddable == decide_amalgamation(v, d).amalgamable, (v.name, r.pair)
+        assert report.two_in_amal == (refute_amal_base(v, two) is None), v.name
 
 
 def test_refute_amal_base():

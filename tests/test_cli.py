@@ -143,3 +143,19 @@ def test_verify_paper_cli(capsys, tmp_path):
     payload = json.loads(out_path.read_text())
     assert payload["summary"]["ok"] is True
     assert payload["summary"]["checks"] == len(payload["records"])
+
+
+def test_verify_paper_cli_mismatch_exits_1(capsys, tmp_path, monkeypatch):
+    import agkit.algebra
+
+    tampered = dict(agkit.algebra.BUILTIN_SPECS["3_dblst"])
+    tampered["quote"] = (2, 1, 0)
+    monkeypatch.setitem(agkit.algebra.BUILTIN_SPECS, "3_dblst", tampered)
+    out_path = tmp_path / "report.json"
+    code, out, _ = run(capsys, "verify-paper", "--out", str(out_path))
+    assert code == 1
+    assert "FAIL ap/G [" in out
+    assert out.endswith("failed -> MISMATCH\n")
+    payload = json.loads(out_path.read_text())
+    assert payload["command"] == ["verify-paper", "--out", str(out_path)]
+    assert payload["summary"]["ok"] is False

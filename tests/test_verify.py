@@ -1,9 +1,50 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import sys
+
+import pytest
 
 import agkit.algebra
+import agkit.amalgamation
+from agkit.amalgamation import theorem_diagrams
+from agkit.variety import VARIETY_NAMES
 from agkit.verify import load_expectations, verify_paper
+
+# sha256 of the canonical records of the untampered run: sorted keys, no
+# whitespace.  The digest does not depend on PYTHONHASHSEED.
+GOLDEN_RECORDS_SHA256 = "bed7a894465af4beaf80f57610d6ee82195b7ebf3ccd6500c7e308bd24786698"
+
+
+def _log_calls(monkeypatch, name: str, log: list) -> None:
+    """Replace every agkit binding of agkit.amalgamation.<name> with a wrapper
+    that appends each result to `log`."""
+    original = getattr(agkit.amalgamation, name)
+
+    def logged(*args, **kwargs):
+        result = original(*args, **kwargs)
+        log.append(result)
+        return result
+
+    for module_name, module in list(sys.modules.items()):
+        if module is None or not module_name.startswith("agkit"):
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, logged)
+
+
+@pytest.fixture(scope="module")
+def logged_run():
+    """One verify_paper() run, with the results of every classify_ap and
+    decide_amalgamation call it made."""
+    calls = {"classify_ap": [], "decide_amalgamation": []}
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for name, log in calls.items():
+            _log_calls(monkeypatch, name, log)
+        report = verify_paper()
+    return report, calls
 
 
 def test_full_run_has_zero_mismatches():
@@ -42,3 +83,30 @@ def test_tampered_builtin_flips_multiple_records(monkeypatch):
     assert any(r.startswith("axioms/3_dblst/") for r in flipped)
     assert any(r.startswith("base_matrix/3_dblst/") for r in flipped)
     assert "ap/G" in flipped
+    # a variety or theorem diagram that raises becomes error records of its
+    # own, and the run goes on
+    errors = {r.id: r.detail["error"] for r in report.records if r.verdict == "error"}
+    broken = ("RDBLST", "V_DBLST_DMBA")
+    assert set(errors) == {"diagram/3.11"} | {
+        f"{section}/{name}" for name in broken
+        for section in ("hereditarily_si", "cep", "ap")} | {
+        f"applications/{name}/{prop}" for name in broken
+        for prop in ("tp", "ei", "embedding_property", "model_companion", "two_in_amal")}
+    assert all(message.startswith("3_dblst is not in") for message in errors.values())
+
+
+def test_report_records_match_golden_digest(logged_run):
+    report, _ = logged_run
+    records = json.loads(report.to_json())["records"]
+    assert len(records) == 219
+    canonical = json.dumps(records, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == GOLDEN_RECORDS_SHA256
+
+
+def test_verify_paper_decides_each_diagram_once(logged_run):
+    _, calls = logged_run
+    ap_reports = calls["classify_ap"]
+    assert sorted(r.variety_name for r in ap_reports) == sorted(VARIETY_NAMES)
+    diagrams = sum(len(r.diagrams) for r in ap_reports) + len(theorem_diagrams())
+    assert len(calls["decide_amalgamation"]) == diagrams == 85
+
