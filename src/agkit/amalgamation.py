@@ -23,7 +23,7 @@ from .algebra import (FiniteAlgebra, builtin, direct_product,
 from .congruence import cep_instance, classify
 from .morphisms import (Homomorphism, brute_force_homs, enumerate_embeddings,
                         enumerate_homs, tupled_hom)
-from .variety import VarietyDescriptor, require_in_variety, variety
+from .variety import VarietyDescriptor, require_in_variety
 
 
 @dataclass(frozen=True)
@@ -373,14 +373,6 @@ def theorem_diagrams() -> dict[str, tuple[str, str, str, str]]:
         "3.22a": ("AG", "2", "3_dblst", "4_dmba"),
         "3.22b": ("AG", "2", "3_klst", "4_dmba"),
     }
-
-
-def decide_theorem_diagrams() -> dict[str, AmalgamationResult]:
-    out = {}
-    for key, (vname, base, left, right) in theorem_diagrams().items():
-        d = diagram(builtin(base), builtin(left), builtin(right))
-        out[key] = decide_amalgamation(variety(vname), d)
-    return out
 
 
 def brute_force_verify_obstruction(v: VarietyDescriptor, d: Diagram,

@@ -5,7 +5,6 @@ import itertools
 import pytest
 
 from agkit import BUILTIN_NAMES, FiniteAlgebra, builtin
-from agkit.morphisms import brute_force_homs  # noqa: F401  (re-exported for the tests)
 
 
 @pytest.fixture(scope="session")

@@ -6,8 +6,7 @@ import pytest
 
 from agkit import (builtin, direct_product, enumerate_embeddings, enumerate_homs,
                    identity_hom, is_isomorphic, projections)
-from agkit.morphisms import Homomorphism, tupled_hom
-from tests.conftest import brute_force_homs
+from agkit.morphisms import Homomorphism, brute_force_homs, tupled_hom
 
 # hom counts between ordered pairs of builtins, confirmed by the oracle below
 HOM_COUNTS = {
