@@ -180,6 +180,20 @@ def dump_algebra(algebra: FiniteAlgebra) -> str:
     return json.dumps(algebra.spec_dict(), separators=(",", ":"))
 
 
+def _json_int(value) -> int:
+    """A JSON integer, taken as is: booleans, fractions and strings are
+    rejected rather than coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise AlgebraFormatError(f"expected an integer, got {json.dumps(value)}")
+    return value
+
+
+def _json_str(value) -> str:
+    if not isinstance(value, str):
+        raise AlgebraFormatError(f"expected a string label, got {json.dumps(value)}")
+    return value
+
+
 def load_algebra(text: str) -> FiniteAlgebra:
     try:
         document = json.loads(text)
@@ -195,14 +209,14 @@ def load_algebra(text: str) -> FiniteAlgebra:
     try:
         return FiniteAlgebra(
             name=str(document["name"]),
-            size=int(document["size"]),
-            labels=tuple(str(l) for l in document["labels"]),
-            join=tuple(tuple(int(v) for v in row) for row in document["join"]),
-            meet=tuple(tuple(int(v) for v in row) for row in document["meet"]),
-            star=tuple(int(v) for v in document["star"]),
-            quote=tuple(int(v) for v in document["quote"]),
-            zero=int(document["zero"]),
-            one=int(document["one"]),
+            size=_json_int(document["size"]),
+            labels=tuple(_json_str(l) for l in document["labels"]),
+            join=tuple(tuple(_json_int(v) for v in row) for row in document["join"]),
+            meet=tuple(tuple(_json_int(v) for v in row) for row in document["meet"]),
+            star=tuple(_json_int(v) for v in document["star"]),
+            quote=tuple(_json_int(v) for v in document["quote"]),
+            zero=_json_int(document["zero"]),
+            one=_json_int(document["one"]),
         )
     except (TypeError, ValueError) as exc:
         raise AlgebraFormatError(f"malformed algebra document: {exc}") from None
@@ -273,15 +287,14 @@ def subuniverse_closure(algebra: FiniteAlgebra, seed: Iterable[int]) -> frozense
     return frozenset(closed)
 
 
-def enumerate_subalgebras(algebra: FiniteAlgebra,
-                          max_size: int | None = None) -> list[tuple[int, ...]]:
+def enumerate_subalgebras(algebra: FiniteAlgebra) -> list[tuple[int, ...]]:
     """All distinct subuniverses, sorted by size then lexicographically.
 
     Bottom-up one-point-extension search: every subuniverse is reachable from
     the constant subuniverse by adding one generator at a time, so this visits
     exactly the distinct subuniverses instead of scanning all 2^n seeds.
     """
-    caps.guard("subalgebra_universe", algebra.size, max_size)
+    caps.guard("subalgebra_universe", algebra.size)
     start = subuniverse_closure(algebra, ())
     found = {start}
     queue = [start]

@@ -46,20 +46,16 @@ class Diagram:
         return f"<{self.base.name}; {self.left.name}, {self.right.name}>"
 
 
-def diagram(base: FiniteAlgebra, left: FiniteAlgebra, right: FiniteAlgebra,
-            f: Homomorphism | None = None, g: Homomorphism | None = None) -> Diagram:
-    """Build a diagram, defaulting to the first embedding in enumeration order."""
-    if f is None:
-        embeddings = enumerate_embeddings(base, left)
+def diagram(base: FiniteAlgebra, left: FiniteAlgebra, right: FiniteAlgebra) -> Diagram:
+    """Build a diagram from the first embeddings in enumeration order."""
+
+    def first_embedding(target: FiniteAlgebra) -> Homomorphism:
+        embeddings = enumerate_embeddings(base, target)
         if not embeddings:
-            raise ValueError(f"no embedding {base.name} -> {left.name}")
-        f = embeddings[0]
-    if g is None:
-        embeddings = enumerate_embeddings(base, right)
-        if not embeddings:
-            raise ValueError(f"no embedding {base.name} -> {right.name}")
-        g = embeddings[0]
-    return Diagram(base, left, right, f, g)
+            raise ValueError(f"no embedding {base.name} -> {target.name}")
+        return embeddings[0]
+
+    return Diagram(base, left, right, first_embedding(left), first_embedding(right))
 
 
 @dataclass(frozen=True)

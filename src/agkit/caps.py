@@ -2,7 +2,7 @@
 
 Every potentially explosive computation is bounded by a named cap.  The
 AGKIT_CAP environment variable, when set to an integer, replaces the default
-of every cap; individual call sites also accept an explicit override.
+of every cap; some call sites also accept an explicit override.
 """
 
 from __future__ import annotations

@@ -172,10 +172,9 @@ class CongruenceLattice:
         return None
 
 
-def congruence_lattice(algebra: FiniteAlgebra,
-                       max_size: int | None = None) -> CongruenceLattice:
+def congruence_lattice(algebra: FiniteAlgebra) -> CongruenceLattice:
     """All congruences: join-closure of the principal ones."""
-    caps.guard("congruence_universe", algebra.size, max_size)
+    caps.guard("congruence_universe", algebra.size)
     n = algebra.size
     found = {Partition.identity(n)}
     for a, b in itertools.combinations(range(n), 2):
@@ -215,7 +214,7 @@ class Classification:
     directly_indecomposable: bool
 
 
-def classify(algebra: FiniteAlgebra, max_size: int | None = None) -> Classification:
+def classify(algebra: FiniteAlgebra) -> Classification:
     """Simple iff |Con| = 2; SI iff a monolith exists; DI iff the only
     complementary permuting factor pair is the trivial one.
 
@@ -224,7 +223,7 @@ def classify(algebra: FiniteAlgebra, max_size: int | None = None) -> Classificat
     """
     if algebra.size < 2:
         return Classification(algebra.name, False, False, None, False)
-    lattice = congruence_lattice(algebra, max_size)
+    lattice = congruence_lattice(algebra)
     simple = len(lattice) == 2
     monolith = lattice.monolith()
     bottom, top = lattice.bottom, lattice.top
@@ -285,20 +284,26 @@ def check_sc(algebra: FiniteAlgebra) -> ScReport:
                     join_witness is None, join_witness)
 
 
-def cep_instance(sub: FiniteAlgebra, sup: FiniteAlgebra,
-                 embedding: Homomorphism, max_size: int | None = None) -> bool:
-    """Does every congruence of `sub` extend along the embedding?
+def cep_instance(sub: FiniteAlgebra, sup: FiniteAlgebra, embedding: Homomorphism) -> bool:
+    """Does every congruence of `sub` extend along the embedding e?
 
-    True iff each member of Con(sub) is the restriction of some member of
-    Con(sup) to the image.
+    theta in Con(sub) extends iff Phi = Cg^sup(e[theta]) restricts to theta, so
+    Con(sup) is never enumerated: an extension Psi contains e[theta], hence Phi,
+    so theta <= Phi|e <= Psi|e = theta; and Phi is an extension if Phi|e = theta.
+    Phi is the join of the Cg^sup(e(c), e(x)) over each theta-class, x ranging
+    over its members and c its first member.
     """
     if embedding.source != sub or embedding.target != sup or not embedding.injective:
         raise ValueError("cep_instance needs a verified embedding sub -> sup")
-    sup_restrictions = {
-        theta.restrict(embedding.mapping) for theta in congruence_lattice(sup, max_size)
-    }
-    return all(theta in sup_restrictions
-               for theta in congruence_lattice(sub, max_size))
+    image = embedding.mapping
+    for theta in congruence_lattice(sub):
+        generated = Partition.identity(sup.size)
+        for first, *rest in theta.classes():
+            for x in rest:
+                generated = generated.join(principal_congruence(sup, image[first], image[x]))
+        if generated.restrict(image) != theta:
+            return False
+    return True
 
 
 def quotient(algebra: FiniteAlgebra, partition: Partition,

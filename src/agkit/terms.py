@@ -11,7 +11,8 @@ files):
     relations   s = t,  s <= t        (s <= t desugars to  s /\\ t = s)
     sentence    p1, ..., pk => concl  (premises optional)
 
-Precedence: postfix > meet > join; join and meet are left-associative.
+Precedence: postfix > meet > join; join and meet are left-associative.  A term
+nests at most MAX_TERM_DEPTH operators, and MAX_TERM_DEPTH parentheses, deep.
 """
 
 from __future__ import annotations
@@ -24,6 +25,12 @@ from typing import Callable, Mapping, Union
 from . import caps
 from .algebra import FiniteAlgebra
 from .errors import EvalError, ParseError
+
+# Deepest term the parser accepts: operators nested in one another, and
+# parentheses open at once, are each limited to this many levels.  Parsing,
+# printing, hashing and evaluating recurse once per level, so a deeper term
+# would exhaust the interpreter's recursion limit.
+MAX_TERM_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -130,6 +137,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
+        self.parens = 0  # currently open
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.index]
@@ -150,53 +158,67 @@ class _Parser:
         got = "end of input" if kind == "end" else repr(text)
         raise ParseError(f"unexpected {got}", pos, expected)
 
+    def nest(self, depth: int, position: int) -> int:
+        """depth + 1, or a ParseError once that passes MAX_TERM_DEPTH."""
+        if depth >= MAX_TERM_DEPTH:
+            raise ParseError(f"term nested deeper than {MAX_TERM_DEPTH} levels", position)
+        return depth + 1
+
     # term := join ; join := meet (\/ meet)* ; meet := unary (/\ unary)*
-    def term(self) -> Term:
-        node = self.meet()
+    # Each returns the term and its depth, the operators nested in it.
+    def term(self) -> tuple[Term, int]:
+        node, depth = self.meet()
         while self.peek()[0] == "join":
-            self.advance()
-            node = Join(node, self.meet())
-        return node
+            _, _, position = self.advance()
+            right, right_depth = self.meet()
+            node, depth = Join(node, right), self.nest(max(depth, right_depth), position)
+        return node, depth
 
-    def meet(self) -> Term:
-        node = self.unary()
+    def meet(self) -> tuple[Term, int]:
+        node, depth = self.unary()
         while self.peek()[0] == "meet":
-            self.advance()
-            node = Meet(node, self.unary())
-        return node
+            _, _, position = self.advance()
+            right, right_depth = self.unary()
+            node, depth = Meet(node, right), self.nest(max(depth, right_depth), position)
+        return node, depth
 
-    def unary(self) -> Term:
-        node = self.atom()
+    def unary(self) -> tuple[Term, int]:
+        node, depth = self.atom()
         while self.peek()[0] in ("star", "quote"):
-            kind, _, _ = self.advance()
+            kind, _, position = self.advance()
             node = Star(node) if kind == "star" else Quote(node)
-        return node
+            depth = self.nest(depth, position)
+        return node, depth
 
-    def atom(self) -> Term:
-        kind, text, _ = self.peek()
+    def atom(self) -> tuple[Term, int]:
+        kind, text, position = self.peek()
         if kind == "var":
             self.advance()
-            return Var(text)
+            return Var(text), 0
         if kind == "const":
             self.advance()
-            return Const(int(text))
+            return Const(int(text)), 0
         if kind == "lparen":
+            # the parser recurses once per open parenthesis
+            self.parens = self.nest(self.parens, position)
             self.advance()
-            node = self.term()
+            node, depth = self.term()
             self.expect("rparen", ("')'",))
-            return node
+            self.parens -= 1
+            return node, depth
         self.fail(("variable", "'0'", "'1'", "'('"))
         raise AssertionError("unreachable")
 
     def equation(self) -> Equation:
-        lhs = self.term()
-        kind, _, _ = self.peek()
+        lhs, depth = self.term()
+        kind, _, position = self.peek()
         if kind == "eq":
             self.advance()
-            return (lhs, self.term())
+            return (lhs, self.term()[0])
         if kind == "leq":
             self.advance()
-            rhs = self.term()
+            rhs, rhs_depth = self.term()
+            self.nest(max(depth, rhs_depth), position)
             return (Meet(lhs, rhs), lhs)  # s <= t  ~>  s /\ t = s
         self.fail(("'='", "'<='"))
         raise AssertionError("unreachable")
@@ -220,7 +242,7 @@ class _Parser:
 
 def parse_term(text: str) -> Term:
     parser = _Parser(text)
-    node = parser.term()
+    node, _ = parser.term()
     parser.expect("end", ("end of input",))
     return node
 

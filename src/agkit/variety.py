@@ -211,15 +211,14 @@ def generated_subvariety(algebra: FiniteAlgebra) -> VarietyDescriptor:
 
 # --- discriminator -----------------------------------------------------------
 
-def discriminator_is_term_op(algebra: FiniteAlgebra,
-                             max_size: int | None = None) -> bool:
+def discriminator_is_term_op(algebra: FiniteAlgebra) -> bool:
     """Is t(x, y, z) = (z if x = y else x) a term operation?
 
     The lattice median (x /\\ y) \\/ (y /\\ z) \\/ (x /\\ z) is a majority term
     for every algebra here, so by the Baker-Pixley criterion it suffices that
     the discriminator preserves every subuniverse of the square.
     """
-    caps.guard("discriminator_universe", algebra.size, max_size)
+    caps.guard("discriminator_universe", algebra.size)
     square = direct_product([algebra, algebra])
     n = algebra.size
 

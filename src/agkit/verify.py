@@ -14,9 +14,8 @@ import json
 
 from . import __version__
 from .algebra import BUILTIN_NAMES, builtin, direct_product, lattice_reduct
-from .amalgamation import (APReport, brute_force_verify_obstruction, classify_ap,
-                           decide_amalgamation, diagram, theorem_diagrams,
-                           Obstruction, applications)
+from .amalgamation import (APReport, Diagram, DiagramResult, brute_force_verify_obstruction,
+                           classify_ap, theorem_diagrams, Obstruction, applications)
 from .axioms import SYSTEM_NAMES, satisfies_axiom_system
 from .congruence import check_sc, classify
 from .errors import AgkitError
@@ -29,14 +28,6 @@ def load_expectations() -> dict:
         importlib.resources.files("agkit").joinpath("data/expected_verdicts.json").read_text())
     assert raw["version"] == 1
     return raw
-
-
-def _attempt(compute, *args):
-    """compute(*args), or the AgkitError it raised."""
-    try:
-        return compute(*args)
-    except AgkitError as exc:
-        return exc
 
 
 def _add_unit(report: Report, outcome, rows) -> None:
@@ -96,8 +87,13 @@ def verify_paper() -> Report:
                 verdict=value, expected=expected))
 
     # 3. reduction hypotheses, re-verified per variety.  Each variety is
-    # classified once; section 7 reads its applications off the same report.
-    ap_reports = {v.name: _attempt(classify_ap, v) for v in all_varieties()}
+    # classified once; sections 7 and 8 read its report or its AgkitError.
+    ap_reports: dict[str, APReport | AgkitError] = {}
+    for v in all_varieties():
+        try:
+            ap_reports[v.name] = classify_ap(v)
+        except AgkitError as exc:
+            ap_reports[v.name] = exc
     for name, ap_report in ap_reports.items():
         _add_unit(report, ap_report, [
             (f"hereditarily_si/{name}", expect["hereditarily_si"]["label"],
@@ -156,19 +152,23 @@ def verify_paper() -> Report:
             for prop in ("tp", "ei", "embedding_property", "model_companion",
                          "two_in_amal")])
 
-    # 8. the witnessing diagrams, with independent brute-force re-verification
+    # 8. the witnessing diagrams, read off the AP reports (2 embeds uniquely in
+    # every member), with independent brute-force re-verification
     section = expect["diagrams"]
-    for key, (vname, base, left, right) in theorem_diagrams().items():
-        d = diagram(builtin(base), builtin(left), builtin(right))
-        result = _attempt(decide_amalgamation, variety(vname), d)
-        _add_unit(report, result, [(
+    for key, (vname, *names) in theorem_diagrams().items():
+        found = ap_reports[vname]
+        if isinstance(found, APReport):
+            found = next(d for d in found.diagrams
+                         if [d.base_name, d.left_name, d.right_name] == names)
+        _add_unit(report, found, [(
             f"diagram/{key}", section["label"], section["expected"][key],
-            lambda r: ("obstruction" if isinstance(r, Obstruction) else "amalgam",
-                       r.as_dict() | {"variety": vname, "diagram": [base, left, right]}))])
-        if isinstance(result, Obstruction):
+            lambda d: ("obstruction" if isinstance(d.result, Obstruction) else "amalgam",
+                       d.result.as_dict() | {"variety": vname, "diagram": names}))])
+        if isinstance(found, DiagramResult) and isinstance(found.result, Obstruction):
+            d = Diagram(found.f.source, found.f.target, found.g.target, found.f, found.g)
             report.add(Record(
                 id=f"diagram/{key}/reverified", label=section["label"],
-                verdict=brute_force_verify_obstruction(variety(vname), d, result),
+                verdict=brute_force_verify_obstruction(variety(vname), d, found.result),
                 expected=True))
 
     return report

@@ -19,6 +19,15 @@ def brute_force_congruences(algebra: FiniteAlgebra):
     return [p for p in iter_partitions(algebra.size) if is_congruence(algebra, p)]
 
 
+def cep_by_definition(sub: FiniteAlgebra, sup_congruences, embedding) -> bool:
+    """Oracle: every member of Con(sub) is the restriction of a member of
+    Con(sup), given as `sup_congruences`, to the image of the embedding."""
+    from agkit.congruence import congruence_lattice
+
+    restrictions = {theta.restrict(embedding.mapping) for theta in sup_congruences}
+    return all(theta in restrictions for theta in congruence_lattice(sub))
+
+
 def brute_force_subuniverses(algebra: FiniteAlgebra) -> set[frozenset[int]]:
     """Oracle: close every subset of the universe."""
     from agkit import subuniverse_closure

@@ -61,6 +61,18 @@ def test_load_rejects_out_of_range_table(builtins):
         load_algebra(json.dumps(document))
 
 
+@pytest.mark.parametrize("key, value", [
+    ("zero", False),  # a JSON boolean is not an index
+    ("size", 2.7),  # nor is a fraction, which int() would truncate to 2
+    ("labels", [["0"], ["1"]]),  # str() would turn these into "['0']", "['1']"
+], ids=["boolean_index", "fractional_size", "list_labels"])
+def test_load_rejects_values_it_would_coerce(builtins, key, value):
+    document = json.loads(dump_algebra(builtins["2"]))
+    document[key] = value
+    with pytest.raises(AlgebraFormatError):
+        load_algebra(json.dumps(document))
+
+
 def test_non_commutative_join_names_axiom_and_witness(builtins):
     document = json.loads(dump_algebra(builtins["2"]))
     document["join"] = [[0, 1], [0, 1]]

@@ -53,6 +53,12 @@ def test_check_parse_error_exit_2(capsys):
     assert code == 2 and "offset" in err
 
 
+def test_check_deeply_nested_sentence_exits_2(capsys):
+    sentence = "x" + "*" * 5000 + " = x"
+    code, _, err = run(capsys, "check", "--variety", "G", "--sentence", sentence)
+    assert code == 2 and "nested deeper" in err
+
+
 def test_homs_command(capsys):
     code, out, _ = run(capsys, "homs", "3_dblst", "3_klst")
     assert code == 0 and out.startswith("0 homomorphism")

@@ -3,13 +3,15 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from agkit import (CapExceededError, Partition, builtin, cep_instance, check_sc,
-                   classify, congruence_lattice, direct_product,
+from agkit import (BUILTIN_NAMES, CapExceededError, FiniteAlgebra, Partition, builtin,
+                   cep_instance, check_sc, classify, congruence_lattice, direct_product,
                    enumerate_embeddings, is_congruence, is_isomorphic,
-                   principal_congruence, quotient)
+                   principal_congruence, quotient, subalgebra)
 from agkit.congruence import iter_partitions
-from tests.conftest import brute_force_congruences
+from agkit.morphisms import Homomorphism
+from tests.conftest import brute_force_congruences, cep_by_definition
 
 
 def oracle_principal(algebra, a, b):
@@ -167,6 +169,76 @@ def test_cep_instances(builtins):
     from agkit.morphisms import identity_hom
     for algebra in builtins.values():
         assert cep_instance(algebra, algebra, identity_hom(algebra))
+    # only Con(sub) is enumerated, so a sup past the congruence cap is fine
+    big = direct_product([klst] * 4)
+    assert cep_instance(builtins["2"], big, enumerate_embeddings(builtins["2"], big)[0])
+
+
+def _products(factors: int) -> list[FiniteAlgebra]:
+    names = itertools.combinations_with_replacement(BUILTIN_NAMES, factors)
+    return [direct_product([builtin(n) for n in combo]) for combo in names]
+
+
+def test_cep_instance_matches_definition_on_products(builtins):
+    """Every embedding among the builtins and the 2-factor products, and every
+    embedding of a builtin into a 3-factor product of at most 36 elements."""
+    small = list(builtins.values()) + _products(2)
+    large = [p for p in _products(3) if p.size <= 36]
+    cases = [(sub, sup) for sub in small for sup in small]
+    cases += [(sub, sup) for sub in builtins.values() for sup in large]
+    sup_congruences = {sup: congruence_lattice(sup) for sup in small + large}
+    checked = 0
+    for sub, sup in cases:
+        for embedding in enumerate_embeddings(sub, sup):
+            assert cep_instance(sub, sup, embedding) == cep_by_definition(
+                sub, sup_congruences[sup], embedding), (sub.name, sup.name, embedding.mapping)
+            checked += 1
+    assert checked == 100
+
+
+def _chain4(star: tuple[int, ...], quote: tuple[int, ...]) -> FiniteAlgebra:
+    """The chain 0 < a < b < 1 with the given star and quote tables."""
+    return FiniteAlgebra(
+        name="chain4", size=4, labels=("0", "a", "b", "1"),
+        join=tuple(tuple(max(x, y) for y in range(4)) for x in range(4)),
+        meet=tuple(tuple(min(x, y) for y in range(4)) for x in range(4)),
+        star=star, quote=quote, zero=0, one=3)
+
+
+@st.composite
+def chains_with_subuniverse(draw):
+    """A 4-element chain with arbitrary star and quote tables, and one of its
+    3-element subuniverses {0, a, 1} or {0, b, 1}: the tables map the
+    subuniverse into itself and the remaining element anywhere."""
+    universe = (0, draw(st.sampled_from((1, 2))), 3)
+
+    def table() -> tuple[int, ...]:
+        return tuple(draw(st.sampled_from(universe if x in universe else range(4)))
+                     for x in range(4))
+
+    return _chain4(table(), table()), universe
+
+
+@settings(max_examples=200, deadline=None)
+@given(chains_with_subuniverse())
+@example((_chain4((0, 0, 0, 0), (0, 0, 1, 0)), (0, 1, 3)))
+def test_cep_instance_matches_definition_on_chains(case):
+    chain, universe = case
+    sub = subalgebra(chain, universe)
+    embedding = Homomorphism(sub, chain, universe)
+    assert cep_instance(sub, chain, embedding) == cep_by_definition(
+        sub, congruence_lattice(chain), embedding)
+
+
+def test_cep_instance_false_case():
+    # Star and quote are constantly 0 on {0, a, 1}, so {0 | a, 1} is a
+    # congruence of it.  In the chain a ~ 1 gives b = a \/ b ~ 1 \/ b = 1, and
+    # then 1 = b' ~ 1' = 0, so only the total congruence contains (a, 1).
+    chain = _chain4((0, 0, 0, 0), (0, 0, 1, 0))
+    sub = subalgebra(chain, (0, 1, 3))
+    embedding = Homomorphism(sub, chain, (0, 1, 3))
+    assert not cep_instance(sub, chain, embedding)
+    assert not cep_by_definition(sub, congruence_lattice(chain), embedding)
 
 
 def test_cep_requires_embedding(builtins):

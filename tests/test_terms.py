@@ -5,7 +5,7 @@ import pytest
 from agkit import (CapExceededError, EvalError, ParseError, builtin, eval_term,
                    format_sentence, format_term, holds_in, load_sentences,
                    parse_sentence, parse_term)
-from agkit.terms import Const, Join, Meet, Quote, Sentence, Star, Var
+from agkit.terms import MAX_TERM_DEPTH, Const, Join, Meet, Quote, Sentence, Star, Var
 
 
 def test_parse_postfix_grouping():
@@ -53,6 +53,33 @@ def test_parse_errors_carry_offset_and_expected():
     with pytest.raises(ParseError) as err:
         parse_sentence("x = ?")
     assert err.value.position == 4
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 3000 + "x" + ")" * 3000,
+    "x" + "*" * 5000,
+    " \\/ ".join(["x"] * 5000),
+], ids=["brackets", "postfix", "join_chain"])
+def test_deeply_nested_terms_are_parse_errors(text):
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse_term(text)
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse_sentence(text + " = x")
+
+
+def test_terms_at_the_depth_limit_print_hash_and_evaluate(builtins):
+    term = "x"
+    for _ in range(MAX_TERM_DEPTH // 2):
+        term = f"({term} \\/ y)"
+    sentence = parse_sentence(term + " = " + "x" + "*" * MAX_TERM_DEPTH)
+    assert parse_sentence(str(sentence)) == sentence
+    assert hash(sentence) == hash(parse_sentence(str(sentence)))
+    assert not holds_in(builtins["4_dmba"], sentence)
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse_term("x" + "*" * (MAX_TERM_DEPTH + 1))
+    parse_term("(" * MAX_TERM_DEPTH + "x" + ")" * MAX_TERM_DEPTH)
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse_term("(" * (MAX_TERM_DEPTH + 1) + "x" + ")" * (MAX_TERM_DEPTH + 1))
 
 
 def test_print_parse_round_trip():

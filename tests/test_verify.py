@@ -3,12 +3,13 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+from collections import Counter
 
 import pytest
 
 import agkit.algebra
 import agkit.amalgamation
-from agkit.amalgamation import theorem_diagrams
+import agkit.congruence
 from agkit.variety import VARIETY_NAMES
 from agkit.verify import load_expectations, verify_paper
 
@@ -16,33 +17,41 @@ from agkit.verify import load_expectations, verify_paper
 # whitespace.  The digest does not depend on PYTHONHASHSEED.
 GOLDEN_RECORDS_SHA256 = "bed7a894465af4beaf80f57610d6ee82195b7ebf3ccd6500c7e308bd24786698"
 
+# principal_congruence calls one verify_paper() run makes (4,863 when the
+# CEP check enumerated Con(sup) for every embedding)
+PRINCIPAL_CONGRUENCES = 755
 
-def _log_calls(monkeypatch, name: str, log: list) -> None:
-    """Replace every agkit binding of agkit.amalgamation.<name> with a wrapper
-    that appends each result to `log`."""
-    original = getattr(agkit.amalgamation, name)
+
+def _log_calls(monkeypatch, module, name: str, log: list) -> None:
+    """Replace every agkit binding of module.<name> with a wrapper that
+    appends (args, result) of each call to `log`."""
+    original = getattr(module, name)
 
     def logged(*args, **kwargs):
         result = original(*args, **kwargs)
-        log.append(result)
+        log.append((args, result))
         return result
 
-    for module_name, module in list(sys.modules.items()):
-        if module is None or not module_name.startswith("agkit"):
+    for module_name, bound in list(sys.modules.items()):
+        if bound is None or not module_name.startswith("agkit"):
             continue
-        for attr, value in list(vars(module).items()):
+        for attr, value in list(vars(bound).items()):
             if value is original:
-                monkeypatch.setattr(module, attr, logged)
+                monkeypatch.setattr(bound, attr, logged)
 
 
 @pytest.fixture(scope="module")
 def logged_run():
-    """One verify_paper() run, with the results of every classify_ap and
-    decide_amalgamation call it made."""
-    calls = {"classify_ap": [], "decide_amalgamation": []}
+    """One verify_paper() run, with the arguments and results of every
+    classify_ap, decide_amalgamation, congruence_lattice and
+    principal_congruence call it made."""
+    traced = {"classify_ap": agkit.amalgamation, "decide_amalgamation": agkit.amalgamation,
+              "congruence_lattice": agkit.congruence,
+              "principal_congruence": agkit.congruence}
+    calls = {name: [] for name in traced}
     with pytest.MonkeyPatch.context() as monkeypatch:
-        for name, log in calls.items():
-            _log_calls(monkeypatch, name, log)
+        for name, module in traced.items():
+            _log_calls(monkeypatch, module, name, calls[name])
         report = verify_paper()
     return report, calls
 
@@ -105,8 +114,18 @@ def test_report_records_match_golden_digest(logged_run):
 
 def test_verify_paper_decides_each_diagram_once(logged_run):
     _, calls = logged_run
-    ap_reports = calls["classify_ap"]
+    ap_reports = [report for _, report in calls["classify_ap"]]
     assert sorted(r.variety_name for r in ap_reports) == sorted(VARIETY_NAMES)
-    diagrams = sum(len(r.diagrams) for r in ap_reports) + len(theorem_diagrams())
-    assert len(calls["decide_amalgamation"]) == diagrams == 85
+    decided = {(v.name, d.base.name, d.left.name, d.right.name, d.f.mapping, d.g.mapping)
+               for (v, d), _ in calls["decide_amalgamation"]}
+    diagrams = sum(len(r.diagrams) for r in ap_reports)
+    assert len(calls["decide_amalgamation"]) == len(decided) == diagrams == 80
 
+
+def test_verify_paper_congruence_budget(logged_run):
+    _, calls = logged_run
+    algebras = [args[0] for args, _ in calls["congruence_lattice"]]
+    assert max(a.size for a in algebras) <= 12
+    repeated = Counter(a for a in algebras if a.size > 4)
+    assert all(count == 1 for count in repeated.values()), repeated.most_common(1)
+    assert len(calls["principal_congruence"]) == PRINCIPAL_CONGRUENCES
