@@ -20,12 +20,11 @@ from .terms import (Sentence, Term, Verdict, eval_term, format_sentence,
                     parse_term)
 from .variety import (FreeAlgebra, VarietyDescriptor, all_varieties,
                       discriminator_is_term_op, free_algebra,
-                      generated_subvariety, identity_holds, lemma_registry,
-                      lemma_suite, quasi_identity_holds, variety, verify_bases,
-                      VARIETY_NAMES)
+                      generated_subvariety, lemma_registry, lemma_suite,
+                      quasi_identity_holds, variety, verify_bases, VARIETY_NAMES)
 from .amalgamation import (Amalgam, AmalgamationResult, APReport, Diagram,
                            Obstruction, applications, classify_ap,
-                           decide_amalgamation, diagram, refute_amal_base)
+                           decide_amalgamation, diagram)
 from .verify import verify_paper
 
 __all__ = [name for name in dir() if not name.startswith("_")]

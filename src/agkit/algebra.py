@@ -190,7 +190,7 @@ def _json_int(value) -> int:
 
 def _json_str(value) -> str:
     if not isinstance(value, str):
-        raise AlgebraFormatError(f"expected a string label, got {json.dumps(value)}")
+        raise AlgebraFormatError(f"expected a string, got {json.dumps(value)}")
     return value
 
 
@@ -208,7 +208,7 @@ def load_algebra(text: str) -> FiniteAlgebra:
             f"bad keys: missing {missing or 'none'}, unexpected {extra or 'none'}")
     try:
         return FiniteAlgebra(
-            name=str(document["name"]),
+            name=_json_str(document["name"]),
             size=_json_int(document["size"]),
             labels=tuple(_json_str(l) for l in document["labels"]),
             join=tuple(tuple(_json_int(v) for v in row) for row in document["join"]),

@@ -18,12 +18,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .algebra import (FiniteAlgebra, builtin, direct_product,
-                      enumerate_subalgebras, subalgebra)
-from .congruence import cep_instance, classify
+from .algebra import FiniteAlgebra, builtin, direct_product
 from .morphisms import (Homomorphism, brute_force_homs, enumerate_embeddings,
                         enumerate_homs, tupled_hom)
-from .variety import VarietyDescriptor, require_in_variety
+from .variety import VarietyDescriptor, discriminator_is_term_op, require_in_variety
 
 
 @dataclass(frozen=True)
@@ -194,80 +192,64 @@ class DiagramResult:
 
 @dataclass(frozen=True)
 class APReport:
+    """The decided SI diagrams of a variety, plus the proof of the hypotheses
+    that reduce AP to them.
+
+    discriminator_variety: one term is the discriminator on every SI
+    generator (Baker-Pixley, see discriminator_is_term_op), so the variety
+    is a discriminator variety.  A discriminator variety has the congruence
+    extension property (Cor 2.8(3)), and every nontrivial subalgebra of a
+    generator is simple, so the generators are hereditarily SI (Thm 3.1 (2);
+    Burris & Sankappanavar, IV.9).  When it is False the reduction is
+    unproved and has_ap decides the SI diagrams only.
+    """
     variety_name: str
-    hereditarily_si: bool
-    cep_spot_checks: bool
+    discriminator_variety: bool
     diagrams: tuple[DiagramResult, ...]
 
     @property
     def has_ap(self) -> bool:
         return all(d.result.amalgamable for d in self.diagrams)
 
-    @property
-    def preconditions_ok(self) -> bool:
-        return self.hereditarily_si and self.cep_spot_checks
-
     def obstructed(self) -> tuple[DiagramResult, ...]:
         return tuple(d for d in self.diagrams if not d.result.amalgamable)
-
-
-def _hereditarily_si(v: VarietyDescriptor) -> bool:
-    for si in v.si_algebras():
-        for universe in enumerate_subalgebras(si):
-            if not classify(subalgebra(si, universe)).subdirectly_irreducible:
-                return False
-    return True
-
-
-def _cep_spot_checks(v: VarietyDescriptor) -> bool:
-    sis = v.si_algebras()
-    supers: list[FiniteAlgebra] = list(sis)
-    supers.extend(direct_product([s, t]) for s in sis for t in sis)
-    for sub in sis:
-        for sup in supers:
-            for embedding in enumerate_embeddings(sub, sup):
-                if not cep_instance(sub, sup, embedding):
-                    return False
-    return True
-
-
-def _diagrams_over(v: VarietyDescriptor, base: FiniteAlgebra):
-    """Every diagram <base; B, C> with B, C SI members of v, over every
-    embedding pair, in a fixed order (B, then C, then f, then g)."""
-    sis = v.si_algebras()
-    for left in sis:
-        fs = enumerate_embeddings(base, left)
-        if not fs:
-            continue
-        for right in sis:
-            gs = enumerate_embeddings(base, right)
-            for f, g in itertools.product(fs, gs):
-                yield Diagram(base, left, right, f, g)
 
 
 def si_diagrams(v: VarietyDescriptor):
     """Every diagram of SI members over every embedding pair, in a fixed order.
 
-    All embeddings are enumerated, not one per isomorphism class: with the
-    constants pinning the embeddings of 2 this stays small and avoids an
-    unproven symmetry shortcut.
+    The order is base, then B, then C, then f, then g.  All embeddings are
+    enumerated, not one per isomorphism class: with the constants pinning the
+    embeddings of 2 this stays small and avoids an unproven symmetry shortcut.
     """
-    for base in v.si_algebras():
-        yield from _diagrams_over(v, base)
+    sis = v.si_algebras()
+    for base in sis:
+        for left in sis:
+            fs = enumerate_embeddings(base, left)
+            if not fs:
+                continue
+            for right in sis:
+                gs = enumerate_embeddings(base, right)
+                for f, g in itertools.product(fs, gs):
+                    yield Diagram(base, left, right, f, g)
 
 
 def classify_ap(v: VarietyDescriptor) -> APReport:
     """Decide AP for a variety by deciding every SI diagram.
 
-    The reduction to SI diagrams needs the congruence extension property and
-    hereditarily-SI generators; both hypotheses are re-verified computationally
-    on each run rather than assumed.
+    The reduction to SI diagrams (Thm 3.24) needs the congruence extension
+    property and hereditarily-SI generators.  Both are proved, not sampled,
+    by one check: the lattice median is a majority term, so by Baker-Pixley
+    one term is the discriminator on every SI generator iff the discriminator
+    preserves the subuniverses of each product S x T of two generators.  Then
+    V is a discriminator variety, which has CEP, and its generators are
+    hereditarily simple (see APReport).
     """
     results = tuple(
         DiagramResult(d.base.name, d.left.name, d.right.name, d.f, d.g,
                       decide_amalgamation(v, d))
         for d in si_diagrams(v))
-    return APReport(v.name, _hereditarily_si(v), _cep_spot_checks(v), results)
+    return APReport(v.name, discriminator_is_term_op(*v.si_algebras()), results)
 
 
 # --- applications --------------------------------------------------------------
@@ -282,7 +264,6 @@ class JointEmbeddingResult:
 class ApplicationsReport:
     variety_name: str
     has_ap: bool
-    cep_spot_checks: bool
     tp: bool
     residually_small: bool
     ei: bool
@@ -295,7 +276,8 @@ class ApplicationsReport:
 def applications(ap_report: APReport) -> ApplicationsReport:
     """Derived properties, read off the AP report of the variety.
 
-    tp: transferability = AP plus CEP (the CEP half is spot-verified).
+    tp: transferability = AP plus CEP; CEP is read off the report's proof
+        that the variety is a discriminator variety.
     ei: enough injectives = tp plus residual smallness; residual smallness is
         immediate here (finitely many finite SI members).
     jep_on_si_pairs: joint embeddability of SI pairs, decided as amalgamation
@@ -312,11 +294,10 @@ def applications(ap_report: APReport) -> ApplicationsReport:
     a shortcut: homomorphisms preserve the constants, so 2 = {0, 1} has exactly
     one embedding into every member.  The report's diagrams based at 2 are
     therefore one per ordered SI pair (B, C), each the diagram <2; B, C> that
-    the joint-embedding question and refute_amal_base(v, 2) would decide.
+    the joint-embedding question would decide.
     """
     has_ap = ap_report.has_ap
-    cep_ok = ap_report.cep_spot_checks
-    tp = has_ap and cep_ok
+    tp = has_ap and ap_report.discriminator_variety
     residually_small = True  # finitely many finite SI members
     ei = tp and residually_small
 
@@ -328,7 +309,6 @@ def applications(ap_report: APReport) -> ApplicationsReport:
     return ApplicationsReport(
         variety_name=ap_report.variety_name,
         has_ap=has_ap,
-        cep_spot_checks=cep_ok,
         tp=tp,
         residually_small=residually_small,
         ei=ei,
@@ -337,25 +317,6 @@ def applications(ap_report: APReport) -> ApplicationsReport:
         model_companion=has_ap,
         two_in_amal=all(over_two.values()),
     )
-
-
-def refute_amal_base(v: VarietyDescriptor,
-                     algebra: FiniteAlgebra) -> tuple[Diagram, Obstruction] | None:
-    """Search for a diagram based at `algebra` with no amalgam in v.
-
-    B and C range over the SI members and f, g over all embeddings, in the
-    order classify_ap decides them; for algebra = 2 the diagrams are exactly
-    the report's diagrams based at 2, which is why applications() can read
-    two_in_amal off the report instead of calling this.  A hit refutes
-    membership in the amalgamation class; absence of a hit proves nothing
-    (refutation-only semantics).
-    """
-    require_in_variety(algebra, v)
-    for d in _diagrams_over(v, algebra):
-        result = decide_amalgamation(v, d)
-        if isinstance(result, Obstruction):
-            return d, result
-    return None
 
 
 def theorem_diagrams() -> dict[str, tuple[str, str, str, str]]:

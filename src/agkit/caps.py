@@ -1,15 +1,15 @@
 """Size guards.
 
 Every potentially explosive computation is bounded by a named cap.  The
-AGKIT_CAP environment variable, when set to an integer, replaces the default
-of every cap; some call sites also accept an explicit override.
+AGKIT_CAP environment variable, when set, must be an integer; it replaces the
+default of every cap.  Some call sites also accept an explicit override.
 """
 
 from __future__ import annotations
 
 import os
 
-from .errors import CapExceededError
+from .errors import AgkitError, CapExceededError
 
 DEFAULT_CAPS = {
     "product_elements": 10**6,
@@ -26,7 +26,10 @@ def cap_value(name: str, override: int | None = None) -> int:
         return override
     env = os.environ.get("AGKIT_CAP")
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise AgkitError(f"AGKIT_CAP must be an integer, got {env!r}") from None
     return DEFAULT_CAPS[name]
 
 

@@ -151,7 +151,7 @@ def _ap_rows(reports) -> list[list[str]]:
     return [[r.variety_name,
              ",".join(sorted(variety(r.variety_name).si_names)),
              "yes" if r.has_ap else "no",
-             "ok" if r.preconditions_ok else "FAILED"]
+             "ok" if r.discriminator_variety else "FAILED"]
             for r in ordered]
 
 
@@ -169,7 +169,7 @@ def _cmd_classify_ap(args, report: Report) -> str:
         report.add(Record(
             id=f"ap/{v.name}", label="amalgamation property",
             verdict=ap.has_ap,
-            detail={"preconditions_ok": ap.preconditions_ok,
+            detail={"preconditions_ok": ap.discriminator_variety,
                     "diagrams": len(ap.diagrams),
                     "obstructed": [
                         [d.base_name, d.left_name, d.right_name]

@@ -25,9 +25,8 @@ from . import caps
 from .algebra import (FiniteAlgebra, builtin, direct_product, enumerate_subalgebras,
                       subalgebra)
 from .axioms import satisfies_axiom_system
-from .congruence import congruence_lattice, quotient
 from .errors import CapExceededError, NotFoundError, NotInVarietyError
-from .morphisms import enumerate_homs, is_isomorphic
+from .morphisms import enumerate_homs
 from .terms import Sentence, Verdict, eval_term, holds_in, parse_sentence
 
 VARIETY_NAMES = ("BA", "RDBLST", "RKLST", "DMBA", "G",
@@ -114,12 +113,6 @@ def quasi_identity_holds(v: VarietyDescriptor, sentence: Sentence) -> VarietyVer
         if not verdict.holds:
             return VarietyVerdict(False, (si.name, verdict.witness))
     return VarietyVerdict(True)
-
-
-def identity_holds(v: VarietyDescriptor, sentence: Sentence) -> VarietyVerdict:
-    if sentence.premises:
-        raise ValueError("identity_holds expects a premise-free sentence")
-    return quasi_identity_holds(v, sentence)
 
 
 def satisfies_base(algebra: FiniteAlgebra, v: VarietyDescriptor) -> Verdict:
@@ -211,26 +204,30 @@ def generated_subvariety(algebra: FiniteAlgebra) -> VarietyDescriptor:
 
 # --- discriminator -----------------------------------------------------------
 
-def discriminator_is_term_op(algebra: FiniteAlgebra) -> bool:
-    """Is t(x, y, z) = (z if x = y else x) a term operation?
+def discriminator_is_term_op(*algebras: FiniteAlgebra) -> bool:
+    """Is there one term t with t(x, y, z) = (z if x = y else x) in every
+    given algebra?
 
     The lattice median (x /\\ y) \\/ (y /\\ z) \\/ (x /\\ z) is a majority term
-    for every algebra here, so by the Baker-Pixley criterion it suffices that
-    the discriminator preserves every subuniverse of the square.
+    for every algebra here, so by the Baker-Pixley criterion (Math. Z. 143,
+    1975) it suffices that the discriminator, taken in each factor, preserves
+    every subuniverse of S x T for every pair S, T of the given algebras
+    (S = T included).  With one algebra that is its square.
     """
-    caps.guard("discriminator_universe", algebra.size)
-    square = direct_product([algebra, algebra])
-    n = algebra.size
+    for algebra in algebras:
+        caps.guard("discriminator_universe", algebra.size)
 
     def disc(x: int, y: int, z: int) -> int:
         return z if x == y else x
 
-    for universe in enumerate_subalgebras(square):
-        pairs = [(k // n, k % n) for k in universe]
-        members = set(pairs)
-        for (a1, b1), (a2, b2), (a3, b3) in itertools.product(pairs, repeat=3):
-            if (disc(a1, a2, a3), disc(b1, b2, b3)) not in members:
-                return False
+    for left, right in itertools.combinations_with_replacement(algebras, 2):
+        n = right.size
+        for universe in enumerate_subalgebras(direct_product([left, right])):
+            pairs = [(k // n, k % n) for k in universe]
+            members = set(pairs)
+            for (a1, b1), (a2, b2), (a3, b3) in itertools.product(pairs, repeat=3):
+                if (disc(a1, a2, a3), disc(b1, b2, b3)) not in members:
+                    return False
     return True
 
 
@@ -387,19 +384,3 @@ def lemma_suite(v: VarietyDescriptor | None = None) -> LemmaSuiteReport:
         verdict = quasi_identity_holds(variety(record.variety_name), record.sentence)
         results.append(LemmaResult(record, verdict))
     return LemmaSuiteReport(tuple(results))
-
-
-def si_quotients_of_subalgebras(algebra: FiniteAlgebra) -> set[str]:
-    """Names of builtins isomorphic to an SI quotient of a subalgebra.
-    Exposed for tests that cross-check generated_subvariety the slow way."""
-    names = set()
-    for universe in enumerate_subalgebras(algebra):
-        sub = subalgebra(algebra, universe)
-        for theta in congruence_lattice(sub):
-            q = quotient(sub, theta)
-            if q.size < 2:
-                continue
-            for si_name in sorted(_SI_SETS["AG"]):
-                if q.size == builtin(si_name).size and is_isomorphic(q, builtin(si_name)):
-                    names.add(si_name)
-    return names

@@ -86,8 +86,9 @@ def verify_paper() -> Report:
                 id=f"si/{key}/{prop}", label=section["label"],
                 verdict=value, expected=expected))
 
-    # 3. reduction hypotheses, re-verified per variety.  Each variety is
-    # classified once; sections 7 and 8 read its report or its AgkitError.
+    # 3. reduction hypotheses, both read off the report's discriminator-variety
+    # proof, and AP.  Each variety is classified once; sections 7 and 8 read
+    # its report or its AgkitError.
     ap_reports: dict[str, APReport | AgkitError] = {}
     for v in all_varieties():
         try:
@@ -97,9 +98,9 @@ def verify_paper() -> Report:
     for name, ap_report in ap_reports.items():
         _add_unit(report, ap_report, [
             (f"hereditarily_si/{name}", expect["hereditarily_si"]["label"],
-             expect["hereditarily_si"]["expected"], lambda r: (r.hereditarily_si, {})),
+             expect["hereditarily_si"]["expected"], lambda r: (r.discriminator_variety, {})),
             (f"cep/{name}", expect["cep_spot_checks"]["label"],
-             expect["cep_spot_checks"]["expected"], lambda r: (r.cep_spot_checks, {})),
+             expect["cep_spot_checks"]["expected"], lambda r: (r.discriminator_variety, {})),
             (f"ap/{name}", expect["ap"]["label"], expect["ap"]["expected"][name],
              lambda r: (r.has_ap, {"obstructed": [d.result.as_dict() | {
                  "diagram": [d.base_name, d.left_name, d.right_name]}

@@ -37,3 +37,75 @@ def brute_force_subuniverses(algebra: FiniteAlgebra) -> set[frozenset[int]]:
         for seed in itertools.combinations(range(algebra.size), r):
             out.add(subuniverse_closure(algebra, seed))
     return out
+
+
+def hereditarily_si(v) -> bool:
+    """Oracle for Thm 3.1 (2): classify every subalgebra of every SI
+    generator of v."""
+    from agkit import classify, enumerate_subalgebras, subalgebra
+
+    for si in v.si_algebras():
+        for universe in enumerate_subalgebras(si):
+            if not classify(subalgebra(si, universe)).subdirectly_irreducible:
+                return False
+    return True
+
+
+def cep_spot_checks(v) -> bool:
+    """Oracle for CEP (Cor 2.8(3)): every embedding of an SI generator of v
+    into a generator or a 2-factor product of generators extends congruences."""
+    from agkit import cep_instance, direct_product, enumerate_embeddings
+
+    sis = v.si_algebras()
+    supers = list(sis)
+    supers.extend(direct_product([s, t]) for s in sis for t in sis)
+    for sub in sis:
+        for sup in supers:
+            for embedding in enumerate_embeddings(sub, sup):
+                if not cep_instance(sub, sup, embedding):
+                    return False
+    return True
+
+
+def refute_amal_base(v, algebra: FiniteAlgebra):
+    """Oracle: the first diagram <algebra; B, C> with B, C SI members of v that
+    has no amalgam in v, with its obstruction, or None.
+
+    B, C, f and g are enumerated in the order classify_ap decides them.  A
+    hit refutes membership of `algebra` in the amalgamation class; no hit
+    proves nothing.
+    """
+    from agkit import Obstruction, decide_amalgamation, enumerate_embeddings
+    from agkit.amalgamation import Diagram
+    from agkit.variety import require_in_variety
+
+    require_in_variety(algebra, v)
+    sis = v.si_algebras()
+    for left in sis:
+        fs = enumerate_embeddings(algebra, left)
+        for right in sis:
+            for f, g in itertools.product(fs, enumerate_embeddings(algebra, right)):
+                d = Diagram(algebra, left, right, f, g)
+                result = decide_amalgamation(v, d)
+                if isinstance(result, Obstruction):
+                    return d, result
+    return None
+
+
+def si_quotients_of_subalgebras(algebra: FiniteAlgebra) -> set[str]:
+    """Oracle: names of builtins isomorphic to an SI quotient of a subalgebra,
+    the slow way to the generators of generated_subvariety(algebra)."""
+    from agkit import (congruence_lattice, enumerate_subalgebras, is_isomorphic,
+                       quotient, subalgebra)
+
+    names = set()
+    for universe in enumerate_subalgebras(algebra):
+        sub = subalgebra(algebra, universe)
+        for theta in congruence_lattice(sub):
+            q = quotient(sub, theta)
+            if q.size < 2:
+                continue
+            for si_name in BUILTIN_NAMES:
+                if q.size == builtin(si_name).size and is_isomorphic(q, builtin(si_name)):
+                    names.add(si_name)
+    return names

@@ -65,7 +65,8 @@ def test_load_rejects_out_of_range_table(builtins):
     ("zero", False),  # a JSON boolean is not an index
     ("size", 2.7),  # nor is a fraction, which int() would truncate to 2
     ("labels", [["0"], ["1"]]),  # str() would turn these into "['0']", "['1']"
-], ids=["boolean_index", "fractional_size", "list_labels"])
+    ("name", [1, {"a": None}]),  # and this into "[1, {'a': None}]"
+], ids=["boolean_index", "fractional_size", "list_labels", "list_name"])
 def test_load_rejects_values_it_would_coerce(builtins, key, value):
     document = json.loads(dump_algebra(builtins["2"]))
     document[key] = value

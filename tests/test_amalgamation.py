@@ -4,12 +4,13 @@ import itertools
 
 import pytest
 
+import agkit.algebra
 from agkit import (Amalgam, Obstruction, applications, builtin, classify_ap,
                    decide_amalgamation, diagram, enumerate_embeddings,
-                   generated_subvariety, refute_amal_base, variety,
-                   NotInVarietyError, all_varieties)
+                   generated_subvariety, variety, NotInVarietyError, all_varieties)
 from agkit.amalgamation import Diagram, brute_force_verify_obstruction, theorem_diagrams
 from agkit.morphisms import identity_hom
+from tests.conftest import cep_spot_checks, hereditarily_si, refute_amal_base
 
 AP_EXPECTED = {
     "BA": True, "RDBLST": True, "RKLST": True, "DMBA": True,
@@ -73,8 +74,31 @@ def test_classify_ap_reproduces_main_classification():
     for v in all_varieties():
         report = classify_ap(v)
         assert report.has_ap == AP_EXPECTED[v.name], v.name
-        assert report.hereditarily_si and report.cep_spot_checks
-        assert report.preconditions_ok
+        assert report.discriminator_variety
+
+
+def test_discriminator_variety_agrees_with_spot_check_oracles():
+    for v in all_varieties():
+        report = classify_ap(v)
+        assert report.discriminator_variety == hereditarily_si(v), v.name
+        assert report.discriminator_variety == cep_spot_checks(v), v.name
+
+
+def test_discriminator_variety_agrees_with_oracles_on_tampered_builtin(monkeypatch):
+    # the tampered 3_dblst of test_tampered_builtin_flips_multiple_records
+    tampered = dict(agkit.algebra.BUILTIN_SPECS["3_dblst"])
+    tampered["quote"] = (2, 1, 0)
+    monkeypatch.setitem(agkit.algebra.BUILTIN_SPECS, "3_dblst", tampered)
+    decided = []
+    for v in all_varieties():
+        try:
+            report = classify_ap(v)
+        except NotInVarietyError:
+            continue
+        decided.append(v.name)
+        assert report.discriminator_variety == hereditarily_si(v), v.name
+        assert report.discriminator_variety == cep_spot_checks(v), v.name
+    assert decided == ["BA", "RKLST", "DMBA", "G", "V_KLST_DMBA", "AG"]
 
 
 def test_classify_ap_obstructions_are_the_known_diagrams():

@@ -165,3 +165,10 @@ def test_verify_paper_cli_mismatch_exits_1(capsys, tmp_path, monkeypatch):
     payload = json.loads(out_path.read_text())
     assert payload["command"] == ["verify-paper", "--out", str(out_path)]
     assert payload["summary"]["ok"] is False
+
+
+def test_non_integer_cap_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("AGKIT_CAP", "abc")
+    code, _, err = run(capsys, "classify", "2")
+    assert code == 2
+    assert "AGKIT_CAP" in err and "Traceback" not in err

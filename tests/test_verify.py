@@ -17,9 +17,12 @@ from agkit.verify import load_expectations, verify_paper
 # whitespace.  The digest does not depend on PYTHONHASHSEED.
 GOLDEN_RECORDS_SHA256 = "bed7a894465af4beaf80f57610d6ee82195b7ebf3ccd6500c7e308bd24786698"
 
-# principal_congruence calls one verify_paper() run makes (4,863 when the
-# CEP check enumerated Con(sup) for every embedding)
-PRINCIPAL_CONGRUENCES = 755
+# principal_congruence and congruence_lattice calls one verify_paper() run
+# makes: section 2's classifications only.  (4,863 principal congruences when
+# the CEP spot checks enumerated Con(sup) for every embedding, then 755 and
+# 158 lattices until one discriminator check proved CEP and hereditary SI.)
+PRINCIPAL_CONGRUENCES = 239
+CONGRUENCE_LATTICES = 10
 
 
 def _log_calls(monkeypatch, module, name: str, log: list) -> None:
@@ -129,3 +132,4 @@ def test_verify_paper_congruence_budget(logged_run):
     repeated = Counter(a for a in algebras if a.size > 4)
     assert all(count == 1 for count in repeated.values()), repeated.most_common(1)
     assert len(calls["principal_congruence"]) == PRINCIPAL_CONGRUENCES
+    assert len(calls["congruence_lattice"]) == CONGRUENCE_LATTICES
