@@ -19,6 +19,7 @@ import itertools
 from dataclasses import dataclass
 
 from .algebra import FiniteAlgebra, builtin, direct_product
+from .errors import NotFoundError
 from .morphisms import (Homomorphism, brute_force_homs, enumerate_embeddings,
                         enumerate_homs, tupled_hom)
 from .variety import VarietyDescriptor, discriminator_is_term_op, require_in_variety
@@ -50,7 +51,7 @@ def diagram(base: FiniteAlgebra, left: FiniteAlgebra, right: FiniteAlgebra) -> D
     def first_embedding(target: FiniteAlgebra) -> Homomorphism:
         embeddings = enumerate_embeddings(base, target)
         if not embeddings:
-            raise ValueError(f"no embedding {base.name} -> {target.name}")
+            raise NotFoundError(f"no embedding {base.name} -> {target.name}")
         return embeddings[0]
 
     return Diagram(base, left, right, first_embedding(left), first_embedding(right))
@@ -221,15 +222,13 @@ def si_diagrams(v: VarietyDescriptor):
     The order is base, then B, then C, then f, then g.  All embeddings are
     enumerated, not one per isomorphism class: with the constants pinning the
     embeddings of 2 this stays small and avoids an unproven symmetry shortcut.
+    The embeddings of each base into each SI member are enumerated once.
     """
     sis = v.si_algebras()
     for base in sis:
-        for left in sis:
-            fs = enumerate_embeddings(base, left)
-            if not fs:
-                continue
-            for right in sis:
-                gs = enumerate_embeddings(base, right)
+        into = [enumerate_embeddings(base, target) for target in sis]
+        for left, fs in zip(sis, into):
+            for right, gs in zip(sis, into):
                 for f, g in itertools.product(fs, gs):
                     yield Diagram(base, left, right, f, g)
 

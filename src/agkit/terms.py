@@ -336,35 +336,61 @@ def eval_term(algebra: FiniteAlgebra, term: Term, assignment: Mapping[str, int])
     raise AssertionError(f"bad term {term!r}")
 
 
-def _compile(algebra: FiniteAlgebra, term: Term,
-             positions: Mapping[str, int]) -> Callable[[tuple[int, ...]], int]:
-    # Closure compilation keeps the exhaustive scan in holds_in cheap.
+# A compiled term: the values of the prefix variables in, a value or a column out.
+Closure = Callable[[tuple[int, ...]], "int | list[int]"]
+
+
+def _compile(algebra: FiniteAlgebra, term: Term, positions: Mapping[str, int],
+             column: str, domain: list[int]) -> tuple[Closure, bool]:
+    """Compile a term for the column scan in holds_in: (closure, is_column).
+
+    Each closure takes the values of the variables in `positions`, as a tuple.
+    A scalar closure returns the term's value.  A column closure returns the
+    list of its values as the variable `column` runs over `domain`.
+    """
     match term:
         case Var(name):
+            if name == column:
+                return (lambda env: domain), True
             index = positions[name]
-            return lambda env: env[index]
+            return (lambda env: env[index]), False
         case Const(value):
             constant = algebra.zero if value == 0 else algebra.one
-            return lambda env: constant
-        case Star(arg):
-            inner = _compile(algebra, arg, positions)
-            table = algebra.star
-            return lambda env: table[inner(env)]
-        case Quote(arg):
-            inner = _compile(algebra, arg, positions)
-            table = algebra.quote
-            return lambda env: table[inner(env)]
-        case Join(left, right):
-            fl = _compile(algebra, left, positions)
-            fr = _compile(algebra, right, positions)
-            table = algebra.join
-            return lambda env: table[fl(env)][fr(env)]
-        case Meet(left, right):
-            fl = _compile(algebra, left, positions)
-            fr = _compile(algebra, right, positions)
-            table = algebra.meet
-            return lambda env: table[fl(env)][fr(env)]
+            return (lambda env: constant), False
+        case Star(arg) | Quote(arg):
+            table = algebra.star if isinstance(term, Star) else algebra.quote
+            inner, is_column = _compile(algebra, arg, positions, column, domain)
+            if is_column:
+                lookup = table.__getitem__
+                return (lambda env: list(map(lookup, inner(env)))), True
+            return (lambda env: table[inner(env)]), False
+        case Join(left, right) | Meet(left, right):
+            table = algebra.join if isinstance(term, Join) else algebra.meet
+            fl, left_column = _compile(algebra, left, positions, column, domain)
+            fr, right_column = _compile(algebra, right, positions, column, domain)
+            if left_column and right_column:
+                return (lambda env: [table[x][y] for x, y in zip(fl(env), fr(env))]), True
+            if left_column or right_column:
+                # Lattice tables are commutative (checked on construction and
+                # kept by every internal constructor), so the scalar side may
+                # pick the row.
+                scalar, col = (fr, fl) if left_column else (fl, fr)
+                return (lambda env: list(map(table[scalar(env)].__getitem__, col(env)))), True
+            return (lambda env: table[fl(env)][fr(env)]), False
     raise AssertionError(f"bad term {term!r}")
+
+
+def _compile_columns(algebra: FiniteAlgebra, equation: Equation, positions: Mapping[str, int],
+                     column: str, domain: list[int]) -> tuple[Closure, Closure]:
+    """Both sides of an equation as column closures; a scalar side is repeated."""
+
+    def as_column(term: Term) -> Closure:
+        closure, is_column = _compile(algebra, term, positions, column, domain)
+        if is_column:
+            return closure
+        return lambda env: [closure(env)] * len(domain)
+
+    return as_column(equation[0]), as_column(equation[1])
 
 
 @dataclass(frozen=True)
@@ -384,21 +410,61 @@ def holds_in(algebra: FiniteAlgebra, sentence: Sentence,
     conclusion.  On failure the witness is the lexicographically least failing
     assignment (variables in name order, elements in index order), which keeps
     outputs reproducible.
+
+    The scan skips only assignments that fail a premise:
+
+    - A premise without variables is decided once; if it fails, the sentence
+      holds.  A premise in one variable filters that variable's domain once,
+      before the scan.  Other premises are checked per assignment.
+    - The last variable in name order, the fastest one, is the column
+      variable.  For each assignment of the other variables (the prefix), a
+      subterm without the column variable is computed once, and one with it
+      as the list of its values over the column variable's filtered domain.
+      The two sides of the conclusion are compared as lists; only where they
+      differ are the remaining premises evaluated.
+
+    Prefixes run in the plain scan's order and each column in index order, so
+    the first failing assignment found is the plain scan's witness.  The
+    `assignments` cap applies to the full n^k, not to the filtered count: the
+    set of sentences that can be checked does not depend on their premises.
     """
     variables = sentence.variables()
     total = algebra.size ** len(variables) if variables else 1
     caps.guard("assignments", total, max_assignments)
 
-    positions = {name: i for i, name in enumerate(variables)}
-    compiled_premises = [
-        (_compile(algebra, lhs, positions), _compile(algebra, rhs, positions))
-        for lhs, rhs in sentence.premises
-    ]
-    lhs, rhs = sentence.conclusion
-    conclusion = (_compile(algebra, lhs, positions), _compile(algebra, rhs, positions))
+    domains = dict.fromkeys(variables, list(range(algebra.size)))
+    remaining = []
+    for lhs, rhs in sentence.premises:
+        names = term_variables(lhs) | term_variables(rhs)
+        if len(names) > 1:
+            remaining.append((lhs, rhs))
+        elif names:
+            (name,) = names
+            domain = domains[name]
+            left, right = _compile_columns(algebra, (lhs, rhs), {}, name, domain)
+            domains[name] = [x for x, l, r in zip(domain, left(()), right(())) if l == r]
+        elif eval_term(algebra, lhs, {}) != eval_term(algebra, rhs, {}):
+            return Verdict(True)
+    if not variables:
+        lhs, rhs = sentence.conclusion
+        if eval_term(algebra, lhs, {}) == eval_term(algebra, rhs, {}):
+            return Verdict(True)
+        return Verdict(False, {})
+    if not all(domains.values()):
+        return Verdict(True)
 
-    for env in itertools.product(range(algebra.size), repeat=len(variables)):
-        if all(pl(env) == pr(env) for pl, pr in compiled_premises):
-            if conclusion[0](env) != conclusion[1](env):
-                return Verdict(False, dict(zip(variables, env)))
+    *prefix, column = variables
+    positions = {name: i for i, name in enumerate(prefix)}
+    domain = domains[column]
+    left, right = _compile_columns(algebra, sentence.conclusion, positions, column, domain)
+    premises = [_compile_columns(algebra, p, positions, column, domain) for p in remaining]
+
+    for env in itertools.product(*(domains[name] for name in prefix)):
+        lc, rc = left(env), right(env)
+        if lc == rc:
+            continue
+        checks = [(pl(env), pr(env)) for pl, pr in premises]
+        for j, (l, r) in enumerate(zip(lc, rc)):
+            if l != r and all(a[j] == b[j] for a, b in checks):
+                return Verdict(False, dict(zip(variables, (*env, domain[j]))))
     return Verdict(True)

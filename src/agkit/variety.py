@@ -25,7 +25,7 @@ from . import caps
 from .algebra import (FiniteAlgebra, builtin, direct_product, enumerate_subalgebras,
                       subalgebra)
 from .axioms import satisfies_axiom_system
-from .errors import CapExceededError, NotFoundError, NotInVarietyError
+from .errors import AgkitError, CapExceededError, NotFoundError, NotInVarietyError
 from .morphisms import enumerate_homs
 from .terms import Sentence, Verdict, eval_term, holds_in, parse_sentence
 
@@ -250,7 +250,7 @@ def free_algebra(v: VarietyDescriptor, n: int,
     two sides agree at the generators.
     """
     if not 0 <= n <= 3:
-        raise ValueError("free_algebra supports 0 <= n <= 3")
+        raise AgkitError(f"free_algebra supports 0 <= n <= 3, got n = {n}")
     limit = caps.cap_value("free_elements", max_elements)
 
     factors = []

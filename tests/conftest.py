@@ -12,6 +12,22 @@ def builtins() -> dict[str, FiniteAlgebra]:
     return {name: builtin(name) for name in BUILTIN_NAMES}
 
 
+def plain_holds_in(algebra: FiniteAlgebra, sentence):
+    """Oracle for holds_in: the plain scan of all n^k assignments (variables
+    in name order, the last one fastest), testing every premise at each."""
+    from agkit.terms import Verdict, eval_term
+
+    variables = sentence.variables()
+    lhs, rhs = sentence.conclusion
+    for values in itertools.product(range(algebra.size), repeat=len(variables)):
+        env = dict(zip(variables, values))
+        if all(eval_term(algebra, pl, env) == eval_term(algebra, pr, env)
+               for pl, pr in sentence.premises):
+            if eval_term(algebra, lhs, env) != eval_term(algebra, rhs, env):
+                return Verdict(False, env)
+    return Verdict(True)
+
+
 def brute_force_congruences(algebra: FiniteAlgebra):
     """Oracle: all partitions of the universe, filtered for compatibility."""
     from agkit.congruence import is_congruence, iter_partitions

@@ -7,7 +7,8 @@ import pytest
 import agkit.algebra
 from agkit import (Amalgam, Obstruction, applications, builtin, classify_ap,
                    decide_amalgamation, diagram, enumerate_embeddings,
-                   generated_subvariety, variety, NotInVarietyError, all_varieties)
+                   generated_subvariety, variety, NotFoundError, NotInVarietyError,
+                   all_varieties)
 from agkit.amalgamation import Diagram, brute_force_verify_obstruction, theorem_diagrams
 from agkit.morphisms import identity_hom
 from tests.conftest import cep_spot_checks, hereditarily_si, refute_amal_base
@@ -197,7 +198,7 @@ def test_diagram_validation(builtins):
     embed = enumerate_embeddings(two, dmba)[0]
     with pytest.raises(ValueError):
         Diagram(two, dmba, dmba, embed, identity_hom(dmba))  # g has wrong source
-    with pytest.raises(ValueError):
+    with pytest.raises(NotFoundError):
         diagram(builtins["3_dblst"], builtins["3_klst"], builtins["3_klst"])
 
 

@@ -86,6 +86,13 @@ def test_amalgamate_obstruction_exits_zero(capsys):
     assert "NOT amalgamable" in out
 
 
+def test_amalgamate_without_embedding_exits_2(capsys):
+    code, _, err = run(capsys, "amalgamate", "--variety", "AG", "--base", "4_dmba",
+                       "--left", "2", "--right", "2")
+    assert code == 2
+    assert "no embedding 4_dmba -> 2" in err and "Traceback" not in err
+
+
 def test_amalgamate_json_certificate(capsys):
     code, out, _ = run(capsys, "amalgamate", "--variety", "RDBLST", "--base", "2",
                        "--left", "3_dblst", "--right", "3_dblst", "--json")
@@ -126,6 +133,13 @@ def test_applications_command(capsys):
 def test_free_command(capsys):
     code, out, _ = run(capsys, "free", "--variety", "BA", "-n", "1")
     assert code == 0 and "4 elements" in out
+
+
+@pytest.mark.parametrize("n", ["4", "-1"])
+def test_free_generators_out_of_range_exits_2(capsys, n):
+    code, _, err = run(capsys, "free", "--variety", "BA", "-n", n)
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_unknown_command_exits_2(capsys):

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
-import pytest
+import functools
+import itertools
 
-from agkit import (CapExceededError, EvalError, ParseError, builtin, eval_term,
-                   format_sentence, format_term, holds_in, load_sentences,
-                   parse_sentence, parse_term)
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from agkit import (BUILTIN_NAMES, CapExceededError, EvalError, ParseError, builtin,
+                   direct_product, eval_term, format_sentence, format_term, free_algebra,
+                   holds_in, load_sentences, parse_sentence, parse_term, variety)
 from agkit.terms import MAX_TERM_DEPTH, Const, Join, Meet, Quote, Sentence, Star, Var
+from tests.conftest import plain_holds_in
 
 
 def test_parse_postfix_grouping():
@@ -145,6 +150,77 @@ def test_assignment_cap():
     big = builtin("4_dmba")
     with pytest.raises(CapExceededError):
         holds_in(big, parse_sentence("v \\/ w \\/ x \\/ y \\/ z = 1"), max_assignments=100)
+
+
+def test_assignment_cap_counts_all_assignments():
+    # x* = 1 only at x = 0, so 16 of the 64 assignments pass the premise; the
+    # cap still applies to all 64
+    sentence = parse_sentence("x* = 1 => x \\/ y \\/ z = y \\/ z")
+    with pytest.raises(CapExceededError):
+        holds_in(builtin("4_dmba"), sentence, max_assignments=20)
+    assert holds_in(builtin("4_dmba"), sentence, max_assignments=64).holds
+
+
+@pytest.mark.parametrize("text, algebra_name, expected", [
+    # a premise on the column variable (y, the last in name order)
+    ("y* = 0 => x \\/ y = y", "3_dblst", {"x": 2, "y": 1}),
+    # a two-variable premise, checked per assignment
+    ("x <= y => y' <= x'", "4_dmba", None),
+    ("x <= y => x' <= y'", "3_klst", {"x": 0, "y": 1}),
+    # an unsatisfiable one-variable premise leaves an empty domain
+    ("x /\\ x* = 1 => x = y", "3_dblst", None),
+    # variable-free sentences and premises
+    ("0 = 1", "2", {}),
+    ("1 = 1", "2", None),
+    ("0 = 1 => x = y", "2", None),
+    ("1 = 1 => x = y", "2", {"x": 0, "y": 1}),
+    # a conclusion without the column variable
+    ("y* = 0 => x = 1", "2", {"x": 0, "y": 1}),
+])
+def test_holds_in_scan_paths(text, algebra_name, expected):
+    algebra, sentence = builtin(algebra_name), parse_sentence(text)
+    verdict = holds_in(algebra, sentence)
+    assert verdict.witness == expected and verdict.holds == (expected is None)
+    assert verdict == plain_holds_in(algebra, sentence)
+
+
+@functools.cache
+def _scan_algebras():
+    """The builtins, their 2-factor products, and F_G(1) (36 elements)."""
+    builtins = [builtin(name) for name in BUILTIN_NAMES]
+    products = [direct_product(pair)
+                for pair in itertools.combinations_with_replacement(builtins, 2)]
+    return (*builtins, *products, free_algebra(variety("G"), 1).algebra)
+
+
+@functools.cache
+def _terms(names: tuple[str, ...]):
+    leaves = st.sampled_from((Const(0), Const(1), *map(Var, names)))
+    return st.recursive(leaves, lambda sub: st.one_of(
+        st.builds(Join, sub, sub), st.builds(Meet, sub, sub),
+        st.builds(Star, sub), st.builds(Quote, sub)), max_leaves=6)
+
+
+@st.composite
+def _scan_cases(draw):
+    """An algebra and a sentence over a, b, x, y with 0-3 premises of 0, 1 or 2
+    variables; the variables are capped so the oracle's n^k stays small."""
+    algebra = draw(st.sampled_from(_scan_algebras()))
+    k = max(k for k in range(1, 5) if algebra.size ** k <= 2000)
+    pool = tuple(sorted(draw(st.permutations(("a", "b", "x", "y")))[:k]))
+    premises = []
+    for _ in range(draw(st.integers(0, 3))):
+        names = tuple(sorted(draw(st.permutations(pool))[:draw(st.integers(0, min(2, k)))]))
+        premises.append((draw(_terms(names)), draw(_terms(names))))
+    conclusion = (draw(_terms(pool)), draw(_terms(pool)))
+    return algebra, Sentence(tuple(premises), conclusion)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_scan_cases())
+def test_holds_in_matches_plain_scan(case):
+    algebra, sentence = case
+    assert holds_in(algebra, sentence) == plain_holds_in(algebra, sentence)
 
 
 def test_desugaring_soundness(builtins):

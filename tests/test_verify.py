@@ -10,6 +10,7 @@ import pytest
 import agkit.algebra
 import agkit.amalgamation
 import agkit.congruence
+import agkit.morphisms
 from agkit.variety import VARIETY_NAMES
 from agkit.verify import load_expectations, verify_paper
 
@@ -23,6 +24,11 @@ GOLDEN_RECORDS_SHA256 = "bed7a894465af4beaf80f57610d6ee82195b7ebf3ccd6500c7e308b
 # 158 lattices until one discriminator check proved CEP and hereditary SI.)
 PRINCIPAL_CONGRUENCES = 239
 CONGRUENCE_LATTICES = 10
+# enumerate_embeddings calls per run: si_diagrams enumerates each base's
+# embeddings into each SI member once per variety, the sum over the varieties
+# of (SI generators)^2.  (148 when each (base, right) pair was enumerated
+# again for every left member.)
+EMBEDDING_ENUMERATIONS = 56
 
 
 def _log_calls(monkeypatch, module, name: str, log: list) -> None:
@@ -46,11 +52,12 @@ def _log_calls(monkeypatch, module, name: str, log: list) -> None:
 @pytest.fixture(scope="module")
 def logged_run():
     """One verify_paper() run, with the arguments and results of every
-    classify_ap, decide_amalgamation, congruence_lattice and
-    principal_congruence call it made."""
+    classify_ap, decide_amalgamation, congruence_lattice,
+    principal_congruence and enumerate_embeddings call it made."""
     traced = {"classify_ap": agkit.amalgamation, "decide_amalgamation": agkit.amalgamation,
               "congruence_lattice": agkit.congruence,
-              "principal_congruence": agkit.congruence}
+              "principal_congruence": agkit.congruence,
+              "enumerate_embeddings": agkit.morphisms}
     calls = {name: [] for name in traced}
     with pytest.MonkeyPatch.context() as monkeypatch:
         for name, module in traced.items():
@@ -133,3 +140,8 @@ def test_verify_paper_congruence_budget(logged_run):
     assert all(count == 1 for count in repeated.values()), repeated.most_common(1)
     assert len(calls["principal_congruence"]) == PRINCIPAL_CONGRUENCES
     assert len(calls["congruence_lattice"]) == CONGRUENCE_LATTICES
+
+
+def test_verify_paper_embedding_budget(logged_run):
+    _, calls = logged_run
+    assert len(calls["enumerate_embeddings"]) == EMBEDDING_ENUMERATIONS
