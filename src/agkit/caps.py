@@ -14,7 +14,7 @@ from .errors import AgkitError, CapExceededError
 DEFAULT_CAPS = {
     "product_elements": 10**6,
     "assignments": 10**7,
-    "congruence_universe": 64,
+    "congruence_universe": 256,
     "subalgebra_universe": 64,
     "discriminator_universe": 8,
     "free_elements": 10**5,

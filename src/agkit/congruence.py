@@ -2,6 +2,10 @@
 derived classification (simple / subdirectly irreducible / directly
 indecomposable), plus instance checks for the congruence extension property.
 
+Con(A) is generated by one principal congruence per join-irreducible of the
+distributive lattice reduct, Cg(j_, j) with j_ the lower cover of j, not by
+one per pair of elements (see congruence_lattice).
+
 Partitions are canonical block-id arrays (block ids in first-occurrence
 order), which makes them hashable and keeps serialized reports stable.
 """
@@ -77,10 +81,9 @@ class Partition:
             return x
 
         for part in (self, other):
-            for cls in part.classes():
-                root = cls[0]
-                for member in cls[1:]:
-                    parent[find(member)] = find(root)
+            first: dict[int, int] = {}
+            for element, block in enumerate(part.blocks):
+                parent[find(element)] = find(first.setdefault(block, element))
         return Partition.from_assignment([find(i) for i in range(self.size)])
 
     def restrict(self, elements: Sequence[int]) -> "Partition":
@@ -166,43 +169,37 @@ class CongruenceLattice:
     def monolith(self) -> Partition | None:
         """The unique minimum nontrivial congruence, when it exists."""
         candidates = self.nontrivial()
-        for candidate in candidates:
-            if all(candidate.refines(other) for other in candidates):
-                return candidate
-        return None
+        return next((c for c in candidates if all(c.refines(o) for o in candidates)), None)
 
 
 def congruence_lattice(algebra: FiniteAlgebra) -> CongruenceLattice:
-    """All congruences: join-closure of the principal ones."""
+    """All congruences: the joins of the Cg(j_, j), one per join-irreducible j
+    of the lattice reduct, where j_, the join of all elements strictly below
+    j, differs from j iff j is join-irreducible.
+
+    - Cg(a, b) = Cg(a /\\ b, a \\/ b), the join of Cg(p, q) over the covers
+      p < q of a maximal chain from a /\\ b to a \\/ b.
+    - In a distributive lattice a cover p < q has one join-irreducible j with
+      j <= q and j not <= p.  Then j_ \\/ p = p, j /\\ p = j_ and j \\/ p = q,
+      so Cg(p, q) = Cg(j_, j).
+    - Every FiniteAlgebra is distributive: validated on construction and kept
+      by products, subalgebras, quotients and free algebras.
+    """
     caps.guard("congruence_universe", algebra.size)
-    n = algebra.size
+    n, join, meet = algebra.size, algebra.join, algebra.meet
+    generators = set()
+    for j in range(n):
+        below = algebra.zero
+        for x in range(n):
+            if x != j and meet[x][j] == x:
+                below = join[below][x]
+        if below != j:
+            generators.add(principal_congruence(algebra, below, j))
     found = {Partition.identity(n)}
-    for a, b in itertools.combinations(range(n), 2):
-        found.add(principal_congruence(algebra, a, b))
-    work = list(found)
-    while work:
-        theta = work.pop()
-        for phi in list(found):
-            joined = theta.join(phi)
-            if joined not in found:
-                found.add(joined)
-                work.append(joined)
+    for generator in generators:  # found: the joins of the generators so far
+        found |= {theta.join(generator) for theta in found}
     ordered = sorted(found, key=lambda p: (-p.num_blocks, p.blocks))
     return CongruenceLattice(algebra.name, tuple(ordered))
-
-
-def _compose_relations(p: Partition, q: Partition) -> frozenset[tuple[int, int]]:
-    pairs = set()
-    q_classes = {i: c for c in q.classes() for i in c}
-    for cls in p.classes():
-        for x in cls:
-            for y in cls:
-                pairs.update((x, z) for z in q_classes[y])
-    return frozenset(pairs)
-
-
-def _permute(p: Partition, q: Partition) -> bool:
-    return _compose_relations(p, q) == _compose_relations(q, p)
 
 
 @dataclass(frozen=True)
@@ -215,28 +212,23 @@ class Classification:
 
 
 def classify(algebra: FiniteAlgebra) -> Classification:
-    """Simple iff |Con| = 2; SI iff a monolith exists; DI iff the only
-    complementary permuting factor pair is the trivial one.
+    """Simple iff |Con| = 2; SI iff a monolith exists; DI iff no pair of
+    congruences other than {0, 1} is a factor pair.
 
-    The factor-pair search checks meet, join, and permutability explicitly
-    rather than leaning on any structure theory; at these sizes that is cheap.
+    theta, phi is a factor pair iff theta /\\ phi = 0 and theta o phi = 1.  As
+    theta /\\ phi = 0, each theta-class meets each phi-class at most once, so
+    theta o phi = 1 (every theta-class meets every phi-class) iff the numbers
+    of blocks multiply to |A|.
     """
     if algebra.size < 2:
         return Classification(algebra.name, False, False, None, False)
     lattice = congruence_lattice(algebra)
-    simple = len(lattice) == 2
+    decomposable = any(
+        theta.num_blocks * phi.num_blocks == algebra.size and theta.meet(phi) == lattice.bottom
+        for theta, phi in itertools.combinations(lattice.congruences[1:-1], 2))
     monolith = lattice.monolith()
-    bottom, top = lattice.bottom, lattice.top
-    indecomposable = True
-    for theta, phi in itertools.combinations_with_replacement(lattice.congruences, 2):
-        if {theta, phi} == {bottom, top}:
-            continue
-        if (theta.meet(phi) == bottom and theta.join(phi) == top
-                and _permute(theta, phi)):
-            indecomposable = False
-            break
     return Classification(
-        algebra.name, simple, monolith is not None, monolith, indecomposable)
+        algebra.name, len(lattice) == 2, monolith is not None, monolith, not decomposable)
 
 
 @dataclass(frozen=True)

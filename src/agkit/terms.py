@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping, Union
 
 from . import caps
@@ -86,10 +87,18 @@ class Sentence:
         return "identity" if not self.premises else "quasi-identity"
 
     def variables(self) -> tuple[str, ...]:
-        seen: set[str] = set()
-        for lhs, rhs in (*self.premises, self.conclusion):
-            seen |= term_variables(lhs) | term_variables(rhs)
-        return tuple(sorted(seen))
+        return self._variables
+
+    @cached_property
+    def premise_variables(self) -> tuple[frozenset[str], ...]:
+        """The variables of each premise; computed once, as a sentence is frozen."""
+        return tuple(frozenset(term_variables(l) | term_variables(r)) for l, r in self.premises)
+
+    @cached_property
+    def _variables(self) -> tuple[str, ...]:
+        lhs, rhs = self.conclusion
+        return tuple(sorted(term_variables(lhs).union(
+            term_variables(rhs), *self.premise_variables)))
 
     def __str__(self) -> str:
         return format_sentence(self)
@@ -434,8 +443,7 @@ def holds_in(algebra: FiniteAlgebra, sentence: Sentence,
 
     domains = dict.fromkeys(variables, list(range(algebra.size)))
     remaining = []
-    for lhs, rhs in sentence.premises:
-        names = term_variables(lhs) | term_variables(rhs)
+    for (lhs, rhs), names in zip(sentence.premises, sentence.premise_variables):
         if len(names) > 1:
             remaining.append((lhs, rhs))
         elif names:

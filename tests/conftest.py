@@ -35,6 +35,47 @@ def brute_force_congruences(algebra: FiniteAlgebra):
     return [p for p in iter_partitions(algebra.size) if is_congruence(algebra, p)]
 
 
+def pairwise_congruence_lattice(algebra: FiniteAlgebra):
+    """Oracle for congruence_lattice: the principal congruence of every pair
+    of elements, join-closed against every congruence found, finest first."""
+    from agkit.congruence import CongruenceLattice, Partition, principal_congruence
+
+    n = algebra.size
+    found = {Partition.identity(n)}
+    for a, b in itertools.combinations(range(n), 2):
+        found.add(principal_congruence(algebra, a, b))
+    work = list(found)
+    while work:
+        theta = work.pop()
+        for phi in list(found):
+            joined = theta.join(phi)
+            if joined not in found:
+                found.add(joined)
+                work.append(joined)
+    ordered = sorted(found, key=lambda p: (-p.num_blocks, p.blocks))
+    return CongruenceLattice(algebra.name, tuple(ordered))
+
+
+def directly_indecomposable_by_definition(lattice) -> bool:
+    """Oracle for classify's DI verdict: no pair of congruences other than
+    {0, 1} has meet 0 and join 1 and permutes, the relational products being
+    computed as sets of pairs."""
+
+    def compose(p, q) -> frozenset[tuple[int, int]]:
+        q_classes = {i: c for c in q.classes() for i in c}
+        return frozenset((x, z) for cls in p.classes() for x in cls for y in cls
+                         for z in q_classes[y])
+
+    bottom, top = lattice.bottom, lattice.top
+    for theta, phi in itertools.combinations_with_replacement(lattice.congruences, 2):
+        if {theta, phi} == {bottom, top}:
+            continue
+        if (theta.meet(phi) == bottom and theta.join(phi) == top
+                and compose(theta, phi) == compose(phi, theta)):
+            return False
+    return True
+
+
 def cep_by_definition(sub: FiniteAlgebra, sup_congruences, embedding) -> bool:
     """Oracle: every member of Con(sub) is the restriction of a member of
     Con(sup), given as `sup_congruences`, to the image of the embedding."""

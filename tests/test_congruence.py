@@ -1,17 +1,20 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import agkit.congruence
 from agkit import (BUILTIN_NAMES, CapExceededError, FiniteAlgebra, Partition, builtin,
                    cep_instance, check_sc, classify, congruence_lattice, direct_product,
                    enumerate_embeddings, is_congruence, is_isomorphic,
-                   principal_congruence, quotient, subalgebra)
+                   principal_congruence, quotient, subalgebra, subuniverse_closure)
 from agkit.congruence import iter_partitions
 from agkit.morphisms import Homomorphism
-from tests.conftest import brute_force_congruences, cep_by_definition
+from tests.conftest import (brute_force_congruences, cep_by_definition,
+                            directly_indecomposable_by_definition, pairwise_congruence_lattice)
 
 
 def oracle_principal(algebra, a, b):
@@ -82,8 +85,76 @@ def test_congruence_lattice_entries_are_compatible(builtins):
         assert is_congruence(product, theta)
 
 
+# The pairwise oracle makes n(n-1)/2 principal congruences: 0.5 s at 36
+# elements, 7 s at 64, so generated members stay at or below this size.
+ORACLE_MAX_SIZE = 36
+
+
+@st.composite
+def generated_members(draw):
+    """A member of the variety built as HSP of the builtins: a product of 1 to
+    3 builtins, optionally the subalgebra a random seed generates in it, then
+    optionally its quotient by a random principal congruence."""
+    names = draw(st.lists(st.sampled_from(BUILTIN_NAMES), min_size=1, max_size=3).filter(
+        lambda names: math.prod(builtin(n).size for n in names) <= ORACLE_MAX_SIZE))
+    algebra = direct_product([builtin(n) for n in names])
+    elements = st.integers(0, algebra.size - 1)
+    if draw(st.booleans()):
+        seed = draw(st.lists(elements, max_size=3))
+        algebra = subalgebra(algebra, subuniverse_closure(algebra, seed))
+        elements = st.integers(0, algebra.size - 1)
+    if draw(st.booleans()):
+        theta = principal_congruence(algebra, draw(elements), draw(elements))
+        algebra = quotient(algebra, theta)
+    return algebra
+
+
+@settings(max_examples=40, deadline=None)
+@given(generated_members())
+@example(direct_product([builtin("3_dblst"), builtin("3_klst"), builtin("4_dmba")]))
+def test_congruence_lattice_matches_pairwise_build(algebra):
+    lattice = congruence_lattice(algebra)
+    assert lattice == pairwise_congruence_lattice(algebra)
+    if algebra.size <= 8:
+        assert set(lattice) == set(brute_force_congruences(algebra))
+    if algebra.size >= 2:
+        assert classify(algebra).directly_indecomposable == (
+            directly_indecomposable_by_definition(lattice))
+
+
+def test_congruence_lattice_fraser_horn(builtins):
+    """A product of k simple algebras in a congruence-distributive variety
+    has 2^k congruences; every product of builtins up to 108 elements."""
+    checked = 0
+    for k in range(1, 7):
+        for names in itertools.combinations_with_replacement(BUILTIN_NAMES, k):
+            factors = [builtins[n] for n in names]
+            if math.prod(f.size for f in factors) <= 108:
+                assert len(congruence_lattice(direct_product(factors))) == 2 ** k, names
+                checked += 1
+    assert checked == 78
+
+
+def test_congruence_lattice_one_principal_congruence_per_join_irreducible(
+        builtins, monkeypatch):
+    # The lattice reduct of 2 x 2 x 4_dmba x 4_dmba has 1 + 1 + 2 + 2
+    # join-irreducibles, against 2,016 pairs of its 64 elements.
+    calls = []
+    original = agkit.congruence.principal_congruence
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(agkit.congruence, "principal_congruence", counted)
+    product = direct_product([builtins[n] for n in ("2", "2", "4_dmba", "4_dmba")])
+    assert product.size == 64
+    assert len(congruence_lattice(product)) == 16
+    assert len(calls) == 6
+
+
 def test_congruence_lattice_cap():
-    big = direct_product([builtin("3_klst")] * 4)
+    big = direct_product([builtin("3_klst")] * 4 + [builtin("4_dmba")])
     with pytest.raises(CapExceededError):
         congruence_lattice(big)
 
@@ -170,7 +241,7 @@ def test_cep_instances(builtins):
     for algebra in builtins.values():
         assert cep_instance(algebra, algebra, identity_hom(algebra))
     # only Con(sub) is enumerated, so a sup past the congruence cap is fine
-    big = direct_product([klst] * 4)
+    big = direct_product([klst] * 4 + [dmba])
     assert cep_instance(builtins["2"], big, enumerate_embeddings(builtins["2"], big)[0])
 
 
@@ -228,6 +299,21 @@ def test_cep_instance_matches_definition_on_chains(case):
     embedding = Homomorphism(sub, chain, universe)
     assert cep_instance(sub, chain, embedding) == cep_by_definition(
         sub, congruence_lattice(chain), embedding)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(*[st.integers(0, 3)] * 4), st.tuples(*[st.integers(0, 3)] * 4))
+@example((0, 1, 2, 3), (0, 1, 2, 3))
+def test_congruence_lattice_and_di_on_chains(star, quote):
+    """4-element chains with arbitrary star and quote tables, most of them
+    outside the variety.  The bare chain (star and quote the identity) has 8
+    congruences and is DI, and on its pairs of congruences neither a meet of
+    0 nor block counts multiplying to 4 implies the other."""
+    chain = _chain4(star, quote)
+    lattice = congruence_lattice(chain)
+    assert set(lattice) == set(brute_force_congruences(chain))
+    assert classify(chain).directly_indecomposable == (
+        directly_indecomposable_by_definition(lattice))
 
 
 def test_cep_instance_false_case():

@@ -21,8 +21,10 @@ GOLDEN_RECORDS_SHA256 = "bed7a894465af4beaf80f57610d6ee82195b7ebf3ccd6500c7e308b
 # principal_congruence and congruence_lattice calls one verify_paper() run
 # makes: section 2's classifications only.  (4,863 principal congruences when
 # the CEP spot checks enumerated Con(sup) for every embedding, then 755 and
-# 158 lattices until one discriminator check proved CEP and hereditary SI.)
-PRINCIPAL_CONGRUENCES = 239
+# 158 lattices until one discriminator check proved CEP and hereditary SI,
+# then 239, one per pair of elements, until Con(A) was generated by one
+# principal congruence per join-irreducible of the lattice reduct.)
+PRINCIPAL_CONGRUENCES = 28
 CONGRUENCE_LATTICES = 10
 # enumerate_embeddings calls per run: si_diagrams enumerates each base's
 # embeddings into each SI member once per variety, the sum over the varieties
