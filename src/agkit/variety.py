@@ -16,17 +16,18 @@ The reduction is therefore exact, not an approximation.
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 import itertools
 import json
 from dataclasses import dataclass
+from typing import Iterable
 
 from . import caps
 from .algebra import (FiniteAlgebra, builtin, direct_product, enumerate_subalgebras,
-                      subalgebra)
+                      subuniverse_closure)
 from .axioms import satisfies_axiom_system
 from .errors import AgkitError, CapExceededError, NotFoundError, NotInVarietyError
-from .morphisms import enumerate_homs
 from .terms import Sentence, Verdict, eval_term, holds_in, parse_sentence
 
 VARIETY_NAMES = ("BA", "RDBLST", "RKLST", "DMBA", "G",
@@ -171,13 +172,15 @@ def generated_subvariety(algebra: FiniteAlgebra) -> VarietyDescriptor:
     """Least of the eight subvarieties containing the algebra.
 
     Computed twice and cross-checked: (1) as the least descriptor whose base
-    the algebra satisfies, and (2) as the set of builtins obtainable as
-    quotients of subalgebras (for a finite algebra in a congruence-distributive
-    variety, the SI members of the generated variety arise that way).
+    the algebra satisfies, and (2) as the set of builtins S in HS(algebra),
+    decided by in_hs.  Path 2 is sound because the SI members of the
+    congruence-distributive variety generated by a finite algebra lie in
+    HS of it (Jonsson, Math. Scand. 21, 1967), and the SI members of each of
+    the eight subvarieties are its builtin generators.
     """
     require_in_variety(algebra, variety("AG"))
     if algebra.size == 1:
-        raise ValueError("the trivial algebra generates the trivial variety, "
+        raise AgkitError("the trivial algebra generates the trivial variety, "
                          "which is none of the eight nontrivial subvarieties")
 
     candidates = [v for v in all_varieties() if satisfies_base(algebra, v).holds]
@@ -185,21 +188,66 @@ def generated_subvariety(algebra: FiniteAlgebra) -> VarietyDescriptor:
     if not all(least.leq(v) for v in candidates):  # pragma: no cover
         raise AssertionError(f"base satisfaction not a filter for {algebra.name}")
 
-    reachable = set()
-    for universe in enumerate_subalgebras(algebra):
-        sub = subalgebra(algebra, universe)
-        for si_name in sorted(_SI_SETS["AG"]):
-            if si_name in reachable:
-                continue
-            si = builtin(si_name)
-            if si.size <= sub.size and any(
-                    h.surjective for h in enumerate_homs(sub, si)):
-                reachable.add(si_name)
+    reachable = {name for name in _SI_SETS["AG"] if in_hs(algebra, builtin(name))}
     if reachable != least.si_names:  # pragma: no cover
         raise AssertionError(
             f"subvariety paths disagree for {algebra.name}: "
             f"base says {sorted(least.si_names)}, quotients say {sorted(reachable)}")
     return least
+
+
+def in_hs(algebra: FiniteAlgebra, target: FiniteAlgebra) -> bool:
+    """Is the target a homomorphic image of a subalgebra of the algebra?
+
+    Let the tuple g generate the target.  Then the target is in HS(algebra)
+    iff some tuple a of the algebra makes a -> g extend to a homomorphism
+    from Sg(a) onto the target.  Proof: given a surjection h from a
+    subalgebra B onto the target, take a preimage a of g in B; h restricted
+    to Sg(a) maps onto Sg(g), the whole target.  Only |algebra|^len(g)
+    tuples are tried, g being a shortest generating tuple.
+    """
+    generators = _shortest_generating_tuple(target)
+    return any(_extends_to_homomorphism(algebra, target, zip(a, generators))
+               for a in itertools.product(algebra.elements(), repeat=len(generators)))
+
+
+def _shortest_generating_tuple(algebra: FiniteAlgebra) -> tuple[int, ...]:
+    """The first tuple, in order of length and then of combinations, that
+    generates the algebra: () for 2, one element for the other builtins."""
+    return next(generators for k in range(algebra.size + 1)
+                for generators in itertools.combinations(algebra.elements(), k)
+                if len(subuniverse_closure(algebra, generators)) == algebra.size)
+
+
+def _extends_to_homomorphism(algebra: FiniteAlgebra, target: FiniteAlgebra,
+                             pairs: Iterable[tuple[int, int]]) -> bool:
+    """Does the map sending 0 to 0, 1 to 1 and each x to s for (x, s) in
+    pairs extend to a homomorphism from the subalgebra the xs generate?
+
+    Closes the pairs under the operations of algebra x target, componentwise.
+    The closure is the graph of a function, and then of a homomorphism,
+    unless some element of the algebra gets two values.  Each join and meet
+    is taken in one order only, which is sound because every FiniteAlgebra
+    has commutative lattice tables.
+    """
+    image: dict[int, int] = {}
+    queue = [(algebra.zero, target.zero), (algebra.one, target.one), *pairs]
+    while queue:
+        x, s = queue.pop()
+        known = image.get(x)
+        if known is not None:
+            if known != s:
+                return False
+            continue
+        image[x] = s
+        join_x, meet_x, join_s, meet_s = (
+            algebra.join[x], algebra.meet[x], target.join[s], target.meet[s])
+        for y, t in image.items():
+            queue.append((join_x[y], join_s[t]))
+            queue.append((meet_x[y], meet_s[t]))
+        queue.append((algebra.star[x], target.star[s]))
+        queue.append((algebra.quote[x], target.quote[s]))
+    return True
 
 
 # --- discriminator -----------------------------------------------------------
@@ -216,18 +264,28 @@ def discriminator_is_term_op(*algebras: FiniteAlgebra) -> bool:
     """
     for algebra in algebras:
         caps.guard("discriminator_universe", algebra.size)
+    return all(_discriminator_preserves(left, right)
+               for left, right in itertools.combinations_with_replacement(algebras, 2))
+
+
+@functools.cache
+def _discriminator_preserves(left: FiniteAlgebra, right: FiniteAlgebra) -> bool:
+    """Does the discriminator, taken in each factor, preserve every
+    subuniverse of left x right?  Decided once per pair and process: a
+    verify-paper run asks about the same product for every variety that
+    contains both factors.  Only algebras past the discriminator_universe
+    guard reach the cache, so each entry is small."""
 
     def disc(x: int, y: int, z: int) -> int:
         return z if x == y else x
 
-    for left, right in itertools.combinations_with_replacement(algebras, 2):
-        n = right.size
-        for universe in enumerate_subalgebras(direct_product([left, right])):
-            pairs = [(k // n, k % n) for k in universe]
-            members = set(pairs)
-            for (a1, b1), (a2, b2), (a3, b3) in itertools.product(pairs, repeat=3):
-                if (disc(a1, a2, a3), disc(b1, b2, b3)) not in members:
-                    return False
+    n = right.size
+    for universe in enumerate_subalgebras(direct_product([left, right])):
+        pairs = [(k // n, k % n) for k in universe]
+        members = set(pairs)
+        for (a1, b1), (a2, b2), (a3, b3) in itertools.product(pairs, repeat=3):
+            if (disc(a1, a2, a3), disc(b1, b2, b3)) not in members:
+                return False
     return True
 
 

@@ -1,15 +1,71 @@
 from __future__ import annotations
 
 import itertools
+import math
+import sys
 
 import pytest
+from hypothesis import strategies as st
 
 from agkit import BUILTIN_NAMES, FiniteAlgebra, builtin
+
+# The pairwise oracle makes n(n-1)/2 principal congruences: 0.5 s at 36
+# elements, 7 s at 64, so generated members stay at or below this size.
+ORACLE_MAX_SIZE = 36
 
 
 @pytest.fixture(scope="session")
 def builtins() -> dict[str, FiniteAlgebra]:
     return {name: builtin(name) for name in BUILTIN_NAMES}
+
+
+def log_calls(monkeypatch, module, name: str, log: list) -> None:
+    """Replace every agkit binding of module.<name> with a wrapper that
+    appends (args, result) of each call to `log`."""
+    original = getattr(module, name)
+
+    def logged(*args, **kwargs):
+        result = original(*args, **kwargs)
+        log.append((args, result))
+        return result
+
+    for module_name, bound in list(sys.modules.items()):
+        if bound is None or not module_name.startswith("agkit"):
+            continue
+        for attr, value in list(vars(bound).items()):
+            if value is original:
+                monkeypatch.setattr(bound, attr, logged)
+
+
+@st.composite
+def generated_members(draw):
+    """A member of the variety built as HSP of the builtins: a product of 1 to
+    3 builtins, optionally the subalgebra a random seed generates in it, then
+    optionally its quotient by a random principal congruence."""
+    from agkit import (direct_product, principal_congruence, quotient, subalgebra,
+                       subuniverse_closure)
+
+    names = draw(st.lists(st.sampled_from(BUILTIN_NAMES), min_size=1, max_size=3).filter(
+        lambda names: math.prod(builtin(n).size for n in names) <= ORACLE_MAX_SIZE))
+    algebra = direct_product([builtin(n) for n in names])
+    elements = st.integers(0, algebra.size - 1)
+    if draw(st.booleans()):
+        seed = draw(st.lists(elements, max_size=3))
+        algebra = subalgebra(algebra, subuniverse_closure(algebra, seed))
+        elements = st.integers(0, algebra.size - 1)
+    if draw(st.booleans()):
+        theta = principal_congruence(algebra, draw(elements), draw(elements))
+        algebra = quotient(algebra, theta)
+    return algebra
+
+
+def chain4(star: tuple[int, ...], quote: tuple[int, ...]) -> FiniteAlgebra:
+    """The chain 0 < a < b < 1 with the given star and quote tables."""
+    return FiniteAlgebra(
+        name="chain4", size=4, labels=("0", "a", "b", "1"),
+        join=tuple(tuple(max(x, y) for y in range(4)) for x in range(4)),
+        meet=tuple(tuple(min(x, y) for y in range(4)) for x in range(4)),
+        star=star, quote=quote, zero=0, one=3)
 
 
 def plain_holds_in(algebra: FiniteAlgebra, sentence):

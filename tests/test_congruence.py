@@ -10,11 +10,12 @@ import agkit.congruence
 from agkit import (BUILTIN_NAMES, CapExceededError, FiniteAlgebra, Partition, builtin,
                    cep_instance, check_sc, classify, congruence_lattice, direct_product,
                    enumerate_embeddings, is_congruence, is_isomorphic,
-                   principal_congruence, quotient, subalgebra, subuniverse_closure)
+                   principal_congruence, quotient, subalgebra)
 from agkit.congruence import iter_partitions
 from agkit.morphisms import Homomorphism
-from tests.conftest import (brute_force_congruences, cep_by_definition,
-                            directly_indecomposable_by_definition, pairwise_congruence_lattice)
+from tests.conftest import (brute_force_congruences, cep_by_definition, chain4,
+                            directly_indecomposable_by_definition, generated_members,
+                            pairwise_congruence_lattice)
 
 
 def oracle_principal(algebra, a, b):
@@ -83,30 +84,6 @@ def test_congruence_lattice_entries_are_compatible(builtins):
     product = direct_product([builtins["3_dblst"], builtins["2"]])
     for theta in congruence_lattice(product):
         assert is_congruence(product, theta)
-
-
-# The pairwise oracle makes n(n-1)/2 principal congruences: 0.5 s at 36
-# elements, 7 s at 64, so generated members stay at or below this size.
-ORACLE_MAX_SIZE = 36
-
-
-@st.composite
-def generated_members(draw):
-    """A member of the variety built as HSP of the builtins: a product of 1 to
-    3 builtins, optionally the subalgebra a random seed generates in it, then
-    optionally its quotient by a random principal congruence."""
-    names = draw(st.lists(st.sampled_from(BUILTIN_NAMES), min_size=1, max_size=3).filter(
-        lambda names: math.prod(builtin(n).size for n in names) <= ORACLE_MAX_SIZE))
-    algebra = direct_product([builtin(n) for n in names])
-    elements = st.integers(0, algebra.size - 1)
-    if draw(st.booleans()):
-        seed = draw(st.lists(elements, max_size=3))
-        algebra = subalgebra(algebra, subuniverse_closure(algebra, seed))
-        elements = st.integers(0, algebra.size - 1)
-    if draw(st.booleans()):
-        theta = principal_congruence(algebra, draw(elements), draw(elements))
-        algebra = quotient(algebra, theta)
-    return algebra
 
 
 @settings(max_examples=40, deadline=None)
@@ -267,15 +244,6 @@ def test_cep_instance_matches_definition_on_products(builtins):
     assert checked == 100
 
 
-def _chain4(star: tuple[int, ...], quote: tuple[int, ...]) -> FiniteAlgebra:
-    """The chain 0 < a < b < 1 with the given star and quote tables."""
-    return FiniteAlgebra(
-        name="chain4", size=4, labels=("0", "a", "b", "1"),
-        join=tuple(tuple(max(x, y) for y in range(4)) for x in range(4)),
-        meet=tuple(tuple(min(x, y) for y in range(4)) for x in range(4)),
-        star=star, quote=quote, zero=0, one=3)
-
-
 @st.composite
 def chains_with_subuniverse(draw):
     """A 4-element chain with arbitrary star and quote tables, and one of its
@@ -287,12 +255,12 @@ def chains_with_subuniverse(draw):
         return tuple(draw(st.sampled_from(universe if x in universe else range(4)))
                      for x in range(4))
 
-    return _chain4(table(), table()), universe
+    return chain4(table(), table()), universe
 
 
 @settings(max_examples=200, deadline=None)
 @given(chains_with_subuniverse())
-@example((_chain4((0, 0, 0, 0), (0, 0, 1, 0)), (0, 1, 3)))
+@example((chain4((0, 0, 0, 0), (0, 0, 1, 0)), (0, 1, 3)))
 def test_cep_instance_matches_definition_on_chains(case):
     chain, universe = case
     sub = subalgebra(chain, universe)
@@ -309,7 +277,7 @@ def test_congruence_lattice_and_di_on_chains(star, quote):
     outside the variety.  The bare chain (star and quote the identity) has 8
     congruences and is DI, and on its pairs of congruences neither a meet of
     0 nor block counts multiplying to 4 implies the other."""
-    chain = _chain4(star, quote)
+    chain = chain4(star, quote)
     lattice = congruence_lattice(chain)
     assert set(lattice) == set(brute_force_congruences(chain))
     assert classify(chain).directly_indecomposable == (
@@ -320,7 +288,7 @@ def test_cep_instance_false_case():
     # Star and quote are constantly 0 on {0, a, 1}, so {0 | a, 1} is a
     # congruence of it.  In the chain a ~ 1 gives b = a \/ b ~ 1 \/ b = 1, and
     # then 1 = b' ~ 1' = 0, so only the total congruence contains (a, 1).
-    chain = _chain4((0, 0, 0, 0), (0, 0, 1, 0))
+    chain = chain4((0, 0, 0, 0), (0, 0, 1, 0))
     sub = subalgebra(chain, (0, 1, 3))
     embedding = Homomorphism(sub, chain, (0, 1, 3))
     assert not cep_instance(sub, chain, embedding)

@@ -1,16 +1,21 @@
 from __future__ import annotations
 
 import itertools
+import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from agkit import (NotFoundError, NotInVarietyError, builtin, direct_product,
+import agkit.algebra
+import agkit.morphisms
+from agkit import (AgkitError, BUILTIN_NAMES, CapExceededError, FiniteAlgebra,
+                   NotFoundError, NotInVarietyError, builtin, direct_product, load_algebra,
                    discriminator_is_term_op, free_algebra, generated_subvariety,
                    lattice_reduct, lemma_registry, lemma_suite, parse_sentence,
                    quasi_identity_holds, variety, verify_bases, all_varieties,
                    VARIETY_NAMES)
-from agkit.variety import identity_holds_via_free
-from tests.conftest import si_quotients_of_subalgebras
+from agkit.variety import identity_holds_via_free, in_hs
+from tests.conftest import chain4, generated_members, log_calls, si_quotients_of_subalgebras
 
 SI_SETS = {
     "BA": {"2"},
@@ -103,16 +108,86 @@ def test_generated_subvariety_agrees_with_quotient_path(builtins):
         assert si_quotients_of_subalgebras(algebra) == set(least.si_names)
 
 
+@settings(max_examples=40, deadline=None)
+@given(generated_members())
+@example(direct_product([builtin("3_dblst"), builtin("3_klst"), builtin("4_dmba")]))
+def test_generated_subvariety_matches_quotient_oracle(algebra):
+    expected = si_quotients_of_subalgebras(algebra)
+    if algebra.size == 1:
+        assert expected == set()
+        with pytest.raises(AgkitError):
+            generated_subvariety(algebra)
+    else:
+        assert set(generated_subvariety(algebra).si_names) == expected
+
+
+def square4(star: tuple[int, ...], quote: tuple[int, ...]) -> FiniteAlgebra:
+    """The Boolean lattice 0 < a, b < 1 with the given star and quote tables."""
+    return FiniteAlgebra(**dict(agkit.algebra.BUILTIN_SPECS["4_dmba"], name="square4",
+                                star=star, quote=quote))
+
+
+@pytest.mark.parametrize("lattice", [chain4, square4])
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(*[st.integers(0, 3)] * 4), st.tuples(*[st.integers(0, 3)] * 4))
+@example((3, 2, 1, 0), (3, 2, 1, 0))
+@example((3, 0, 0, 0), (3, 3, 0, 0))
+@example((1, 0, 0, 0), (1, 0, 1, 0))
+@example((3, 0, 3, 0), (3, 3, 3, 2))
+def test_in_hs_on_four_element_lattices(lattice, star, quote):
+    """The 4-element chain and Boolean lattice with arbitrary star and quote
+    tables, most of them outside AG.  On a chain every join and meet is one
+    of its arguments.  On the Boolean lattice with the last two examples'
+    tables, only a meet, respectively only a join, shows that 3_dblst is not
+    an image of a subalgebra."""
+    algebra = lattice(star, quote)
+    reachable = {name for name in BUILTIN_NAMES if in_hs(algebra, builtin(name))}
+    assert reachable == si_quotients_of_subalgebras(algebra)
+
+
+def test_generated_subvariety_enumerates_no_subalgebras_or_homs(builtins, monkeypatch):
+    calls = []
+    log_calls(monkeypatch, agkit.algebra, "enumerate_subalgebras", calls)
+    log_calls(monkeypatch, agkit.morphisms, "enumerate_homs", calls)
+    product = direct_product([builtins[n] for n in ("2", "2", "4_dmba", "4_dmba")])
+    assert generated_subvariety(product).name == "DMBA"
+    assert calls == []
+
+
+def test_generated_subvariety_past_the_subalgebra_cap(builtins):
+    # 72 elements, above the subalgebra_universe cap of 64: only the
+    # assignments cap on the base sentences bounds the work
+    product = direct_product(
+        [builtins[n] for n in ("2", "3_dblst", "3_klst", "4_dmba")])
+    assert product.size == 72
+    assert generated_subvariety(product).name == "AG"
+
+
+def test_generated_subvariety_assignments_cap(builtins, monkeypatch):
+    product = direct_product([builtins[n] for n in ("3_dblst", "3_klst", "4_dmba")])
+    monkeypatch.setenv("AGKIT_CAP", "1000")
+    with pytest.raises(CapExceededError) as raised:
+        generated_subvariety(product)
+    # the first 2-variable axiom already needs 36^2 assignments
+    assert (raised.value.guard, raised.value.requested) == ("assignments", 36 ** 2)
+
+
+def test_generated_subvariety_of_trivial_algebra_is_typed_error():
+    trivial = load_algebra(json.dumps({
+        "name": "one", "size": 1, "labels": ["0"], "join": [[0]], "meet": [[0]],
+        "star": [0], "quote": [0], "zero": 0, "one": 0}))
+    with pytest.raises(AgkitError, match="trivial variety"):
+        generated_subvariety(trivial)
+
+
 def test_generated_subvariety_rejects_outsiders():
-    import json
-    from agkit import load_algebra
-    chain4 = load_algebra(json.dumps({
+    outsider = load_algebra(json.dumps({
         "name": "chain4", "size": 4, "labels": ["0", "a", "b", "1"],
         "join": [[max(x, y) for y in range(4)] for x in range(4)],
         "meet": [[min(x, y) for y in range(4)] for x in range(4)],
         "star": [3, 2, 1, 0], "quote": [3, 2, 1, 0], "zero": 0, "one": 3}))
     with pytest.raises(NotInVarietyError):
-        generated_subvariety(chain4)
+        generated_subvariety(outsider)
 
 
 def test_discriminator_on_builtins_and_reducts(builtins):
@@ -130,7 +205,6 @@ def test_discriminator_on_several_algebras(builtins):
 
 def test_discriminator_cap(builtins):
     big = direct_product([builtins["3_klst"], builtins["3_klst"]])
-    from agkit import CapExceededError
     with pytest.raises(CapExceededError):
         discriminator_is_term_op(big)  # size 9 > default guard of 8
 
@@ -155,7 +229,6 @@ def test_free_algebra_decides_one_variable_identities():
 
 
 def test_free_algebra_cap():
-    from agkit import CapExceededError
     with pytest.raises(CapExceededError):
         free_algebra(variety("AG"), 2, max_elements=10)
 

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import sys
 from collections import Counter
 
 import pytest
@@ -11,8 +10,9 @@ import agkit.algebra
 import agkit.amalgamation
 import agkit.congruence
 import agkit.morphisms
-from agkit.variety import VARIETY_NAMES
+from agkit.variety import VARIETY_NAMES, _discriminator_preserves
 from agkit.verify import load_expectations, verify_paper
+from tests.conftest import log_calls
 
 # sha256 of the canonical records of the untampered run: sorted keys, no
 # whitespace.  The digest does not depend on PYTHONHASHSEED.
@@ -26,6 +26,11 @@ GOLDEN_RECORDS_SHA256 = "bed7a894465af4beaf80f57610d6ee82195b7ebf3ccd6500c7e308b
 # principal congruence per join-irreducible of the lattice reduct.)
 PRINCIPAL_CONGRUENCES = 28
 CONGRUENCE_LATTICES = 10
+# enumerate_subalgebras calls per run from a cold start: the discriminator
+# check decides each product S x T once, the 10 products of two SI generators
+# plus the squares of the 4 lattice reducts.  (46 when every variety
+# re-decided the products of its own SI generators.)
+DISCRIMINATOR_PRODUCTS = 14
 # enumerate_embeddings calls per run: si_diagrams enumerates each base's
 # embeddings into each SI member once per variety, the sum over the varieties
 # of (SI generators)^2.  (148 when each (base, right) pair was enumerated
@@ -33,37 +38,22 @@ CONGRUENCE_LATTICES = 10
 EMBEDDING_ENUMERATIONS = 56
 
 
-def _log_calls(monkeypatch, module, name: str, log: list) -> None:
-    """Replace every agkit binding of module.<name> with a wrapper that
-    appends (args, result) of each call to `log`."""
-    original = getattr(module, name)
-
-    def logged(*args, **kwargs):
-        result = original(*args, **kwargs)
-        log.append((args, result))
-        return result
-
-    for module_name, bound in list(sys.modules.items()):
-        if bound is None or not module_name.startswith("agkit"):
-            continue
-        for attr, value in list(vars(bound).items()):
-            if value is original:
-                monkeypatch.setattr(bound, attr, logged)
-
-
 @pytest.fixture(scope="module")
 def logged_run():
     """One verify_paper() run, with the arguments and results of every
     classify_ap, decide_amalgamation, congruence_lattice,
-    principal_congruence and enumerate_embeddings call it made."""
+    principal_congruence, enumerate_embeddings and enumerate_subalgebras call
+    it made, with the discriminator cache emptied first."""
     traced = {"classify_ap": agkit.amalgamation, "decide_amalgamation": agkit.amalgamation,
               "congruence_lattice": agkit.congruence,
               "principal_congruence": agkit.congruence,
-              "enumerate_embeddings": agkit.morphisms}
+              "enumerate_embeddings": agkit.morphisms,
+              "enumerate_subalgebras": agkit.algebra}
     calls = {name: [] for name in traced}
+    _discriminator_preserves.cache_clear()
     with pytest.MonkeyPatch.context() as monkeypatch:
         for name, module in traced.items():
-            _log_calls(monkeypatch, module, name, calls[name])
+            log_calls(monkeypatch, module, name, calls[name])
         report = verify_paper()
     return report, calls
 
@@ -147,3 +137,9 @@ def test_verify_paper_congruence_budget(logged_run):
 def test_verify_paper_embedding_budget(logged_run):
     _, calls = logged_run
     assert len(calls["enumerate_embeddings"]) == EMBEDDING_ENUMERATIONS
+
+
+def test_verify_paper_decides_each_discriminator_product_once(logged_run):
+    _, calls = logged_run
+    products = [args[0] for args, _ in calls["enumerate_subalgebras"]]
+    assert len(products) == len(set(products)) == DISCRIMINATOR_PRODUCTS
