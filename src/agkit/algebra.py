@@ -194,11 +194,22 @@ def _json_str(value) -> str:
     return value
 
 
+def _json_array(value) -> list:
+    """A JSON array, taken as is: a string or an object is not iterated.
+    (Tables need no such check: iterating either yields strings, which
+    _json_int rejects.)"""
+    if not isinstance(value, list):
+        raise AlgebraFormatError(f"expected an array, got {json.dumps(value)}")
+    return value
+
+
 def load_algebra(text: str) -> FiniteAlgebra:
     try:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.pos) from None
+    except RecursionError:
+        raise AlgebraFormatError("algebra document is nested too deeply") from None
     if not isinstance(document, dict):
         raise AlgebraFormatError("algebra document must be a JSON object")
     missing = [k for k in SPEC_KEYS if k not in document]
@@ -210,7 +221,7 @@ def load_algebra(text: str) -> FiniteAlgebra:
         return FiniteAlgebra(
             name=_json_str(document["name"]),
             size=_json_int(document["size"]),
-            labels=tuple(_json_str(l) for l in document["labels"]),
+            labels=tuple(_json_str(l) for l in _json_array(document["labels"])),
             join=tuple(tuple(_json_int(v) for v in row) for row in document["join"]),
             meet=tuple(tuple(_json_int(v) for v in row) for row in document["meet"]),
             star=tuple(_json_int(v) for v in document["star"]),
@@ -223,8 +234,14 @@ def load_algebra(text: str) -> FiniteAlgebra:
 
 
 def read_algebra(path) -> FiniteAlgebra:
-    with open(path, encoding="utf-8") as handle:
-        return load_algebra(handle.read())
+    try:
+        with open(path, "rb") as handle:
+            text = handle.read().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"algebra file is not UTF-8 ({exc.reason})", exc.start) from None
+    except OSError as exc:
+        raise AlgebraFormatError(f"cannot read algebra file {path}: {exc.strerror}") from None
+    return load_algebra(text)
 
 
 # --- products ----------------------------------------------------------------
@@ -269,22 +286,27 @@ def direct_product(factors: Sequence[FiniteAlgebra],
 def subuniverse_closure(algebra: FiniteAlgebra, seed: Iterable[int]) -> frozenset[int]:
     """Least subuniverse containing the seed: fixpoint under both constants
     and all four operations.  Idempotent and monotone in the seed."""
-    closed = set(seed)
-    closed.add(algebra.zero)
-    closed.add(algebra.one)
-    queue = list(closed)
+    return _adjoin(algebra, frozenset(), {algebra.zero, algebra.one, *seed})
+
+
+def _adjoin(algebra: FiniteAlgebra, closed: frozenset[int],
+            elements: Iterable[int]) -> frozenset[int]:
+    """Least subuniverse containing the subuniverse `closed` and the
+    elements; as `closed` is closed, only pairs with a new element are combined."""
+    queue = list(set(elements) - closed)
+    members = set(closed).union(queue)
     while queue:
         x = queue.pop()
-        for y in list(closed):
+        for y in list(members):
             for z in (algebra.join[x][y], algebra.meet[x][y]):
-                if z not in closed:
-                    closed.add(z)
+                if z not in members:
+                    members.add(z)
                     queue.append(z)
         for z in (algebra.star[x], algebra.quote[x]):
-            if z not in closed:
-                closed.add(z)
+            if z not in members:
+                members.add(z)
                 queue.append(z)
-    return frozenset(closed)
+    return frozenset(members)
 
 
 def enumerate_subalgebras(algebra: FiniteAlgebra) -> list[tuple[int, ...]]:
@@ -302,7 +324,7 @@ def enumerate_subalgebras(algebra: FiniteAlgebra) -> list[tuple[int, ...]]:
         current = queue.pop()
         for element in algebra.elements():
             if element not in current:
-                extended = subuniverse_closure(algebra, current | {element})
+                extended = _adjoin(algebra, current, (element,))
                 if extended not in found:
                     found.add(extended)
                     queue.append(extended)

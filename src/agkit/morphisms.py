@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import FiniteAlgebra, direct_product, product_tuples, subuniverse_closure
+from .algebra import FiniteAlgebra, _adjoin, direct_product, product_tuples, subuniverse_closure
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ def _generator_sequence(algebra: FiniteAlgebra, seeded: frozenset[int]) -> list[
         for element in algebra.elements():
             if element in closed:
                 continue
-            candidate = subuniverse_closure(algebra, closed | {element})
+            candidate = _adjoin(algebra, closed, (element,))
             if len(candidate) > len(best_closure) or best_element < 0:
                 best_element, best_closure = element, candidate
         generators.append(best_element)

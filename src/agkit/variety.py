@@ -26,7 +26,7 @@ from typing import Iterable
 from . import caps
 from .algebra import (FiniteAlgebra, builtin, direct_product, enumerate_subalgebras,
                       subuniverse_closure)
-from .axioms import satisfies_axiom_system
+from .axioms import axiom_system, satisfies_axiom_system
 from .errors import AgkitError, CapExceededError, NotFoundError, NotInVarietyError
 from .terms import Sentence, Verdict, eval_term, holds_in, parse_sentence
 
@@ -124,7 +124,17 @@ def satisfies_base(algebra: FiniteAlgebra, v: VarietyDescriptor) -> Verdict:
     return Verdict(True)
 
 
+# (algebra, variety) pairs that passed require_in_variety, keyed by value: a
+# verify-paper run asks again for every diagram.  Failures are not stored.
+_MEMBERS: set[tuple[FiniteAlgebra, VarietyDescriptor]] = set()
+
+
 def require_in_variety(algebra: FiniteAlgebra, v: VarietyDescriptor) -> None:
+    if (algebra, v) in _MEMBERS:
+        # a member passes every sentence: only an assignments guard can fire
+        for _, sentence in (*axiom_system("ALMOST_GAUTAMA").sentences, *v.base):
+            caps.guard("assignments", algebra.size ** len(sentence.variables()))
+        return
     report = satisfies_axiom_system(algebra, "ALMOST_GAUTAMA")
     if not report.ok:
         failure = report.failures()[0]
@@ -138,6 +148,7 @@ def require_in_variety(algebra: FiniteAlgebra, v: VarietyDescriptor) -> None:
             raise NotInVarietyError(
                 v.name, algebra.name, str(sentence),
                 {k: algebra.labels[i] for k, i in (verdict.witness or {}).items()})
+    _MEMBERS.add((algebra, v))
 
 
 @dataclass(frozen=True)

@@ -141,6 +141,19 @@ def cep_by_definition(sub: FiniteAlgebra, sup_congruences, embedding) -> bool:
     return all(theta in restrictions for theta in congruence_lattice(sub))
 
 
+def fixpoint_closure(algebra: FiniteAlgebra, seed) -> frozenset[int]:
+    """Oracle for subuniverse_closure: apply every operation to every member
+    and pair of members, round after round, until no new element appears."""
+    members = {algebra.zero, algebra.one, *seed}
+    while True:
+        found = {table[x][y] for table in (algebra.join, algebra.meet)
+                 for x in members for y in members}
+        found |= {table[x] for table in (algebra.star, algebra.quote) for x in members}
+        if found <= members:
+            return frozenset(members)
+        members |= found
+
+
 def brute_force_subuniverses(algebra: FiniteAlgebra) -> set[frozenset[int]]:
     """Oracle: close every subset of the universe."""
     from agkit import subuniverse_closure

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from agkit import (AlgebraFormatError, CapExceededError, LatticeAxiomError,
-                   NotFoundError, ParseError, builtin, direct_product,
+from agkit import (AgkitError, AlgebraFormatError, BUILTIN_NAMES, CapExceededError,
+                   LatticeAxiomError, NotFoundError, ParseError, builtin, direct_product,
                    dump_algebra, enumerate_subalgebras, lattice_reduct,
                    load_algebra, subalgebra, subuniverse_closure)
-from tests.conftest import brute_force_subuniverses
+from agkit.algebra import SPEC_KEYS, _adjoin
+from tests.conftest import brute_force_subuniverses, fixpoint_closure, generated_members
 
 GOLDEN_3_KLST = ('{"name":"3_klst","size":3,"labels":["0","a","1"],'
                  '"join":[[0,1,2],[1,1,2],[2,2,2]],"meet":[[0,0,0],[0,1,1],[0,1,2]],'
@@ -66,12 +69,69 @@ def test_load_rejects_out_of_range_table(builtins):
     ("size", 2.7),  # nor is a fraction, which int() would truncate to 2
     ("labels", [["0"], ["1"]]),  # str() would turn these into "['0']", "['1']"
     ("name", [1, {"a": None}]),  # and this into "[1, {'a': None}]"
-], ids=["boolean_index", "fractional_size", "list_labels", "list_name"])
+    ("labels", "01"),  # tuple() would split a string into labels
+    ("labels", {"0": 1, "1": 2}),  # and take an object's keys as labels
+], ids=["boolean_index", "fractional_size", "list_labels", "list_name",
+        "string_labels", "object_labels"])
 def test_load_rejects_values_it_would_coerce(builtins, key, value):
     document = json.loads(dump_algebra(builtins["2"]))
     document[key] = value
     with pytest.raises(AlgebraFormatError):
         load_algebra(json.dumps(document))
+
+
+_JUNK = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2, 5), st.floats(),
+              st.text(max_size=3)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=2), inner, max_size=2)),
+    max_leaves=6)
+
+
+@st.composite
+def mangled_algebra_documents(draw):
+    """The JSON of a builtin with keys dropped or added, values, rows or
+    entries swapped for other JSON values, and arrays or rows resized."""
+    document = json.loads(dump_algebra(builtin(draw(st.sampled_from(BUILTIN_NAMES)))))
+    for key in draw(st.lists(st.sampled_from(SPEC_KEYS + ("extra",)), min_size=1,
+                             max_size=3, unique=True)):
+        action = draw(st.sampled_from(("swap", "entry", "resize") * 3 + ("drop",)))
+        if action == "drop":
+            document.pop(key, None)
+            continue
+        holder, slot = document, key
+        holder.setdefault(key, None)
+        while action != "swap" and isinstance(holder[slot], list) and holder[slot] \
+                and (action == "entry" or draw(st.booleans())):
+            holder, slot = holder[slot], draw(st.integers(0, len(holder[slot]) - 1))
+        value = holder[slot]
+        if action == "resize" and isinstance(value, list):
+            holder[slot] = (value * 3)[:draw(st.integers(0, 2 * len(value) + 1))]
+        else:
+            holder[slot] = draw(st.one_of(st.integers(-1, 4), _JUNK))
+    return json.dumps(document)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mangled_algebra_documents())
+@example("[" * 100_000)
+def test_load_algebra_raises_only_typed_errors(text):
+    try:
+        load_algebra(text)
+    except AgkitError:
+        pass
+
+
+def test_values_nested_near_the_recursion_limit_are_typed_errors(builtins):
+    """Entries nested just below and just past the depth json.loads accepts:
+    the error message quotes the first kind, the second never parses."""
+    document = dump_algebra(builtins["2"])
+    too_deep = set()
+    for depth in range(sys.getrecursionlimit() - 150, sys.getrecursionlimit() + 5):
+        with pytest.raises(AgkitError) as err:
+            load_algebra(document.replace('"zero":0', '"zero":' + "[" * depth + "]" * depth))
+        too_deep.add("nested too deeply" in str(err.value))
+    assert too_deep == {False, True}
 
 
 def test_non_commutative_join_names_axiom_and_witness(builtins):
@@ -161,6 +221,25 @@ def test_enumerate_subalgebras_matches_subset_scan(builtins):
     product = direct_product([builtin("2"), builtin("3_klst")])
     assert {frozenset(s) for s in enumerate_subalgebras(product)} == \
         brute_force_subuniverses(product)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_adjoin_matches_closure_from_scratch(data):
+    algebra = data.draw(generated_members())
+    elements = st.integers(0, algebra.size - 1)
+    closed = subuniverse_closure(algebra, data.draw(st.lists(elements, max_size=3)))
+    element = data.draw(elements)
+    adjoined = _adjoin(algebra, closed, {element})
+    assert adjoined == subuniverse_closure(algebra, closed | {element})
+    assert adjoined == fixpoint_closure(algebra, closed | {element})
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(generated_members().filter(lambda algebra: algebra.size <= 12))
+def test_enumerate_subalgebras_matches_subset_scan_on_generated_members(algebra):
+    assert {frozenset(s) for s in enumerate_subalgebras(algebra)} == \
+        brute_force_subuniverses(algebra)
 
 
 def test_enumerate_subalgebras_cap():

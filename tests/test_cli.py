@@ -32,6 +32,33 @@ def test_algebra_show_unknown(capsys):
     assert code == 2 and "error" in err
 
 
+def _nested_file(path):
+    path.write_text("[" * 100_000)
+    return path
+
+
+def _non_utf8_file(path):
+    path.write_bytes(b"\xff\xfe{")
+    return path
+
+
+def _directory(path):
+    path.mkdir()
+    return path
+
+
+@pytest.mark.parametrize("make, message", [
+    (_nested_file, "nested too deeply"),
+    (_non_utf8_file, "not UTF-8 (invalid start byte) at offset 0"),
+    (_directory, "cannot read algebra file"),
+], ids=["deeply_nested", "not_utf8", "directory"])
+def test_hostile_algebra_file_exits_2(capsys, tmp_path, make, message):
+    path = make(tmp_path / "hostile.json")
+    code, _, err = run(capsys, "classify", str(path))
+    assert code == 2
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
 def test_check_valid_identity(capsys):
     code, out, _ = run(capsys, "check", "--variety", "G", "--sentence", "x*' = x**")
     assert code == 0 and "valid" in out

@@ -4,7 +4,7 @@ import functools
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from agkit import (BUILTIN_NAMES, CapExceededError, EvalError, ParseError, builtin,
                    direct_product, eval_term, format_sentence, format_term, free_algebra,
@@ -70,6 +70,31 @@ def test_deeply_nested_terms_are_parse_errors(text):
         parse_term(text)
     with pytest.raises(ParseError, match="nested deeper"):
         parse_sentence(text + " = x")
+
+
+_TOKENS = ("x", "y", "z2", "0", "1", "*", "'", "\\/", "/\\", "=", "<=", "=>",
+           "(", ")", ",", " ")
+
+
+@st.composite
+def _token_soup(draw):
+    """Tokens of the sentence grammar in any order, with at most two stray
+    characters mixed in."""
+    pieces = draw(st.lists(st.sampled_from(_TOKENS), max_size=40))
+    for stray in draw(st.lists(st.characters(), max_size=2)):
+        pieces.insert(draw(st.integers(0, len(pieces))), stray)
+    return "".join(pieces)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_token_soup())
+@example("(" * 100_000)
+@example("x = " + "(" * 100_000)
+def test_parse_sentence_raises_only_parse_errors(text):
+    try:
+        parse_sentence(text)
+    except ParseError:
+        pass
 
 
 def test_terms_at_the_depth_limit_print_hash_and_evaluate(builtins):

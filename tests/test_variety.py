@@ -14,7 +14,7 @@ from agkit import (AgkitError, BUILTIN_NAMES, CapExceededError, FiniteAlgebra,
                    lattice_reduct, lemma_registry, lemma_suite, parse_sentence,
                    quasi_identity_holds, variety, verify_bases, all_varieties,
                    VARIETY_NAMES)
-from agkit.variety import identity_holds_via_free, in_hs
+from agkit.variety import _MEMBERS, identity_holds_via_free, in_hs, require_in_variety
 from tests.conftest import chain4, generated_members, log_calls, si_quotients_of_subalgebras
 
 SI_SETS = {
@@ -188,6 +188,50 @@ def test_generated_subvariety_rejects_outsiders():
         "star": [3, 2, 1, 0], "quote": [3, 2, 1, 0], "zero": 0, "one": 3}))
     with pytest.raises(NotInVarietyError):
         generated_subvariety(outsider)
+
+
+@pytest.mark.parametrize("factors, variety_name, cap, requested", [
+    # the first 2-variable axiom fires before the 3-variable base J
+    (("2", "4_dmba"), "V_DBLST_DMBA", 63, 8 ** 2),
+    (("4_dmba",), "V_DBLST_DMBA", 20, 4 ** 3),  # the axioms pass; J does not
+], ids=["axiom", "base"])
+def test_repeated_membership_replays_the_assignments_guard(
+        builtins, monkeypatch, factors, variety_name, cap, requested):
+    algebra = direct_product([builtins[n] for n in factors])
+    v = variety(variety_name)
+
+    def guard_hit():
+        with pytest.raises(CapExceededError) as raised:
+            require_in_variety(algebra, v)
+        return raised.value.guard, raised.value.limit, raised.value.requested
+
+    require_in_variety(algebra, v)
+    assert (algebra, v) in _MEMBERS
+    monkeypatch.setenv("AGKIT_CAP", str(cap))
+    remembered = guard_hit()
+    _MEMBERS.discard((algebra, v))
+    assert remembered == guard_hit() == ("assignments", cap, requested)
+
+
+def test_non_members_are_refuted_on_every_call(builtins):
+    dblst, rklst = builtins["3_dblst"], variety("RKLST")
+    raised = []
+    for _ in range(2):
+        with pytest.raises(NotInVarietyError) as err:
+            require_in_variety(dblst, rklst)
+        raised.append((err.value.variety_name, err.value.sentence, err.value.witness))
+    assert raised[0] == raised[1]
+    assert (dblst, rklst) not in _MEMBERS
+
+
+def test_membership_is_remembered_by_value(builtins):
+    """A builtin rebuilt with other tables under the same name is checked
+    afresh, and refuted."""
+    require_in_variety(builtins["3_dblst"], variety("RDBLST"))
+    tampered = FiniteAlgebra(**{**agkit.algebra.BUILTIN_SPECS["3_dblst"],
+                                "name": "3_dblst", "quote": (2, 1, 0)})
+    with pytest.raises(NotInVarietyError):
+        require_in_variety(tampered, variety("RDBLST"))
 
 
 def test_discriminator_on_builtins_and_reducts(builtins):

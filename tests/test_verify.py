@@ -8,9 +8,10 @@ import pytest
 
 import agkit.algebra
 import agkit.amalgamation
+import agkit.axioms
 import agkit.congruence
 import agkit.morphisms
-from agkit.variety import VARIETY_NAMES, _discriminator_preserves
+from agkit.variety import _MEMBERS, VARIETY_NAMES, _discriminator_preserves
 from agkit.verify import load_expectations, verify_paper
 from tests.conftest import log_calls
 
@@ -36,21 +37,30 @@ DISCRIMINATOR_PRODUCTS = 14
 # of (SI generators)^2.  (148 when each (base, right) pair was enumerated
 # again for every left member.)
 EMBEDDING_ENUMERATIONS = 56
+# satisfies_axiom_system calls per run from a cold start: 40 for section 1's
+# axiom grid (4 builtins x 10 systems) plus one per distinct (algebra,
+# variety) membership, 40 of them, proved once however many diagrams ask.
+# (268 when decide_amalgamation re-proved its SI members and its amalgam
+# product for each of its 228 membership checks.)
+AXIOM_SYSTEM_CHECKS = 80
 
 
 @pytest.fixture(scope="module")
 def logged_run():
     """One verify_paper() run, with the arguments and results of every
     classify_ap, decide_amalgamation, congruence_lattice,
-    principal_congruence, enumerate_embeddings and enumerate_subalgebras call
-    it made, with the discriminator cache emptied first."""
+    principal_congruence, enumerate_embeddings, enumerate_subalgebras and
+    satisfies_axiom_system call it made, with the discriminator cache and the
+    membership set emptied first."""
     traced = {"classify_ap": agkit.amalgamation, "decide_amalgamation": agkit.amalgamation,
               "congruence_lattice": agkit.congruence,
               "principal_congruence": agkit.congruence,
               "enumerate_embeddings": agkit.morphisms,
-              "enumerate_subalgebras": agkit.algebra}
+              "enumerate_subalgebras": agkit.algebra,
+              "satisfies_axiom_system": agkit.axioms}
     calls = {name: [] for name in traced}
     _discriminator_preserves.cache_clear()
+    _MEMBERS.clear()
     with pytest.MonkeyPatch.context() as monkeypatch:
         for name, module in traced.items():
             log_calls(monkeypatch, module, name, calls[name])
@@ -143,3 +153,8 @@ def test_verify_paper_decides_each_discriminator_product_once(logged_run):
     _, calls = logged_run
     products = [args[0] for args, _ in calls["enumerate_subalgebras"]]
     assert len(products) == len(set(products)) == DISCRIMINATOR_PRODUCTS
+
+
+def test_verify_paper_proves_each_membership_once(logged_run):
+    _, calls = logged_run
+    assert len(calls["satisfies_axiom_system"]) == AXIOM_SYSTEM_CHECKS
