@@ -182,8 +182,8 @@ def congruence_lattice(algebra: FiniteAlgebra) -> CongruenceLattice:
     - In a distributive lattice a cover p < q has one join-irreducible j with
       j <= q and j not <= p.  Then j_ \\/ p = p, j /\\ p = j_ and j \\/ p = q,
       so Cg(p, q) = Cg(j_, j).
-    - Every FiniteAlgebra is distributive: validated on construction and kept
-      by products, subalgebras, quotients and free algebras.
+    - Every FiniteAlgebra is distributive: the O(n^2) check on construction
+      proves it, and products, subalgebras, quotients and free algebras keep it.
     """
     caps.guard("congruence_universe", algebra.size)
     n, join, meet = algebra.size, algebra.join, algebra.meet

@@ -68,6 +68,58 @@ def chain4(star: tuple[int, ...], quote: tuple[int, ...]) -> FiniteAlgebra:
         star=star, quote=quote, zero=0, one=3)
 
 
+# Each law of a bounded distributive lattice as (arity, test at one tuple).
+LATTICE_LAWS = {
+    "join commutativity": (2, lambda a, x, y: a.join[x][y] == a.join[y][x]),
+    "meet commutativity": (2, lambda a, x, y: a.meet[x][y] == a.meet[y][x]),
+    "join absorption": (2, lambda a, x, y: a.join[x][a.meet[x][y]] == x),
+    "meet absorption": (2, lambda a, x, y: a.meet[x][a.join[x][y]] == x),
+    "join associativity": (3, lambda a, x, y, z:
+                           a.join[x][a.join[y][z]] == a.join[a.join[x][y]][z]),
+    "meet associativity": (3, lambda a, x, y, z:
+                           a.meet[x][a.meet[y][z]] == a.meet[a.meet[x][y]][z]),
+    "distributivity (meet over join)": (3, lambda a, x, y, z:
+                                        a.meet[x][a.join[y][z]]
+                                        == a.join[a.meet[x][y]][a.meet[x][z]]),
+    "distributivity (join over meet)": (3, lambda a, x, y, z:
+                                        a.join[x][a.meet[y][z]]
+                                        == a.meet[a.join[x][y]][a.join[x][z]]),
+    "zero is a join unit": (1, lambda a, x: a.join[x][a.zero] == x),
+    "one is a meet unit": (1, lambda a, x: a.meet[x][a.one] == x),
+}
+
+
+def brute_force_lattice_axioms(algebra: FiniteAlgebra):
+    """Oracle for verify_lattice_axioms: scan every tuple for every law, all
+    n^3 triples for the laws in three variables.  Returns the first (law,
+    witness) that fails, or None for a bounded distributive lattice."""
+    for law, (arity, holds) in LATTICE_LAWS.items():
+        for witness in itertools.product(range(algebra.size), repeat=arity):
+            if not holds(algebra, *witness):
+                return law, witness
+    return None
+
+
+def breaks_law(algebra: FiniteAlgebra, law: str, witness: tuple[int, ...]) -> bool:
+    """Is the witness a tuple of elements at which the named law fails?"""
+    arity, holds = LATTICE_LAWS[law]
+    return (len(witness) == arity and all(0 <= x < algebra.size for x in witness)
+            and not holds(algebra, *witness))
+
+
+def least_variety_by_bases(algebra: FiniteAlgebra):
+    """Oracle for generated_subvariety on a nontrivial member of AG: the
+    least of the eight varieties whose equational base the algebra satisfies.
+    The varieties it satisfies must form a filter."""
+    from agkit import all_varieties
+    from agkit.variety import satisfies_base
+
+    candidates = [v for v in all_varieties() if satisfies_base(algebra, v).holds]
+    least = min(candidates, key=lambda v: len(v.si_names))
+    assert all(least.leq(v) for v in candidates), algebra.name
+    return least
+
+
 def plain_holds_in(algebra: FiniteAlgebra, sentence):
     """Oracle for holds_in: the plain scan of all n^k assignments (variables
     in name order, the last one fastest), testing every premise at each."""

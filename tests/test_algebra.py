@@ -1,17 +1,21 @@
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import json
 import sys
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import agkit.algebra
 from agkit import (AgkitError, AlgebraFormatError, BUILTIN_NAMES, CapExceededError,
-                   LatticeAxiomError, NotFoundError, ParseError, builtin, direct_product,
-                   dump_algebra, enumerate_subalgebras, lattice_reduct,
+                   FiniteAlgebra, LatticeAxiomError, NotFoundError, ParseError, builtin,
+                   direct_product, dump_algebra, enumerate_subalgebras, lattice_reduct,
                    load_algebra, subalgebra, subuniverse_closure)
 from agkit.algebra import SPEC_KEYS, _adjoin
-from tests.conftest import brute_force_subuniverses, fixpoint_closure, generated_members
+from tests.conftest import (breaks_law, brute_force_lattice_axioms, brute_force_subuniverses,
+                            fixpoint_closure, generated_members)
 
 GOLDEN_3_KLST = ('{"name":"3_klst","size":3,"labels":["0","a","1"],'
                  '"join":[[0,1,2],[1,1,2],[2,2,2]],"meet":[[0,0,0],[0,1,1],[0,1,2]],'
@@ -141,6 +145,169 @@ def test_non_commutative_join_names_axiom_and_witness(builtins):
         load_algebra(json.dumps(document))
     assert err.value.axiom == "join commutativity"
     assert err.value.witness == (0, 1) or err.value.witness == (1, 0)
+
+
+def relation_algebra(n: int, edges, pick=lambda table, bounds, best: (best or bounds)[0],
+                     zero: int = 0, one: int | None = None) -> FiniteAlgebra:
+    """Unvalidated tables on 0..n-1 that pass the commutativity and
+    absorption scan.  Let r be the reflexive relation made of the edges
+    (x, y), x < y, and of 0 r x r n-1.  If x r y, x \\/ y = y and x /\\ y = x.
+    Otherwise x \\/ y = pick("join", the common upper bounds, [their least,
+    if any]) and x /\\ y = pick("meet", the common lower bounds, [their
+    greatest, if any]); with the default pick, a lattice order r gets the
+    tables of its lattice."""
+    r = {(x, y) for x in range(n) for y in range(n) if x == y or x == 0 or y == n - 1}
+    r |= set(edges)
+    join = [[0] * n for _ in range(n)]
+    meet = [[0] * n for _ in range(n)]
+    for x, y in itertools.combinations(range(n), 2):
+        if (x, y) in r:
+            join[x][y], meet[x][y] = y, x
+        else:
+            ups = [z for z in range(n) if (x, z) in r and (y, z) in r]
+            downs = [z for z in range(n) if (z, x) in r and (z, y) in r]
+            join[x][y] = pick("join", ups, [z for z in ups if all((z, u) in r for u in ups)])
+            meet[x][y] = pick("meet", downs,
+                              [z for z in downs if all((d, z) in r for d in downs)])
+    for x in range(n):
+        join[x][x] = meet[x][x] = x
+        for y in range(x):
+            join[x][y], meet[x][y] = join[y][x], meet[y][x]
+    return FiniteAlgebra(
+        name="relation", size=n, labels=tuple(map(str, range(n))),
+        join=tuple(map(tuple, join)), meet=tuple(map(tuple, meet)),
+        star=tuple(range(n)), quote=tuple(range(n)), zero=zero,
+        one=n - 1 if one is None else one, validate=False)
+
+
+@st.composite
+def relation_algebras(draw):
+    """relation_algebra on 2 to 6 elements with random edges, closed
+    transitively or not, and, now and then, misplaced bounds.  Joins, meets
+    or both pick the least, resp. greatest, bound when there is one; the
+    others pick it or a random bound."""
+    n = draw(st.integers(2, 6))
+    edges = {(x, y) for x, y in itertools.combinations(range(1, n - 1), 2)
+             if draw(st.booleans())}
+    if draw(st.booleans()):
+        for z, x, y in itertools.product(range(n), repeat=3):
+            if (x, z) in edges and (z, y) in edges:
+                edges.add((x, y))
+    zero, one = draw(st.sampled_from([(0, n - 1)] * 3 + [(n - 1, 0), (0, 1)]))
+    exact = draw(st.sampled_from([{"join"}, {"meet"}, {"join", "meet"}]))
+
+    def pick(table, bounds, best):
+        if best and (table in exact or draw(st.booleans())):
+            return best[0]
+        return draw(st.sampled_from(bounds))
+
+    return relation_algebra(n, edges, pick, zero, one)
+
+
+def with_entry(algebra: FiniteAlgebra, table: str, x: int, y: int, z: int) -> FiniteAlgebra:
+    """The algebra with z at (x, y) and (y, x) of its join or meet table."""
+    rows = [list(row) for row in getattr(algebra, table)]
+    rows[x][y] = rows[y][x] = z
+    return dataclasses.replace(algebra, **{table: tuple(map(tuple, rows))})
+
+
+@st.composite
+def perturbed_lattices(draw):
+    """A generated member with the join of one incomparable pair moved up to
+    another common upper bound, or its meet moved down to another common
+    lower bound.  The tables still pass the commutativity and absorption
+    scan, and the order stays a distributive lattice."""
+    algebra = draw(generated_members())
+    leq = algebra.leq
+    pairs = [(x, y) for x, y in itertools.combinations(algebra.elements(), 2)
+             if not leq(x, y) and not leq(y, x)]
+    if not pairs:
+        return algebra
+    x, y = draw(st.sampled_from(pairs))
+    table = draw(st.sampled_from(["join", "meet"]))
+    current = getattr(algebra, table)[x][y]
+    bounds = [z for z in algebra.elements() if z != current and (
+        leq(x, z) and leq(y, z) if table == "join" else leq(z, x) and leq(z, y))]
+    if not bounds:
+        return algebra
+    return with_entry(algebra, table, x, y, draw(st.sampled_from(bounds)))
+
+
+@st.composite
+def random_tables(draw):
+    """Unvalidated join and meet tables with random entries on 1 to 6
+    elements, made commutative if asked, with random bounds."""
+    n = draw(st.integers(1, 6))
+    tables = [[[draw(st.integers(0, n - 1)) for _ in range(n)] for _ in range(n)]
+              for _ in range(2)]
+    if draw(st.booleans()):
+        for table, (x, y) in itertools.product(tables, itertools.combinations(range(n), 2)):
+            table[y][x] = table[x][y]
+    zero = draw(st.integers(0, n - 1))
+    one = (zero + draw(st.integers(1, n - 1))) % n if n > 1 else zero
+    return FiniteAlgebra(
+        name="random", size=n, labels=tuple(map(str, range(n))),
+        join=tuple(map(tuple, tables[0])), meet=tuple(map(tuple, tables[1])),
+        star=tuple(range(n)), quote=tuple(range(n)), zero=zero, one=one, validate=False)
+
+
+M3 = relation_algebra(5, ())
+N5 = relation_algebra(5, [(1, 2)])
+# 2 \/ 4 = 6 above the lub 5, which only the lub test sees; no such table on
+# six or fewer elements turned up in 3 x 10^4 random ones like it
+WRONG_LUB = with_entry(relation_algebra(7, [(1, 2), (1, 4), (1, 5), (2, 5), (3, 4), (3, 5),
+                                            (4, 5)]), "join", 2, 4, 6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(relation_algebras(), perturbed_lattices(), random_tables(),
+                 generated_members()))
+@example(M3)
+@example(N5)
+@example(relation_algebra(5, [(1, 2), (2, 3)]))  # 1 <= 2 <= 3, not 1 <= 3
+@example(with_entry(relation_algebra(5, [(1, 3), (2, 3)]), "join", 1, 2, 4))
+@example(with_entry(relation_algebra(5, [(1, 2), (1, 3)]), "meet", 2, 3, 0))
+@example(WRONG_LUB)
+def test_verify_lattice_axioms_matches_the_brute_force_scan(algebra):
+    """Accepts exactly the tables the n^3 scan accepts, and every witness
+    breaks the law it is raised for."""
+    expected = brute_force_lattice_axioms(algebra)
+    try:
+        algebra.verify_lattice_axioms()
+    except LatticeAxiomError as err:
+        assert expected is not None
+        assert breaks_law(algebra, err.axiom, err.witness)
+    else:
+        assert expected is None
+
+
+@pytest.mark.parametrize("lattice", [M3, N5], ids=["M3", "N5"])
+def test_non_distributive_lattices_are_rejected(lattice):
+    assert brute_force_lattice_axioms(lattice)[0].startswith("distributivity")
+    with pytest.raises(LatticeAxiomError) as err:
+        load_algebra(dump_algebra(lattice))
+    assert err.value.axiom == "distributivity (meet over join)"
+    assert breaks_law(lattice, err.value.axiom, err.value.witness)
+
+
+def test_product_of_eight_twos_loads():
+    power = direct_product([builtin("2")] * 8)
+    assert load_algebra(dump_algebra(power)) == power
+
+
+def test_rejected_value_is_quoted_short(builtins):
+    document = json.loads(dump_algebra(builtins["2"]))
+    document["labels"] = {"a": [0] * 100_000}
+    with pytest.raises(AlgebraFormatError, match="expected an array") as err:
+        load_algebra(json.dumps(document))
+    assert len(str(err.value)) < 200
+
+
+def test_builtin_is_built_once_per_spec(monkeypatch):
+    assert builtin("3_klst") is builtin("3_klst")
+    tampered = dict(agkit.algebra.BUILTIN_SPECS["3_klst"], quote=(2, 2, 0))
+    monkeypatch.setitem(agkit.algebra.BUILTIN_SPECS, "3_klst", tampered)
+    assert builtin("3_klst").quote == (2, 2, 0)
 
 
 def test_chain4_with_reversal_star_loads_as_lattice():

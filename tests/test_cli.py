@@ -4,8 +4,10 @@ import json
 
 import pytest
 
-from agkit import builtin, dump_algebra
+import agkit.congruence
+from agkit import builtin, direct_product, dump_algebra
 from agkit.cli import main
+from tests.conftest import log_calls
 
 
 def run(capsys, *argv):
@@ -104,6 +106,18 @@ def test_classify_command(capsys):
     code, out, _ = run(capsys, "classify", "4_dmba")
     assert code == 0
     assert "simple: True" in out and "sc: True" in out
+
+
+def test_classify_file_at_the_congruence_cap(capsys, tmp_path, monkeypatch):
+    # 2^8: 256 elements, the default congruence_universe cap, and 2^8
+    # congruences by Fraser-Horn
+    path = tmp_path / "power.json"
+    path.write_text(dump_algebra(direct_product([builtin("2")] * 8)))
+    lattices = []
+    log_calls(monkeypatch, agkit.congruence, "congruence_lattice", lattices)
+    code, out, _ = run(capsys, "classify", str(path))
+    assert code == 0 and "simple: False" in out
+    assert [len(lattice) for _, lattice in lattices] == [256]
 
 
 def test_amalgamate_obstruction_exits_zero(capsys):

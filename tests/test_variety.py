@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import agkit.algebra
 import agkit.morphisms
+import agkit.terms
 from agkit import (AgkitError, BUILTIN_NAMES, CapExceededError, FiniteAlgebra,
                    NotFoundError, NotInVarietyError, builtin, direct_product, load_algebra,
                    discriminator_is_term_op, free_algebra, generated_subvariety,
@@ -15,7 +16,8 @@ from agkit import (AgkitError, BUILTIN_NAMES, CapExceededError, FiniteAlgebra,
                    quasi_identity_holds, variety, verify_bases, all_varieties,
                    VARIETY_NAMES)
 from agkit.variety import _MEMBERS, identity_holds_via_free, in_hs, require_in_variety
-from tests.conftest import chain4, generated_members, log_calls, si_quotients_of_subalgebras
+from tests.conftest import (chain4, generated_members, least_variety_by_bases, log_calls,
+                            si_quotients_of_subalgebras)
 
 SI_SETS = {
     "BA": {"2"},
@@ -118,7 +120,9 @@ def test_generated_subvariety_matches_quotient_oracle(algebra):
         with pytest.raises(AgkitError):
             generated_subvariety(algebra)
     else:
-        assert set(generated_subvariety(algebra).si_names) == expected
+        generated = generated_subvariety(algebra)
+        assert set(generated.si_names) == expected
+        assert generated == least_variety_by_bases(algebra)
 
 
 def square4(star: tuple[int, ...], quote: tuple[int, ...]) -> FiniteAlgebra:
@@ -154,9 +158,19 @@ def test_generated_subvariety_enumerates_no_subalgebras_or_homs(builtins, monkey
     assert calls == []
 
 
+def test_generated_subvariety_scans_no_base_sentence(builtins, monkeypatch):
+    # the base of V_DBLST_DMBA alone would scan 36^3 assignments here
+    calls = []
+    log_calls(monkeypatch, agkit.terms, "holds_in", calls)
+    product = direct_product([builtins[n] for n in ("3_dblst", "3_klst", "4_dmba")])
+    assert generated_subvariety(product).name == "AG"
+    bases = {sentence for v in all_varieties() for _, sentence in v.base}
+    assert not [args for args, _ in calls if args[1] in bases]
+
+
 def test_generated_subvariety_past_the_subalgebra_cap(builtins):
     # 72 elements, above the subalgebra_universe cap of 64: only the
-    # assignments cap on the base sentences bounds the work
+    # assignments cap on the AG axioms bounds the work
     product = direct_product(
         [builtins[n] for n in ("2", "3_dblst", "3_klst", "4_dmba")])
     assert product.size == 72
