@@ -39,7 +39,7 @@ class FiniteAlgebra:
     one: int
     # Products, subalgebras, and quotients of valid lattices are valid by
     # construction, so internal constructors skip the O(n^2) check, which
-    # would add ~14% to building F_BA(3).  User-facing loading always validates.
+    # would more than triple building F_BA(3).  Loading always validates.
     validate: bool = field(default=True, repr=False, compare=False)
 
     def __post_init__(self):
@@ -57,7 +57,7 @@ class FiniteAlgebra:
             table = getattr(self, table_name)
             if len(table) != n or any(len(row) != n for row in table):
                 raise AlgebraFormatError(f"{self.name}: {table_name} table must be {n}x{n}")
-            if any(not (0 <= v < n) for row in table for v in row):
+            if min(map(min, table)) < 0 or max(map(max, table)) >= n:
                 raise AlgebraFormatError(f"{self.name}: {table_name} entry out of range")
         for table_name in ("star", "quote"):
             table = getattr(self, table_name)
@@ -199,8 +199,13 @@ def dump_algebra(algebra: FiniteAlgebra) -> str:
     return json.dumps(algebra.spec_dict(), separators=(",", ":"))
 
 
-def _cut(text: str) -> str:
-    """A quoted value cut short, so that an error message stays one line."""
+def _cut(value) -> str:
+    """The value as JSON, cut short so that an error message stays one line.
+    json.loads accepts nesting that json.dumps, frames deeper, may not."""
+    try:
+        text = json.dumps(value)
+    except RecursionError:
+        return "a value nested too deeply to quote"
     return text if len(text) <= 60 else text[:60] + "..."
 
 
@@ -208,13 +213,13 @@ def _json_int(value) -> int:
     """A JSON integer, taken as is: booleans, fractions and strings are
     rejected rather than coerced."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise AlgebraFormatError(f"expected an integer, got {_cut(json.dumps(value))}")
+        raise AlgebraFormatError(f"expected an integer, got {_cut(value)}")
     return value
 
 
 def _json_str(value) -> str:
     if not isinstance(value, str):
-        raise AlgebraFormatError(f"expected a string, got {_cut(json.dumps(value))}")
+        raise AlgebraFormatError(f"expected a string, got {_cut(value)}")
     return value
 
 
@@ -223,7 +228,7 @@ def _json_array(value) -> list:
     (Tables need no such check: iterating either yields strings, which
     _json_int rejects.)"""
     if not isinstance(value, list):
-        raise AlgebraFormatError(f"expected an array, got {_cut(json.dumps(value))}")
+        raise AlgebraFormatError(f"expected an array, got {_cut(value)}")
     return value
 
 
@@ -270,39 +275,46 @@ def read_algebra(path) -> FiniteAlgebra:
 
 # --- products ----------------------------------------------------------------
 
-def product_tuples(factors: Sequence[FiniteAlgebra]) -> list[tuple[int, ...]]:
-    """Element tuples of the direct product in index order (last factor
-    varies fastest); position in this list is the product element index."""
-    return list(itertools.product(*(range(f.size) for f in factors)))
-
-
 def direct_product(factors: Sequence[FiniteAlgebra],
                    max_elements: int | None = None) -> FiniteAlgebra:
+    """The product, its elements the tuples in lexicographic order (last
+    factor fastest).  The factors are folded in one at a time: element (x, a)
+    of P x f, x in the product P of the factors before f, gets index
+    x * |f| + a, so each table entry is index arithmetic on those of P and f.
+    """
     if not factors:
         raise ValueError("direct_product needs at least one factor")
     size = math.prod(f.size for f in factors)
     caps.guard("product_elements", size, max_elements)
-
-    tuples = product_tuples(factors)
-    index = {t: i for i, t in enumerate(tuples)}
-
-    def combine(op: str, x: tuple[int, ...], y: tuple[int, ...]) -> int:
-        return index[tuple(getattr(f, op)[a][b] for f, a, b in zip(factors, x, y))]
-
-    join = tuple(tuple(combine("join", x, y) for y in tuples) for x in tuples)
-    meet = tuple(tuple(combine("meet", x, y) for y in tuples) for x in tuples)
-    star = tuple(index[tuple(f.star[a] for f, a in zip(factors, x))] for x in tuples)
-    quote = tuple(index[tuple(f.quote[a] for f, a in zip(factors, x))] for x in tuples)
-    labels = tuple("(" + ",".join(f.labels[a] for f, a in zip(factors, x)) + ")"
-                   for x in tuples)
-    name = "(" + " x ".join(f.name for f in factors) + ")"
+    first, *rest = factors
+    join, meet, star, quote = first.join, first.meet, first.star, first.quote
+    zero, one = first.zero, first.one
+    for f in rest:
+        k = f.size
+        join, meet = _fold_table(join, f.join, k), _fold_table(meet, f.meet, k)
+        star = tuple(x * k + a for x in star for a in f.star)
+        quote = tuple(x * k + a for x in quote for a in f.quote)
+        zero, one = zero * k + f.zero, one * k + f.one
     return FiniteAlgebra(
-        name=name, size=size, labels=labels, join=join, meet=meet,
-        star=star, quote=quote,
-        zero=index[tuple(f.zero for f in factors)],
-        one=index[tuple(f.one for f in factors)],
-        validate=False,
-    )
+        name="(" + " x ".join(f.name for f in factors) + ")", size=size,
+        labels=tuple("(" + ",".join(t) + ")"
+                     for t in itertools.product(*(f.labels for f in factors))),
+        join=join, meet=meet, star=star, quote=quote, zero=zero, one=one, validate=False)
+
+
+def _fold_table(table: Sequence[Sequence[int]], factor_table: Sequence[Sequence[int]],
+                k: int) -> tuple[tuple[int, ...], ...]:
+    """A binary table of P x f from those of P and f (|f| = k): entry
+    (x * k + a, y * k + b) is table[x][y] * k + factor_table[a][b].
+
+    blocks[a][z] holds the k entries z * k + factor_table[a][b] over b, so a
+    row is the concatenation of blocks[a][table[x][y]] over y.  The rows
+    share the blocks' int objects instead of each making its own.
+    """
+    blocks = [[tuple(z * k + v for v in row) for z in range(len(table))]
+              for row in factor_table]
+    return tuple(tuple(itertools.chain.from_iterable(map(block.__getitem__, row)))
+                 for row in table for block in blocks)
 
 
 # --- subuniverses ------------------------------------------------------------

@@ -17,7 +17,7 @@ DEFAULT_CAPS = {
     "congruence_universe": 256,
     "subalgebra_universe": 64,
     "discriminator_universe": 8,
-    "free_elements": 10**5,
+    "free_elements": 4096,
 }
 
 

@@ -218,12 +218,15 @@ def _cmd_applications(args, report: Report) -> str:
 def _cmd_free(args, report: Report) -> str:
     v = variety(args.variety)
     free = free_algebra(v, args.n, args.cap)
+    factors = [{"si": si.name, "generators": [si.labels[x] for x in t]}
+               for si, t in free.factors]
     report.add(Record(
         id=f"free/{v.name}/{args.n}", label="free algebra",
         verdict=free.algebra.size,
-        detail={"generators": list(free.generators)}))
+        detail={"generators": list(free.generators), "factors": factors}))
     return (f"free algebra of {v.name} on {args.n} generator(s): "
-            f"{free.algebra.size} elements; generators at indices {list(free.generators)}")
+            f"{free.algebra.size} elements; generators at indices {list(free.generators)}\n"
+            "factors: " + " x ".join(f"{f['si']}[{','.join(f['generators'])}]" for f in factors))
 
 
 def _cmd_verify_paper(args, report: Report) -> str:

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import FiniteAlgebra, _adjoin, direct_product, product_tuples, subuniverse_closure
+from .algebra import FiniteAlgebra, _adjoin, direct_product, subuniverse_closure
 
 
 @dataclass(frozen=True)
@@ -187,7 +187,7 @@ def is_isomorphic(a: FiniteAlgebra, b: FiniteAlgebra) -> Homomorphism | None:
 def projections(factors: Sequence[FiniteAlgebra]) -> list[Homomorphism]:
     """Coordinate projections from direct_product(factors); all surjective."""
     product = direct_product(factors)
-    tuples = product_tuples(factors)
+    tuples = list(itertools.product(*(f.elements() for f in factors)))
     return [
         Homomorphism(product, factor, tuple(t[i] for t in tuples))
         for i, factor in enumerate(factors)

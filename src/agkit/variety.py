@@ -20,6 +20,7 @@ import functools
 import importlib.resources
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -132,8 +133,11 @@ _MEMBERS: set[tuple[FiniteAlgebra, VarietyDescriptor]] = set()
 def require_in_variety(algebra: FiniteAlgebra, v: VarietyDescriptor) -> None:
     if (algebra, v) in _MEMBERS:
         # a member passes every sentence: only an assignments guard can fire
+        limit = caps.cap_value("assignments")
         for _, sentence in (*axiom_system("ALMOST_GAUTAMA").sentences, *v.base):
-            caps.guard("assignments", algebra.size ** len(sentence.variables()))
+            requested = algebra.size ** len(sentence.variables())
+            if requested > limit:
+                raise CapExceededError("assignments", limit, requested)
         return
     report = satisfies_axiom_system(algebra, "ALMOST_GAUTAMA")
     if not report.ok:
@@ -298,87 +302,61 @@ class FreeAlgebra:
     algebra: FiniteAlgebra
     generators: tuple[int, ...]
     variety_name: str
+    factors: tuple[tuple[FiniteAlgebra, tuple[int, ...]], ...]  # (S, generators in S)
 
 
 def free_algebra(v: VarietyDescriptor, n: int,
                  max_elements: int | None = None) -> FreeAlgebra:
-    """Free algebra of the variety on n generators (n <= 3).
+    """Free algebra of the variety on n generators (n <= 3): an identity in
+    at most n variables holds in V iff its sides agree at the generators.
 
-    Constructed inside the product over all pairs (SI member S, assignment of
-    the n generators into S): the subalgebra generated by the projection
-    tuples.  An identity in at most n variables holds in the variety iff its
-    two sides agree at the generators.
+    F_V(n) is generated by the projection vectors in the product over all
+    (S, t), S an SI generator and t in S^n.  V is a discriminator variety with
+    simple SI generators, so F_V(n) is the product of one S for each S and
+    Aut(S)-orbit of n-tuples that generate S (Pixley, Math. Ann. 191, 1971;
+    Baker & Pixley, Math. Z. 143, 1975).  The walk keeps (S, t) if t generates
+    S and no kept (K, u) has u -> t extend to a homomorphism K -> S.  The
+    result is direct_product of the kept S, generator i the vector (t_i).
+    Each call proves, else raises AgkitError naming the coordinate or pair:
+    (a) each dropped (S, t) is the image of a kept (K, u) under a homomorphism
+        with u -> t, so projecting onto the kept coordinates is injective;
+    (b) for each pair of kept (S, t), (T, u), the (t_i, u_i) generate S x T, so
+        the projection is onto the whole product by Baker-Pixley: the lattice
+        median is a majority term.
+    The free_elements cap is checked before the product's tables are built.
     """
     if not 0 <= n <= 3:
         raise AgkitError(f"free_algebra supports 0 <= n <= 3, got n = {n}")
-    limit = caps.cap_value("free_elements", max_elements)
-
-    factors = []
-    generator_vectors: list[list[int]] = [[] for _ in range(n)]
+    kept, dropped = [], []
     for si in v.si_algebras():
-        for assignment in itertools.product(range(si.size), repeat=n):
-            factors.append(si)
-            for i in range(n):
-                generator_vectors[i].append(assignment[i])
+        for t in itertools.product(si.elements(), repeat=n):
+            if (len(subuniverse_closure(si, t)) == si.size
+                    and not any(_extends_to_homomorphism(k, si, zip(u, t)) for k, u in kept)):
+                kept.append((si, t))
+            else:
+                dropped.append((si, t))
+    name = f"F_{v.name}({n})"
+    for si, t in dropped:
+        if not any(_extends_to_homomorphism(k, si, zip(u, t)) for k, u in kept):
+            raise AgkitError(f"{name}: coordinate {_coordinate(si, t)} is the image "
+                             "of no kept coordinate under a homomorphism")
+    square = functools.cache(lambda s, r: direct_product([s, r]))
+    for (s, t), (r, u) in itertools.combinations(kept, 2):
+        generated = subuniverse_closure(square(s, r), [a * r.size + b for a, b in zip(t, u)])
+        if len(generated) != s.size * r.size:
+            raise AgkitError(f"{name}: coordinates {_coordinate(s, t)} and "
+                             f"{_coordinate(r, u)} generate {len(generated)} of the "
+                             f"{s.size * r.size} elements of {s.name} x {r.name}")
+    caps.guard("free_elements", math.prod(si.size for si, _ in kept), max_elements)
+    generators = [0] * n
+    for si, t in kept:
+        generators = [g * si.size + x for g, x in zip(generators, t)]
+    return FreeAlgebra(direct_product([si for si, _ in kept]), tuple(generators),
+                       v.name, tuple(kept))
 
-    zero = tuple(f.zero for f in factors)
-    one = tuple(f.one for f in factors)
-    elements: dict[tuple[int, ...], int] = {}
 
-    def intern(vector: tuple[int, ...]) -> int:
-        if vector not in elements:
-            if len(elements) >= limit:
-                raise CapExceededError("free_elements", limit, len(elements) + 1)
-            elements[vector] = len(elements)
-        return elements[vector]
-
-    intern(zero)
-    intern(one)
-    generators = tuple(intern(tuple(vec)) for vec in generator_vectors)
-    worklist = list(elements)
-    while worklist:
-        x = worklist.pop()
-        for y in list(elements):
-            for op in ("join", "meet"):
-                vector = tuple(getattr(f, op)[a][b] for f, a, b in zip(factors, x, y))
-                if vector not in elements:
-                    intern(vector)
-                    worklist.append(vector)
-        for op in ("star", "quote"):
-            vector = tuple(getattr(f, op)[a] for f, a in zip(factors, x))
-            if vector not in elements:
-                intern(vector)
-                worklist.append(vector)
-
-    vectors = sorted(elements, key=elements.get)
-    index = {vec: i for i, vec in enumerate(vectors)}
-    size = len(vectors)
-
-    def table2(op: str):
-        return tuple(
-            tuple(index[tuple(getattr(f, op)[a][b] for f, a, b in zip(factors, x, y))]
-                  for y in vectors)
-            for x in vectors)
-
-    labels = ["?"] * size
-    labels[index[zero]] = "0"
-    labels[index[one]] = "1"
-    for i, g in enumerate(generators):
-        labels[g] = f"x{i + 1}"
-    counter = 0
-    for i in range(size):
-        if labels[i] == "?":
-            labels[i] = f"e{counter}"
-            counter += 1
-
-    algebra = FiniteAlgebra(
-        name=f"F_{v.name}({n})", size=size, labels=tuple(labels),
-        join=table2("join"), meet=table2("meet"),
-        star=tuple(index[tuple(f.star[a] for f, a in zip(factors, x))] for x in vectors),
-        quote=tuple(index[tuple(f.quote[a] for f, a in zip(factors, x))] for x in vectors),
-        zero=index[zero], one=index[one], validate=False,
-    )
-    return FreeAlgebra(algebra, generators, v.name)
+def _coordinate(si: FiniteAlgebra, t: tuple[int, ...]) -> str:
+    return f"{si.name}[{','.join(si.labels[x] for x in t)}]"
 
 
 def identity_holds_via_free(free: FreeAlgebra, sentence: Sentence) -> bool:

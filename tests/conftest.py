@@ -287,3 +287,70 @@ def si_quotients_of_subalgebras(algebra: FiniteAlgebra) -> set[str]:
                 if q.size == builtin(si_name).size and is_isomorphic(q, builtin(si_name)):
                     names.add(si_name)
     return names
+
+
+def tuple_direct_product(factors):
+    """Oracle for direct_product: one tuple per element, last factor fastest,
+    and each table entry looked up by its tuple of coordinatewise results."""
+    tuples = list(itertools.product(*(range(f.size) for f in factors)))
+    index = {t: i for i, t in enumerate(tuples)}
+
+    def combine(op: str, x, y) -> int:
+        return index[tuple(getattr(f, op)[a][b] for f, a, b in zip(factors, x, y))]
+
+    return FiniteAlgebra(
+        name="(" + " x ".join(f.name for f in factors) + ")",
+        size=len(tuples),
+        labels=tuple("(" + ",".join(f.labels[a] for f, a in zip(factors, x)) + ")"
+                     for x in tuples),
+        join=tuple(tuple(combine("join", x, y) for y in tuples) for x in tuples),
+        meet=tuple(tuple(combine("meet", x, y) for y in tuples) for x in tuples),
+        star=tuple(index[tuple(f.star[a] for f, a in zip(factors, x))] for x in tuples),
+        quote=tuple(index[tuple(f.quote[a] for f, a in zip(factors, x))] for x in tuples),
+        zero=index[tuple(f.zero for f in factors)],
+        one=index[tuple(f.one for f in factors)],
+        validate=False)
+
+
+def closure_free_algebra(v, n: int):
+    """Oracle for free_algebra: the subalgebra that the projection vectors
+    generate in the product over every coordinate (S, t), S an SI generator
+    of v and t in S^n, closed one element at a time.  Returns the algebra and
+    the generator indices."""
+    factors, vectors = [], [[] for _ in range(n)]
+    for si in v.si_algebras():
+        for t in itertools.product(range(si.size), repeat=n):
+            factors.append(si)
+            for i in range(n):
+                vectors[i].append(t[i])
+
+    tables = {op: [getattr(f, op) for f in factors] for op in ("join", "meet", "star", "quote")}
+
+    def apply(op: str, x, y=None) -> tuple[int, ...]:
+        if y is None:
+            return tuple(table[a] for table, a in zip(tables[op], x))
+        return tuple(table[a][b] for table, a, b in zip(tables[op], x, y))
+
+    zero = tuple(f.zero for f in factors)
+    one = tuple(f.one for f in factors)
+    elements = dict.fromkeys([zero, one, *map(tuple, vectors)])
+    work = list(elements)
+    while work:
+        x = work.pop()
+        found = [apply(op, x, y) for y in list(elements) for op in ("join", "meet")]
+        found += [apply("star", x), apply("quote", x)]
+        for vector in found:
+            if vector not in elements:
+                elements[vector] = None
+                work.append(vector)
+    index = {vector: i for i, vector in enumerate(elements)}
+    table = {op: tuple(tuple(index[apply(op, x, y)] for y in elements) for x in elements)
+             for op in ("join", "meet")}
+    algebra = FiniteAlgebra(
+        name=f"closure F_{v.name}({n})", size=len(index),
+        labels=tuple(str(i) for i in range(len(index))),
+        join=table["join"], meet=table["meet"],
+        star=tuple(index[apply("star", x)] for x in elements),
+        quote=tuple(index[apply("quote", x)] for x in elements),
+        zero=index[zero], one=index[one], validate=False)
+    return algebra, tuple(index[tuple(vector)] for vector in vectors)

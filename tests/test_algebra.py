@@ -15,7 +15,7 @@ from agkit import (AgkitError, AlgebraFormatError, BUILTIN_NAMES, CapExceededErr
                    load_algebra, subalgebra, subuniverse_closure)
 from agkit.algebra import SPEC_KEYS, _adjoin
 from tests.conftest import (breaks_law, brute_force_lattice_axioms, brute_force_subuniverses,
-                            fixpoint_closure, generated_members)
+                            fixpoint_closure, generated_members, tuple_direct_product)
 
 GOLDEN_3_KLST = ('{"name":"3_klst","size":3,"labels":["0","a","1"],'
                  '"join":[[0,1,2],[1,1,2],[2,2,2]],"meet":[[0,0,0],[0,1,1],[0,1,2]],'
@@ -136,6 +136,14 @@ def test_values_nested_near_the_recursion_limit_are_typed_errors(builtins):
             load_algebra(document.replace('"zero":0', '"zero":' + "[" * depth + "]" * depth))
         too_deep.add("nested too deeply" in str(err.value))
     assert too_deep == {False, True}
+
+
+def test_value_too_deep_to_quote_is_a_typed_error():
+    value = []
+    for _ in range(sys.getrecursionlimit()):
+        value = [value]
+    with pytest.raises(AlgebraFormatError, match="nested too deeply to quote"):
+        agkit.algebra._json_int(value)
 
 
 def test_non_commutative_join_names_axiom_and_witness(builtins):
@@ -334,6 +342,15 @@ def test_direct_product_shape(builtins):
     # componentwise, with tuple labels
     assert square.labels == ("(0,0)", "(0,1)", "(1,0)", "(1,1)")
     square.verify_lattice_axioms()
+
+
+# the oracle takes ~0.35 s on a 256-element product
+@settings(max_examples=10, deadline=None)
+@given(st.lists(st.sampled_from(BUILTIN_NAMES), min_size=1, max_size=4))
+def test_direct_product_matches_tuple_oracle(names):
+    factors = [builtin(name) for name in names]
+    # equality compares name, labels, every table and both constants
+    assert direct_product(factors) == tuple_direct_product(factors)
 
 
 def test_product_of_mixed_chains_satisfies_regularity(builtins):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -173,7 +174,23 @@ def test_applications_command(capsys):
 
 def test_free_command(capsys):
     code, out, _ = run(capsys, "free", "--variety", "BA", "-n", "1")
-    assert code == 0 and "4 elements" in out
+    assert code == 0 and "4 elements" in out and "factors: 2[0] x 2[1]" in out
+    code, out, _ = run(capsys, "free", "--variety", "AG", "-n", "1", "--json")
+    (record,) = json.loads(out)["records"]
+    assert record["verdict"] == 144 == 2 * 2 * 3 * 3 * 4
+    assert record["detail"]["factors"] == [
+        {"si": "2", "generators": ["0"]}, {"si": "2", "generators": ["1"]},
+        {"si": "3_dblst", "generators": ["a"]}, {"si": "3_klst", "generators": ["a"]},
+        {"si": "4_dmba", "generators": ["a"]}]
+
+
+@pytest.mark.parametrize("name, size", [("DMBA", 65_536), ("G", 944_784),
+                                        ("AG", 3_869_835_264)])
+def test_free_past_the_cap_exits_2_at_once(capsys, name, size):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "free", "--variety", name, "-n", "2")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and f"requested {size}, limit 4096" in err
 
 
 @pytest.mark.parametrize("n", ["4", "-1"])

@@ -3,10 +3,12 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
 
 from agkit import (builtin, direct_product, enumerate_embeddings, enumerate_homs,
                    identity_hom, is_isomorphic, projections)
 from agkit.morphisms import Homomorphism, brute_force_homs, tupled_hom
+from tests.conftest import generated_members
 
 # hom counts between ordered pairs of builtins, confirmed by the oracle below
 HOM_COUNTS = {
@@ -26,6 +28,15 @@ def test_hom_counts_match_oracle_on_all_16_pairs(builtins):
         oracle = brute_force_homs(builtins[src], builtins[tgt])
         assert len(found) == len(oracle) == expected, (src, tgt)
         assert [h.mapping for h in found] == sorted(oracle), (src, tgt)
+
+
+# brute_force_homs scans |target|^|source| maps
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(generated_members(), generated_members())
+def test_enumerate_homs_matches_brute_force_on_generated_members(source, target):
+    assume(target.size ** source.size <= 5_000)
+    found = enumerate_homs(source, target)
+    assert [h.mapping for h in found] == sorted(brute_force_homs(source, target))
 
 
 def test_no_hom_into_two_from_fixed_quote_point(builtins):

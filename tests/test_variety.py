@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import itertools
 import json
 
@@ -14,10 +15,10 @@ from agkit import (AgkitError, BUILTIN_NAMES, CapExceededError, FiniteAlgebra,
                    discriminator_is_term_op, free_algebra, generated_subvariety,
                    lattice_reduct, lemma_registry, lemma_suite, parse_sentence,
                    quasi_identity_holds, variety, verify_bases, all_varieties,
-                   VARIETY_NAMES)
+                   VARIETY_NAMES, enumerate_embeddings, enumerate_homs, subuniverse_closure)
 from agkit.variety import _MEMBERS, identity_holds_via_free, in_hs, require_in_variety
-from tests.conftest import (chain4, generated_members, least_variety_by_bases, log_calls,
-                            si_quotients_of_subalgebras)
+from tests.conftest import (chain4, closure_free_algebra, generated_members,
+                            least_variety_by_bases, log_calls, si_quotients_of_subalgebras)
 
 SI_SETS = {
     "BA": {"2"},
@@ -227,6 +228,15 @@ def test_repeated_membership_replays_the_assignments_guard(
     assert remembered == guard_hit() == ("assignments", cap, requested)
 
 
+def test_repeated_membership_passes_at_a_cap_equal_to_its_largest_request(
+        builtins, monkeypatch):
+    algebra, v = builtins["4_dmba"], variety("V_DBLST_DMBA")
+    monkeypatch.setenv("AGKIT_CAP", str(4 ** 3))  # the base J has three variables
+    _MEMBERS.discard((algebra, v))
+    require_in_variety(algebra, v)
+    require_in_variety(algebra, v)
+
+
 def test_non_members_are_refuted_on_every_call(builtins):
     dblst, rklst = builtins["3_dblst"], variety("RKLST")
     raised = []
@@ -289,6 +299,57 @@ def test_free_algebra_decides_one_variable_identities():
 def test_free_algebra_cap():
     with pytest.raises(CapExceededError):
         free_algebra(variety("AG"), 2, max_elements=10)
+
+
+@pytest.mark.parametrize("name, n", [("BA", 2), ("BA", 3)] + [
+    (name, n) for name in VARIETY_NAMES for n in (0, 1)])
+def test_free_algebra_is_isomorphic_to_the_closure_build(name, n):
+    """Every (V, n) with |F_V(n)| <= 256.  A homomorphism that sends the
+    generators to the generators is onto, as they generate the target; one
+    that is also injective is an isomorphism."""
+    free = free_algebra(variety(name), n)
+    closure, generators = closure_free_algebra(variety(name), n)
+    homs = enumerate_homs(closure, free.algebra, dict(zip(generators, free.generators)))
+    assert len(homs) == 1 and homs[0].injective and closure.size == free.algebra.size
+
+
+def test_free_algebra_size_counts_generating_tuples_up_to_automorphism():
+    """|F_V(n)| is the product over the SI generators S of |S|^(g_n(S)/|Aut S|),
+    g_n(S) the number of n-tuples that generate S.  The cap error names the
+    size once both proof obligations hold, before any table is built."""
+    for name in VARIETY_NAMES:
+        for n in range(4):
+            expected = 1
+            for si in variety(name).si_algebras():
+                generating = sum(len(subuniverse_closure(si, t)) == si.size
+                                 for t in itertools.product(si.elements(), repeat=n))
+                automorphisms = len(enumerate_embeddings(si, si))
+                assert generating % automorphisms == 0
+                expected *= si.size ** (generating // automorphisms)
+            with pytest.raises(CapExceededError) as raised:
+                free_algebra(variety(name), n, max_elements=1)
+            assert raised.value.requested == expected, (name, n)
+
+
+@pytest.mark.parametrize("tamper, message", [
+    # keep (4_dmba, a) and (4_dmba, b), which one automorphism relates
+    (lambda algebra, target, pairs: algebra is not target or all(x == s for x, s in pairs),
+     r"coordinates 4_dmba\[a\] and 4_dmba\[b\] generate 4 of the 16"),
+    # find no image of 2 in 4_dmba
+    (lambda algebra, target, pairs: algebra is target,
+     r"coordinate 4_dmba\[0\] is the image of no kept coordinate"),
+], ids=["pair_generates_a_proper_subalgebra", "dropped_coordinate_without_preimage"])
+def test_free_algebra_raises_when_a_proof_obligation_fails(monkeypatch, tamper, message):
+    module = importlib.import_module("agkit.variety")  # agkit.variety names the function
+    extends = module._extends_to_homomorphism
+
+    def tampered(algebra, target, pairs):
+        pairs = list(pairs)
+        return tamper(algebra, target, pairs) and extends(algebra, target, pairs)
+
+    monkeypatch.setattr(module, "_extends_to_homomorphism", tampered)
+    with pytest.raises(AgkitError, match=message):
+        free_algebra(variety("DMBA"), 1)
 
 
 def test_lemma_registry_shape():
