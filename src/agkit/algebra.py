@@ -18,7 +18,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import caps
 from .errors import AlgebraFormatError, LatticeAxiomError, NotFoundError, ParseError
@@ -346,7 +346,12 @@ def _adjoin(algebra: FiniteAlgebra, closed: frozenset[int],
 
 
 def enumerate_subalgebras(algebra: FiniteAlgebra) -> list[tuple[int, ...]]:
-    """All distinct subuniverses, sorted by size then lexicographically.
+    """All distinct subuniverses, sorted by size then lexicographically."""
+    return sorted((tuple(sorted(s)) for s in _subuniverses(algebra)), key=lambda s: (len(s), s))
+
+
+def _subuniverses(algebra: FiniteAlgebra) -> Iterator[frozenset[int]]:
+    """Each distinct subuniverse once, as soon as it is found.
 
     Bottom-up one-point-extension search: every subuniverse is reachable from
     the constant subuniverse by adding one generator at a time, so this visits
@@ -356,6 +361,7 @@ def enumerate_subalgebras(algebra: FiniteAlgebra) -> list[tuple[int, ...]]:
     start = subuniverse_closure(algebra, ())
     found = {start}
     queue = [start]
+    yield start
     while queue:
         current = queue.pop()
         for element in algebra.elements():
@@ -364,7 +370,7 @@ def enumerate_subalgebras(algebra: FiniteAlgebra) -> list[tuple[int, ...]]:
                 if extended not in found:
                     found.add(extended)
                     queue.append(extended)
-    return sorted((tuple(sorted(s)) for s in found), key=lambda s: (len(s), s))
+                    yield extended
 
 
 def subalgebra(algebra: FiniteAlgebra, elements: Iterable[int],

@@ -15,6 +15,7 @@ embeddings by the separation property.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -106,13 +107,23 @@ class Obstruction:
 AmalgamationResult = Amalgam | Obstruction
 
 
+@functools.cache
+def _homs(source: FiniteAlgebra, target: FiniteAlgebra) -> tuple[Homomorphism, ...]:
+    """enumerate_homs once per (source, target) and process, keyed by value
+    like the discriminator check, so a tampered builtin never matches.  Only
+    pairs of SI members reach the cache (see _compatible_pairs), so it holds
+    at most one small entry per pair of builtin() results."""
+    return tuple(enumerate_homs(source, target))
+
+
 def _compatible_pairs(v: VarietyDescriptor, d: Diagram):
     pairs: list[HomPair] = []
     census: dict[str, tuple[int, int, int]] = {}
     base_range = range(d.base.size)
-    for si in v.si_algebras():
-        homs_left = enumerate_homs(d.left, si)
-        homs_right = enumerate_homs(d.right, si)
+    sis = v.si_algebras()
+    for si in sis:
+        homs_left = _homs(d.left, si) if d.left in sis else enumerate_homs(d.left, si)
+        homs_right = _homs(d.right, si) if d.right in sis else enumerate_homs(d.right, si)
         count = 0
         for h, k in itertools.product(homs_left, homs_right):
             if all(h(d.f(x)) == k(d.g(x)) for x in base_range):

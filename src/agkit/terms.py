@@ -100,8 +100,12 @@ class Sentence:
         return tuple(sorted(term_variables(lhs).union(
             term_variables(rhs), *self.premise_variables)))
 
-    def __str__(self) -> str:
+    @cached_property
+    def _text(self) -> str:
         return format_sentence(self)
+
+    def __str__(self) -> str:
+        return self._text
 
 
 # --- scanner -----------------------------------------------------------------

@@ -217,6 +217,25 @@ def brute_force_subuniverses(algebra: FiniteAlgebra) -> set[frozenset[int]]:
     return out
 
 
+def brute_force_discriminator_preserves(left: FiniteAlgebra, right: FiniteAlgebra) -> bool:
+    """Oracle for the discriminator check: enumerate every subuniverse of
+    left x right, then test the discriminator, taken in each factor, on all
+    |U|^3 triples of each."""
+    from agkit import direct_product, enumerate_subalgebras
+
+    def disc(x: int, y: int, z: int) -> int:
+        return z if x == y else x
+
+    n = right.size
+    for universe in enumerate_subalgebras(direct_product([left, right])):
+        pairs = [(k // n, k % n) for k in universe]
+        members = set(pairs)
+        for (a1, b1), (a2, b2), (a3, b3) in itertools.product(pairs, repeat=3):
+            if (disc(a1, a2, a3), disc(b1, b2, b3)) not in members:
+                return False
+    return True
+
+
 def hereditarily_si(v) -> bool:
     """Oracle for Thm 3.1 (2): classify every subalgebra of every SI
     generator of v."""
@@ -268,6 +287,54 @@ def refute_amal_base(v, algebra: FiniteAlgebra):
                 if isinstance(result, Obstruction):
                     return d, result
     return None
+
+
+def brute_force_verify_amalgam(v, left: FiniteAlgebra, right: FiniteAlgebra,
+                               f: tuple[int, ...], g: tuple[int, ...], amalgam) -> bool:
+    """Oracle for an amalgam certificate of the diagram f: A -> left,
+    g: A -> right of nontrivial algebras (map arrays), by direct table scans:
+
+    - every chosen pair (h, k) names an SI generator S of v, h and k are among
+      the maps that brute_force_homs finds into S, and h o f = k o g;
+    - the product is the tuple-built product of those generators, and f1, g1
+      are the tupled maps;
+    - f1 and g1 are injective and preserve the constants and all four
+      operations, and f1 o f = g1 o g."""
+    from agkit.morphisms import brute_force_homs
+
+    sis = {si.name: si for si in v.si_algebras()}
+    if not amalgam.pairs or any(p.si_name not in sis for p in amalgam.pairs):
+        return False
+    factors = [sis[p.si_name] for p in amalgam.pairs]
+    for si, pair in zip(factors, amalgam.pairs):
+        h, k = pair.h.mapping, pair.k.mapping
+        if h not in brute_force_homs(left, si) or k not in brute_force_homs(right, si):
+            return False
+        if any(h[f[x]] != k[g[x]] for x in range(len(f))):
+            return False
+    product = tuple_direct_product(factors)
+    if amalgam.product != product:
+        return False
+    index = {t: i for i, t in enumerate(itertools.product(*(range(s.size) for s in factors)))}
+    for source, maps, mapping in (
+            (left, [p.h.mapping for p in amalgam.pairs], amalgam.f1.mapping),
+            (right, [p.k.mapping for p in amalgam.pairs], amalgam.g1.mapping)):
+        if mapping != tuple(index[tuple(m[x] for m in maps)] for x in range(source.size)):
+            return False
+        if len(set(mapping)) != source.size:
+            return False
+        if (mapping[source.zero], mapping[source.one]) != (product.zero, product.one):
+            return False
+        for x in range(source.size):
+            if (mapping[source.star[x]] != product.star[mapping[x]]
+                    or mapping[source.quote[x]] != product.quote[mapping[x]]):
+                return False
+            for y in range(source.size):
+                if (mapping[source.join[x][y]] != product.join[mapping[x]][mapping[y]]
+                        or mapping[source.meet[x][y]] != product.meet[mapping[x]][mapping[y]]):
+                    return False
+    f1, g1 = amalgam.f1.mapping, amalgam.g1.mapping
+    return all(f1[f[x]] == g1[g[x]] for x in range(len(f)))
 
 
 def si_quotients_of_subalgebras(algebra: FiniteAlgebra) -> set[str]:

@@ -1,17 +1,21 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
+from types import SimpleNamespace
 
 import pytest
 
 import agkit.algebra
 from agkit import (Amalgam, Obstruction, applications, builtin, classify_ap,
-                   decide_amalgamation, diagram, enumerate_embeddings,
+                   decide_amalgamation, diagram, direct_product, enumerate_embeddings,
                    generated_subvariety, variety, NotFoundError, NotInVarietyError,
                    all_varieties)
-from agkit.amalgamation import Diagram, brute_force_verify_obstruction, theorem_diagrams
+from agkit.amalgamation import (Diagram, _homs, brute_force_verify_obstruction,
+                                theorem_diagrams)
 from agkit.morphisms import identity_hom
-from tests.conftest import cep_spot_checks, hereditarily_si, refute_amal_base
+from tests.conftest import (brute_force_verify_amalgam, cep_spot_checks, hereditarily_si,
+                            refute_amal_base)
 
 AP_EXPECTED = {
     "BA": True, "RDBLST": True, "RKLST": True, "DMBA": True,
@@ -115,6 +119,40 @@ def test_amalgam_certificates_reverify_in_ap_varieties():
             result = d.result
             assert isinstance(result, Amalgam)
             assert generated_subvariety(result.product).leq(v)
+
+
+def test_every_amalgam_certificate_reverifies_by_table_scans():
+    amalgams = []
+    for v in all_varieties():
+        for d in classify_ap(v).diagrams:
+            if isinstance(d.result, Amalgam):
+                assert brute_force_verify_amalgam(v, d.f.target, d.g.target, d.f.mapping,
+                                                  d.g.mapping, d.result), (v.name, d)
+                amalgams.append((v, d))
+    # 68 of the 80 SI diagrams; the other 12 are obstructed in G, ..., AG
+    assert len(amalgams) == 68
+
+    # the oracle rejects a tampered certificate
+    v, d = next((v, d) for v, d in amalgams if d.f.target.size > 2)
+    left, right, f, g = d.f.target, d.g.target, d.f.mapping, d.g.mapping
+    f1 = SimpleNamespace(mapping=tuple(reversed(d.result.f1.mapping)))
+    assert not brute_force_verify_amalgam(v, left, right, f, g,
+                                          dataclasses.replace(d.result, f1=f1))
+    assert not brute_force_verify_amalgam(v, left, right, f, g,
+                                          dataclasses.replace(d.result, pairs=()))
+    assert not brute_force_verify_amalgam(variety("BA"), left, right, f, g, d.result)
+
+
+def test_hom_cache_keeps_only_si_members():
+    # a member outside the SI generators is decided without entering the
+    # cache: only the hom sets of the SI right side, one per SI generator
+    v = variety("RDBLST")
+    left = direct_product([builtin("2"), builtin("3_dblst")])
+    d = diagram(builtin("2"), left, builtin("3_dblst"))
+    _homs.cache_clear()
+    result = decide_amalgamation(v, d)
+    assert _homs.cache_info().currsize == len(v.si_algebras())
+    assert brute_force_verify_amalgam(v, left, d.right, d.f.mapping, d.g.mapping, result)
 
 
 def test_monotone_in_the_variety():

@@ -112,20 +112,35 @@ def test_terms_at_the_depth_limit_print_hash_and_evaluate(builtins):
         parse_term("(" * (MAX_TERM_DEPTH + 1) + "x" + ")" * (MAX_TERM_DEPTH + 1))
 
 
-def test_print_parse_round_trip():
-    texts = [
-        "x*' = x**",
-        "x /\\ x'*' /\\ (y \\/ y*) = x /\\ x'*'",
-        "a* = 0, a' = 1 => a \\/ x \\/ x' = 1",
-        "(x \\/ (y \\/ z)) /\\ w = 0",
-        "x \\/ (x' \\/ y)'* = 1",
-    ]
-    for text in texts:
-        sentence = parse_sentence(text)
-        printed = format_sentence(sentence)
-        again = parse_sentence(printed)
-        assert again == sentence, text
-        assert format_sentence(again) == printed, text
+terms = st.recursive(
+    st.sampled_from([Var("x"), Var("y"), Var("a0"), Var("b12"), Const(0), Const(1)]),
+    lambda sub: st.one_of(sub.map(Star), sub.map(Quote),
+                          st.builds(Join, sub, sub), st.builds(Meet, sub, sub)),
+    max_leaves=12)
+equations = st.tuples(terms, terms)
+sentences = st.builds(Sentence, st.lists(equations, max_size=3).map(tuple), equations)
+
+
+@settings(max_examples=150, deadline=None)
+@given(terms)
+def test_term_print_parse_round_trip(term):
+    assert parse_term(format_term(term)) == term
+
+
+@settings(max_examples=100, deadline=None)
+@given(sentences)
+@example(parse_sentence("x*' = x**"))
+@example(parse_sentence("x /\\ x'*' /\\ (y \\/ y*) = x /\\ x'*'"))
+@example(parse_sentence("a* = 0, a' = 1 => a \\/ x \\/ x' = 1"))
+@example(parse_sentence("(x \\/ (y \\/ z)) /\\ w = 0"))
+@example(parse_sentence("x \\/ (x' \\/ y)'* = 1"))
+def test_print_parse_round_trip(sentence):
+    """parse . format is the identity, and str() is the cached formatting."""
+    text = str(sentence)
+    assert text == format_sentence(sentence)
+    again = parse_sentence(text)
+    assert again == sentence
+    assert str(again) == text
 
 
 def test_format_term_minimal_parens():

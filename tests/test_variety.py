@@ -3,9 +3,10 @@ from __future__ import annotations
 import importlib
 import itertools
 import json
+from collections import Counter
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 import agkit.algebra
 import agkit.morphisms
@@ -16,9 +17,11 @@ from agkit import (AgkitError, BUILTIN_NAMES, CapExceededError, FiniteAlgebra,
                    lattice_reduct, lemma_registry, lemma_suite, parse_sentence,
                    quasi_identity_holds, variety, verify_bases, all_varieties,
                    VARIETY_NAMES, enumerate_embeddings, enumerate_homs, subuniverse_closure)
-from agkit.variety import _MEMBERS, identity_holds_via_free, in_hs, require_in_variety
-from tests.conftest import (chain4, closure_free_algebra, generated_members,
-                            least_variety_by_bases, log_calls, si_quotients_of_subalgebras)
+from agkit.variety import (_MEMBERS, _discriminator_preserves, identity_holds_via_free, in_hs,
+                           require_in_variety)
+from tests.conftest import (brute_force_discriminator_preserves, chain4, closure_free_algebra,
+                            generated_members, least_variety_by_bases, log_calls,
+                            si_quotients_of_subalgebras)
 
 SI_SETS = {
     "BA": {"2"},
@@ -153,6 +156,8 @@ def test_in_hs_on_four_element_lattices(lattice, star, quote):
 def test_generated_subvariety_enumerates_no_subalgebras_or_homs(builtins, monkeypatch):
     calls = []
     log_calls(monkeypatch, agkit.algebra, "enumerate_subalgebras", calls)
+    # the discriminator check reads the subuniverse stream directly
+    log_calls(monkeypatch, agkit.algebra, "_subuniverses", calls)
     log_calls(monkeypatch, agkit.morphisms, "enumerate_homs", calls)
     product = direct_product([builtins[n] for n in ("2", "2", "4_dmba", "4_dmba")])
     assert generated_subvariety(product).name == "DMBA"
@@ -269,6 +274,56 @@ def test_discriminator_on_several_algebras(builtins):
     assert discriminator_is_term_op(*builtins.values())
     # a lattice reduct fails on its own square, so no family containing it passes
     assert not discriminator_is_term_op(builtins["2"], lattice_reduct(builtins["3_klst"]))
+
+
+def test_discriminator_fiber_test_matches_cubic_scan(builtins):
+    algebras = list(builtins.values())
+    algebras += [lattice_reduct(a) for a in algebras]
+    verdicts = Counter()
+    for left, right in itertools.product(algebras, repeat=2):
+        fast = _discriminator_preserves.__wrapped__(left, right)
+        assert fast == brute_force_discriminator_preserves(left, right), (left.name, right.name)
+        verdicts[fast] += 1
+    assert verdicts.total() == 64 and verdicts[True] >= 16 and verdicts[False] > 0
+
+
+def test_discriminator_fiber_test_matches_cubic_scan_on_tampered_tables(builtins):
+    # 3_dblst with the Kleene quote row, and a double Stone 4-chain, which is
+    # SI but not simple
+    kleene_dblst = FiniteAlgebra(**dict(agkit.algebra.BUILTIN_SPECS["3_dblst"],
+                                        name="tampered", quote=(2, 1, 0)))
+    tampered = [kleene_dblst, chain4((3, 0, 0, 0), (3, 3, 3, 0))]
+    verdicts = set()
+    for left in tampered:
+        for right in tampered + list(builtins.values()):
+            fast = _discriminator_preserves.__wrapped__(left, right)
+            assert fast == brute_force_discriminator_preserves(left, right), (left.name, right.name)
+            assert fast == _discriminator_preserves.__wrapped__(right, left)
+            verdicts.add(fast)
+    assert verdicts == {True, False}
+
+
+@st.composite
+def discriminator_pairs(draw):
+    """Two generated members of at most 8 elements (the discriminator_universe
+    cap), each optionally replaced by its lattice reduct.  The oracle
+    enumerates every subuniverse of the product, so products stay at 32
+    elements, or 16 with a lattice reduct, whose sublattices are many more."""
+    members = generated_members().filter(lambda algebra: algebra.size <= 8)
+    left, right = draw(members), draw(members)
+    reducts = draw(st.booleans()), draw(st.booleans())
+    assume(left.size * right.size <= (16 if any(reducts) else 32))
+    return tuple(lattice_reduct(a) if reduct else a
+                 for a, reduct in zip((left, right), reducts))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(discriminator_pairs())
+def test_discriminator_fiber_test_matches_cubic_scan_on_generated_members(pair):
+    left, right = pair
+    assert _discriminator_preserves.__wrapped__(left, right) == \
+        brute_force_discriminator_preserves(left, right)
 
 
 def test_discriminator_cap(builtins):

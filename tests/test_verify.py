@@ -1,8 +1,13 @@
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -11,12 +16,14 @@ import agkit.amalgamation
 import agkit.axioms
 import agkit.congruence
 import agkit.morphisms
+from agkit.amalgamation import _homs
 from agkit.variety import _MEMBERS, VARIETY_NAMES, _discriminator_preserves
 from agkit.verify import load_expectations, verify_paper
 from tests.conftest import log_calls
 
 # sha256 of the canonical records of the untampered run: sorted keys, no
-# whitespace.  The digest does not depend on PYTHONHASHSEED.
+# whitespace.  The digest does not depend on PYTHONHASHSEED (see
+# test_golden_digest_does_not_depend_on_the_hash_seed).
 GOLDEN_RECORDS_SHA256 = "bed7a894465af4beaf80f57610d6ee82195b7ebf3ccd6500c7e308bd24786698"
 
 # principal_congruence and congruence_lattice calls one verify_paper() run
@@ -27,11 +34,21 @@ GOLDEN_RECORDS_SHA256 = "bed7a894465af4beaf80f57610d6ee82195b7ebf3ccd6500c7e308b
 # principal congruence per join-irreducible of the lattice reduct.)
 PRINCIPAL_CONGRUENCES = 28
 CONGRUENCE_LATTICES = 10
-# enumerate_subalgebras calls per run from a cold start: the discriminator
-# check decides each product S x T once, the 10 products of two SI generators
-# plus the squares of the 4 lattice reducts.  (46 when every variety
-# re-decided the products of its own SI generators.)
+# subuniverse searches per run from a cold start: the discriminator check
+# decides each product S x T once, the 10 products of two SI generators plus
+# the squares of the 4 lattice reducts.  (46 when every variety re-decided the
+# products of its own SI generators.)
 DISCRIMINATOR_PRODUCTS = 14
+# one-point extensions (_adjoin) per run: the discriminator check stops at the
+# first subuniverse it breaks, which for each lattice-reduct square comes
+# early.  (5,060 when every subuniverse of each product was enumerated before
+# the scan.)
+SUBUNIVERSE_EXTENSIONS = 326
+# enumerate_homs calls per run: the 16 distinct (SI member, SI generator) hom
+# sets the amalgamation decisions read, once each, plus the 40 that
+# enumerate_embeddings makes.  (524 when every diagram enumerated its hom
+# sets again.)
+HOM_ENUMERATIONS = 56
 # enumerate_embeddings calls per run: si_diagrams enumerates each base's
 # embeddings into each SI member once per variety, the sum over the varieties
 # of (SI generators)^2.  (148 when each (base, right) pair was enumerated
@@ -49,17 +66,21 @@ AXIOM_SYSTEM_CHECKS = 80
 def logged_run():
     """One verify_paper() run, with the arguments and results of every
     classify_ap, decide_amalgamation, congruence_lattice,
-    principal_congruence, enumerate_embeddings, enumerate_subalgebras and
-    satisfies_axiom_system call it made, with the discriminator cache and the
-    membership set emptied first."""
+    principal_congruence, enumerate_embeddings, enumerate_homs,
+    _subuniverses, _adjoin and satisfies_axiom_system call it made, with the
+    discriminator and hom caches and the membership set emptied first."""
     traced = {"classify_ap": agkit.amalgamation, "decide_amalgamation": agkit.amalgamation,
               "congruence_lattice": agkit.congruence,
               "principal_congruence": agkit.congruence,
               "enumerate_embeddings": agkit.morphisms,
-              "enumerate_subalgebras": agkit.algebra,
+              "enumerate_homs": agkit.morphisms,
+              # the package root rebinds agkit.variety to the function
+              "_subuniverses": importlib.import_module("agkit.variety"),
+              "_adjoin": agkit.algebra,
               "satisfies_axiom_system": agkit.axioms}
     calls = {name: [] for name in traced}
     _discriminator_preserves.cache_clear()
+    _homs.cache_clear()
     _MEMBERS.clear()
     with pytest.MonkeyPatch.context() as monkeypatch:
         for name, module in traced.items():
@@ -151,10 +172,42 @@ def test_verify_paper_embedding_budget(logged_run):
 
 def test_verify_paper_decides_each_discriminator_product_once(logged_run):
     _, calls = logged_run
-    products = [args[0] for args, _ in calls["enumerate_subalgebras"]]
+    products = [args[0] for args, _ in calls["_subuniverses"]]
     assert len(products) == len(set(products)) == DISCRIMINATOR_PRODUCTS
+    assert len(calls["_adjoin"]) == SUBUNIVERSE_EXTENSIONS
+
+
+def test_verify_paper_enumerates_each_hom_set_once(logged_run):
+    _, calls = logged_run
+    homs = Counter((args[0], args[1]) for args, _ in calls["enumerate_homs"])
+    # enumerate_embeddings skips the search when the source is the larger
+    via_embeddings = Counter((args[0], args[1]) for args, _ in calls["enumerate_embeddings"]
+                             if args[0].size <= args[1].size)
+    assert homs.total() == HOM_ENUMERATIONS
+    assert via_embeddings <= homs
+    decided = homs - via_embeddings
+    assert len(decided) == 16
+    assert all(count == 1 for count in decided.values()), decided.most_common(1)
 
 
 def test_verify_paper_proves_each_membership_once(logged_run):
     _, calls = logged_run
     assert len(calls["satisfies_axiom_system"]) == AXIOM_SYSTEM_CHECKS
+
+
+def test_golden_digest_does_not_depend_on_the_hash_seed(tmp_path):
+    """Subuniverses are visited in discovery order and the caches are keyed
+    by value, so two interpreters with different hash seeds must write the
+    same canonical records."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = "import sys; from agkit.cli import main; sys.exit(main(sys.argv[1:]))"
+    for seed in ("1", "4242"):
+        out = tmp_path / f"report-{seed}.json"
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+        env.pop("AGKIT_CAP", None)
+        done = subprocess.run([sys.executable, "-c", script, "verify-paper", "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        records = json.loads(out.read_text())["records"]
+        canonical = json.dumps(records, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(canonical.encode()).hexdigest() == GOLDEN_RECORDS_SHA256, seed
