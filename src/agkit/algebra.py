@@ -47,6 +47,14 @@ class FiniteAlgebra:
         if self.validate:
             self.verify_lattice_axioms()
 
+    @functools.cached_property
+    def _hash(self) -> int:  # the fields __eq__ compares, `validate` left out
+        return hash((self.name, self.size, self.labels, self.join, self.meet,
+                     self.star, self.quote, self.zero, self.one))
+
+    def __hash__(self) -> int:  # hashed once: an algebra keys the verdict table
+        return self._hash
+
     def _check_shape(self) -> None:
         n = self.size
         if n < 1:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .algebra import FiniteAlgebra
 from .errors import NotFoundError
-from .terms import Sentence, Verdict, holds_in, parse_sentence
+from .terms import Sentence, Verdict, _parse_shipped, holds_in
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,7 @@ class AxiomSystem:
 
 
 def _parsed(pairs: list[tuple[str, str]]) -> tuple[tuple[str, Sentence], ...]:
-    return tuple((label, parse_sentence(text)) for label, text in pairs)
+    return tuple((label, _parse_shipped(text)) for label, text in pairs)
 
 _P_ALGEBRA = [
     ("p1", "0* = 1"),

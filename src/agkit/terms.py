@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import itertools
 import re
+import weakref
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Mapping, Union
 
 from . import caps
@@ -106,6 +107,13 @@ class Sentence:
 
     def __str__(self) -> str:
         return self._text
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.premises, self.conclusion))
+
+    def __hash__(self) -> int:  # hashed once: a sentence keys the verdict table
+        return self._hash
 
 
 # --- scanner -----------------------------------------------------------------
@@ -264,6 +272,11 @@ def parse_sentence(text: str) -> Sentence:
     return _Parser(text).sentence()
 
 
+# One Sentence per text of the shipped axiom systems, variety bases and lemmas,
+# so each is hashed once; user text goes through parse_sentence, uncached.
+_parse_shipped = cache(parse_sentence)
+
+
 def load_sentences(path) -> list[Sentence]:
     """Read a sentence registry file: one sentence per line, '#' comments."""
     sentences = []
@@ -415,6 +428,10 @@ class Verdict:
         return self.holds
 
 
+_VERDICTS: weakref.WeakKeyDictionary[FiniteAlgebra, dict[Sentence, Verdict]] = \
+    weakref.WeakKeyDictionary()
+
+
 def holds_in(algebra: FiniteAlgebra, sentence: Sentence,
              max_assignments: int | None = None) -> Verdict:
     """Exhaustively decide a sentence on one finite algebra.
@@ -424,7 +441,24 @@ def holds_in(algebra: FiniteAlgebra, sentence: Sentence,
     assignment (variables in name order, elements in index order), which keeps
     outputs reproducible.
 
-    The scan skips only assignments that fail a premise:
+    The `assignments` cap applies on every call, to the full n^k, whatever the
+    premises or the facts decided before.  Each fact is then decided once
+    (_decide) and kept in _VERDICTS by value; the keys are weak, so an entry
+    lives no longer than the algebra it was first stored under.  Callers
+    share the Verdict and only read its witness.
+    """
+    caps.guard("assignments", algebra.size ** len(sentence.variables()), max_assignments)
+    known = _VERDICTS.get(algebra)
+    if known is None:
+        known = _VERDICTS[algebra] = {}
+    verdict = known.get(sentence)
+    if verdict is None:
+        verdict = known[sentence] = _decide(algebra, sentence)
+    return verdict
+
+
+def _decide(algebra: FiniteAlgebra, sentence: Sentence) -> Verdict:
+    """The scan behind holds_in.  It skips only assignments that fail a premise:
 
     - A premise without variables is decided once; if it fails, the sentence
       holds.  A premise in one variable filters that variable's domain once,
@@ -437,14 +471,9 @@ def holds_in(algebra: FiniteAlgebra, sentence: Sentence,
       differ are the remaining premises evaluated.
 
     Prefixes run in the plain scan's order and each column in index order, so
-    the first failing assignment found is the plain scan's witness.  The
-    `assignments` cap applies to the full n^k, not to the filtered count: the
-    set of sentences that can be checked does not depend on their premises.
+    the first failing assignment found is the plain scan's witness.
     """
     variables = sentence.variables()
-    total = algebra.size ** len(variables) if variables else 1
-    caps.guard("assignments", total, max_assignments)
-
     domains = dict.fromkeys(variables, list(range(algebra.size)))
     remaining = []
     for (lhs, rhs), names in zip(sentence.premises, sentence.premise_variables):

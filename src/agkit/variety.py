@@ -28,7 +28,7 @@ from . import caps
 from .algebra import FiniteAlgebra, _subuniverses, builtin, direct_product, subuniverse_closure
 from .axioms import axiom_system, satisfies_axiom_system
 from .errors import AgkitError, CapExceededError, NotFoundError, NotInVarietyError
-from .terms import Sentence, Verdict, eval_term, holds_in, parse_sentence
+from .terms import Sentence, Verdict, _parse_shipped, eval_term, holds_in
 
 VARIETY_NAMES = ("BA", "RDBLST", "RKLST", "DMBA", "G",
                  "V_DBLST_DMBA", "V_KLST_DMBA", "AG")
@@ -81,7 +81,7 @@ class VarietyDescriptor:
 VARIETIES: dict[str, VarietyDescriptor] = {
     name: VarietyDescriptor(
         name, _SI_SETS[name],
-        tuple((label, parse_sentence(text)) for label, text in _BASES[name]))
+        tuple((label, _parse_shipped(text)) for label, text in _BASES[name]))
     for name in VARIETY_NAMES
 }
 
@@ -413,7 +413,7 @@ def lemma_registry() -> tuple[LemmaRecord, ...]:
         importlib.resources.files("agkit").joinpath("data/lemmas.json").read_text())
     assert raw["version"] == 1
     return tuple(
-        LemmaRecord(r["id"], r["label"], r["variety"], parse_sentence(r["sentence"]))
+        LemmaRecord(r["id"], r["label"], r["variety"], _parse_shipped(r["sentence"]))
         for r in raw["records"])
 
 

@@ -1,16 +1,20 @@
 from __future__ import annotations
 
+import dataclasses
 import functools
+import gc
 import itertools
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import agkit.terms
 from agkit import (BUILTIN_NAMES, CapExceededError, EvalError, ParseError, builtin,
                    direct_product, eval_term, format_sentence, format_term, free_algebra,
                    holds_in, load_sentences, parse_sentence, parse_term, variety)
-from agkit.terms import MAX_TERM_DEPTH, Const, Join, Meet, Quote, Sentence, Star, Var
-from tests.conftest import plain_holds_in
+from agkit.algebra import BUILTIN_SPECS, FiniteAlgebra
+from agkit.terms import _VERDICTS, MAX_TERM_DEPTH, Const, Join, Meet, Quote, Sentence, Star, Var
+from tests.conftest import log_calls, plain_holds_in
 
 
 def test_parse_postfix_grouping():
@@ -260,7 +264,51 @@ def _scan_cases(draw):
 @given(_scan_cases())
 def test_holds_in_matches_plain_scan(case):
     algebra, sentence = case
-    assert holds_in(algebra, sentence) == plain_holds_in(algebra, sentence)
+    expected = plain_holds_in(algebra, sentence)
+    assert holds_in(algebra, sentence) == expected
+    assert holds_in(algebra, sentence) == expected  # served from the table
+
+
+def test_known_fact_still_meets_the_assignment_cap(monkeypatch):
+    algebra, sentence = builtin("4_dmba"), parse_sentence("x \\/ y \\/ z = 1")
+    assert not holds_in(algebra, sentence)  # 64 assignments
+    assert sentence in _VERDICTS[algebra]
+    with pytest.raises(CapExceededError):
+        holds_in(algebra, sentence, max_assignments=63)
+    monkeypatch.setenv("AGKIT_CAP", "63")
+    with pytest.raises(CapExceededError):
+        holds_in(algebra, sentence)
+
+
+def test_tampered_builtin_gets_its_own_verdict():
+    original = builtin("3_dblst")
+    tampered = dataclasses.replace(original, star=(2, 2, 0))  # a* = 1 instead of 0
+    assert (tampered.name, tampered.labels) == (original.name, original.labels)
+    sentence = parse_sentence("x \\/ x* = 1")
+    assert holds_in(original, sentence).witness == {"x": 1}
+    assert holds_in(tampered, sentence).holds
+    assert not holds_in(original, sentence)
+
+
+def test_equal_algebra_built_anew_is_served_from_the_table(monkeypatch):
+    decided = []
+    log_calls(monkeypatch, agkit.terms, "_decide", decided)
+    first, second = (FiniteAlgebra(name="equal_copy", **BUILTIN_SPECS["4_dmba"])
+                     for _ in range(2))
+    assert first is not second
+    sentence = parse_sentence("x /\\ y' <= (x* \\/ y)*'")
+    verdict = holds_in(first, sentence)
+    assert holds_in(second, sentence) is verdict
+    assert len(decided) == 1
+
+
+def test_verdict_table_does_not_keep_an_algebra_alive():
+    algebra = FiniteAlgebra(name="transient", **BUILTIN_SPECS["3_klst"])
+    holds_in(algebra, parse_sentence("x'' = x"))
+    assert algebra in _VERDICTS
+    del algebra
+    gc.collect()
+    assert all(a.name != "transient" for a in _VERDICTS.keys())
 
 
 def test_desugaring_soundness(builtins):

@@ -16,7 +16,9 @@ import agkit.amalgamation
 import agkit.axioms
 import agkit.congruence
 import agkit.morphisms
+import agkit.terms
 from agkit.amalgamation import _homs
+from agkit.terms import _VERDICTS
 from agkit.variety import _MEMBERS, VARIETY_NAMES, _discriminator_preserves
 from agkit.verify import load_expectations, verify_paper
 from tests.conftest import log_calls
@@ -60,6 +62,11 @@ EMBEDDING_ENUMERATIONS = 56
 # (268 when decide_amalgamation re-proved its SI members and its amalgam
 # product for each of its 228 membership checks.)
 AXIOM_SYSTEM_CHECKS = 80
+# sentence scans (_decide) per run from a cold start: one per distinct
+# (algebra, sentence) fact, 182 on the builtins and 74 on the one-factor
+# products.  (1,120, one per holds_in call, before the verdict table: the
+# axiom grid and each membership re-checked ALMOST_GAUTAMA on the builtins.)
+DECIDED_FACTS = 256
 
 
 @pytest.fixture(scope="module")
@@ -67,8 +74,9 @@ def logged_run():
     """One verify_paper() run, with the arguments and results of every
     classify_ap, decide_amalgamation, congruence_lattice,
     principal_congruence, enumerate_embeddings, enumerate_homs,
-    _subuniverses, _adjoin and satisfies_axiom_system call it made, with the
-    discriminator and hom caches and the membership set emptied first."""
+    _subuniverses, _adjoin, satisfies_axiom_system and _decide call it made,
+    with the discriminator and hom caches, the membership set and the verdict
+    table emptied first."""
     traced = {"classify_ap": agkit.amalgamation, "decide_amalgamation": agkit.amalgamation,
               "congruence_lattice": agkit.congruence,
               "principal_congruence": agkit.congruence,
@@ -77,11 +85,13 @@ def logged_run():
               # the package root rebinds agkit.variety to the function
               "_subuniverses": importlib.import_module("agkit.variety"),
               "_adjoin": agkit.algebra,
-              "satisfies_axiom_system": agkit.axioms}
+              "satisfies_axiom_system": agkit.axioms,
+              "_decide": agkit.terms}
     calls = {name: [] for name in traced}
     _discriminator_preserves.cache_clear()
     _homs.cache_clear()
     _MEMBERS.clear()
+    _VERDICTS.clear()
     with pytest.MonkeyPatch.context() as monkeypatch:
         for name, module in traced.items():
             log_calls(monkeypatch, module, name, calls[name])
@@ -137,12 +147,24 @@ def test_tampered_builtin_flips_multiple_records(monkeypatch):
     assert all(message.startswith("3_dblst is not in") for message in errors.values())
 
 
-def test_report_records_match_golden_digest(logged_run):
-    report, _ = logged_run
-    records = json.loads(report.to_json())["records"]
+def records_digest(payload: str) -> str:
+    """sha256 of the canonical form of a report's records."""
+    records = json.loads(payload)["records"]
     assert len(records) == 219
     canonical = json.dumps(records, sort_keys=True, separators=(",", ":"))
-    assert hashlib.sha256(canonical.encode()).hexdigest() == GOLDEN_RECORDS_SHA256
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def test_report_records_match_golden_digest(logged_run):
+    report, _ = logged_run
+    assert records_digest(report.to_json()) == GOLDEN_RECORDS_SHA256
+
+
+def test_warm_runs_match_golden_digest():
+    """Two runs in one process with every cache kept: a verdict, membership
+    or hom set shared between runs must come back unchanged."""
+    for _ in range(2):
+        assert records_digest(verify_paper().to_json()) == GOLDEN_RECORDS_SHA256
 
 
 def test_verify_paper_decides_each_diagram_once(logged_run):
@@ -195,6 +217,12 @@ def test_verify_paper_proves_each_membership_once(logged_run):
     assert len(calls["satisfies_axiom_system"]) == AXIOM_SYSTEM_CHECKS
 
 
+def test_verify_paper_decides_each_fact_once(logged_run):
+    _, calls = logged_run
+    facts = Counter(args for args, _ in calls["_decide"])
+    assert facts.total() == len(facts) == DECIDED_FACTS, facts.most_common(1)
+
+
 def test_golden_digest_does_not_depend_on_the_hash_seed(tmp_path):
     """Subuniverses are visited in discovery order and the caches are keyed
     by value, so two interpreters with different hash seeds must write the
@@ -208,6 +236,4 @@ def test_golden_digest_does_not_depend_on_the_hash_seed(tmp_path):
         done = subprocess.run([sys.executable, "-c", script, "verify-paper", "--out", str(out)],
                               env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        records = json.loads(out.read_text())["records"]
-        canonical = json.dumps(records, sort_keys=True, separators=(",", ":"))
-        assert hashlib.sha256(canonical.encode()).hexdigest() == GOLDEN_RECORDS_SHA256, seed
+        assert records_digest(out.read_text()) == GOLDEN_RECORDS_SHA256, seed
