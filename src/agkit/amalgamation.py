@@ -4,13 +4,19 @@ The decision procedure for a diagram <A, f, B, g, C> in a variety V generated
 by its finite SI members: collect every pair (h: B -> S, k: C -> S) with S an
 SI member of V and h o f = k o g.  The diagram is amalgamable iff those pairs
 jointly separate the points of B and of C; the amalgam is then the product of
-the S over a covering set of pairs with the tupled maps.
+the S over a covering set of pairs with the tupled maps (S itself for one).
 
 Completeness: any amalgam restricts to the finite subalgebra generated by the
 images (the variety is locally finite), every finite member is a subdirect
 product of SI members, and composing with the projections yields exactly such
 pairs.  Soundness: the constructed product lies in V and the tupled maps are
 embeddings by the separation property.
+
+Lemma: on a diagram of SI members of a discriminator variety (classify_ap
+proves it) any one compatible pair covers.  The members are simple, and a
+homomorphism from a simple algebra into a nontrivial one is injective, so
+the first compatible pair (h, k) makes S the amalgam (Metcalfe, Montagna &
+Tsinakis, J. Algebra 402, 2014).
 """
 
 from __future__ import annotations
@@ -19,10 +25,10 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .algebra import FiniteAlgebra, builtin, direct_product
+from .algebra import FiniteAlgebra, direct_product
 from .errors import NotFoundError
 from .morphisms import (Homomorphism, brute_force_homs, enumerate_embeddings,
-                        enumerate_homs, tupled_hom)
+                        enumerate_homs, identity_hom, tupled_hom)
 from .variety import VarietyDescriptor, discriminator_is_term_op, require_in_variety
 
 
@@ -137,8 +143,10 @@ def decide_amalgamation(v: VarietyDescriptor, d: Diagram) -> AmalgamationResult:
     """Decide one diagram; returns a machine-checkable certificate either way.
 
     Amalgam certificates re-verify on construction (embedding checks, the
-    commuting square, membership of the product).  Obstruction certificates
-    carry the least unseparated pair plus the per-SI hom census and can be
+    commuting square, membership of the amalgam).  The amalgam is S itself
+    when one pair covers, as on every SI diagram: a simple source makes each
+    hom injective (see the module docstring).  Obstruction certificates carry
+    the least unseparated pair plus the per-SI hom census and can be
     re-verified by exhaustive map enumeration.
     """
     require_in_variety(d.left, v)
@@ -166,28 +174,23 @@ def decide_amalgamation(v: VarietyDescriptor, d: Diagram) -> AmalgamationResult:
     if missed is not None:
         return Obstruction("right", missed, census)
 
-    if not chosen:
-        if pairs:
-            chosen.append(pairs[0])  # nothing to separate; one factor suffices
-        else:
-            # both sides are trivial: the trivial algebra amalgamates them
-            trivial = FiniteAlgebra(
-                name="1", size=1, labels=("0",), join=((0,),), meet=((0,),),
-                star=(0,), quote=(0,), zero=0, one=0, validate=False)
-            f1 = Homomorphism(d.left, trivial, (0,) * d.left.size)
-            g1 = Homomorphism(d.right, trivial, (0,) * d.right.size)
-            return Amalgam(trivial, f1, g1, ())
-
-    factors = [builtin(p.si_name) for p in chosen]
-    product = direct_product(factors)
-    f1 = tupled_hom(d.left, [p.h for p in chosen], product)
-    g1 = tupled_hom(d.right, [p.k for p in chosen], product)
+    if len(chosen) == 1:
+        amalgam, f1, g1 = chosen[0].h.target, chosen[0].h, chosen[0].k
+    elif chosen:
+        amalgam = direct_product([p.h.target for p in chosen])
+        f1 = tupled_hom(d.left, [p.h for p in chosen], amalgam)
+        g1 = tupled_hom(d.right, [p.k for p in chosen], amalgam)
+    else:
+        # both sides are trivial (no pair: a hom out of one forces 0 = 1), and
+        # the left one amalgamates them
+        amalgam, f1 = d.left, identity_hom(d.left)
+        g1 = Homomorphism(d.right, d.left, (0,))
     if not (f1.injective and g1.injective):  # pragma: no cover
         raise AssertionError("pair cover failed to separate")
     if f1.after(d.f) != g1.after(d.g):  # pragma: no cover
         raise AssertionError("amalgam square does not commute")
-    require_in_variety(product, v)
-    return Amalgam(product, f1, g1, tuple(chosen))
+    require_in_variety(amalgam, v)
+    return Amalgam(amalgam, f1, g1, tuple(chosen))
 
 
 # --- classification over all SI diagrams --------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import caps
 from .algebra import FiniteAlgebra
@@ -319,20 +319,3 @@ def quotient(algebra: FiniteAlgebra, partition: Partition,
         zero=block[algebra.zero], one=block[algebra.one],
         validate=False,
     )
-
-
-def iter_partitions(n: int) -> Iterable[Partition]:
-    """All partitions of an n-set, via restricted growth strings.  Exponential;
-    intended as the brute-force oracle for small universes."""
-    if n == 0:
-        yield Partition(())
-        return
-
-    def grow(prefix: list[int], maximum: int):
-        if len(prefix) == n:
-            yield Partition(tuple(prefix))
-            return
-        for value in range(maximum + 2):
-            yield from grow(prefix + [value], max(maximum, value))
-
-    yield from grow([0], 0)

@@ -136,9 +136,27 @@ def plain_holds_in(algebra: FiniteAlgebra, sentence):
     return Verdict(True)
 
 
+def iter_partitions(n: int):
+    """All partitions of an n-set, via restricted growth strings."""
+    from agkit import Partition
+
+    if n == 0:
+        yield Partition(())
+        return
+
+    def grow(prefix: list[int], maximum: int):
+        if len(prefix) == n:
+            yield Partition(tuple(prefix))
+            return
+        for value in range(maximum + 2):
+            yield from grow(prefix + [value], max(maximum, value))
+
+    yield from grow([0], 0)
+
+
 def brute_force_congruences(algebra: FiniteAlgebra):
     """Oracle: all partitions of the universe, filtered for compatibility."""
-    from agkit.congruence import is_congruence, iter_partitions
+    from agkit.congruence import is_congruence
 
     return [p for p in iter_partitions(algebra.size) if is_congruence(algebra, p)]
 
@@ -296,8 +314,9 @@ def brute_force_verify_amalgam(v, left: FiniteAlgebra, right: FiniteAlgebra,
 
     - every chosen pair (h, k) names an SI generator S of v, h and k are among
       the maps that brute_force_homs finds into S, and h o f = k o g;
-    - the product is the tuple-built product of those generators, and f1, g1
-      are the tupled maps;
+    - the amalgam is the product of those generators, the generator itself
+      when there is one, else the tuple-built product, and f1, g1 are the
+      tupled maps (h and k for one generator);
     - f1 and g1 are injective and preserve the constants and all four
       operations, and f1 o f = g1 o g."""
     from agkit.morphisms import brute_force_homs
@@ -312,7 +331,7 @@ def brute_force_verify_amalgam(v, left: FiniteAlgebra, right: FiniteAlgebra,
             return False
         if any(h[f[x]] != k[g[x]] for x in range(len(f))):
             return False
-    product = tuple_direct_product(factors)
+    product = factors[0] if len(factors) == 1 else tuple_direct_product(factors)
     if amalgam.product != product:
         return False
     index = {t: i for i, t in enumerate(itertools.product(*(range(s.size) for s in factors)))}

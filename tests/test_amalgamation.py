@@ -7,10 +7,10 @@ from types import SimpleNamespace
 import pytest
 
 import agkit.algebra
-from agkit import (Amalgam, Obstruction, applications, builtin, classify_ap,
-                   decide_amalgamation, diagram, direct_product, enumerate_embeddings,
-                   generated_subvariety, variety, NotFoundError, NotInVarietyError,
-                   all_varieties)
+from agkit import (BUILTIN_NAMES, Amalgam, FiniteAlgebra, Obstruction, applications,
+                   builtin, classify_ap, decide_amalgamation, diagram, direct_product,
+                   enumerate_embeddings, generated_subvariety, variety, NotFoundError,
+                   NotInVarietyError, all_varieties)
 from agkit.amalgamation import (Diagram, _homs, brute_force_verify_obstruction,
                                 theorem_diagrams)
 from agkit.morphisms import identity_hom
@@ -131,6 +131,11 @@ def test_every_amalgam_certificate_reverifies_by_table_scans():
                 amalgams.append((v, d))
     # 68 of the 80 SI diagrams; the other 12 are obstructed in G, ..., AG
     assert len(amalgams) == 68
+    # simple sources make every hom injective, so one pair covers and its SI
+    # member is the amalgam
+    for v, d in amalgams:
+        (pair,) = d.result.pairs
+        assert d.result.product == builtin(pair.si_name) == pair.h.target, (v.name, d)
 
     # the oracle rejects a tampered certificate
     v, d = next((v, d) for v, d in amalgams if d.f.target.size > 2)
@@ -141,6 +146,22 @@ def test_every_amalgam_certificate_reverifies_by_table_scans():
     assert not brute_force_verify_amalgam(v, left, right, f, g,
                                           dataclasses.replace(d.result, pairs=()))
     assert not brute_force_verify_amalgam(variety("BA"), left, right, f, g, d.result)
+    member = d.result.product
+    other = next(builtin(name) for name in BUILTIN_NAMES
+                 if name != member.name and builtin(name).size == member.size)
+    assert not brute_force_verify_amalgam(v, left, right, f, g,
+                                          dataclasses.replace(d.result, product=other))
+
+
+def test_trivial_diagram_amalgamates_in_its_left_side():
+    one = FiniteAlgebra(name="1", size=1, labels=("0",), join=((0,),), meet=((0,),),
+                        star=(0,), quote=(0,), zero=0, one=0)
+    d = Diagram(one, one, one, identity_hom(one), identity_hom(one))
+    result = decide_amalgamation(variety("BA"), d)
+    assert isinstance(result, Amalgam)
+    assert result.product == one and result.pairs == ()
+    assert result.f1 == identity_hom(one) and result.g1.after(d.g) == result.f1.after(d.f)
+    assert result.as_dict() == {"result": "amalgam", "factors": [], "f1": [], "g1": []}
 
 
 def test_hom_cache_keeps_only_si_members():

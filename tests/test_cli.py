@@ -135,6 +135,23 @@ def test_amalgamate_without_embedding_exits_2(capsys):
     assert "no embedding 4_dmba -> 2" in err and "Traceback" not in err
 
 
+def test_amalgamate_names_the_si_member_as_amalgam(capsys):
+    code, out, _ = run(capsys, "amalgamate", "--variety", "RDBLST", "--base", "2",
+                       "--left", "3_dblst", "--right", "3_dblst")
+    assert code == 0
+    assert "D = 3_dblst (3 elements)" in out
+
+
+def test_amalgamate_trivial_diagram(capsys, tmp_path):
+    path = tmp_path / "one.json"
+    path.write_text('{"name": "1", "size": 1, "labels": ["0"], "join": [[0]], '
+                    '"meet": [[0]], "star": [0], "quote": [0], "zero": 0, "one": 0}')
+    code, out, err = run(capsys, "amalgamate", "--variety", "BA", "--base", str(path),
+                         "--left", str(path), "--right", str(path))
+    assert code == 0 and "Traceback" not in err
+    assert "D = 1 (1 elements)" in out
+
+
 def test_amalgamate_json_certificate(capsys):
     code, out, _ = run(capsys, "amalgamate", "--variety", "RDBLST", "--base", "2",
                        "--left", "3_dblst", "--right", "3_dblst", "--json")

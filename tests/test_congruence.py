@@ -11,11 +11,10 @@ from agkit import (BUILTIN_NAMES, CapExceededError, FiniteAlgebra, Partition, bu
                    cep_instance, check_sc, classify, congruence_lattice, direct_product,
                    enumerate_embeddings, is_congruence, is_isomorphic,
                    principal_congruence, quotient, subalgebra)
-from agkit.congruence import iter_partitions
 from agkit.morphisms import Homomorphism
 from tests.conftest import (brute_force_congruences, cep_by_definition, chain4,
                             directly_indecomposable_by_definition, generated_members,
-                            pairwise_congruence_lattice)
+                            iter_partitions, pairwise_congruence_lattice)
 
 
 def oracle_principal(algebra, a, b):

@@ -28,6 +28,9 @@ def test_hom_counts_match_oracle_on_all_16_pairs(builtins):
         oracle = brute_force_homs(builtins[src], builtins[tgt])
         assert len(found) == len(oracle) == expected, (src, tgt)
         assert [h.mapping for h in found] == sorted(oracle), (src, tgt)
+        # the builtins are simple, so a hom out of one has the identity
+        # kernel: why one compatible pair covers an SI diagram
+        assert all(h.injective for h in found), (src, tgt)
 
 
 # brute_force_homs scans |target|^|source| maps

@@ -57,23 +57,29 @@ HOM_ENUMERATIONS = 56
 # again for every left member.)
 EMBEDDING_ENUMERATIONS = 56
 # satisfies_axiom_system calls per run from a cold start: 40 for section 1's
-# axiom grid (4 builtins x 10 systems) plus one per distinct (algebra,
-# variety) membership, 40 of them, proved once however many diagrams ask.
+# axiom grid (4 builtins x 10 systems) plus one per distinct (SI member,
+# variety) membership, 20 of them, proved once however many diagrams ask.
 # (268 when decide_amalgamation re-proved its SI members and its amalgam
-# product for each of its 228 membership checks.)
-AXIOM_SYSTEM_CHECKS = 80
+# product for each of its 228 membership checks; 80 while each amalgam was
+# a one-factor product copy (S) whose 20 memberships were proved again.)
+AXIOM_SYSTEM_CHECKS = 60
 # sentence scans (_decide) per run from a cold start: one per distinct
-# (algebra, sentence) fact, 182 on the builtins and 74 on the one-factor
-# products.  (1,120, one per holds_in call, before the verdict table: the
-# axiom grid and each membership re-checked ALMOST_GAUTAMA on the builtins.)
-DECIDED_FACTS = 256
+# (algebra, sentence) fact, all 182 on the builtins.  (1,120, one per
+# holds_in call, before the verdict table: the axiom grid and each
+# membership re-checked ALMOST_GAUTAMA on the builtins; 256 while the
+# one-factor product copies added 74.)
+DECIDED_FACTS = 182
+# tupled_hom calls per run: an SI diagram's amalgam is its one SI member with
+# the pair's own maps.  (136, two per amalgam, while each amalgam was the
+# one-factor product (S).)
+TUPLED_MAPS = 0
 
 
 @pytest.fixture(scope="module")
 def logged_run():
     """One verify_paper() run, with the arguments and results of every
     classify_ap, decide_amalgamation, congruence_lattice,
-    principal_congruence, enumerate_embeddings, enumerate_homs,
+    principal_congruence, enumerate_embeddings, enumerate_homs, tupled_hom,
     _subuniverses, _adjoin, satisfies_axiom_system and _decide call it made,
     with the discriminator and hom caches, the membership set and the verdict
     table emptied first."""
@@ -82,6 +88,7 @@ def logged_run():
               "principal_congruence": agkit.congruence,
               "enumerate_embeddings": agkit.morphisms,
               "enumerate_homs": agkit.morphisms,
+              "tupled_hom": agkit.morphisms,
               # the package root rebinds agkit.variety to the function
               "_subuniverses": importlib.import_module("agkit.variety"),
               "_adjoin": agkit.algebra,
@@ -210,6 +217,11 @@ def test_verify_paper_enumerates_each_hom_set_once(logged_run):
     decided = homs - via_embeddings
     assert len(decided) == 16
     assert all(count == 1 for count in decided.values()), decided.most_common(1)
+
+
+def test_verify_paper_builds_no_product_for_an_amalgam(logged_run):
+    _, calls = logged_run
+    assert len(calls["tupled_hom"]) == TUPLED_MAPS
 
 
 def test_verify_paper_proves_each_membership_once(logged_run):
