@@ -4,13 +4,18 @@ The searcher assigns images to a short generator sequence (chosen greedily so
 that the closure of each prefix grows as fast as possible) and propagates each
 choice through the operation tables; a clash prunes the branch.  Output order
 is lexicographic on the map arrays, so certificates are reproducible.
+
+One closure, `_propagate`, seeded by `_extend`, decides whether a partial map
+extends to a homomorphism from the subalgebra its domain generates.  The hom
+search starts from it, and so do the HS-membership and free-algebra proofs in
+`variety`.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .algebra import FiniteAlgebra, _adjoin, direct_product, subuniverse_closure
 
@@ -85,7 +90,13 @@ def _generator_sequence(algebra: FiniteAlgebra, seeded: frozenset[int]) -> list[
 
 def _propagate(source: FiniteAlgebra, target: FiniteAlgebra,
                mapping: dict[int, int], fresh: list[int]) -> dict[int, int] | None:
-    """Close the partial map under all operations; None on a clash."""
+    """Close the partial map under all operations; None on a clash.
+
+    The closure is the graph of a function, and then of a homomorphism,
+    unless some element of the source gets two values.  Each join and meet
+    is taken in one order only (x popped against every y already mapped),
+    which is sound because every FiniteAlgebra has commutative lattice tables.
+    """
 
     def put(element: int, image: int) -> bool:
         known = mapping.get(element)
@@ -110,6 +121,19 @@ def _propagate(source: FiniteAlgebra, target: FiniteAlgebra,
     return mapping
 
 
+def _extend(source: FiniteAlgebra, target: FiniteAlgebra,
+            pairs: Iterable[tuple[int, int]]) -> dict[int, int] | None:
+    """The homomorphism, as a dict, from the subalgebra the xs generate that
+    sends 0 to 0, 1 to 1 and each x to s for (x, s) in pairs; None if the
+    seeds clash or the closure does.  A trivial source has zero = one, so it
+    clashes here with any nontrivial target."""
+    mapping: dict[int, int] = {}
+    for x, s in ((source.zero, target.zero), (source.one, target.one), *pairs):
+        if mapping.setdefault(x, s) != s:
+            return None
+    return _propagate(source, target, mapping, list(mapping))
+
+
 def enumerate_homs(source: FiniteAlgebra, target: FiniteAlgebra,
                    constraint: dict[int, int] | None = None) -> list[Homomorphism]:
     """All homomorphisms extending the constraint, lexicographic on map arrays.
@@ -117,11 +141,7 @@ def enumerate_homs(source: FiniteAlgebra, target: FiniteAlgebra,
     The empty list is a legitimate outcome; several pairs of the builtin
     algebras admit no homomorphism at all.
     """
-    base = {source.zero: target.zero, source.one: target.one}
-    for key, value in (constraint or {}).items():
-        if base.setdefault(key, value) != value:
-            return []
-    start = _propagate(source, target, dict(base), list(base))
+    start = _extend(source, target, (constraint or {}).items())
     if start is None:
         return []
     generators = _generator_sequence(source, frozenset(start))
@@ -176,12 +196,8 @@ def enumerate_embeddings(source: FiniteAlgebra,
 
 def is_isomorphic(a: FiniteAlgebra, b: FiniteAlgebra) -> Homomorphism | None:
     """Some isomorphism, if one exists (first in map-array order)."""
-    if a.size != b.size:
-        return None
-    for candidate in enumerate_homs(a, b):
-        if candidate.injective:
-            return candidate
-    return None
+    embeddings = enumerate_embeddings(a, b) if a.size == b.size else []
+    return embeddings[0] if embeddings else None
 
 
 def projections(factors: Sequence[FiniteAlgebra]) -> list[Homomorphism]:

@@ -22,12 +22,12 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 from . import caps
 from .algebra import FiniteAlgebra, _subuniverses, builtin, direct_product, subuniverse_closure
 from .axioms import axiom_system, satisfies_axiom_system
 from .errors import AgkitError, CapExceededError, NotFoundError, NotInVarietyError
+from .morphisms import _extend
 from .terms import Sentence, Verdict, _parse_shipped, eval_term, holds_in
 
 VARIETY_NAMES = ("BA", "RDBLST", "RKLST", "DMBA", "G",
@@ -206,13 +206,14 @@ def in_hs(algebra: FiniteAlgebra, target: FiniteAlgebra) -> bool:
 
     Let the tuple g generate the target.  Then the target is in HS(algebra)
     iff some tuple a of the algebra makes a -> g extend to a homomorphism
-    from Sg(a) onto the target.  Proof: given a surjection h from a
-    subalgebra B onto the target, take a preimage a of g in B; h restricted
-    to Sg(a) maps onto Sg(g), the whole target.  Only |algebra|^len(g)
-    tuples are tried, g being a shortest generating tuple.
+    from Sg(a) onto the target, which `morphisms._extend` decides.  Proof:
+    given a surjection h from a subalgebra B onto the target, take a
+    preimage a of g in B; h restricted to Sg(a) maps onto Sg(g), the whole
+    target.  Only |algebra|^len(g) tuples are tried, g being a shortest
+    generating tuple.
     """
     generators = _shortest_generating_tuple(target)
-    return any(_extends_to_homomorphism(algebra, target, zip(a, generators))
+    return any(_extend(algebra, target, zip(a, generators)) is not None
                for a in itertools.product(algebra.elements(), repeat=len(generators)))
 
 
@@ -222,37 +223,6 @@ def _shortest_generating_tuple(algebra: FiniteAlgebra) -> tuple[int, ...]:
     return next(generators for k in range(algebra.size + 1)
                 for generators in itertools.combinations(algebra.elements(), k)
                 if len(subuniverse_closure(algebra, generators)) == algebra.size)
-
-
-def _extends_to_homomorphism(algebra: FiniteAlgebra, target: FiniteAlgebra,
-                             pairs: Iterable[tuple[int, int]]) -> bool:
-    """Does the map sending 0 to 0, 1 to 1 and each x to s for (x, s) in
-    pairs extend to a homomorphism from the subalgebra the xs generate?
-
-    Closes the pairs under the operations of algebra x target, componentwise.
-    The closure is the graph of a function, and then of a homomorphism,
-    unless some element of the algebra gets two values.  Each join and meet
-    is taken in one order only, which is sound because every FiniteAlgebra
-    has commutative lattice tables.
-    """
-    image: dict[int, int] = {}
-    queue = [(algebra.zero, target.zero), (algebra.one, target.one), *pairs]
-    while queue:
-        x, s = queue.pop()
-        known = image.get(x)
-        if known is not None:
-            if known != s:
-                return False
-            continue
-        image[x] = s
-        join_x, meet_x, join_s, meet_s = (
-            algebra.join[x], algebra.meet[x], target.join[s], target.meet[s])
-        for y, t in image.items():
-            queue.append((join_x[y], join_s[t]))
-            queue.append((meet_x[y], meet_s[t]))
-        queue.append((algebra.star[x], target.star[s]))
-        queue.append((algebra.quote[x], target.quote[s]))
-    return True
 
 
 # --- discriminator -----------------------------------------------------------
@@ -319,8 +289,9 @@ def free_algebra(v: VarietyDescriptor, n: int,
     simple SI generators, so F_V(n) is the product of one S for each S and
     Aut(S)-orbit of n-tuples that generate S (Pixley, Math. Ann. 191, 1971;
     Baker & Pixley, Math. Z. 143, 1975).  The walk keeps (S, t) if t generates
-    S and no kept (K, u) has u -> t extend to a homomorphism K -> S.  The
-    result is direct_product of the kept S, generator i the vector (t_i).
+    S and no kept (K, u) has u -> t extend to a homomorphism K -> S (decided
+    by `morphisms._extend`).  The result is direct_product of the kept S,
+    generator i the vector (t_i).
     Each call proves, else raises AgkitError naming the coordinate or pair:
     (a) each dropped (S, t) is the image of a kept (K, u) under a homomorphism
         with u -> t, so projecting onto the kept coordinates is injective;
@@ -335,13 +306,13 @@ def free_algebra(v: VarietyDescriptor, n: int,
     for si in v.si_algebras():
         for t in itertools.product(si.elements(), repeat=n):
             if (len(subuniverse_closure(si, t)) == si.size
-                    and not any(_extends_to_homomorphism(k, si, zip(u, t)) for k, u in kept)):
+                    and not any(_extend(k, si, zip(u, t)) is not None for k, u in kept)):
                 kept.append((si, t))
             else:
                 dropped.append((si, t))
     name = f"F_{v.name}({n})"
     for si, t in dropped:
-        if not any(_extends_to_homomorphism(k, si, zip(u, t)) for k, u in kept):
+        if not any(_extend(k, si, zip(u, t)) is not None for k, u in kept):
             raise AgkitError(f"{name}: coordinate {_coordinate(si, t)} is the image "
                              "of no kept coordinate under a homomorphism")
     square = functools.cache(lambda s, r: direct_product([s, r]))

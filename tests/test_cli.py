@@ -152,6 +152,19 @@ def test_amalgamate_trivial_diagram(capsys, tmp_path):
     assert "D = 1 (1 elements)" in out
 
 
+def test_homs_from_a_trivial_source(capsys, tmp_path):
+    one, c2 = tmp_path / "one.json", tmp_path / "c2.json"
+    one.write_text('{"name": "one", "size": 1, "labels": ["0"], "join": [[0]], '
+                   '"meet": [[0]], "star": [0], "quote": [0], "zero": 0, "one": 0}')
+    # the 2-chain whose star and quote fix both elements
+    c2.write_text('{"name": "c2", "size": 2, "labels": ["0", "1"], '
+                  '"join": [[0, 1], [1, 1]], "meet": [[0, 0], [0, 1]], '
+                  '"star": [0, 1], "quote": [0, 1], "zero": 0, "one": 1}')
+    code, out, err = run(capsys, "homs", str(one), str(c2))
+    assert code == 0 and "Traceback" not in err
+    assert "0 homomorphism(s) one -> c2" in out
+
+
 def test_amalgamate_json_certificate(capsys):
     code, out, _ = run(capsys, "amalgamate", "--variety", "RDBLST", "--base", "2",
                        "--left", "3_dblst", "--right", "3_dblst", "--json")

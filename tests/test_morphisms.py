@@ -4,11 +4,16 @@ import itertools
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from agkit import (builtin, direct_product, enumerate_embeddings, enumerate_homs,
-                   identity_hom, is_isomorphic, projections)
-from agkit.morphisms import Homomorphism, brute_force_homs, tupled_hom
+from agkit import (BUILTIN_NAMES, FiniteAlgebra, builtin, direct_product,
+                   enumerate_embeddings, enumerate_homs, identity_hom, is_isomorphic,
+                   lattice_reduct, projections, subalgebra, subuniverse_closure)
+from agkit.morphisms import Homomorphism, _extend, brute_force_homs, tupled_hom
 from tests.conftest import generated_members
+
+ONE = FiniteAlgebra(name="one", size=1, labels=("0",), join=((0,),), meet=((0,),),
+                    star=(0,), quote=(0,), zero=0, one=0)
 
 # hom counts between ordered pairs of builtins, confirmed by the oracle below
 HOM_COUNTS = {
@@ -40,6 +45,46 @@ def test_enumerate_homs_matches_brute_force_on_generated_members(source, target)
     assume(target.size ** source.size <= 5_000)
     found = enumerate_homs(source, target)
     assert [h.mapping for h in found] == sorted(brute_force_homs(source, target))
+
+
+def builtin_or_lattice_reduct():
+    return st.builds(lambda name, reduct: lattice_reduct(builtin(name)) if reduct
+                     else builtin(name), st.sampled_from(BUILTIN_NAMES), st.booleans())
+
+
+# the subalgebra the xs generate has at most one hom sending each x to its s,
+# and brute_force_homs finds it without the closure
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(st.one_of(generated_members(),
+                 st.sampled_from(BUILTIN_NAMES).map(lambda name: lattice_reduct(builtin(name)))),
+       builtin_or_lattice_reduct(), st.data())
+def test_extend_matches_brute_force_on_the_generated_subalgebra(source, target, data):
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, source.size - 1),
+                                         st.integers(0, target.size - 1)), max_size=2))
+    closure = subuniverse_closure(source, [x for x, _ in pairs])
+    sub = subalgebra(source, closure)
+    assume(target.size ** sub.size <= 5_000)
+    position = {x: i for i, x in enumerate(sorted(closure))}
+    oracle = [m for m in brute_force_homs(sub, target)
+              if all(m[position[x]] == s for x, s in pairs)]
+    extended = _extend(source, target, pairs)
+    if extended is None:
+        assert oracle == []
+    else:
+        assert set(extended) == closure
+        assert oracle == [tuple(extended[x] for x in sorted(closure))]
+
+
+def test_trivial_source_maps_only_into_a_trivial_target(builtins):
+    # zero = one in ONE: seeding 0 -> 0 and 1 -> 1 clashes in a nontrivial
+    # target, also when its star and quote fix 1 as in a lattice reduct
+    targets = [*builtins.values(), *map(lattice_reduct, builtins.values())]
+    for target in targets:
+        assert enumerate_homs(ONE, target) == [], target.name
+        assert brute_force_homs(ONE, target) == [], target.name
+    assert all(_extend(ONE, target, ()) is None for target in targets)
+    assert enumerate_homs(ONE, ONE) == [identity_hom(ONE)]
+    assert [h.mapping for h in enumerate_homs(ONE, ONE)] == brute_force_homs(ONE, ONE)
 
 
 def test_no_hom_into_two_from_fixed_quote_point(builtins):

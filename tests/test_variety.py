@@ -396,13 +396,13 @@ def test_free_algebra_size_counts_generating_tuples_up_to_automorphism():
 ], ids=["pair_generates_a_proper_subalgebra", "dropped_coordinate_without_preimage"])
 def test_free_algebra_raises_when_a_proof_obligation_fails(monkeypatch, tamper, message):
     module = importlib.import_module("agkit.variety")  # agkit.variety names the function
-    extends = module._extends_to_homomorphism
+    extends = module._extend
 
     def tampered(algebra, target, pairs):
         pairs = list(pairs)
-        return tamper(algebra, target, pairs) and extends(algebra, target, pairs)
+        return extends(algebra, target, pairs) if tamper(algebra, target, pairs) else None
 
-    monkeypatch.setattr(module, "_extends_to_homomorphism", tampered)
+    monkeypatch.setattr(module, "_extend", tampered)
     with pytest.raises(AgkitError, match=message):
         free_algebra(variety("DMBA"), 1)
 
