@@ -22,6 +22,7 @@ import re
 import weakref
 from dataclasses import dataclass
 from functools import cache, cached_property
+from operator import getitem
 from typing import Callable, Mapping, Union
 
 from . import caps
@@ -363,46 +364,70 @@ def eval_term(algebra: FiniteAlgebra, term: Term, assignment: Mapping[str, int])
 
 
 # A compiled term: the values of the prefix variables in, a value or a column out.
+# Columns are lists, so two compare equal exactly when their values do (a bare
+# table row, a tuple, is copied).  A column may be a shared object, such as a
+# prefix-free column computed once or the column variable's domain: only read it.
 Closure = Callable[[tuple[int, ...]], "int | list[int]"]
 
 
+def _hoist(closure: Closure, is_column: bool, reads_prefix: bool) -> tuple[Closure, bool, bool]:
+    """A closure that reads no prefix variable is evaluated once, here."""
+    if reads_prefix:
+        return closure, is_column, True
+    value = closure(())
+    return (lambda env: value), is_column, False
+
+
 def _compile(algebra: FiniteAlgebra, term: Term, positions: Mapping[str, int],
-             column: str, domain: list[int]) -> tuple[Closure, bool]:
-    """Compile a term for the column scan in holds_in: (closure, is_column).
+             column: str, domain: list[int]) -> tuple[Closure, bool, bool]:
+    """Compile a term for the column scan in holds_in: (closure, is_column, reads_prefix).
 
     Each closure takes the values of the variables in `positions`, as a tuple.
     A scalar closure returns the term's value.  A column closure returns the
-    list of its values as the variable `column` runs over `domain`.
+    list of its values as the variable `column` runs over `domain`.  A node
+    that reads no variable in `positions` is evaluated here, once.
     """
     match term:
         case Var(name):
             if name == column:
-                return (lambda env: domain), True
+                return (lambda env: domain), True, False
             index = positions[name]
-            return (lambda env: env[index]), False
+            return (lambda env: env[index]), False, True
         case Const(value):
             constant = algebra.zero if value == 0 else algebra.one
-            return (lambda env: constant), False
-        case Star(arg) | Quote(arg):
-            table = algebra.star if isinstance(term, Star) else algebra.quote
-            inner, is_column = _compile(algebra, arg, positions, column, domain)
+            return (lambda env: constant), False, False
+        case Star() | Quote():
+            tables = []  # the chain of postfix operators, outermost first
+            while isinstance(term, (Star, Quote)):
+                tables.append(algebra.star if isinstance(term, Star) else algebra.quote)
+                term = term.arg
+            chain = tables.pop()  # the chain composed into one table
+            for table in reversed(tables):
+                chain = list(map(table.__getitem__, chain))
+            inner, is_column, reads = _compile(algebra, term, positions, column, domain)
             if is_column:
-                lookup = table.__getitem__
-                return (lambda env: list(map(lookup, inner(env)))), True
-            return (lambda env: table[inner(env)]), False
+                lookup = chain.__getitem__
+                return _hoist(lambda env: list(map(lookup, inner(env))), True, reads)
+            return _hoist(lambda env: chain[inner(env)], False, reads)
         case Join(left, right) | Meet(left, right):
             table = algebra.join if isinstance(term, Join) else algebra.meet
-            fl, left_column = _compile(algebra, left, positions, column, domain)
-            fr, right_column = _compile(algebra, right, positions, column, domain)
+            fl, left_column, left_reads = _compile(algebra, left, positions, column, domain)
+            fr, right_column, right_reads = _compile(algebra, right, positions, column, domain)
+            reads = left_reads or right_reads
             if left_column and right_column:
-                return (lambda env: [table[x][y] for x, y in zip(fl(env), fr(env))]), True
+                rows = table.__getitem__
+                return _hoist(lambda env: list(map(getitem, map(rows, fl(env)), fr(env))),
+                              True, reads)
             if left_column or right_column:
                 # Lattice tables are commutative (checked on construction and
                 # kept by every internal constructor), so the scalar side may
                 # pick the row.
-                scalar, col = (fr, fl) if left_column else (fl, fr)
-                return (lambda env: list(map(table[scalar(env)].__getitem__, col(env)))), True
-            return (lambda env: table[fl(env)][fr(env)]), False
+                scalar, col, col_term = (fr, fl, left) if left_column else (fl, fr, right)
+                if col_term == Var(column) and len(domain) == algebra.size:
+                    return _hoist(lambda env: list(table[scalar(env)]), True, reads)  # a bare row
+                return _hoist(lambda env: list(map(table[scalar(env)].__getitem__, col(env))),
+                              True, reads)
+            return _hoist(lambda env: table[fl(env)][fr(env)], False, reads)
     raise AssertionError(f"bad term {term!r}")
 
 
@@ -411,10 +436,10 @@ def _compile_columns(algebra: FiniteAlgebra, equation: Equation, positions: Mapp
     """Both sides of an equation as column closures; a scalar side is repeated."""
 
     def as_column(term: Term) -> Closure:
-        closure, is_column = _compile(algebra, term, positions, column, domain)
+        closure, is_column, reads = _compile(algebra, term, positions, column, domain)
         if is_column:
             return closure
-        return lambda env: [closure(env)] * len(domain)
+        return _hoist(lambda env: [closure(env)] * len(domain), True, reads)[0]
 
     return as_column(equation[0]), as_column(equation[1])
 
@@ -469,6 +494,12 @@ def _decide(algebra: FiniteAlgebra, sentence: Sentence) -> Verdict:
       as the list of its values over the column variable's filtered domain.
       The two sides of the conclusion are compared as lists; only where they
       differ are the remaining premises evaluated.
+    - Per prefix, only what depends on it is redone (_compile).  A subterm
+      that reads no prefix variable is computed once, as the sentence is
+      compiled.  A lattice operation of a scalar with the bare column
+      variable, over its unfiltered domain, is that scalar's table row,
+      copied.  A chain of * and ' is one composed table, one lookup per value.
+      Columns are lists that the scan may share and only reads.
 
     Prefixes run in the plain scan's order and each column in index order, so
     the first failing assignment found is the plain scan's witness.

@@ -220,6 +220,14 @@ def test_assignment_cap_counts_all_assignments():
     ("1 = 1 => x = y", "2", {"x": 0, "y": 1}),
     # a conclusion without the column variable
     ("y* = 0 => x = 1", "2", {"x": 0, "y": 1}),
+    # a unary chain on the column variable, composed into one table
+    ("x /\\ y'* = x /\\ y", "3_klst", {"x": 1, "y": 1}),
+    # a prefix-free column side (y**), computed once, beside a prefix-dependent one
+    ("x' /\\ y** = y**", "4_dmba", {"x": 1, "y": 2}),
+    # a bare table row on the left, a mapped column on the right
+    ("x \\/ y = (x \\/ y)''", "3_dblst", {"x": 0, "y": 1}),
+    # the premise filters y's domain, so x /\ y is no bare row
+    ("y' = y => x /\\ y = x", "4_dmba", {"x": 1, "y": 2}),
 ])
 def test_holds_in_scan_paths(text, algebra_name, expected):
     algebra, sentence = builtin(algebra_name), parse_sentence(text)
@@ -237,18 +245,42 @@ def _scan_algebras():
     return (*builtins, *products, free_algebra(variety("G"), 1).algebra)
 
 
+def _chain(term, operators):
+    for operator in operators:
+        term = operator(term)
+    return term
+
+
+_OPERATORS = st.sampled_from([chain for k in (1, 2, 3)
+                              for chain in itertools.product((Star, Quote), repeat=k)])
+
+
 @functools.cache
 def _terms(names: tuple[str, ...]):
+    """Terms in `names`, with unary chains of 1-3 operators."""
     leaves = st.sampled_from((Const(0), Const(1), *map(Var, names)))
     return st.recursive(leaves, lambda sub: st.one_of(
         st.builds(Join, sub, sub), st.builds(Meet, sub, sub),
-        st.builds(Star, sub), st.builds(Quote, sub)), max_leaves=6)
+        st.builds(_chain, sub, _OPERATORS)), max_leaves=6)
+
+
+def _put(term, value):
+    """`term` with the placeholder variable s replaced by `value`."""
+    match term:
+        case Var("s"):
+            return value
+        case Star(arg) | Quote(arg):
+            return type(term)(_put(arg, value))
+        case Join(left, right) | Meet(left, right):
+            return type(term)(_put(left, value), _put(right, value))
+    return term
 
 
 @st.composite
 def _scan_cases(draw):
     """An algebra and a sentence over a, b, x, y with 0-3 premises of 0, 1 or 2
-    variables; the variables are capped so the oracle's n^k stays small."""
+    variables; the variables are capped so the oracle's n^k stays small.  The
+    conclusion may repeat one chain on the column variable, the last one."""
     algebra = draw(st.sampled_from(_scan_algebras()))
     k = max(k for k in range(1, 5) if algebra.size ** k <= 2000)
     pool = tuple(sorted(draw(st.permutations(("a", "b", "x", "y")))[:k]))
@@ -256,17 +288,52 @@ def _scan_cases(draw):
     for _ in range(draw(st.integers(0, 3))):
         names = tuple(sorted(draw(st.permutations(pool))[:draw(st.integers(0, min(2, k)))]))
         premises.append((draw(_terms(names)), draw(_terms(names))))
-    conclusion = (draw(_terms(pool)), draw(_terms(pool)))
-    return algebra, Sentence(tuple(premises), conclusion)
+    shared = _chain(Var(pool[-1]), draw(_OPERATORS))
+    conclusion = (_put(draw(_terms((*pool, "s"))), shared) for _ in range(2))
+    return algebra, Sentence(tuple(premises), tuple(conclusion))
+
+
+def _case(algebra_name: str, text: str):
+    return builtin(algebra_name), parse_sentence(text)
 
 
 @settings(max_examples=150, deadline=None)
 @given(_scan_cases())
+@example(_case("3_klst", "x /\\ y'* = x /\\ y"))
+@example(_case("4_dmba", "x' /\\ y** = y**"))
+@example(_case("3_dblst", "x \\/ y = (x \\/ y)''"))
+@example(_case("4_dmba", "y' = y => x /\\ y = x"))
 def test_holds_in_matches_plain_scan(case):
     algebra, sentence = case
     expected = plain_holds_in(algebra, sentence)
     assert holds_in(algebra, sentence) == expected
     assert holds_in(algebra, sentence) == expected  # served from the table
+
+
+class _CountingTable(tuple):
+    """An operation table that counts the entries read from it."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+def test_scan_reads_what_no_prefix_changes_once():
+    spec = dict(BUILTIN_SPECS["4_dmba"])
+    star = spec["star"] = _CountingTable(spec["star"])
+    algebra = FiniteAlgebra(name="counting", validate=False, **spec)
+    n = algebra.size
+    # x is the prefix and y the column variable.  Each of the four y* is
+    # computed once, not once per value of x.
+    assert agkit.terms._decide(algebra, parse_sentence("x /\\ y* \\/ y* = y* \\/ (x /\\ y*)"))
+    assert star.reads == 4 * n
+    # The bare row x \/ y equals the mapped column (x \/ y)'' at every x, so
+    # the two-variable premise is never evaluated: only its y* is, once.
+    star.reads = 0
+    assert agkit.terms._decide(algebra, parse_sentence("x* = y* => x \\/ y = (x \\/ y)''"))
+    assert star.reads == n
 
 
 def test_known_fact_still_meets_the_assignment_cap(monkeypatch):
