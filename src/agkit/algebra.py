@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from . import caps
-from .errors import AlgebraFormatError, LatticeAxiomError, NotFoundError, ParseError
+from .errors import AgkitError, AlgebraFormatError, LatticeAxiomError, NotFoundError, ParseError
 
 SPEC_KEYS = ("name", "size", "labels", "join", "meet", "star", "quote", "zero", "one")
 
@@ -127,10 +127,6 @@ class FiniteAlgebra:
 
     def elements(self) -> range:
         return range(self.size)
-
-    def leq(self, x: int, y: int) -> bool:
-        # lattice order derived from meet
-        return self.meet[x][y] == x
 
     def spec_dict(self) -> dict:
         return {
@@ -271,14 +267,19 @@ def load_algebra(text: str) -> FiniteAlgebra:
 
 
 def read_algebra(path) -> FiniteAlgebra:
+    return load_algebra(_read_utf8(path, "algebra file", AlgebraFormatError))
+
+
+def _read_utf8(path, what: str, unreadable: type[AgkitError]) -> str:
+    """The text of a UTF-8 file; a ParseError at the byte offset if it is not
+    UTF-8, and `unreadable` naming the path if it cannot be read."""
     try:
         with open(path, "rb") as handle:
-            text = handle.read().decode("utf-8")
+            return handle.read().decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"algebra file is not UTF-8 ({exc.reason})", exc.start) from None
+        raise ParseError(f"{what} is not UTF-8 ({exc.reason})", exc.start) from None
     except OSError as exc:
-        raise AlgebraFormatError(f"cannot read algebra file {path}: {exc.strerror}") from None
-    return load_algebra(text)
+        raise unreadable(f"cannot read {what} {path}: {exc.strerror}") from None
 
 
 # --- products ----------------------------------------------------------------

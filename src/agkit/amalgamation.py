@@ -65,29 +65,22 @@ def diagram(base: FiniteAlgebra, left: FiniteAlgebra, right: FiniteAlgebra) -> D
 
 
 @dataclass(frozen=True)
-class HomPair:
-    si_name: str
-    h: Homomorphism  # left -> SI
-    k: Homomorphism  # right -> SI
-
-
-@dataclass(frozen=True)
 class Amalgam:
     product: FiniteAlgebra
     f1: Homomorphism  # left -> product
     g1: Homomorphism  # right -> product
-    pairs: tuple[HomPair, ...]
+    # the covering pairs (h: left -> S, k: right -> S), one per factor S of
+    # the product, in factor order; () when both sides are trivial
+    pairs: tuple[tuple[Homomorphism, Homomorphism], ...]
 
-    @property
-    def amalgamable(self) -> bool:
-        return True
+    amalgamable = True  # a class attribute, not a field
 
     def as_dict(self) -> dict:
         return {
             "result": "amalgam",
-            "factors": [p.si_name for p in self.pairs],
-            "f1": [list(p.h.mapping) for p in self.pairs],
-            "g1": [list(p.k.mapping) for p in self.pairs],
+            "factors": [h.target.name for h, _ in self.pairs],
+            "f1": [list(h.mapping) for h, _ in self.pairs],
+            "g1": [list(k.mapping) for _, k in self.pairs],
         }
 
 
@@ -97,9 +90,7 @@ class Obstruction:
     pair: tuple[int, int]  # least unseparated element pair on that side
     hom_census: dict[str, tuple[int, int, int]]  # SI -> (#homs left, #homs right, #pairs)
 
-    @property
-    def amalgamable(self) -> bool:
-        return False
+    amalgamable = False  # a class attribute, not a field
 
     def as_dict(self) -> dict:
         return {
@@ -123,7 +114,7 @@ def _homs(source: FiniteAlgebra, target: FiniteAlgebra) -> tuple[Homomorphism, .
 
 
 def _compatible_pairs(v: VarietyDescriptor, d: Diagram):
-    pairs: list[HomPair] = []
+    pairs: list[tuple[Homomorphism, Homomorphism]] = []
     census: dict[str, tuple[int, int, int]] = {}
     base_range = range(d.base.size)
     sis = v.si_algebras()
@@ -133,7 +124,7 @@ def _compatible_pairs(v: VarietyDescriptor, d: Diagram):
         count = 0
         for h, k in itertools.product(homs_left, homs_right):
             if all(h(d.f(x)) == k(d.g(x)) for x in base_range):
-                pairs.append(HomPair(si.name, h, k))
+                pairs.append((h, k))
                 count += 1
         census[si.name] = (len(homs_left), len(homs_right), count)
     return pairs, census
@@ -153,33 +144,34 @@ def decide_amalgamation(v: VarietyDescriptor, d: Diagram) -> AmalgamationResult:
     require_in_variety(d.right, v)
     pairs, census = _compatible_pairs(v, d)
 
-    chosen: list[HomPair] = []
+    chosen: list[tuple[Homomorphism, Homomorphism]] = []
 
-    def cover(size: int, project) -> tuple[int, int] | None:
+    def cover(size: int, side: int) -> tuple[int, int] | None:
         for x, y in itertools.combinations(range(size), 2):
-            if any(project(p)(x) != project(p)(y) for p in chosen):
+            if any(p[side](x) != p[side](y) for p in chosen):
                 continue
             for p in pairs:
-                if project(p)(x) != project(p)(y):
+                if p[side](x) != p[side](y):
                     chosen.append(p)
                     break
             else:
                 return (x, y)
         return None
 
-    missed = cover(d.left.size, lambda p: p.h)
+    missed = cover(d.left.size, 0)
     if missed is not None:
         return Obstruction("left", missed, census)
-    missed = cover(d.right.size, lambda p: p.k)
+    missed = cover(d.right.size, 1)
     if missed is not None:
         return Obstruction("right", missed, census)
 
     if len(chosen) == 1:
-        amalgam, f1, g1 = chosen[0].h.target, chosen[0].h, chosen[0].k
+        f1, g1 = chosen[0]
+        amalgam = f1.target
     elif chosen:
-        amalgam = direct_product([p.h.target for p in chosen])
-        f1 = tupled_hom(d.left, [p.h for p in chosen], amalgam)
-        g1 = tupled_hom(d.right, [p.k for p in chosen], amalgam)
+        amalgam = direct_product([h.target for h, _ in chosen])
+        f1 = tupled_hom(d.left, [h for h, _ in chosen], amalgam)
+        g1 = tupled_hom(d.right, [k for _, k in chosen], amalgam)
     else:
         # both sides are trivial (no pair: a hom out of one forces 0 = 1), and
         # the left one amalgamates them
@@ -196,16 +188,6 @@ def decide_amalgamation(v: VarietyDescriptor, d: Diagram) -> AmalgamationResult:
 # --- classification over all SI diagrams --------------------------------------
 
 @dataclass(frozen=True)
-class DiagramResult:
-    base_name: str
-    left_name: str
-    right_name: str
-    f: Homomorphism
-    g: Homomorphism
-    result: AmalgamationResult
-
-
-@dataclass(frozen=True)
 class APReport:
     """The decided SI diagrams of a variety, plus the proof of the hypotheses
     that reduce AP to them.
@@ -217,17 +199,20 @@ class APReport:
     generator is simple, so the generators are hereditarily SI (Thm 3.1 (2);
     Burris & Sankappanavar, IV.9).  When it is False the reduction is
     unproved and has_ap decides the SI diagrams only.
+
+    diagrams: one (Diagram, result) pair per SI diagram, in si_diagrams
+    order; obstructed() keeps the pairs whose result is an Obstruction.
     """
     variety_name: str
     discriminator_variety: bool
-    diagrams: tuple[DiagramResult, ...]
+    diagrams: tuple[tuple[Diagram, AmalgamationResult], ...]
 
     @property
     def has_ap(self) -> bool:
-        return all(d.result.amalgamable for d in self.diagrams)
+        return all(result.amalgamable for _, result in self.diagrams)
 
-    def obstructed(self) -> tuple[DiagramResult, ...]:
-        return tuple(d for d in self.diagrams if not d.result.amalgamable)
+    def obstructed(self) -> tuple[tuple[Diagram, AmalgamationResult], ...]:
+        return tuple((d, r) for d, r in self.diagrams if not r.amalgamable)
 
 
 def si_diagrams(v: VarietyDescriptor):
@@ -258,20 +243,11 @@ def classify_ap(v: VarietyDescriptor) -> APReport:
     V is a discriminator variety, which has CEP, and its generators are
     hereditarily simple (see APReport).
     """
-    results = tuple(
-        DiagramResult(d.base.name, d.left.name, d.right.name, d.f, d.g,
-                      decide_amalgamation(v, d))
-        for d in si_diagrams(v))
+    results = tuple((d, decide_amalgamation(v, d)) for d in si_diagrams(v))
     return APReport(v.name, discriminator_is_term_op(*v.si_algebras()), results)
 
 
 # --- applications --------------------------------------------------------------
-
-@dataclass(frozen=True)
-class JointEmbeddingResult:
-    pair: tuple[str, str]
-    embeddable: bool
-
 
 @dataclass(frozen=True)
 class ApplicationsReport:
@@ -280,7 +256,7 @@ class ApplicationsReport:
     tp: bool
     residually_small: bool
     ei: bool
-    jep_on_si_pairs: tuple[JointEmbeddingResult, ...]
+    jep_on_si_pairs: dict[tuple[str, str], bool]
     embedding_property: bool
     model_companion: bool
     two_in_amal: bool
@@ -295,7 +271,8 @@ def applications(ap_report: APReport) -> ApplicationsReport:
         immediate here (finitely many finite SI members).
     jep_on_si_pairs: joint embeddability of SI pairs, decided as amalgamation
         over the minimal algebra 2 (2 embeds uniquely in every member, so the
-        square commutes for free).
+        square commutes for free); a dict from (B, C), B <= C by name, to
+        whether B and C embed jointly, in sorted pair order.
     embedding_property: via the minimal algebra, equivalent to AP; reported as
         the conjunction of the joint-embedding results.
     model_companion: a locally finite variety in a finite language with AP has
@@ -314,11 +291,10 @@ def applications(ap_report: APReport) -> ApplicationsReport:
     residually_small = True  # finitely many finite SI members
     ei = tp and residually_small
 
-    over_two = {(d.left_name, d.right_name): d.result.amalgamable
-                for d in ap_report.diagrams if d.base_name == "2"}
-    jep = tuple(JointEmbeddingResult(pair, embeddable)
-                for pair, embeddable in sorted(over_two.items())
-                if pair[0] <= pair[1])
+    over_two = {(d.left.name, d.right.name): result.amalgamable
+                for d, result in ap_report.diagrams if d.base.name == "2"}
+    jep = {pair: embeddable for pair, embeddable in sorted(over_two.items())
+           if pair[0] <= pair[1]}
     return ApplicationsReport(
         variety_name=ap_report.variety_name,
         has_ap=has_ap,
@@ -326,7 +302,7 @@ def applications(ap_report: APReport) -> ApplicationsReport:
         residually_small=residually_small,
         ei=ei,
         jep_on_si_pairs=jep,
-        embedding_property=all(r.embeddable for r in jep),
+        embedding_property=all(jep.values()),
         model_companion=has_ap,
         two_in_amal=all(over_two.values()),
     )

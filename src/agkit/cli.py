@@ -167,29 +167,24 @@ def _cmd_classify_ap(args, report: Report) -> str:
         ap = classify_ap(v)
         results.append(ap)
         report.add(Record(
-            id=f"ap/{v.name}", label="amalgamation property",
-            verdict=ap.has_ap,
+            id=f"ap/{v.name}", label="amalgamation property", verdict=ap.has_ap,
             detail={"preconditions_ok": ap.discriminator_variety,
                     "diagrams": len(ap.diagrams),
-                    "obstructed": [
-                        [d.base_name, d.left_name, d.right_name]
-                        for d in ap.obstructed()]}))
+                    "obstructed": [[d.base.name, d.left.name, d.right.name]
+                                   for d, _ in ap.obstructed()]}))
     # rows follow the subvariety lattice top-down, like the Hasse diagram
     return markdown_table(["variety", "SI members", "AP", "preconditions"],
                           _ap_rows(results))
 
 
 def _cmd_lemmas(args, report: Report) -> str:
-    suite = lemma_suite(variety(args.variety) if args.variety else None)
     rows = []
-    for result in suite.results:
+    for record, verdict in lemma_suite(variety(args.variety) if args.variety else None):
         report.add(Record(
-            id=f"lemma/{result.record.id}", label=result.record.label,
-            verdict=result.verdict.holds, expected=result.record.expected,
-            detail={"variety": result.record.variety_name,
-                    "sentence": str(result.record.sentence)}))
-        rows.append([result.record.id, result.record.variety_name,
-                     "pass" if result.ok else "FAIL"])
+            id=f"lemma/{record.id}", label=record.label,
+            verdict=verdict.holds, expected=True,
+            detail={"variety": record.variety_name, "sentence": str(record.sentence)}))
+        rows.append([record.id, record.variety_name, "pass" if verdict.holds else "FAIL"])
     return markdown_table(["lemma", "variety", "status"], rows)
 
 
@@ -201,8 +196,7 @@ def _cmd_applications(args, report: Report) -> str:
         "embedding_property": app.embedding_property,
         "model_companion": app.model_companion,
         "two_in_amal": app.two_in_amal,
-        "jep_on_si_pairs": {f"{a},{b}": ok for (a, b), ok in
-                            ((r.pair, r.embeddable) for r in app.jep_on_si_pairs)},
+        "jep_on_si_pairs": {f"{a},{b}": ok for (a, b), ok in app.jep_on_si_pairs.items()},
     }
     report.add(Record(id=f"applications/{v.name}", label="applications",
                       verdict=app.has_ap, detail=detail))
@@ -210,8 +204,7 @@ def _cmd_applications(args, report: Report) -> str:
     lines.extend(f"  {key}: {value}" for key, value in detail.items()
                  if key != "jep_on_si_pairs")
     lines.append("  joint embeddings: " + ", ".join(
-        f"({a},{b})={'yes' if ok else 'no'}"
-        for (a, b), ok in ((r.pair, r.embeddable) for r in app.jep_on_si_pairs)))
+        f"({a},{b})={'yes' if ok else 'no'}" for (a, b), ok in app.jep_on_si_pairs.items()))
     return "\n".join(lines)
 
 

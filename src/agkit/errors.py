@@ -25,6 +25,7 @@ class ParseError(AgkitError):
     """Syntax error in a sentence or an algebra file, with byte offset."""
 
     def __init__(self, message: str, position: int, expected: tuple[str, ...] = ()):
+        self.reason = message
         self.position = position
         self.expected = expected
         detail = f" (expected one of: {', '.join(expected)})" if expected else ""

@@ -24,7 +24,8 @@ import math
 from dataclasses import dataclass
 
 from . import caps
-from .algebra import FiniteAlgebra, _subuniverses, builtin, direct_product, subuniverse_closure
+from .algebra import (BUILTIN_NAMES, FiniteAlgebra, _subuniverses, builtin, direct_product,
+                      subuniverse_closure)
 from .axioms import axiom_system, satisfies_axiom_system
 from .errors import AgkitError, CapExceededError, NotFoundError, NotInVarietyError
 from .morphisms import _extend
@@ -154,32 +155,11 @@ def require_in_variety(algebra: FiniteAlgebra, v: VarietyDescriptor) -> None:
     _MEMBERS.add((algebra, v))
 
 
-@dataclass(frozen=True)
-class BaseMatrixReport:
-    """Satisfaction of every variety base by every SI, against membership."""
-    satisfied: dict[str, dict[str, bool]]  # si name -> variety name -> bool
-    expected: dict[str, dict[str, bool]]
-
-    @property
-    def ok(self) -> bool:
-        return self.satisfied == self.expected
-
-    def mismatches(self) -> list[tuple[str, str]]:
-        return [(si, v) for si in self.satisfied for v in self.satisfied[si]
-                if self.satisfied[si][v] != self.expected[si][v]]
-
-
-def verify_bases() -> BaseMatrixReport:
-    from .algebra import BUILTIN_NAMES
-    satisfied = {
-        si: {v.name: satisfies_base(builtin(si), v).holds for v in all_varieties()}
-        for si in BUILTIN_NAMES
-    }
-    expected = {
-        si: {v.name: si in v.si_names for v in all_varieties()}
-        for si in BUILTIN_NAMES
-    }
-    return BaseMatrixReport(satisfied, expected)
+def verify_bases() -> dict[str, dict[str, bool]]:
+    """Does each builtin satisfy each variety's base?  SI name -> variety
+    name -> bool; it should be True exactly when the SI is in v.si_names."""
+    return {si: {v.name: satisfies_base(builtin(si), v).holds for v in all_varieties()}
+            for si in BUILTIN_NAMES}
 
 
 def generated_subvariety(algebra: FiniteAlgebra) -> VarietyDescriptor:
@@ -354,29 +334,6 @@ class LemmaRecord:
     label: str
     variety_name: str
     sentence: Sentence
-    expected: bool = True
-
-
-@dataclass(frozen=True)
-class LemmaResult:
-    record: LemmaRecord
-    verdict: VarietyVerdict
-
-    @property
-    def ok(self) -> bool:
-        return self.verdict.holds == self.record.expected
-
-
-@dataclass(frozen=True)
-class LemmaSuiteReport:
-    results: tuple[LemmaResult, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.results)
-
-    def mismatches(self) -> tuple[LemmaResult, ...]:
-        return tuple(r for r in self.results if not r.ok)
 
 
 def lemma_registry() -> tuple[LemmaRecord, ...]:
@@ -388,12 +345,10 @@ def lemma_registry() -> tuple[LemmaRecord, ...]:
         for r in raw["records"])
 
 
-def lemma_suite(v: VarietyDescriptor | None = None) -> LemmaSuiteReport:
-    """Check every registered lemma in its variety (or one variety's slice)."""
-    results = []
-    for record in lemma_registry():
-        if v is not None and record.variety_name != v.name:
-            continue
-        verdict = quasi_identity_holds(variety(record.variety_name), record.sentence)
-        results.append(LemmaResult(record, verdict))
-    return LemmaSuiteReport(tuple(results))
+def lemma_suite(v: VarietyDescriptor | None = None
+                ) -> tuple[tuple[LemmaRecord, VarietyVerdict], ...]:
+    """Check every registered lemma in its variety (or one variety's slice):
+    one (record, verdict) pair per lemma in registry order; all should hold."""
+    return tuple((record, quasi_identity_holds(variety(record.variety_name), record.sentence))
+                 for record in lemma_registry()
+                 if v is None or record.variety_name == v.name)

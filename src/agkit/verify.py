@@ -14,8 +14,8 @@ import json
 
 from . import __version__
 from .algebra import BUILTIN_NAMES, builtin, direct_product, lattice_reduct
-from .amalgamation import (APReport, Diagram, DiagramResult, brute_force_verify_obstruction,
-                           classify_ap, theorem_diagrams, Obstruction, applications)
+from .amalgamation import (APReport, brute_force_verify_obstruction, classify_ap,
+                           theorem_diagrams, Obstruction, applications)
 from .axioms import SYSTEM_NAMES, satisfies_axiom_system
 from .congruence import check_sc, classify
 from .errors import AgkitError
@@ -102,9 +102,9 @@ def verify_paper() -> Report:
             (f"cep/{name}", expect["cep_spot_checks"]["label"],
              expect["cep_spot_checks"]["expected"], lambda r: (r.discriminator_variety, {})),
             (f"ap/{name}", expect["ap"]["label"], expect["ap"]["expected"][name],
-             lambda r: (r.has_ap, {"obstructed": [d.result.as_dict() | {
-                 "diagram": [d.base_name, d.left_name, d.right_name]}
-                 for d in r.obstructed()]} if not r.has_ap else {})),
+             lambda r: (r.has_ap, {"obstructed": [result.as_dict() | {
+                 "diagram": [d.base.name, d.left.name, d.right.name]}
+                 for d, result in r.obstructed()]} if not r.has_ap else {})),
         ])
 
     # 4. equational-base matrix
@@ -114,8 +114,7 @@ def verify_paper() -> Report:
         for v in all_varieties():
             report.add(Record(
                 id=f"base_matrix/{si}/{v.name}", label=section["label"],
-                verdict=matrix.satisfied[si][v.name],
-                expected=matrix.expected[si][v.name]))
+                verdict=matrix[si][v.name], expected=si in v.si_names))
 
     # 5. discriminator term checks
     section = expect["discriminator"]
@@ -131,15 +130,12 @@ def verify_paper() -> Report:
 
     # 6. lemma suite
     section = expect["lemmas"]
-    for result in lemma_suite().results:
+    for record, verdict in lemma_suite():
         report.add(Record(
-            id=f"lemma/{result.record.id}", label=result.record.label,
-            verdict=result.verdict.holds, expected=section["expected"],
-            detail={"variety": result.record.variety_name,
-                    "sentence": str(result.record.sentence)}
-            | ({"countermodel": list(result.verdict.countermodel)}
-               if result.verdict.countermodel else {}),
-        ))
+            id=f"lemma/{record.id}", label=record.label,
+            verdict=verdict.holds, expected=section["expected"],
+            detail={"variety": record.variety_name, "sentence": str(record.sentence)}
+            | ({"countermodel": list(verdict.countermodel)} if verdict.countermodel else {})))
 
     # 7. applications
     section = expect["applications"]
@@ -148,7 +144,7 @@ def verify_paper() -> Report:
         _add_unit(report, app, [
             (f"applications/{name}/{prop}", section["label"], section["expected"][name],
              lambda a, prop=prop: (getattr(a, prop), {"jep_failures": [
-                 list(r.pair) for r in a.jep_on_si_pairs if not r.embeddable]}
+                 list(pair) for pair, ok in a.jep_on_si_pairs.items() if not ok]}
                  if prop == "embedding_property" and not a.embedding_property else {}))
             for prop in ("tp", "ei", "embedding_property", "model_companion",
                          "two_in_amal")])
@@ -157,19 +153,18 @@ def verify_paper() -> Report:
     # every member), with independent brute-force re-verification
     section = expect["diagrams"]
     for key, (vname, *names) in theorem_diagrams().items():
-        found = ap_reports[vname]
-        if isinstance(found, APReport):
-            found = next(d for d in found.diagrams
-                         if [d.base_name, d.left_name, d.right_name] == names)
-        _add_unit(report, found, [(
+        outcome = ap_reports[vname]
+        if isinstance(outcome, APReport):
+            d, outcome = next((d, result) for d, result in outcome.diagrams
+                              if [d.base.name, d.left.name, d.right.name] == names)
+        _add_unit(report, outcome, [(
             f"diagram/{key}", section["label"], section["expected"][key],
-            lambda d: ("obstruction" if isinstance(d.result, Obstruction) else "amalgam",
-                       d.result.as_dict() | {"variety": vname, "diagram": names}))])
-        if isinstance(found, DiagramResult) and isinstance(found.result, Obstruction):
-            d = Diagram(found.f.source, found.f.target, found.g.target, found.f, found.g)
+            lambda r: ("obstruction" if isinstance(r, Obstruction) else "amalgam",
+                       r.as_dict() | {"variety": vname, "diagram": names}))])
+        if isinstance(outcome, Obstruction):
             report.add(Record(
                 id=f"diagram/{key}/reverified", label=section["label"],
-                verdict=brute_force_verify_obstruction(variety(vname), d, found.result),
+                verdict=brute_force_verify_obstruction(variety(vname), d, outcome),
                 expected=True))
 
     return report

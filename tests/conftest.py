@@ -312,8 +312,9 @@ def brute_force_verify_amalgam(v, left: FiniteAlgebra, right: FiniteAlgebra,
     """Oracle for an amalgam certificate of the diagram f: A -> left,
     g: A -> right of nontrivial algebras (map arrays), by direct table scans:
 
-    - every chosen pair (h, k) names an SI generator S of v, h and k are among
-      the maps that brute_force_homs finds into S, and h o f = k o g;
+    - h and k of every chosen pair (h, k) name the same SI generator S of v
+      as their target, are among the maps that brute_force_homs finds into
+      S, and h o f = k o g;
     - the amalgam is the product of those generators, the generator itself
       when there is one, else the tuple-built product, and f1, g1 are the
       tupled maps (h and k for one generator);
@@ -322,11 +323,13 @@ def brute_force_verify_amalgam(v, left: FiniteAlgebra, right: FiniteAlgebra,
     from agkit.morphisms import brute_force_homs
 
     sis = {si.name: si for si in v.si_algebras()}
-    if not amalgam.pairs or any(p.si_name not in sis for p in amalgam.pairs):
+    names = [h.target.name for h, _ in amalgam.pairs]
+    if not names or any(name not in sis or k.target.name != name
+                        for name, (_, k) in zip(names, amalgam.pairs)):
         return False
-    factors = [sis[p.si_name] for p in amalgam.pairs]
-    for si, pair in zip(factors, amalgam.pairs):
-        h, k = pair.h.mapping, pair.k.mapping
+    factors = [sis[name] for name in names]
+    for si, (h, k) in zip(factors, amalgam.pairs):
+        h, k = h.mapping, k.mapping
         if h not in brute_force_homs(left, si) or k not in brute_force_homs(right, si):
             return False
         if any(h[f[x]] != k[g[x]] for x in range(len(f))):
@@ -336,8 +339,8 @@ def brute_force_verify_amalgam(v, left: FiniteAlgebra, right: FiniteAlgebra,
         return False
     index = {t: i for i, t in enumerate(itertools.product(*(range(s.size) for s in factors)))}
     for source, maps, mapping in (
-            (left, [p.h.mapping for p in amalgam.pairs], amalgam.f1.mapping),
-            (right, [p.k.mapping for p in amalgam.pairs], amalgam.g1.mapping)):
+            (left, [h.mapping for h, _ in amalgam.pairs], amalgam.f1.mapping),
+            (right, [k.mapping for _, k in amalgam.pairs], amalgam.g1.mapping)):
         if mapping != tuple(index[tuple(m[x] for m in maps)] for x in range(source.size)):
             return False
         if len(set(mapping)) != source.size:

@@ -41,7 +41,7 @@ def test_double_stone_square_amalgamates():
     d, result = _decide("RDBLST", "2", "3_dblst", "3_dblst")
     assert isinstance(result, Amalgam)
     # the identity pair covers everything: one factor suffices
-    assert [p.si_name for p in result.pairs] == ["3_dblst"]
+    assert [h.target.name for h, _ in result.pairs] == ["3_dblst"]
     assert result.f1.injective and result.g1.injective
     assert result.f1.after(d.f) == result.g1.after(d.g)
 
@@ -108,15 +108,14 @@ def test_discriminator_variety_agrees_with_oracles_on_tampered_builtin(monkeypat
 
 def test_classify_ap_obstructions_are_the_known_diagrams():
     report = classify_ap(variety("G"))
-    obstructed = {(d.base_name, d.left_name, d.right_name) for d in report.obstructed()}
+    obstructed = {(d.base.name, d.left.name, d.right.name) for d, _ in report.obstructed()}
     assert obstructed == {("2", "3_dblst", "3_klst"), ("2", "3_klst", "3_dblst")}
 
 
 def test_amalgam_certificates_reverify_in_ap_varieties():
     for name in ("BA", "RDBLST", "RKLST", "DMBA"):
         v = variety(name)
-        for d in classify_ap(v).diagrams:
-            result = d.result
+        for _, result in classify_ap(v).diagrams:
             assert isinstance(result, Amalgam)
             assert generated_subvariety(result.product).leq(v)
 
@@ -124,33 +123,38 @@ def test_amalgam_certificates_reverify_in_ap_varieties():
 def test_every_amalgam_certificate_reverifies_by_table_scans():
     amalgams = []
     for v in all_varieties():
-        for d in classify_ap(v).diagrams:
-            if isinstance(d.result, Amalgam):
+        for d, result in classify_ap(v).diagrams:
+            if isinstance(result, Amalgam):
                 assert brute_force_verify_amalgam(v, d.f.target, d.g.target, d.f.mapping,
-                                                  d.g.mapping, d.result), (v.name, d)
-                amalgams.append((v, d))
+                                                  d.g.mapping, result), (v.name, d)
+                amalgams.append((v, d, result))
     # 68 of the 80 SI diagrams; the other 12 are obstructed in G, ..., AG
     assert len(amalgams) == 68
     # simple sources make every hom injective, so one pair covers and its SI
     # member is the amalgam
-    for v, d in amalgams:
-        (pair,) = d.result.pairs
-        assert d.result.product == builtin(pair.si_name) == pair.h.target, (v.name, d)
+    for v, d, result in amalgams:
+        ((h, k),) = result.pairs
+        assert result.product == builtin(h.target.name) == h.target, (v.name, d)
 
     # the oracle rejects a tampered certificate
-    v, d = next((v, d) for v, d in amalgams if d.f.target.size > 2)
+    v, d, result = next((v, d, r) for v, d, r in amalgams if d.f.target.size > 2)
     left, right, f, g = d.f.target, d.g.target, d.f.mapping, d.g.mapping
-    f1 = SimpleNamespace(mapping=tuple(reversed(d.result.f1.mapping)))
+    f1 = SimpleNamespace(mapping=tuple(reversed(result.f1.mapping)))
     assert not brute_force_verify_amalgam(v, left, right, f, g,
-                                          dataclasses.replace(d.result, f1=f1))
+                                          dataclasses.replace(result, f1=f1))
     assert not brute_force_verify_amalgam(v, left, right, f, g,
-                                          dataclasses.replace(d.result, pairs=()))
-    assert not brute_force_verify_amalgam(variety("BA"), left, right, f, g, d.result)
-    member = d.result.product
+                                          dataclasses.replace(result, pairs=()))
+    assert not brute_force_verify_amalgam(variety("BA"), left, right, f, g, result)
+    member = result.product
     other = next(builtin(name) for name in BUILTIN_NAMES
                  if name != member.name and builtin(name).size == member.size)
     assert not brute_force_verify_amalgam(v, left, right, f, g,
-                                          dataclasses.replace(d.result, product=other))
+                                          dataclasses.replace(result, product=other))
+    # k names another SI member than h, with the maps themselves unchanged
+    ((h, k),) = result.pairs
+    k_elsewhere = SimpleNamespace(mapping=k.mapping, target=other)
+    assert not brute_force_verify_amalgam(v, left, right, f, g,
+                                          dataclasses.replace(result, pairs=((h, k_elsewhere),)))
 
 
 def test_trivial_diagram_amalgamates_in_its_left_side():
@@ -204,7 +208,7 @@ def test_applications_ap_varieties():
         assert report.embedding_property
         assert report.model_companion
         assert report.two_in_amal
-        assert all(r.embeddable for r in report.jep_on_si_pairs)
+        assert all(report.jep_on_si_pairs.values())
 
 
 def test_applications_non_ap_varieties():
@@ -218,7 +222,7 @@ def test_applications_non_ap_varieties():
 
 def test_joint_embedding_failure_pair_in_g():
     report = applications(classify_ap(variety("G")))
-    failing = [r.pair for r in report.jep_on_si_pairs if not r.embeddable]
+    failing = [pair for pair, ok in report.jep_on_si_pairs.items() if not ok]
     assert failing == [("3_dblst", "3_klst")]
 
 
@@ -228,10 +232,10 @@ def test_applications_agree_with_deciding_each_base_two_diagram():
     for v in all_varieties():
         report = applications(classify_ap(v))
         pairs = list(itertools.combinations_with_replacement(sorted(v.si_names), 2))
-        assert [r.pair for r in report.jep_on_si_pairs] == pairs
-        for r in report.jep_on_si_pairs:
-            d = diagram(two, builtin(r.pair[0]), builtin(r.pair[1]))
-            assert r.embeddable == decide_amalgamation(v, d).amalgamable, (v.name, r.pair)
+        assert list(report.jep_on_si_pairs) == pairs
+        for pair, embeddable in report.jep_on_si_pairs.items():
+            d = diagram(two, builtin(pair[0]), builtin(pair[1]))
+            assert embeddable == decide_amalgamation(v, d).amalgamable, (v.name, pair)
         assert report.two_in_amal == (refute_amal_base(v, two) is None), v.name
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 
@@ -274,3 +275,50 @@ def test_non_integer_cap_exits_2(capsys, monkeypatch):
     code, _, err = run(capsys, "classify", "2")
     assert code == 2
     assert "AGKIT_CAP" in err and "Traceback" not in err
+
+
+# sha256 of the whole --json stdout of commands whose result records are read
+# by `Amalgam.as_dict`, `applications` and `lemma_suite`; the verify-paper
+# digest covers none of these outputs (its theorem diagrams are obstructions).
+GOLDEN_CLI_SHA256 = {
+    "one_pair_amalgam": (
+        "4486c713b283c86dd0539f7de431c91f12e9b05a42d7dc80bf5015150933cd4f",
+        ["amalgamate", "--variety", "RDBLST", "--base", "2", "--left", "3_dblst",
+         "--right", "3_dblst"]),
+    "obstruction": (
+        "23829c75601cae08ed05e9a15304cf23c8f1629eb4b0fda7278294b774ec3325",
+        ["amalgamate", "--variety", "G", "--base", "2", "--left", "3_dblst",
+         "--right", "3_klst"]),
+    "two_factor_amalgam": (
+        "52f0c1fad312658ebbbdbd2c71d00402a609f181ae3e2512c3668584df62d8d3",
+        ["amalgamate", "--variety", "RDBLST", "--base", "2", "--left", "product.json",
+         "--right", "3_dblst"]),
+    "applications_G": (
+        "bed11dc50323018c5f0e73420fde6ec7df76ee512cf3c9171ec8e256154af7b8",
+        ["applications", "--variety", "G"]),
+    "applications_RDBLST": (
+        "dd69fbaa1d11db0f982d446f89f68f46cdab69a1ce8420826d8803c6f2dd55fd",
+        ["applications", "--variety", "RDBLST"]),
+    "lemmas": (
+        "9c1ac48066b5424876a881e758a8e3bdcd09c83dec4f8cd397f2bc7df83588c8",
+        ["lemmas"]),
+    "lemmas_V_KLST_DMBA": (
+        "1591fcdfce9fc5d65a96cdae4132daf263c7a21e22b17ff4296164ec0193ec46",
+        ["lemmas", "--variety", "V_KLST_DMBA"]),
+    "classify_ap_all": (
+        "65836c48c3080da88d31292e390e11b9c06020f94e3a9c3ff0fc7e15975813b7",
+        ["classify-ap", "--all"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CLI_SHA256))
+def test_json_output_matches_golden_digest(capsys, tmp_path, monkeypatch, case):
+    digest, argv = GOLDEN_CLI_SHA256[case]
+    # the two-factor amalgam <2; 2 x 3_dblst, 3_dblst> reads its left side from
+    # a file; a relative path keeps the echoed command the same in every run
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "product.json").write_text(
+        dump_algebra(direct_product([builtin("2"), builtin("3_dblst")])))
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -83,14 +83,14 @@ def test_quasi_identity_examples():
 
 
 def test_verify_bases_matches_membership_matrix():
-    report = verify_bases()
-    assert report.ok
-    assert report.mismatches() == []
-    true_cells = sum(v for row in report.satisfied.values() for v in row.values())
+    matrix = verify_bases()
+    assert matrix == {si: {v.name: si in v.si_names for v in all_varieties()}
+                      for si in BUILTIN_NAMES}
+    true_cells = sum(v for row in matrix.values() for v in row.values())
     # 2 lies in all eight varieties, each other generator in its four
     assert true_cells == 20
-    assert report.satisfied["3_klst"]["RDBLST"] is False  # x \/ x' = 1 fails at a
-    assert report.satisfied["4_dmba"]["V_DBLST_DMBA"] is True
+    assert matrix["3_klst"]["RDBLST"] is False  # x \/ x' = 1 fails at a
+    assert matrix["4_dmba"]["V_DBLST_DMBA"] is True
 
 
 def test_generated_subvariety_examples(builtins):
@@ -420,17 +420,17 @@ def test_lemma_registry_shape():
 
 
 def test_lemma_suite_all_pass():
-    report = lemma_suite()
-    assert report.ok, [
-        (r.record.id, r.verdict.countermodel) for r in report.mismatches()]
-    assert len(report.results) == 25
+    results = lemma_suite()
+    assert all(verdict.holds for _, verdict in results), [
+        (record.id, verdict.countermodel) for record, verdict in results if not verdict.holds]
+    assert len(results) == 25
 
 
 def test_lemma_suite_variety_slice():
-    report = lemma_suite(variety("V_KLST_DMBA"))
-    assert {r.record.variety_name for r in report.results} == {"V_KLST_DMBA"}
-    assert {r.record.id for r in report.results} == {"L3.13", "L3.14", "EqnT", "T3.17"}
-    assert report.ok
+    results = lemma_suite(variety("V_KLST_DMBA"))
+    assert {record.variety_name for record, _ in results} == {"V_KLST_DMBA"}
+    assert {record.id for record, _ in results} == {"L3.13", "L3.14", "EqnT", "T3.17"}
+    assert all(verdict.holds for _, verdict in results)
 
 
 def test_lemma_l318_also_boolean_without_premises():
