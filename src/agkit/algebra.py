@@ -284,8 +284,7 @@ def _read_utf8(path, what: str, unreadable: type[AgkitError]) -> str:
 
 # --- products ----------------------------------------------------------------
 
-def direct_product(factors: Sequence[FiniteAlgebra],
-                   max_elements: int | None = None) -> FiniteAlgebra:
+def direct_product(factors: Sequence[FiniteAlgebra]) -> FiniteAlgebra:
     """The product, its elements the tuples in lexicographic order (last
     factor fastest).  The factors are folded in one at a time: element (x, a)
     of P x f, x in the product P of the factors before f, gets index
@@ -294,7 +293,7 @@ def direct_product(factors: Sequence[FiniteAlgebra],
     if not factors:
         raise ValueError("direct_product needs at least one factor")
     size = math.prod(f.size for f in factors)
-    caps.guard("product_elements", size, max_elements)
+    caps.guard("product_elements", size)
     first, *rest = factors
     join, meet, star, quote = first.join, first.meet, first.star, first.quote
     zero, one = first.zero, first.one

@@ -2,7 +2,8 @@
 
 Every potentially explosive computation is bounded by a named cap.  The
 AGKIT_CAP environment variable, when set, must be an integer; it replaces the
-default of every cap.  Some call sites also accept an explicit override.
+default of every cap.  One call site overrides a cap explicitly: free_algebra's
+max_elements (`agkit free --cap`) replaces the free_elements cap.
 """
 
 from __future__ import annotations

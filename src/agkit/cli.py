@@ -2,7 +2,8 @@
 
 Exit codes: 0 = ran and every verdict matched its expectation (commands
 without baked-in expectations exit 0 on completion), 1 = a checked verdict
-failed, 2 = usage or parse error.
+failed, 2 = usage, parse or configuration error, or a cap hit.  In
+verify-paper a cap hit fails the records of its unit only, so it gives 1.
 """
 
 from __future__ import annotations

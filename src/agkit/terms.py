@@ -461,8 +461,7 @@ _VERDICTS: weakref.WeakKeyDictionary[FiniteAlgebra, dict[Sentence, Verdict]] = \
     weakref.WeakKeyDictionary()
 
 
-def holds_in(algebra: FiniteAlgebra, sentence: Sentence,
-             max_assignments: int | None = None) -> Verdict:
+def holds_in(algebra: FiniteAlgebra, sentence: Sentence) -> Verdict:
     """Exhaustively decide a sentence on one finite algebra.
 
     True iff every total assignment satisfying all premises also satisfies the
@@ -476,7 +475,7 @@ def holds_in(algebra: FiniteAlgebra, sentence: Sentence,
     lives no longer than the algebra it was first stored under.  Callers
     share the Verdict and only read its witness.
     """
-    caps.guard("assignments", algebra.size ** len(sentence.variables()), max_assignments)
+    caps.guard("assignments", algebra.size ** len(sentence.variables()))
     known = _VERDICTS.get(algebra)
     if known is None:
         known = _VERDICTS[algebra] = {}

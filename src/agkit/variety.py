@@ -219,8 +219,12 @@ def discriminator_is_term_op(*algebras: FiniteAlgebra) -> bool:
     """
     for algebra in algebras:
         caps.guard("discriminator_universe", algebra.size)
-    return all(_discriminator_preserves(left, right)
-               for left, right in itertools.combinations_with_replacement(algebras, 2))
+    for left, right in itertools.combinations_with_replacement(algebras, 2):
+        for cap in ("product_elements", "subalgebra_universe"):  # as deciding the pair cold would
+            caps.guard(cap, left.size * right.size)
+        if not _discriminator_preserves(left, right):
+            return False
+    return True
 
 
 @functools.cache

@@ -37,6 +37,20 @@ def log_calls(monkeypatch, module, name: str, log: list) -> None:
                 monkeypatch.setattr(bound, attr, logged)
 
 
+def forget_facts() -> None:
+    """Empty the process-wide tables of decided facts, so that the next call
+    decides everything cold: discriminator verdicts, hom sets, memberships
+    and sentence verdicts."""
+    from agkit.amalgamation import _homs
+    from agkit.terms import _VERDICTS
+    from agkit.variety import _MEMBERS, _discriminator_preserves
+
+    _discriminator_preserves.cache_clear()
+    _homs.cache_clear()
+    _MEMBERS.clear()
+    _VERDICTS.clear()
+
+
 @st.composite
 def generated_members(draw):
     """A member of the variety built as HSP of the builtins: a product of 1 to

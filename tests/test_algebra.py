@@ -14,6 +14,7 @@ from agkit import (AgkitError, AlgebraFormatError, BUILTIN_NAMES, CapExceededErr
                    direct_product, dump_algebra, enumerate_subalgebras, lattice_reduct,
                    load_algebra, subalgebra, subuniverse_closure)
 from agkit.algebra import SPEC_KEYS, _adjoin
+from agkit.caps import DEFAULT_CAPS
 from tests.conftest import (breaks_law, brute_force_lattice_axioms, brute_force_subuniverses,
                             fixpoint_closure, generated_members, tuple_direct_product)
 
@@ -371,9 +372,11 @@ def test_unary_product_isomorphic_to_factor(builtins):
         assert is_isomorphic(direct_product([algebra]), algebra) is not None
 
 
-def test_product_cap():
+def test_product_cap(monkeypatch):
+    monkeypatch.delenv("AGKIT_CAP", raising=False)
+    monkeypatch.setitem(DEFAULT_CAPS, "product_elements", 10)
     with pytest.raises(CapExceededError):
-        direct_product([builtin("4_dmba")] * 3, max_elements=10)
+        direct_product([builtin("4_dmba")] * 3)
 
 
 def test_closure_examples(builtins):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from collections import Counter
 
 import pytest
 
@@ -270,11 +271,34 @@ def test_verify_paper_cli_mismatch_exits_1(capsys, tmp_path, monkeypatch):
     assert payload["summary"]["ok"] is False
 
 
-def test_non_integer_cap_exits_2(capsys, monkeypatch):
+def test_non_integer_cap_exits_2(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("AGKIT_CAP", "abc")
-    code, _, err = run(capsys, "classify", "2")
-    assert code == 2
-    assert "AGKIT_CAP" in err and "Traceback" not in err
+    out = tmp_path / "report.json"
+    for argv in (["classify", "2"], ["verify-paper", "--out", str(out)]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert "AGKIT_CAP" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_capped_verify_paper_writes_error_records_and_exits_1(capsys, monkeypatch, tmp_path):
+    """A cap hit inside verify-paper fails the records of its unit; the run
+    goes on, --out is written and the exit code is that of a failed check."""
+    out = tmp_path / "report.json"
+    monkeypatch.setenv("AGKIT_CAP", "20")
+    code, stdout, _ = run(capsys, "verify-paper", "--out", str(out))
+    assert code == 1
+    records = json.loads(out.read_text())["records"]
+    errors = [r for r in records if r["verdict"] == "error"]
+    assert (len(records), len(errors)) == (218, 37)
+    # three-variable sentences on 3_dblst and 3_klst (27 assignments), and the
+    # three-variable base J on 4_dmba (64) in that builtin's base-matrix row
+    assert Counter(r["detail"]["error"] for r in errors) == {
+        "assignments guard exceeded: requested 27, limit 20": 29,
+        "assignments guard exceeded: requested 64, limit 20": 8}
+    fails = [line for line in stdout.splitlines() if line.startswith("FAIL ")]
+    assert fails == [f"FAIL {r['id']} [{r['label']}]: got 'error', expected {r['expected']!r}"
+                     for r in errors]
 
 
 # sha256 of the whole --json stdout of commands whose result records are read

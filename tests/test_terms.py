@@ -13,6 +13,7 @@ from agkit import (BUILTIN_NAMES, AgkitError, CapExceededError, EvalError, Parse
                    direct_product, eval_term, format_sentence, format_term, free_algebra,
                    holds_in, load_sentences, parse_sentence, parse_term, variety)
 from agkit.algebra import BUILTIN_SPECS, FiniteAlgebra
+from agkit.caps import DEFAULT_CAPS
 from agkit.terms import _VERDICTS, MAX_TERM_DEPTH, Const, Join, Meet, Quote, Sentence, Star, Var
 from tests.conftest import log_calls, plain_holds_in
 
@@ -190,19 +191,27 @@ def test_holds_in_premises_gate_conclusion(builtins):
     assert not holds_in(builtins["3_dblst"], sentence).holds
 
 
-def test_assignment_cap():
+def lower_cap(monkeypatch, name: str, limit: int) -> None:
+    monkeypatch.delenv("AGKIT_CAP", raising=False)
+    monkeypatch.setitem(DEFAULT_CAPS, name, limit)
+
+
+def test_assignment_cap(monkeypatch):
     big = builtin("4_dmba")
+    lower_cap(monkeypatch, "assignments", 100)
     with pytest.raises(CapExceededError):
-        holds_in(big, parse_sentence("v \\/ w \\/ x \\/ y \\/ z = 1"), max_assignments=100)
+        holds_in(big, parse_sentence("v \\/ w \\/ x \\/ y \\/ z = 1"))
 
 
-def test_assignment_cap_counts_all_assignments():
+def test_assignment_cap_counts_all_assignments(monkeypatch):
     # x* = 1 only at x = 0, so 16 of the 64 assignments pass the premise; the
     # cap still applies to all 64
     sentence = parse_sentence("x* = 1 => x \\/ y \\/ z = y \\/ z")
+    lower_cap(monkeypatch, "assignments", 20)
     with pytest.raises(CapExceededError):
-        holds_in(builtin("4_dmba"), sentence, max_assignments=20)
-    assert holds_in(builtin("4_dmba"), sentence, max_assignments=64).holds
+        holds_in(builtin("4_dmba"), sentence)
+    lower_cap(monkeypatch, "assignments", 64)
+    assert holds_in(builtin("4_dmba"), sentence).holds
 
 
 @pytest.mark.parametrize("text, algebra_name, expected", [
@@ -340,8 +349,10 @@ def test_known_fact_still_meets_the_assignment_cap(monkeypatch):
     algebra, sentence = builtin("4_dmba"), parse_sentence("x \\/ y \\/ z = 1")
     assert not holds_in(algebra, sentence)  # 64 assignments
     assert sentence in _VERDICTS[algebra]
+    lower_cap(monkeypatch, "assignments", 63)
     with pytest.raises(CapExceededError):
-        holds_in(algebra, sentence, max_assignments=63)
+        holds_in(algebra, sentence)
+    monkeypatch.undo()
     monkeypatch.setenv("AGKIT_CAP", "63")
     with pytest.raises(CapExceededError):
         holds_in(algebra, sentence)

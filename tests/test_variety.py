@@ -17,6 +17,7 @@ from agkit import (AgkitError, BUILTIN_NAMES, CapExceededError, FiniteAlgebra,
                    lattice_reduct, lemma_registry, lemma_suite, parse_sentence,
                    quasi_identity_holds, variety, verify_bases, all_varieties,
                    VARIETY_NAMES, enumerate_embeddings, enumerate_homs, subuniverse_closure)
+from agkit.caps import DEFAULT_CAPS
 from agkit.variety import (_MEMBERS, _discriminator_preserves, identity_holds_via_free, in_hs,
                            require_in_variety)
 from tests.conftest import (brute_force_discriminator_preserves, chain4, closure_free_algebra,
@@ -274,6 +275,25 @@ def test_discriminator_on_several_algebras(builtins):
     assert discriminator_is_term_op(*builtins.values())
     # a lattice reduct fails on its own square, so no family containing it passes
     assert not discriminator_is_term_op(builtins["2"], lattice_reduct(builtins["3_klst"]))
+
+
+@pytest.mark.parametrize("cap", ["product_elements", "subalgebra_universe"])
+def test_cached_discriminator_verdict_meets_the_guards_of_a_cold_check(
+        builtins, monkeypatch, cap):
+    algebra = builtins["4_dmba"]  # its square has 16 elements
+    monkeypatch.delenv("AGKIT_CAP", raising=False)
+
+    def guard_hit():
+        with monkeypatch.context() as capped:
+            capped.setitem(DEFAULT_CAPS, cap, 8)
+            with pytest.raises(CapExceededError) as raised:
+                discriminator_is_term_op(algebra)
+        return raised.value.guard, raised.value.limit, raised.value.requested
+
+    _discriminator_preserves.cache_clear()
+    cold = guard_hit()
+    assert discriminator_is_term_op(algebra)
+    assert guard_hit() == cold == (cap, 8, 16)
 
 
 def test_discriminator_fiber_test_matches_cubic_scan(builtins):

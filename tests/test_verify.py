@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import importlib
+import itertools
 import json
 import os
 import subprocess
@@ -17,11 +18,10 @@ import agkit.axioms
 import agkit.congruence
 import agkit.morphisms
 import agkit.terms
-from agkit.amalgamation import _homs
-from agkit.terms import _VERDICTS
-from agkit.variety import _MEMBERS, VARIETY_NAMES, _discriminator_preserves
+from agkit.caps import DEFAULT_CAPS
+from agkit.variety import VARIETY_NAMES
 from agkit.verify import load_expectations, verify_paper
-from tests.conftest import log_calls
+from tests.conftest import forget_facts, log_calls
 
 # sha256 of the canonical records of the untampered run: sorted keys, no
 # whitespace.  The digest does not depend on PYTHONHASHSEED (see
@@ -95,10 +95,7 @@ def logged_run():
               "satisfies_axiom_system": agkit.axioms,
               "_decide": agkit.terms}
     calls = {name: [] for name in traced}
-    _discriminator_preserves.cache_clear()
-    _homs.cache_clear()
-    _MEMBERS.clear()
-    _VERDICTS.clear()
+    forget_facts()
     with pytest.MonkeyPatch.context() as monkeypatch:
         for name, module in traced.items():
             log_calls(monkeypatch, module, name, calls[name])
@@ -152,6 +149,43 @@ def test_tampered_builtin_flips_multiple_records(monkeypatch):
         f"applications/{name}/{prop}" for name in broken
         for prop in ("tp", "ei", "embedding_property", "model_companion", "two_in_amal")}
     assert all(message.startswith("3_dblst is not in") for message in errors.values())
+
+
+# (cap, limit) pairs of the sweep that some unit exceeds, so that the run has
+# "error" records; under every other pair it gives the default verdicts.
+CAPPED_RUNS_WITH_ERRORS = {
+    ("product_elements", 1), ("product_elements", 8),
+    ("assignments", 1), ("assignments", 8), ("assignments", 16),
+    ("congruence_universe", 1), ("congruence_universe", 8),
+    ("subalgebra_universe", 1), ("subalgebra_universe", 8),
+    ("discriminator_universe", 1)}
+# the caps that guard work whose result is kept between calls
+CACHED_WORK_CAPS = ("product_elements", "subalgebra_universe", "discriminator_universe",
+                    "assignments")
+
+
+def test_cap_sweep_turns_each_capped_unit_into_error_records(monkeypatch):
+    monkeypatch.delenv("AGKIT_CAP", raising=False)
+    golden = {r.id: r.verdict for r in verify_paper().records}
+    for cap, limit in itertools.product(list(DEFAULT_CAPS), (1, 8, 16)):
+        with monkeypatch.context() as capped:
+            capped.setitem(DEFAULT_CAPS, cap, limit)
+            records = [r.as_dict() for r in verify_paper().records]
+            if cap in CACHED_WORK_CAPS:
+                # what earlier runs decided and kept changes no record
+                forget_facts()
+                assert [r.as_dict() for r in verify_paper().records] == records, (cap, limit)
+        if cap in CACHED_WORK_CAPS:
+            verify_paper()  # decide every fact again for the next warm run
+        verdicts = {r["id"]: r["verdict"] for r in records}
+        assert len(verdicts) == len(records) and set(verdicts) <= set(golden), (cap, limit)
+        assert all(verdict in (golden[i], "error") for i, verdict in verdicts.items())
+        for missing in set(golden) - set(verdicts):
+            diagram, _, tail = missing.rpartition("/")
+            assert tail == "reverified" and verdicts[diagram] == "error", (cap, limit, missing)
+        errors = [r for r in records if r["verdict"] == "error"]
+        assert bool(errors) == ((cap, limit) in CAPPED_RUNS_WITH_ERRORS), (cap, limit)
+        assert all(r["detail"]["error"].startswith(f"{cap} guard exceeded") for r in errors)
 
 
 def records_digest(payload: str) -> str:
