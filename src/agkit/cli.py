@@ -225,8 +225,9 @@ def _cmd_free(args, report: Report) -> str:
 
 def _cmd_verify_paper(args, report: Report) -> str:
     report.records.extend(verify_paper().records)
-    lines = [f"FAIL {record.id} [{record.label}]: got {record.verdict!r}, "
-             f"expected {record.expected!r}" for record in report.failures()]
+    lines = [f"FAIL {record.id} [{record.label}]: got {record.verdict!r}"
+             + (f" ({record.detail['error']})" if record.verdict == "error" else "")
+             + f", expected {record.expected!r}" for record in report.failures()]
     summary = report.summary()
     lines.append(f"{summary['checks']} checks, {summary['failed']} failed -> "
                  f"{'OK' if summary['ok'] else 'MISMATCH'}")

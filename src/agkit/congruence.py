@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import ne
 from typing import Sequence
 
 from . import caps
@@ -115,33 +116,35 @@ def is_congruence(algebra: FiniteAlgebra, partition: Partition) -> bool:
 def principal_congruence(algebra: FiniteAlgebra, a: int, b: int) -> Partition:
     """Least congruence identifying a and b.
 
-    Union-find seeded with (a, b); every newly merged pair is pushed through
-    all unary translations x -> x \\/ c, x -> x /\\ c, x -> x*, x -> x' until
-    the fixpoint.  Closing under translations of merged pairs is enough
-    because congruence generation only needs unary polynomials.
+    block[x] is the id of x's block; a merge relabels the smaller block into
+    the larger, so no element is relabeled more than log2(n) times.  A merged
+    pair (x, y) queues (x*, y*), (x', y') and, from the rows join[x], join[y],
+    meet[x], meet[y] read once, those (x \\/ c, y \\/ c) and (x /\\ c, y /\\ c)
+    that straddle two blocks: a pair inside one block adds nothing.  The
+    blocks are the equivalence generated by the merged pairs, all of whose
+    translations end in one block; so every translation maps related x, y
+    to one block, and x ~ y, u ~ v give x \\/ u ~ y \\/ u ~ y \\/ v.
     """
-    n = algebra.size
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    join, meet, star, quote = algebra.join, algebra.meet, algebra.star, algebra.quote
+    block = list(range(algebra.size))
+    members = [[x] for x in block]
+    at = block.__getitem__
     queue = [(a, b)]
     while queue:
         x, y = queue.pop()
-        root_x, root_y = find(x), find(y)
-        if root_x == root_y:
+        keep, gone = block[x], block[y]
+        if keep == gone:
             continue
-        parent[root_x] = root_y
-        queue.append((algebra.star[x], algebra.star[y]))
-        queue.append((algebra.quote[x], algebra.quote[y]))
-        for c in range(n):
-            queue.append((algebra.join[x][c], algebra.join[y][c]))
-            queue.append((algebra.meet[x][c], algebra.meet[y][c]))
-    return Partition.from_assignment([find(i) for i in range(n)])
+        if len(members[keep]) < len(members[gone]):
+            keep, gone = gone, keep
+        for z in members[gone]:
+            block[z] = keep
+        members[keep] += members[gone]
+        queue += (star[x], star[y]), (quote[x], quote[y])
+        for table in (join, meet):
+            rx, ry = table[x], table[y]
+            queue += itertools.compress(zip(rx, ry), map(ne, map(at, rx), map(at, ry)))
+    return Partition.from_assignment(block)
 
 
 @dataclass(frozen=True)

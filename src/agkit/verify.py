@@ -37,9 +37,9 @@ def _add_unit(report: Report, work, rows):
     """Add the records of one unit of work and return its outcome.
 
     The units: an axiom system on a builtin, the SI verdicts of a builtin or
-    product, a variety's AP report and its applications, a builtin's row of
-    the base matrix, a discriminator check, a lemma, a theorem diagram and its
-    re-verification.  `work` computes the outcome when called with no
+    product, a variety's AP report and its applications, a (builtin, variety)
+    cell of the base matrix, a discriminator check, a lemma, a theorem diagram
+    and its re-verification.  `work` computes the outcome when called with no
     arguments, or is the AgkitError of the section 3 unit that a section 7 or
     8 unit builds on.  Each row is (id, label, expected, read), where
     read(outcome) gives the verdict and the detail.  No id depends on the
@@ -111,12 +111,12 @@ def verify_paper() -> Report:
                  for d, result in r.obstructed()]} if not r.has_ap else {})),
         ])
 
-    # 4. equational-base matrix, one unit per SI row
+    # 4. equational-base matrix, one unit per (builtin, variety) cell
     section = expect["base_matrix"]
-    for si in BUILTIN_NAMES:
-        _add_unit(report, lambda: [satisfies_base(builtin(si), v) for v in all_varieties()], [
+    for si, v in itertools.product(BUILTIN_NAMES, all_varieties()):
+        _add_unit(report, lambda: satisfies_base(builtin(si), v), [
             (f"base_matrix/{si}/{v.name}", section["label"], si in v.si_names,
-             lambda row, i=i: (row[i].holds, {})) for i, v in enumerate(all_varieties())])
+             lambda verdict: (verdict.holds, {}))])
 
     # 5. discriminator term checks
     section = expect["discriminator"]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 import sys
 
 import pytest
@@ -17,6 +18,17 @@ ORACLE_MAX_SIZE = 36
 @pytest.fixture(scope="session")
 def builtins() -> dict[str, FiniteAlgebra]:
     return {name: builtin(name) for name in BUILTIN_NAMES}
+
+
+class CountingTable(tuple):
+    """An operation table that counts the entries (rows, for a binary
+    table) read from it."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
 
 
 def log_calls(monkeypatch, module, name: str, log: list) -> None:
@@ -71,6 +83,32 @@ def generated_members(draw):
         theta = principal_congruence(algebra, draw(elements), draw(elements))
         algebra = quotient(algebra, theta)
     return algebra
+
+
+@st.composite
+def renumbered_products(draw, min_size: int = 24, max_size: int = 64):
+    """A product of builtins of min_size to max_size elements, its elements
+    renumbered by a seeded random permutation, so that no table is in the
+    product's own order."""
+    from agkit import direct_product
+
+    names = draw(st.sampled_from([
+        names for k in range(2, 7)
+        for names in itertools.combinations_with_replacement(BUILTIN_NAMES, k)
+        if min_size <= math.prod(builtin(n).size for n in names) <= max_size]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    product = direct_product([builtin(n) for n in rng.sample(names, len(names))])
+    n = product.size
+    to = rng.sample(range(n), n)
+    order = sorted(range(n), key=to.__getitem__)  # order[to[x]] == x
+    return FiniteAlgebra(
+        name="renumbered " + product.name, size=n,
+        labels=tuple(product.labels[x] for x in order),
+        join=tuple(tuple(to[product.join[x][y]] for y in order) for x in order),
+        meet=tuple(tuple(to[product.meet[x][y]] for y in order) for x in order),
+        star=tuple(to[product.star[x]] for x in order),
+        quote=tuple(to[product.quote[x]] for x in order),
+        zero=to[product.zero], one=to[product.one], validate=False)
 
 
 def chain4(star: tuple[int, ...], quote: tuple[int, ...]) -> FiniteAlgebra:
@@ -173,6 +211,31 @@ def brute_force_congruences(algebra: FiniteAlgebra):
     from agkit.congruence import is_congruence
 
     return [p for p in iter_partitions(algebra.size) if is_congruence(algebra, p)]
+
+
+def translation_closure(algebra: FiniteAlgebra, a: int, b: int):
+    """Oracle for principal_congruence: the set of related pairs, grown from
+    (a, b) under symmetry, transitivity and every basic translation (x*, x',
+    x \\/ c, x /\\ c) one pair at a time until nothing changes, with no
+    union-find and no blocks."""
+    from agkit import Partition
+
+    rng = range(algebra.size)
+    join, meet, star, quote = algebra.join, algebra.meet, algebra.star, algebra.quote
+    related = {(x, x) for x in rng}
+    work = [(a, b)]
+    while work:
+        x, y = work.pop()
+        if (x, y) in related:
+            continue
+        related.add((x, y))
+        work.append((y, x))
+        work.extend((x, z) for z in rng if (y, z) in related)
+        work.extend((w, y) for w in rng if (w, x) in related)
+        work += (star[x], star[y]), (quote[x], quote[y])
+        work.extend((join[x][c], join[y][c]) for c in rng)
+        work.extend((meet[x][c], meet[y][c]) for c in rng)
+    return Partition.from_assignment([min(y for y in rng if (x, y) in related) for x in rng])
 
 
 def pairwise_congruence_lattice(algebra: FiniteAlgebra):

@@ -290,15 +290,21 @@ def test_capped_verify_paper_writes_error_records_and_exits_1(capsys, monkeypatc
     assert code == 1
     records = json.loads(out.read_text())["records"]
     errors = [r for r in records if r["verdict"] == "error"]
-    assert (len(records), len(errors)) == (218, 37)
+    assert (len(records), len(errors)) == (218, 16)
     # three-variable sentences on 3_dblst and 3_klst (27 assignments), and the
-    # three-variable base J on 4_dmba (64) in that builtin's base-matrix row
+    # three-variable base J on 4_dmba (64): of the base matrix only the
+    # V_DBLST_DMBA cells fail, the other cells being units of their own
     assert Counter(r["detail"]["error"] for r in errors) == {
-        "assignments guard exceeded: requested 27, limit 20": 29,
-        "assignments guard exceeded: requested 64, limit 20": 8}
+        "assignments guard exceeded: requested 27, limit 20": 15,
+        "assignments guard exceeded: requested 64, limit 20": 1}
+    assert [r["id"] for r in errors if r["id"].startswith("base_matrix/")] == [
+        f"base_matrix/{si}/V_DBLST_DMBA" for si in ("3_dblst", "3_klst", "4_dmba")]
     fails = [line for line in stdout.splitlines() if line.startswith("FAIL ")]
-    assert fails == [f"FAIL {r['id']} [{r['label']}]: got 'error', expected {r['expected']!r}"
-                     for r in errors]
+    assert fails == [f"FAIL {r['id']} [{r['label']}]: got 'error' ({r['detail']['error']}), "
+                     f"expected {r['expected']!r}" for r in errors]
+    assert fails[0] == ("FAIL hereditarily_si/V_DBLST_DMBA [Thm 3.1 hypothesis (2)]: got "
+                        "'error' (assignments guard exceeded: requested 27, limit 20), "
+                        "expected True")
 
 
 # sha256 of the whole --json stdout of commands whose result records are read

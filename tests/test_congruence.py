@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -9,12 +10,13 @@ from hypothesis import example, given, settings, strategies as st
 import agkit.congruence
 from agkit import (BUILTIN_NAMES, CapExceededError, FiniteAlgebra, Partition, builtin,
                    cep_instance, check_sc, classify, congruence_lattice, direct_product,
-                   enumerate_embeddings, is_congruence, is_isomorphic,
+                   enumerate_embeddings, is_congruence, is_isomorphic, lattice_reduct,
                    principal_congruence, quotient, subalgebra)
 from agkit.morphisms import Homomorphism
-from tests.conftest import (brute_force_congruences, cep_by_definition, chain4,
-                            directly_indecomposable_by_definition, generated_members,
-                            iter_partitions, pairwise_congruence_lattice)
+from tests.conftest import (CountingTable, brute_force_congruences, cep_by_definition,
+                            chain4, directly_indecomposable_by_definition, generated_members,
+                            iter_partitions, pairwise_congruence_lattice,
+                            renumbered_products, translation_closure)
 
 
 def oracle_principal(algebra, a, b):
@@ -52,6 +54,9 @@ def test_principal_congruence_examples(builtins):
     square = direct_product([builtins["2"], builtins["2"]])
     # identifying (0,0) with (0,1) collapses exactly the second coordinate
     assert principal_congruence(square, 0, 1).blocks == (0, 0, 1, 1)
+    # Without ', whose De Morgan laws give x /\ c = (x' \/ c')', only a meet
+    # translation takes ((0,1), (1,1)) to ((0,0), (1,0)).
+    assert principal_congruence(lattice_reduct(square), 1, 3).blocks == (0, 1, 0, 1)
 
 
 def test_principal_congruence_matches_oracle_up_to_size_6(builtins):
@@ -63,6 +68,36 @@ def test_principal_congruence_matches_oracle_up_to_size_6(builtins):
         assert algebra.size <= 6
         for a, b in itertools.combinations(range(algebra.size), 2):
             assert principal_congruence(algebra, a, b) == oracle_principal(algebra, a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(generated_members(), renumbered_products()), st.booleans(), st.data())
+def test_principal_congruence_matches_translation_closure(algebra, reduct, data):
+    if reduct:
+        algebra = lattice_reduct(algebra)
+    elements = st.integers(0, algebra.size - 1)
+    for a, b in data.draw(st.lists(st.tuples(elements, elements), min_size=1, max_size=3)):
+        theta = principal_congruence(algebra, a, b)
+        assert theta == translation_closure(algebra, a, b)
+        assert is_congruence(algebra, theta)
+
+
+def test_principal_congruence_reads_four_rows_per_merge(builtins):
+    # Each merge reads join[x], join[y], meet[x], meet[y] once, and a result
+    # with k blocks took n - k merges; closing pair by pair reads 4n rows per
+    # merge.
+    product = direct_product([builtins[n] for n in ("3_dblst", "3_klst", "4_dmba")])
+    join, meet = CountingTable(product.join), CountingTable(product.meet)
+    counting = dataclasses.replace(product, join=join, meet=meet, validate=False)
+    n = counting.size
+    assert n == 36
+    seen = set()
+    for a, b in itertools.combinations(range(n), 2):
+        join.reads = meet.reads = 0
+        theta = principal_congruence(counting, a, b)
+        assert join.reads + meet.reads <= 4 * (n - theta.num_blocks), (a, b)
+        seen.add(theta.num_blocks)
+    assert seen == {1, 3, 4, 9, 12}
 
 
 def test_congruence_lattice_examples(builtins):

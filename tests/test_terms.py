@@ -15,7 +15,7 @@ from agkit import (BUILTIN_NAMES, AgkitError, CapExceededError, EvalError, Parse
 from agkit.algebra import BUILTIN_SPECS, FiniteAlgebra
 from agkit.caps import DEFAULT_CAPS
 from agkit.terms import _VERDICTS, MAX_TERM_DEPTH, Const, Join, Meet, Quote, Sentence, Star, Var
-from tests.conftest import log_calls, plain_holds_in
+from tests.conftest import CountingTable, log_calls, plain_holds_in
 
 
 def test_parse_postfix_grouping():
@@ -319,19 +319,9 @@ def test_holds_in_matches_plain_scan(case):
     assert holds_in(algebra, sentence) == expected  # served from the table
 
 
-class _CountingTable(tuple):
-    """An operation table that counts the entries read from it."""
-
-    reads = 0
-
-    def __getitem__(self, index):
-        self.reads += 1
-        return super().__getitem__(index)
-
-
 def test_scan_reads_what_no_prefix_changes_once():
     spec = dict(BUILTIN_SPECS["4_dmba"])
-    star = spec["star"] = _CountingTable(spec["star"])
+    star = spec["star"] = CountingTable(spec["star"])
     algebra = FiniteAlgebra(name="counting", validate=False, **spec)
     n = algebra.size
     # x is the prefix and y the column variable.  Each of the four y* is
