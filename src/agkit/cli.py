@@ -3,7 +3,7 @@
 Exit codes: 0 = ran and every verdict matched its expectation (commands
 without baked-in expectations exit 0 on completion), 1 = a checked verdict
 failed, 2 = usage, parse or configuration error, or a cap hit.  In
-verify-paper a cap hit fails the records of its unit only, so it gives 1.
+verify-paper and lemmas a cap hit fails only its unit's records, so they give 1.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from .errors import AgkitError
 from .morphisms import enumerate_homs
 from .report import Record, Report, markdown_table
 from .terms import parse_sentence
-from .variety import all_varieties, free_algebra, lemma_suite, quasi_identity_holds, variety
-from .verify import verify_paper
+from .variety import all_varieties, free_algebra, lemma_registry, quasi_identity_holds, variety
+from .verify import _add_lemma, verify_paper
 
 
 def _resolve_algebra(token: str):
@@ -179,13 +179,14 @@ def _cmd_classify_ap(args, report: Report) -> str:
 
 
 def _cmd_lemmas(args, report: Report) -> str:
+    """Each lemma is a unit, as in verify-paper: a cap hit gives it an error row."""
+    name = variety(args.variety).name if args.variety else None
     rows = []
-    for record, verdict in lemma_suite(variety(args.variety) if args.variety else None):
-        report.add(Record(
-            id=f"lemma/{record.id}", label=record.label,
-            verdict=verdict.holds, expected=True,
-            detail={"variety": record.variety_name, "sentence": str(record.sentence)}))
-        rows.append([record.id, record.variety_name, "pass" if verdict.holds else "FAIL"])
+    for lemma in lemma_registry():
+        if name in (None, lemma.variety_name):
+            verdict = _add_lemma(report, lemma)
+            rows.append([lemma.id, lemma.variety_name, "error" if isinstance(verdict, AgkitError)
+                         else "pass" if verdict.holds else "FAIL"])
     return markdown_table(["lemma", "variety", "status"], rows)
 
 

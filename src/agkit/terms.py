@@ -368,10 +368,20 @@ def eval_term(algebra: FiniteAlgebra, term: Term, assignment: Mapping[str, int])
 
 
 # A compiled term: the values of the prefix variables in, a value or a column out.
-# Columns are lists, so two compare equal exactly when their values do (a bare
-# table row, a tuple, is copied).  A column may be a shared object, such as a
-# prefix-free column computed once or the column variable's domain: only read it.
-Closure = Callable[[tuple[int, ...]], "int | list[int]"]
+# Every column has the type of the column variable's domain (bytes or list), so
+# two compare equal exactly when their values do.  A column may be a shared
+# object, such as a prefix-free column computed once or the column variable's
+# domain: only read it.
+Closure = Callable[[tuple[int, ...]], "int | bytes | list[int]"]
+
+
+def _lookup(table, domain: bytes | list[int]) -> Callable:
+    """Map a column of `domain`'s type through a row or unary table: one
+    translate by the table padded to 256 bytes (no value reads the pad)."""
+    if isinstance(domain, bytes):
+        translation = bytes(table) + bytes(256 - len(table))
+        return lambda column: column.translate(translation)
+    return lambda column, at=table.__getitem__: list(map(at, column))
 
 
 def _hoist(closure: Closure, is_column: bool, reads_prefix: bool) -> tuple[Closure, bool, bool]:
@@ -383,13 +393,13 @@ def _hoist(closure: Closure, is_column: bool, reads_prefix: bool) -> tuple[Closu
 
 
 def _compile(algebra: FiniteAlgebra, term: Term, positions: Mapping[str, int],
-             column: str, domain: list[int]) -> tuple[Closure, bool, bool]:
+             column: str, domain: bytes | list[int]) -> tuple[Closure, bool, bool]:
     """Compile a term for the column scan in holds_in: (closure, is_column, reads_prefix).
 
     Each closure takes the values of the variables in `positions`, as a tuple.
-    A scalar closure returns the term's value.  A column closure returns the
-    list of its values as the variable `column` runs over `domain`.  A node
-    that reads no variable in `positions` is evaluated here, once.
+    A scalar closure returns the term's value.  A column closure returns its
+    values as the variable `column` runs over `domain`, in `domain`'s type.
+    A node that reads no variable in `positions` is evaluated here, once.
     """
     match term:
         case Var(name):
@@ -410,8 +420,8 @@ def _compile(algebra: FiniteAlgebra, term: Term, positions: Mapping[str, int],
                 chain = list(map(table.__getitem__, chain))
             inner, is_column, reads = _compile(algebra, term, positions, column, domain)
             if is_column:
-                lookup = chain.__getitem__
-                return _hoist(lambda env: list(map(lookup, inner(env))), True, reads)
+                lookup = _lookup(chain, domain)
+                return _hoist(lambda env: lookup(inner(env)), True, reads)
             return _hoist(lambda env: chain[inner(env)], False, reads)
         case Join(left, right) | Meet(left, right):
             table = algebra.join if isinstance(term, Join) else algebra.meet
@@ -419,31 +429,29 @@ def _compile(algebra: FiniteAlgebra, term: Term, positions: Mapping[str, int],
             fr, right_column, right_reads = _compile(algebra, right, positions, column, domain)
             reads = left_reads or right_reads
             if left_column and right_column:
-                rows = table.__getitem__
-                return _hoist(lambda env: list(map(getitem, map(rows, fl(env)), fr(env))),
+                rows, kind = table.__getitem__, type(domain)
+                return _hoist(lambda env: kind(map(getitem, map(rows, fl(env)), fr(env))),
                               True, reads)
             if left_column or right_column:
                 # Lattice tables are commutative (checked on construction and
                 # kept by every internal constructor), so the scalar side may
-                # pick the row.
-                scalar, col, col_term = (fr, fl, left) if left_column else (fl, fr, right)
-                if col_term == Var(column) and len(domain) == algebra.size:
-                    return _hoist(lambda env: list(table[scalar(env)]), True, reads)  # a bare row
-                return _hoist(lambda env: list(map(table[scalar(env)].__getitem__, col(env))),
+                # pick the row; its translation is built per prefix.
+                scalar, col = (fr, fl) if left_column else (fl, fr)
+                return _hoist(lambda env: _lookup(table[scalar(env)], domain)(col(env)),
                               True, reads)
             return _hoist(lambda env: table[fl(env)][fr(env)], False, reads)
     raise AssertionError(f"bad term {term!r}")
 
 
 def _compile_columns(algebra: FiniteAlgebra, equation: Equation, positions: Mapping[str, int],
-                     column: str, domain: list[int]) -> tuple[Closure, Closure]:
+                     column: str, domain: bytes | list[int]) -> tuple[Closure, Closure]:
     """Both sides of an equation as column closures; a scalar side is repeated."""
 
     def as_column(term: Term) -> Closure:
         closure, is_column, reads = _compile(algebra, term, positions, column, domain)
         if is_column:
             return closure
-        return _hoist(lambda env: [closure(env)] * len(domain), True, reads)[0]
+        return _hoist(lambda env: type(domain)([closure(env)]) * len(domain), True, reads)[0]
 
     return as_column(equation[0]), as_column(equation[1])
 
@@ -494,21 +502,22 @@ def _decide(algebra: FiniteAlgebra, sentence: Sentence) -> Verdict:
     - The last variable in name order, the fastest one, is the column
       variable.  For each assignment of the other variables (the prefix), a
       subterm without the column variable is computed once, and one with it
-      as the list of its values over the column variable's filtered domain.
-      The two sides of the conclusion are compared as lists; only where they
-      differ are the remaining premises evaluated.
-    - Per prefix, only what depends on it is redone (_compile).  A subterm
-      that reads no prefix variable is computed once, as the sentence is
-      compiled.  A lattice operation of a scalar with the bare column
-      variable, over its unfiltered domain, is that scalar's table row,
-      copied.  A chain of * and ' is one composed table, one lookup per value.
-      Columns are lists that the scan may share and only reads.
+      as the column of its values over the column variable's filtered domain.
+      The two sides of the conclusion are compared as columns; only where
+      they differ are the remaining premises evaluated.
+    - Columns are bytes on an algebra of at most 256 elements, chosen here
+      once, and lists above.  A table lookup over a bytes column is one
+      bytes.translate, by a chain of * and ' composed into one table or by
+      the row of a lattice operation's scalar side, built per prefix.  Per
+      prefix only what depends on it is redone (_compile): a subterm that
+      reads no prefix variable is computed once.  The scan only reads columns.
 
     Prefixes run in the plain scan's order and each column in index order, so
     the first failing assignment found is the plain scan's witness.
     """
     variables = sentence.variables()
-    domains = dict.fromkeys(variables, list(range(algebra.size)))
+    kind = bytes if algebra.size <= 256 else list  # the columns' type
+    domains = dict.fromkeys(variables, kind(range(algebra.size)))
     remaining = []
     for (lhs, rhs), names in zip(sentence.premises, sentence.premise_variables):
         if len(names) > 1:
@@ -517,7 +526,7 @@ def _decide(algebra: FiniteAlgebra, sentence: Sentence) -> Verdict:
             (name,) = names
             domain = domains[name]
             left, right = _compile_columns(algebra, (lhs, rhs), {}, name, domain)
-            domains[name] = [x for x, l, r in zip(domain, left(()), right(())) if l == r]
+            domains[name] = kind(x for x, l, r in zip(domain, left(()), right(())) if l == r)
         elif eval_term(algebra, lhs, {}) != eval_term(algebra, rhs, {}):
             return Verdict(True)
     if not variables:

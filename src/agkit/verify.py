@@ -22,7 +22,7 @@ from .axioms import SYSTEM_NAMES, satisfies_axiom_system
 from .congruence import check_sc, classify
 from .errors import AgkitError
 from .report import Record, Report
-from .variety import (all_varieties, discriminator_is_term_op, lemma_registry,
+from .variety import (LemmaRecord, all_varieties, discriminator_is_term_op, lemma_registry,
                       quasi_identity_holds, satisfies_base, variety)
 
 
@@ -60,6 +60,16 @@ def _add_unit(report: Report, work, rows):
             verdict, detail = read(outcome)
         report.add(Record(record_id, label, verdict, expected, detail))
     return outcome
+
+
+def _add_lemma(report: Report, lemma: LemmaRecord, expected: bool = True):
+    """A lemma as one unit: its record, and its verdict or AgkitError."""
+    return _add_unit(report, lambda: quasi_identity_holds(variety(lemma.variety_name),
+                                                          lemma.sentence), [(
+        f"lemma/{lemma.id}", lemma.label, expected,
+        lambda verdict: (verdict.holds, {"variety": lemma.variety_name,
+                                         "sentence": str(lemma.sentence)} | (
+            {"countermodel": list(verdict.countermodel)} if verdict.countermodel else {})))])
 
 
 def _si_facts(names: tuple[str, ...]) -> dict[str, bool]:
@@ -127,14 +137,8 @@ def verify_paper() -> Report:
              section["lattice_reducts" if suffix else "builtins"], lambda ok: (ok, {}))])
 
     # 6. lemma suite
-    section = expect["lemmas"]
     for lemma in lemma_registry():
-        _add_unit(report, lambda: quasi_identity_holds(variety(lemma.variety_name),
-                                                       lemma.sentence), [(
-            f"lemma/{lemma.id}", lemma.label, section["expected"],
-            lambda verdict: (verdict.holds, {"variety": lemma.variety_name,
-                                             "sentence": str(lemma.sentence)} | (
-                {"countermodel": list(verdict.countermodel)} if verdict.countermodel else {})))])
+        _add_lemma(report, lemma, expect["lemmas"]["expected"])
 
     # 7. applications
     section = expect["applications"]

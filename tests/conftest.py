@@ -22,13 +22,18 @@ def builtins() -> dict[str, FiniteAlgebra]:
 
 class CountingTable(tuple):
     """An operation table that counts the entries (rows, for a binary
-    table) read from it."""
+    table) read from it, by index or by iteration, as bytes(table) does."""
 
     reads = 0
 
     def __getitem__(self, index):
         self.reads += 1
         return super().__getitem__(index)
+
+    def __iter__(self):
+        for entry in super().__iter__():
+            self.reads += 1
+            yield entry
 
 
 def log_calls(monkeypatch, module, name: str, log: list) -> None:
@@ -240,10 +245,23 @@ def translation_closure(algebra: FiniteAlgebra, a: int, b: int):
 
 def pairwise_congruence_lattice(algebra: FiniteAlgebra):
     """Oracle for congruence_lattice: the principal congruence of every pair
-    of elements, join-closed against every congruence found, finest first."""
+    of elements, join-closed against every congruence found, finest first.
+
+    Con(A) is a sublattice of Con(L), L the distributive lattice reduct, and
+    Con(L) is Boolean on J(L), the join-irreducibles of L: the x != 0 above
+    the join of all y < x.  More than 2^|J(L)| partitions found means wrong
+    principal congruences, which fails here instead of growing towards all
+    Bell(n) partitions."""
     from agkit.congruence import CongruenceLattice, Partition, principal_congruence
 
     n = algebra.size
+    irreducibles = 0
+    for x in range(n):
+        below = algebra.zero
+        for y in range(n):
+            if y != x and algebra.meet[x][y] == y:
+                below = algebra.join[below][y]
+        irreducibles += below != x
     found = {Partition.identity(n)}
     for a, b in itertools.combinations(range(n), 2):
         found.add(principal_congruence(algebra, a, b))
@@ -255,6 +273,7 @@ def pairwise_congruence_lattice(algebra: FiniteAlgebra):
             if joined not in found:
                 found.add(joined)
                 work.append(joined)
+                assert len(found) <= 2 ** irreducibles, "more partitions than Con(L) has"
     ordered = sorted(found, key=lambda p: (-p.num_blocks, p.blocks))
     return CongruenceLattice(algebra.name, tuple(ordered))
 

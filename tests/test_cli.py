@@ -307,6 +307,23 @@ def test_capped_verify_paper_writes_error_records_and_exits_1(capsys, monkeypatc
                         "expected True")
 
 
+def test_capped_lemmas_gives_error_rows_and_exits_1(capsys, monkeypatch):
+    """Each lemma is a unit, as in verify-paper: a cap hit fails its own row
+    and record, and the other lemmas still run."""
+    monkeypatch.setenv("AGKIT_CAP", "20")
+    code, out, _ = run(capsys, "lemmas")
+    assert code == 1
+    rows = [line.split(" | ")[0].lstrip("| ") for line in out.splitlines() if "| error |" in line]
+    assert rows == ["LH", "L3.19", "214", "215"]  # the three-variable lemmas (27 assignments)
+    code, out, _ = run(capsys, "lemmas", "--json")
+    records = json.loads(out)["records"]
+    assert code == 1 and len(records) == 25
+    assert {r["id"]: r["detail"] for r in records if r["verdict"] == "error"} == {
+        f"lemma/{name}": {"error": "assignments guard exceeded: requested 27, limit 20"}
+        for name in rows}
+    assert all(r["verdict"] is True for r in records if r["verdict"] != "error")
+
+
 # sha256 of the whole --json stdout of commands whose result records are read
 # by `Amalgam.as_dict`, `applications` and `lemma_suite`; the verify-paper
 # digest covers none of these outputs (its theorem diagrams are obstructions).

@@ -15,7 +15,7 @@ from agkit import (BUILTIN_NAMES, AgkitError, CapExceededError, EvalError, Parse
 from agkit.algebra import BUILTIN_SPECS, FiniteAlgebra
 from agkit.caps import DEFAULT_CAPS
 from agkit.terms import _VERDICTS, MAX_TERM_DEPTH, Const, Join, Meet, Quote, Sentence, Star, Var
-from tests.conftest import CountingTable, log_calls, plain_holds_in
+from tests.conftest import CountingTable, forget_facts, log_calls, plain_holds_in
 
 
 def test_parse_postfix_grouping():
@@ -324,11 +324,12 @@ def test_scan_reads_what_no_prefix_changes_once():
     star = spec["star"] = CountingTable(spec["star"])
     algebra = FiniteAlgebra(name="counting", validate=False, **spec)
     n = algebra.size
+    star.reads = 0  # the constructor's shape check reads every entry
     # x is the prefix and y the column variable.  Each of the four y* is
     # computed once, not once per value of x.
     assert agkit.terms._decide(algebra, parse_sentence("x /\\ y* \\/ y* = y* \\/ (x /\\ y*)"))
     assert star.reads == 4 * n
-    # The bare row x \/ y equals the mapped column (x \/ y)'' at every x, so
+    # The column x \/ y equals the mapped column (x \/ y)'' at every x, so
     # the two-variable premise is never evaluated: only its y* is, once.
     star.reads = 0
     assert agkit.terms._decide(algebra, parse_sentence("x* = y* => x \\/ y = (x \\/ y)''"))
@@ -425,3 +426,30 @@ def test_load_sentences_bad_line_names_the_line_number(tmp_path):
     with pytest.raises(ParseError, match="^line 4: ") as err:
         load_sentences(path)
     assert err.value.position == 4
+
+
+@pytest.mark.parametrize("names, kind", [
+    (("2",) * 8, bytes),  # 256 elements: bytes columns, with an empty pad
+    (("2",) * 5 + ("3_dblst", "3_klst"), list),  # 288 elements: list columns
+])
+def test_holds_in_matches_plain_scan_in_both_column_types(monkeypatch, names, kind):
+    """Verdicts and witnesses on either side of the 256-element threshold.  A
+    scan in the wrong column type gives the same verdicts, only slower, so
+    the type each lookup sees is recorded too."""
+    algebra = direct_product([builtin(name) for name in names])
+    kinds, lookup = set(), agkit.terms._lookup
+
+    def recorded(table, domain):
+        kinds.add(type(domain))
+        return lookup(table, domain)
+
+    monkeypatch.setattr(agkit.terms, "_lookup", recorded)
+    forget_facts()
+    for text in ["x** = x'*",
+                 "x \\/ y = y",  # fails at the second prefix
+                 "y* = 0 => x \\/ y' = y",  # the premise filters the column domain
+                 # the premise filters the prefix; the rest is a full column scan
+                 "x* = 0 => x \\/ y /\\ y* = (x \\/ y) /\\ (x \\/ y*)"]:
+        sentence = parse_sentence(text)
+        assert holds_in(algebra, sentence) == plain_holds_in(algebra, sentence), text
+    assert kinds == {kind}
