@@ -5,8 +5,9 @@ quote slot holds whichever unary operation the algebra carries there: for the
 regular double Stone algebra on the three-element chain that is the dual
 pseudocomplement, for the Kleene-style algebras the De Morgan operation.
 
-Construction verifies the bounded-distributive-lattice axioms in O(n^2), from
-the order and Birkhoff's representation; the star/quote tables are only
+Construction verifies the bounded-distributive-lattice axioms in O(n^2), a row
+at a time, by Birkhoff's embedding (verify_lattice_axioms); loading checks the
+entries' types a row at a time too.  The star/quote tables are only
 range-checked here (whether they satisfy any particular axiom system is a
 separate check, see agkit.axioms).
 """
@@ -18,6 +19,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from operator import and_, ne, or_
 from typing import Iterable, Iterator, Sequence
 
 from . import caps
@@ -61,15 +63,16 @@ class FiniteAlgebra:
             raise AlgebraFormatError(f"{self.name}: size must be >= 1")
         if len(self.labels) != n or len(set(self.labels)) != n:
             raise AlgebraFormatError(f"{self.name}: need {n} distinct labels")
+        universe = frozenset(range(n))
         for table_name in ("join", "meet"):
             table = getattr(self, table_name)
-            if len(table) != n or any(len(row) != n for row in table):
+            if len(table) != n or set(map(len, table)) != {n}:
                 raise AlgebraFormatError(f"{self.name}: {table_name} table must be {n}x{n}")
-            if min(map(min, table)) < 0 or max(map(max, table)) >= n:
+            if not universe.issuperset(itertools.chain.from_iterable(table)):
                 raise AlgebraFormatError(f"{self.name}: {table_name} entry out of range")
         for table_name in ("star", "quote"):
             table = getattr(self, table_name)
-            if len(table) != n or any(not (0 <= v < n) for v in table):
+            if len(table) != n or not universe.issuperset(table):
                 raise AlgebraFormatError(f"{self.name}: bad {table_name} table")
         if not (0 <= self.zero < n and 0 <= self.one < n):
             raise AlgebraFormatError(f"{self.name}: constants out of range")
@@ -77,16 +80,41 @@ class FiniteAlgebra:
             raise AlgebraFormatError(f"{self.name}: zero = one in a nontrivial algebra")
 
     def verify_lattice_axioms(self) -> None:
-        """O(n^2) check of the bounded distributive lattice laws; raises
-        LatticeAxiomError naming a law and a witness tuple that breaks it.
+        """Check the bounded distributive lattice laws in O(n^2), a row at a
+        time; raises LatticeAxiomError naming a law and a witness that breaks it.
 
-        Given commutativity and absorption, x <= y iff x \\/ y = y is an order
-        if transitive; if the tables also give its lubs and glbs, both
+        The tables pass iff the join row of zero and the meet row of one are
+        the identity, and phi(x) = J & down(x) is injective and sends \\/ to |
+        and /\\ to &, J the elements other than zero that are the join of no
+        two other elements.  Sound: an injective \\/,/\\-map into a powerset
+        makes the tables a sublattice of a distributive lattice, whatever J
+        is, and the two rows make zero and one its bounds.  Complete: in a
+        bounded distributive lattice J is the set of join-irreducibles and phi
+        is Birkhoff's embedding (Davey & Priestley, ch. 5).
+
+        Only tables that fail are scanned, to name the law.  Given
+        commutativity and absorption, x <= y iff x \\/ y = y is an order if
+        transitive; if the tables also give its lubs and glbs, both
         associative laws hold.  It is distributive iff x -> J & down[x]
-        preserves joins, J the join-irreducibles (Birkhoff; Davey & Priestley).
+        preserves joins (Birkhoff).
         """
         n, jn, mt = self.size, self.join, self.meet
         rng = range(n)
+        reducible = {self.zero}
+        for x, row in enumerate(jn):
+            found = set(itertools.compress(row, map(ne, row, rng)))  # the x \/ y other than y
+            found.discard(x)
+            reducible |= found
+        bit = [0] * n  # a bit per element of J
+        for i, j in enumerate(set(rng) - reducible):
+            bit[j] = 1 << i
+        phi = [sum(itertools.compress(bit, map(x.__eq__, row))) for x, row in enumerate(jn)]
+        at = phi.__getitem__
+        if (len(set(phi)) == n and list(jn[self.zero]) == list(rng) == list(mt[self.one])
+                and all(list(map(at, j_row)) == list(map(or_, itertools.repeat(p), phi))
+                        and list(map(at, m_row)) == list(map(and_, itertools.repeat(p), phi))
+                        for p, j_row, m_row in zip(phi, jn, mt))):
+            return
         for x, y in itertools.product(rng, repeat=2):
             if jn[x][y] != jn[y][x]:
                 self._axiom_fail("join commutativity", (x, y))
@@ -236,6 +264,15 @@ def _json_array(value) -> list:
     return value
 
 
+def _json_ints(values) -> tuple[int, ...]:
+    """A JSON array of integers as a tuple.  One pass in C checks the types;
+    only if it fails does the _json_int walk run, to name the first bad entry."""
+    ints = tuple(values)
+    if {int}.issuperset(map(type, ints)):
+        return ints
+    return tuple(map(_json_int, ints))
+
+
 def load_algebra(text: str) -> FiniteAlgebra:
     try:
         document = json.loads(text)
@@ -255,10 +292,10 @@ def load_algebra(text: str) -> FiniteAlgebra:
             name=_json_str(document["name"]),
             size=_json_int(document["size"]),
             labels=tuple(_json_str(l) for l in _json_array(document["labels"])),
-            join=tuple(tuple(_json_int(v) for v in row) for row in document["join"]),
-            meet=tuple(tuple(_json_int(v) for v in row) for row in document["meet"]),
-            star=tuple(_json_int(v) for v in document["star"]),
-            quote=tuple(_json_int(v) for v in document["quote"]),
+            join=tuple(map(_json_ints, document["join"])),
+            meet=tuple(map(_json_ints, document["meet"])),
+            star=_json_ints(document["star"]),
+            quote=_json_ints(document["quote"]),
             zero=_json_int(document["zero"]),
             one=_json_int(document["one"]),
         )

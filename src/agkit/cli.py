@@ -3,7 +3,8 @@
 Exit codes: 0 = ran and every verdict matched its expectation (commands
 without baked-in expectations exit 0 on completion), 1 = a checked verdict
 failed, 2 = usage, parse or configuration error, or a cap hit.  In
-verify-paper and lemmas a cap hit fails only its unit's records, so they give 1.
+verify-paper, lemmas and classify-ap a cap hit fails only its unit's records,
+so they give 1.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .morphisms import enumerate_homs
 from .report import Record, Report, markdown_table
 from .terms import parse_sentence
 from .variety import all_varieties, free_algebra, lemma_registry, quasi_identity_holds, variety
-from .verify import _add_lemma, verify_paper
+from .verify import _add_lemma, _add_unit, verify_paper
 
 
 def _resolve_algebra(token: str):
@@ -147,35 +148,27 @@ def _cmd_amalgamate(args, report: Report) -> str:
             f"pair={result.pair} census={result.hom_census}")
 
 
-def _ap_rows(reports) -> list[list[str]]:
-    ordered = sorted(reports, key=lambda r: (-variety(r.variety_name).level, r.variety_name))
-    return [[r.variety_name,
-             ",".join(sorted(variety(r.variety_name).si_names)),
-             "yes" if r.has_ap else "no",
-             "ok" if r.discriminator_variety else "FAILED"]
-            for r in ordered]
-
-
 def _cmd_classify_ap(args, report: Report) -> str:
+    """Each variety is a unit, as in verify-paper: a cap hit gives it an error row."""
     if args.all:
         targets = list(all_varieties())
     elif args.variety:
         targets = [variety(args.variety)]
     else:
         raise AgkitError("classify-ap needs --variety <V> or --all")
-    results = []
-    for v in targets:
-        ap = classify_ap(v)
-        results.append(ap)
-        report.add(Record(
-            id=f"ap/{v.name}", label="amalgamation property", verdict=ap.has_ap,
-            detail={"preconditions_ok": ap.discriminator_variety,
-                    "diagrams": len(ap.diagrams),
-                    "obstructed": [[d.base.name, d.left.name, d.right.name]
-                                   for d, _ in ap.obstructed()]}))
+    outcomes = [(v, _add_unit(report, lambda: classify_ap(v), [(
+        f"ap/{v.name}", "amalgamation property", None,
+        lambda ap: (ap.has_ap, {"preconditions_ok": ap.discriminator_variety,
+                                "diagrams": len(ap.diagrams),
+                                "obstructed": [[d.base.name, d.left.name, d.right.name]
+                                               for d, _ in ap.obstructed()]}))]))
+                for v in targets]
     # rows follow the subvariety lattice top-down, like the Hasse diagram
-    return markdown_table(["variety", "SI members", "AP", "preconditions"],
-                          _ap_rows(results))
+    return markdown_table(["variety", "SI members", "AP", "preconditions"], [
+        [v.name, ",".join(sorted(v.si_names)), *(
+            ["error", str(ap)] if isinstance(ap, AgkitError) else
+            ["yes" if ap.has_ap else "no", "ok" if ap.discriminator_variety else "FAILED"])]
+        for v, ap in sorted(outcomes, key=lambda pair: (-pair[0].level, pair[0].name))])
 
 
 def _cmd_lemmas(args, report: Report) -> str:

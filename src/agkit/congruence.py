@@ -28,13 +28,8 @@ class Partition:
 
     @staticmethod
     def from_assignment(assignment: Sequence[int]) -> "Partition":
-        relabel: dict[int, int] = {}
-        blocks = []
-        for value in assignment:
-            if value not in relabel:
-                relabel[value] = len(relabel)
-            blocks.append(relabel[value])
-        return Partition(tuple(blocks))
+        relabel = {value: i for i, value in enumerate(dict.fromkeys(assignment))}
+        return Partition(tuple(map(relabel.__getitem__, assignment)))
 
     @staticmethod
     def identity(n: int) -> "Partition":
@@ -73,19 +68,22 @@ class Partition:
             [self.blocks[i] * other.size + other.blocks[i] for i in range(self.size)])
 
     def join(self, other: "Partition") -> "Partition":
-        parent = list(range(self.size))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for part in (self, other):
-            first: dict[int, int] = {}
-            for element, block in enumerate(part.blocks):
-                parent[find(element)] = find(first.setdefault(block, element))
-        return Partition.from_assignment([find(i) for i in range(self.size)])
+        """Each block of self merged with one block of self that a block of
+        other also meets, once per distinct such pair; a merge relabels the
+        smaller group of blocks into the larger."""
+        label = list(range(self.num_blocks))  # the group of each block of self
+        members = [[b] for b in label]
+        met = dict(zip(other.blocks, self.blocks))  # a block of self each block of other meets
+        for mine, linked in set(zip(self.blocks, map(met.__getitem__, other.blocks))):
+            keep, gone = label[linked], label[mine]
+            if keep == gone:
+                continue
+            if len(members[keep]) < len(members[gone]):
+                keep, gone = gone, keep
+            for b in members[gone]:
+                label[b] = keep
+            members[keep] += members[gone]
+        return Partition.from_assignment(list(map(label.__getitem__, self.blocks)))
 
     def restrict(self, elements: Sequence[int]) -> "Partition":
         """Partition induced on a subsequence of the universe."""

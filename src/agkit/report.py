@@ -24,7 +24,9 @@ class Record:
 
     @property
     def ok(self) -> bool:
-        return self.expected is None or self.verdict == self.expected
+        """An "error" verdict, from a unit that raised, is never ok."""
+        return self.verdict != "error" and (self.expected is None
+                                            or self.verdict == self.expected)
 
     def as_dict(self) -> dict:
         out = {"id": self.id, "label": self.label, "verdict": self.verdict,

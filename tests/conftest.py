@@ -243,6 +243,20 @@ def translation_closure(algebra: FiniteAlgebra, a: int, b: int):
     return Partition.from_assignment([min(y for y in rng if (x, y) in related) for x in rng])
 
 
+def join_by_closure(theta, phi) -> tuple[int, ...]:
+    """Oracle for Partition.join: the union of the two equivalence relations
+    as a set of pairs, closed transitively (Warshall), then numbered by hand:
+    a block's id is its rank by least element, first occurrence order."""
+    rng = range(theta.size)
+    related = {(x, y) for x in rng for y in rng if theta.relates(x, y) or phi.relates(x, y)}
+    for k, x, y in itertools.product(rng, repeat=3):
+        if (x, k) in related and (k, y) in related:
+            related.add((x, y))
+    least = [min(y for y in rng if (x, y) in related) for x in rng]
+    firsts = sorted(set(least))
+    return tuple(firsts.index(m) for m in least)
+
+
 def pairwise_congruence_lattice(algebra: FiniteAlgebra):
     """Oracle for congruence_lattice: the principal congruence of every pair
     of elements, join-closed against every congruence found, finest first.

@@ -13,10 +13,11 @@ from agkit import (AgkitError, AlgebraFormatError, BUILTIN_NAMES, CapExceededErr
                    FiniteAlgebra, LatticeAxiomError, NotFoundError, ParseError, builtin,
                    direct_product, dump_algebra, enumerate_subalgebras, lattice_reduct,
                    load_algebra, subalgebra, subuniverse_closure)
-from agkit.algebra import SPEC_KEYS, _adjoin
+from agkit.algebra import SPEC_KEYS, _adjoin, _json_int
 from agkit.caps import DEFAULT_CAPS
-from tests.conftest import (breaks_law, brute_force_lattice_axioms, brute_force_subuniverses,
-                            fixpoint_closure, generated_members, tuple_direct_product)
+from tests.conftest import (CountingTable, breaks_law, brute_force_lattice_axioms,
+                            brute_force_subuniverses, fixpoint_closure, generated_members,
+                            renumbered_products, tuple_direct_product)
 
 GOLDEN_3_KLST = ('{"name":"3_klst","size":3,"labels":["0","a","1"],'
                  '"join":[[0,1,2],[1,1,2],[2,2,2]],"meet":[[0,0,0],[0,1,1],[0,1,2]],'
@@ -63,10 +64,21 @@ def test_load_rejects_bad_keys():
 
 
 def test_load_rejects_out_of_range_table(builtins):
-    document = json.loads(dump_algebra(builtins["2"]))
-    document["star"] = [5, 0]
-    with pytest.raises(AlgebraFormatError):
-        load_algebra(json.dumps(document))
+    for key, value in [("star", [5, 0]), ("join", [[0, 2], [1, 1]]),
+                       ("meet", [[0, 0], [-1, 1]])]:
+        document = json.loads(dump_algebra(builtins["2"]))
+        document[key] = value
+        with pytest.raises(AlgebraFormatError, match="out of range|bad star"):
+            load_algebra(json.dumps(document))
+
+
+def test_load_rejects_a_table_that_is_not_square(builtins):
+    for key, value in [("join", [[0, 1], [1]]), ("meet", [[0, 0, 0], [0, 1]]),
+                       ("join", [[0, 1]])]:
+        document = json.loads(dump_algebra(builtins["2"]))
+        document[key] = value
+        with pytest.raises(AlgebraFormatError, match=f"{key} table must be 2x2"):
+            load_algebra(json.dumps(document))
 
 
 @pytest.mark.parametrize("key, value", [
@@ -125,6 +137,43 @@ def test_load_algebra_raises_only_typed_errors(text):
         load_algebra(text)
     except AgkitError:
         pass
+
+
+def walked_error(document: dict) -> str:
+    """The message of a per-entry walk: every entry of join, meet, star and
+    quote through _json_int, each table in row order."""
+    try:
+        for key in ("join", "meet"):
+            tuple(tuple(_json_int(v) for v in row) for row in document[key])
+        for key in ("star", "quote"):
+            tuple(_json_int(v) for v in document[key])
+    except AlgebraFormatError as exc:
+        return str(exc)
+    except TypeError as exc:
+        return f"malformed algebra document: {exc}"
+    raise AssertionError("no bad entry")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_load_names_the_first_bad_entry_in_row_order(data):
+    """Bad entries and rows at random positions of the tables of 2 x 3_klst:
+    load_algebra raises the message of the first in row order."""
+    document = json.loads(dump_algebra(direct_product([builtin("2"), builtin("3_klst")])))
+    for _ in range(data.draw(st.integers(1, 3))):
+        key = data.draw(st.sampled_from(("join", "meet", "star", "quote")))
+        holder = document[key]
+        if key in ("join", "meet"):
+            row = data.draw(st.integers(0, len(holder) - 1))
+            if data.draw(st.booleans()) or not isinstance(holder[row], list):
+                holder[row] = data.draw(st.sampled_from(["01", {"0": 1}, 7]))
+                continue
+            holder = holder[row]
+        holder[data.draw(st.integers(0, len(holder) - 1))] = data.draw(
+            st.sampled_from([True, 1.5, "1", [0], None]))
+    with pytest.raises(AlgebraFormatError) as err:
+        load_algebra(json.dumps(document))
+    assert str(err.value) == walked_error(document)
 
 
 def test_values_nested_near_the_recursion_limit_are_typed_errors(builtins):
@@ -298,6 +347,33 @@ def test_non_distributive_lattices_are_rejected(lattice):
         load_algebra(dump_algebra(lattice))
     assert err.value.axiom == "distributivity (meet over join)"
     assert breaks_law(lattice, err.value.axiom, err.value.witness)
+
+
+@pytest.mark.parametrize("algebra, axiom, witness", [
+    (M3, "distributivity (meet over join)", (3, 1, 2)),
+    (N5, "distributivity (meet over join)", (2, 1, 3)),
+    (WRONG_LUB, "join associativity", (2, 4, 5)),
+], ids=["M3", "N5", "WRONG_LUB"])
+def test_rejected_tables_name_a_fixed_law_and_witness(algebra, axiom, witness):
+    with pytest.raises(LatticeAxiomError) as err:
+        algebra.verify_lattice_axioms()
+    assert (err.value.axiom, err.value.witness) == (axiom, witness)
+
+
+@settings(max_examples=5, deadline=None)
+@given(renumbered_products(min_size=36, max_size=36))
+def test_lattice_checks_read_each_table_a_row_at_a_time(product):
+    """On valid tables the checks read O(n) rows: a scan by entry reads
+    about 5 n^2 rows of each table."""
+    join, meet = CountingTable(product.join), CountingTable(product.meet)
+    counting = dataclasses.replace(product, join=join, meet=meet)
+    n = counting.size
+    join.reads = meet.reads = 0
+    counting.verify_lattice_axioms()
+    assert join.reads <= 10 * n and meet.reads <= 10 * n
+    join.reads = meet.reads = 0
+    counting._check_shape()
+    assert join.reads <= 2 * n and meet.reads <= 2 * n
 
 
 def test_product_of_eight_twos_loads():

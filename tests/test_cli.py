@@ -324,6 +324,23 @@ def test_capped_lemmas_gives_error_rows_and_exits_1(capsys, monkeypatch):
     assert all(r["verdict"] is True for r in records if r["verdict"] != "error")
 
 
+def test_capped_classify_ap_gives_an_error_row_and_exits_1(capsys, monkeypatch):
+    """Each variety is a unit, as in verify-paper: a cap hit fails its own row
+    and record, and the other varieties are still classified."""
+    monkeypatch.setenv("AGKIT_CAP", "20")
+    message = "assignments guard exceeded: requested 27, limit 20"
+    code, out, _ = run(capsys, "classify-ap", "--all")
+    assert code == 1
+    rows = [line for line in out.splitlines() if "| error |" in line]
+    assert rows == [f"| V_DBLST_DMBA | 2,3_dblst,4_dmba | error | {message} |"]
+    assert len(out.splitlines()) == 2 + 8
+    code, out, _ = run(capsys, "classify-ap", "--all", "--json")
+    records = json.loads(out)["records"]
+    assert code == 1 and len(records) == 8
+    assert [(r["id"], r["ok"], r["detail"]) for r in records if r["verdict"] == "error"] == [
+        ("ap/V_DBLST_DMBA", False, {"error": message})]
+
+
 # sha256 of the whole --json stdout of commands whose result records are read
 # by `Amalgam.as_dict`, `applications` and `lemma_suite`; the verify-paper
 # digest covers none of these outputs (its theorem diagrams are obstructions).

@@ -15,7 +15,7 @@ from agkit import (BUILTIN_NAMES, CapExceededError, FiniteAlgebra, Partition, bu
 from agkit.morphisms import Homomorphism
 from tests.conftest import (CountingTable, brute_force_congruences, cep_by_definition,
                             chain4, directly_indecomposable_by_definition, generated_members,
-                            iter_partitions, pairwise_congruence_lattice,
+                            iter_partitions, join_by_closure, pairwise_congruence_lattice,
                             renumbered_products, translation_closure)
 
 
@@ -43,6 +43,15 @@ def test_partition_meet_join_refine():
     assert Partition.identity(4).refines(p)
     assert p.refines(Partition.total(4))
     assert not p.refines(q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, n - 1), min_size=n, max_size=n), min_size=2, max_size=2)))
+def test_partition_join_matches_transitive_closure(assignments):
+    theta, phi = map(Partition.from_assignment, assignments)
+    assert theta.join(phi).blocks == join_by_closure(theta, phi)
+    assert phi.join(theta) == theta.join(phi)
 
 
 def test_principal_congruence_examples(builtins):
