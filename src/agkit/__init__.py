@@ -14,14 +14,13 @@ from .congruence import (CongruenceLattice, Partition, cep_instance, check_sc,
 from .errors import (AgkitError, AlgebraFormatError, CapExceededError, EvalError,
                      LatticeAxiomError, NotFoundError, NotInVarietyError, ParseError)
 from .morphisms import (Homomorphism, enumerate_embeddings, enumerate_homs,
-                        identity_hom, is_isomorphic, projections)
+                        identity_hom)
 from .terms import (Sentence, Term, Verdict, eval_term, format_sentence,
-                    format_term, holds_in, load_sentences, parse_sentence,
-                    parse_term)
+                    format_term, holds_in, parse_sentence, parse_term)
 from .variety import (FreeAlgebra, VarietyDescriptor, all_varieties,
                       discriminator_is_term_op, free_algebra,
-                      generated_subvariety, lemma_registry, lemma_suite,
-                      quasi_identity_holds, variety, verify_bases, VARIETY_NAMES)
+                      generated_subvariety, lemma_registry,
+                      quasi_identity_holds, variety, VARIETY_NAMES)
 from .amalgamation import (Amalgam, AmalgamationResult, APReport, Diagram,
                            Obstruction, applications, classify_ap,
                            decide_amalgamation, diagram)

@@ -23,7 +23,7 @@ from operator import and_, ne, or_
 from typing import Iterable, Iterator, Sequence
 
 from . import caps
-from .errors import AgkitError, AlgebraFormatError, LatticeAxiomError, NotFoundError, ParseError
+from .errors import AlgebraFormatError, LatticeAxiomError, NotFoundError, ParseError
 
 SPEC_KEYS = ("name", "size", "labels", "join", "meet", "star", "quote", "zero", "one")
 
@@ -304,19 +304,16 @@ def load_algebra(text: str) -> FiniteAlgebra:
 
 
 def read_algebra(path) -> FiniteAlgebra:
-    return load_algebra(_read_utf8(path, "algebra file", AlgebraFormatError))
-
-
-def _read_utf8(path, what: str, unreadable: type[AgkitError]) -> str:
-    """The text of a UTF-8 file; a ParseError at the byte offset if it is not
-    UTF-8, and `unreadable` naming the path if it cannot be read."""
+    """Load an algebra file; a ParseError at the byte offset if it is not
+    UTF-8, and an AlgebraFormatError naming the path if it cannot be read."""
     try:
         with open(path, "rb") as handle:
-            return handle.read().decode("utf-8")
+            text = handle.read().decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{what} is not UTF-8 ({exc.reason})", exc.start) from None
+        raise ParseError(f"algebra file is not UTF-8 ({exc.reason})", exc.start) from None
     except OSError as exc:
-        raise unreadable(f"cannot read {what} {path}: {exc.strerror}") from None
+        raise AlgebraFormatError(f"cannot read algebra file {path}: {exc.strerror}") from None
+    return load_algebra(text)
 
 
 # --- products ----------------------------------------------------------------

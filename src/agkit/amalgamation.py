@@ -108,8 +108,9 @@ AmalgamationResult = Amalgam | Obstruction
 def _homs(source: FiniteAlgebra, target: FiniteAlgebra) -> tuple[Homomorphism, ...]:
     """enumerate_homs once per (source, target) and process, keyed by value
     like the discriminator check, so a tampered builtin never matches.  Only
-    pairs of SI members reach the cache (see _compatible_pairs), so it holds
-    at most one small entry per pair of builtin() results."""
+    pairs of SI members reach the cache (see _compatible_pairs and
+    si_diagrams), so it holds at most one small entry per pair of builtin()
+    results."""
     return tuple(enumerate_homs(source, target))
 
 
@@ -221,11 +222,12 @@ def si_diagrams(v: VarietyDescriptor):
     The order is base, then B, then C, then f, then g.  All embeddings are
     enumerated, not one per isomorphism class: with the constants pinning the
     embeddings of 2 this stays small and avoids an unproven symmetry shortcut.
-    The embeddings of each base into each SI member are enumerated once.
+    The embeddings of each base into each SI member are read off _homs, so
+    they are enumerated once per process with the homs _compatible_pairs uses.
     """
     sis = v.si_algebras()
     for base in sis:
-        into = [enumerate_embeddings(base, target) for target in sis]
+        into = [[h for h in _homs(base, target) if h.injective] for target in sis]
         for left, fs in zip(sis, into):
             for right, gs in zip(sis, into):
                 for f, g in itertools.product(fs, gs):

@@ -36,8 +36,11 @@ def _resolve_algebra(token: str):
 def _emit(report: Report, text: str, as_json: bool, out: str | None = None) -> None:
     payload = report.to_json()
     if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+        try:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(payload)
+        except OSError as exc:
+            raise AgkitError(f"cannot write {out}: {exc.strerror}") from None
     if as_json:
         sys.stdout.write(payload)
     else:

@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .algebra import FiniteAlgebra, _adjoin, direct_product, subuniverse_closure
+from .algebra import FiniteAlgebra, _adjoin, subuniverse_closure
 
 
 @dataclass(frozen=True)
@@ -134,14 +134,13 @@ def _extend(source: FiniteAlgebra, target: FiniteAlgebra,
     return _propagate(source, target, mapping, list(mapping))
 
 
-def enumerate_homs(source: FiniteAlgebra, target: FiniteAlgebra,
-                   constraint: dict[int, int] | None = None) -> list[Homomorphism]:
-    """All homomorphisms extending the constraint, lexicographic on map arrays.
+def enumerate_homs(source: FiniteAlgebra, target: FiniteAlgebra) -> list[Homomorphism]:
+    """All homomorphisms, lexicographic on map arrays.
 
     The empty list is a legitimate outcome; several pairs of the builtin
     algebras admit no homomorphism at all.
     """
-    start = _extend(source, target, (constraint or {}).items())
+    start = _extend(source, target, ())
     if start is None:
         return []
     generators = _generator_sequence(source, frozenset(start))
@@ -192,22 +191,6 @@ def enumerate_embeddings(source: FiniteAlgebra,
     if source.size > target.size:
         return []
     return [h for h in enumerate_homs(source, target) if h.injective]
-
-
-def is_isomorphic(a: FiniteAlgebra, b: FiniteAlgebra) -> Homomorphism | None:
-    """Some isomorphism, if one exists (first in map-array order)."""
-    embeddings = enumerate_embeddings(a, b) if a.size == b.size else []
-    return embeddings[0] if embeddings else None
-
-
-def projections(factors: Sequence[FiniteAlgebra]) -> list[Homomorphism]:
-    """Coordinate projections from direct_product(factors); all surjective."""
-    product = direct_product(factors)
-    tuples = list(itertools.product(*(f.elements() for f in factors)))
-    return [
-        Homomorphism(product, factor, tuple(t[i] for t in tuples))
-        for i, factor in enumerate(factors)
-    ]
 
 
 def tupled_hom(source: FiniteAlgebra, maps: Sequence[Homomorphism],

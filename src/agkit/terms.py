@@ -17,7 +17,6 @@ nests at most MAX_TERM_DEPTH operators, and MAX_TERM_DEPTH parentheses, deep.
 
 from __future__ import annotations
 
-import io
 import itertools
 import re
 import weakref
@@ -27,8 +26,8 @@ from operator import getitem
 from typing import Callable, Mapping, Union
 
 from . import caps
-from .algebra import FiniteAlgebra, _read_utf8
-from .errors import AgkitError, EvalError, ParseError
+from .algebra import FiniteAlgebra
+from .errors import EvalError, ParseError
 
 # Deepest term the parser accepts: operators nested in one another, and
 # parentheses open at once, are each limited to this many levels.  Parsing,
@@ -277,20 +276,6 @@ def parse_sentence(text: str) -> Sentence:
 # One Sentence per text of the shipped axiom systems, variety bases and lemmas,
 # so each is hashed once; user text goes through parse_sentence, uncached.
 _parse_shipped = cache(parse_sentence)
-
-
-def load_sentences(path) -> list[Sentence]:
-    """Read a sentence registry file: one sentence per line, '#' comments.
-    A sentence that does not parse raises a ParseError naming its line."""
-    text = _read_utf8(path, "sentence file", AgkitError)
-    sentences = []
-    for number, line in enumerate(io.StringIO(text, newline=None), 1):
-        try:
-            if line := line.split("#", 1)[0].strip():
-                sentences.append(parse_sentence(line))
-        except ParseError as exc:
-            raise ParseError(f"line {number}: {exc.reason}", exc.position, exc.expected) from None
-    return sentences
 
 
 # --- printing ----------------------------------------------------------------

@@ -173,7 +173,7 @@ def least_variety_by_bases(algebra: FiniteAlgebra):
 
     candidates = [v for v in all_varieties() if satisfies_base(algebra, v).holds]
     least = min(candidates, key=lambda v: len(v.si_names))
-    assert all(least.leq(v) for v in candidates), algebra.name
+    assert all(least.si_names <= v.si_names for v in candidates), algebra.name
     return least
 
 
@@ -472,7 +472,7 @@ def brute_force_verify_amalgam(v, left: FiniteAlgebra, right: FiniteAlgebra,
 def si_quotients_of_subalgebras(algebra: FiniteAlgebra) -> set[str]:
     """Oracle: names of builtins isomorphic to an SI quotient of a subalgebra,
     the slow way to the generators of generated_subvariety(algebra)."""
-    from agkit import (congruence_lattice, enumerate_subalgebras, is_isomorphic,
+    from agkit import (congruence_lattice, enumerate_embeddings, enumerate_subalgebras,
                        quotient, subalgebra)
 
     names = set()
@@ -483,7 +483,7 @@ def si_quotients_of_subalgebras(algebra: FiniteAlgebra) -> set[str]:
             if q.size < 2:
                 continue
             for si_name in BUILTIN_NAMES:
-                if q.size == builtin(si_name).size and is_isomorphic(q, builtin(si_name)):
+                if q.size == builtin(si_name).size and enumerate_embeddings(q, builtin(si_name)):
                     names.add(si_name)
     return names
 

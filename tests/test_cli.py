@@ -271,6 +271,17 @@ def test_verify_paper_cli_mismatch_exits_1(capsys, tmp_path, monkeypatch):
     assert payload["summary"]["ok"] is False
 
 
+@pytest.mark.parametrize("target, reason", [
+    (lambda tmp: tmp, "Is a directory"),
+    (lambda tmp: tmp / "missing" / "report.json", "No such file or directory"),
+], ids=["directory", "missing_parent"])
+def test_verify_paper_unwritable_out_exits_2(capsys, tmp_path, target, reason):
+    out = target(tmp_path)
+    code, stdout, err = run(capsys, "verify-paper", "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert err == f"error: cannot write {out}: {reason}\n"
+
+
 def test_non_integer_cap_exits_2(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("AGKIT_CAP", "abc")
     out = tmp_path / "report.json"
@@ -342,7 +353,7 @@ def test_capped_classify_ap_gives_an_error_row_and_exits_1(capsys, monkeypatch):
 
 
 # sha256 of the whole --json stdout of commands whose result records are read
-# by `Amalgam.as_dict`, `applications` and `lemma_suite`; the verify-paper
+# by `Amalgam.as_dict`, `applications` and `verify._add_lemma`; the verify-paper
 # digest covers none of these outputs (its theorem diagrams are obstructions).
 GOLDEN_CLI_SHA256 = {
     "one_pair_amalgam": (

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import agkit.terms
-from agkit import (BUILTIN_NAMES, AgkitError, CapExceededError, EvalError, ParseError, builtin,
+from agkit import (BUILTIN_NAMES, CapExceededError, EvalError, ParseError, builtin,
                    direct_product, eval_term, format_sentence, format_term, free_algebra,
-                   holds_in, load_sentences, parse_sentence, parse_term, variety)
+                   holds_in, parse_sentence, parse_term, variety)
 from agkit.algebra import BUILTIN_SPECS, FiniteAlgebra
 from agkit.caps import DEFAULT_CAPS
 from agkit.terms import _VERDICTS, MAX_TERM_DEPTH, Const, Join, Meet, Quote, Sentence, Star, Var
@@ -391,41 +391,6 @@ def test_desugaring_soundness(builtins):
         == eval_term(algebra, s, {"x": x, "y": y})
         for x in algebra.elements() for y in algebra.elements())
     assert holds_in(algebra, sentence).holds == direct
-
-
-def test_load_sentences_registry(tmp_path):
-    path = tmp_path / "sentences.txt"
-    path.write_text(
-        "# registry\n"
-        "x*' = x**\n"
-        "\n"
-        "a* = 0 => ((x \\/ a) /\\ y)* = y*  # trailing comment\n")
-    sentences = load_sentences(path)
-    assert len(sentences) == 2
-    assert sentences[0] == parse_sentence("x*' = x**")
-    assert sentences[1].kind == "quasi-identity"
-
-
-def test_load_sentences_missing_file_names_the_path(tmp_path):
-    path = tmp_path / "absent.txt"
-    with pytest.raises(AgkitError, match="cannot read sentence file .*absent.txt"):
-        load_sentences(path)
-
-
-def test_load_sentences_non_utf8_file_names_the_byte_offset(tmp_path):
-    path = tmp_path / "sentences.txt"
-    path.write_bytes(b"x*' = x**\nx = \xff\n")
-    with pytest.raises(ParseError, match="not UTF-8") as err:
-        load_sentences(path)
-    assert err.value.position == 14
-
-
-def test_load_sentences_bad_line_names_the_line_number(tmp_path):
-    path = tmp_path / "sentences.txt"
-    path.write_text("# registry\nx*' = x**\n\nx = = y\n")
-    with pytest.raises(ParseError, match="^line 4: ") as err:
-        load_sentences(path)
-    assert err.value.position == 4
 
 
 @pytest.mark.parametrize("names, kind", [

@@ -14,12 +14,13 @@ import agkit.terms
 from agkit import (AgkitError, BUILTIN_NAMES, CapExceededError, FiniteAlgebra,
                    NotFoundError, NotInVarietyError, builtin, direct_product, load_algebra,
                    discriminator_is_term_op, free_algebra, generated_subvariety,
-                   lattice_reduct, lemma_registry, lemma_suite, parse_sentence,
-                   quasi_identity_holds, variety, verify_bases, all_varieties,
-                   VARIETY_NAMES, enumerate_embeddings, enumerate_homs, subuniverse_closure)
-from agkit.caps import DEFAULT_CAPS
+                   lattice_reduct, lemma_registry, parse_sentence,
+                   quasi_identity_holds, variety, all_varieties,
+                   VARIETY_NAMES, enumerate_embeddings, subuniverse_closure)
+from agkit.caps import DEFAULT_CAPS, cap_value
+from agkit.morphisms import Homomorphism, _extend
 from agkit.variety import (_MEMBERS, _discriminator_preserves, identity_holds_via_free, in_hs,
-                           require_in_variety)
+                           require_in_variety, satisfies_base)
 from tests.conftest import (brute_force_discriminator_preserves, chain4, closure_free_algebra,
                             generated_members, least_variety_by_bases, log_calls,
                             si_quotients_of_subalgebras)
@@ -55,7 +56,7 @@ def test_descriptors_form_boolean_lattice():
                       for s in itertools.combinations(atoms, r)}
     bottom, top = variety("BA"), variety("AG")
     for v in descriptors:
-        assert bottom.leq(v) and v.leq(top)
+        assert bottom.si_names <= v.si_names <= top.si_names
 
 
 def test_bases_parse_and_match_expected_shape():
@@ -84,7 +85,8 @@ def test_quasi_identity_examples():
 
 
 def test_verify_bases_matches_membership_matrix():
-    matrix = verify_bases()
+    matrix = {si: {v.name: satisfies_base(builtin(si), v).holds for v in all_varieties()}
+              for si in BUILTIN_NAMES}
     assert matrix == {si: {v.name: si in v.si_names for v in all_varieties()}
                       for si in BUILTIN_NAMES}
     true_cells = sum(v for row in matrix.values() for v in row.values())
@@ -227,10 +229,10 @@ def test_repeated_membership_replays_the_assignments_guard(
         return raised.value.guard, raised.value.limit, raised.value.requested
 
     require_in_variety(algebra, v)
-    assert (algebra, v) in _MEMBERS
+    assert (algebra, v, cap_value("assignments")) in _MEMBERS
     monkeypatch.setenv("AGKIT_CAP", str(cap))
     remembered = guard_hit()
-    _MEMBERS.discard((algebra, v))
+    _MEMBERS.discard((algebra, v, cap))
     assert remembered == guard_hit() == ("assignments", cap, requested)
 
 
@@ -238,7 +240,7 @@ def test_repeated_membership_passes_at_a_cap_equal_to_its_largest_request(
         builtins, monkeypatch):
     algebra, v = builtins["4_dmba"], variety("V_DBLST_DMBA")
     monkeypatch.setenv("AGKIT_CAP", str(4 ** 3))  # the base J has three variables
-    _MEMBERS.discard((algebra, v))
+    _MEMBERS.discard((algebra, v, 4 ** 3))
     require_in_variety(algebra, v)
     require_in_variety(algebra, v)
 
@@ -251,7 +253,7 @@ def test_non_members_are_refuted_on_every_call(builtins):
             require_in_variety(dblst, rklst)
         raised.append((err.value.variety_name, err.value.sentence, err.value.witness))
     assert raised[0] == raised[1]
-    assert (dblst, rklst) not in _MEMBERS
+    assert (dblst, rklst, cap_value("assignments")) not in _MEMBERS
 
 
 def test_membership_is_remembered_by_value(builtins):
@@ -384,8 +386,10 @@ def test_free_algebra_is_isomorphic_to_the_closure_build(name, n):
     that is also injective is an isomorphism."""
     free = free_algebra(variety(name), n)
     closure, generators = closure_free_algebra(variety(name), n)
-    homs = enumerate_homs(closure, free.algebra, dict(zip(generators, free.generators)))
-    assert len(homs) == 1 and homs[0].injective and closure.size == free.algebra.size
+    extended = _extend(closure, free.algebra, zip(generators, free.generators))
+    assert extended is not None and len(extended) == closure.size == free.algebra.size
+    hom = Homomorphism(closure, free.algebra, tuple(extended[x] for x in closure.elements()))
+    assert hom.injective
 
 
 def test_free_algebra_size_counts_generating_tuples_up_to_automorphism():
@@ -440,14 +444,17 @@ def test_lemma_registry_shape():
 
 
 def test_lemma_suite_all_pass():
-    results = lemma_suite()
+    results = [(record, quasi_identity_holds(variety(record.variety_name), record.sentence))
+               for record in lemma_registry()]
     assert all(verdict.holds for _, verdict in results), [
         (record.id, verdict.countermodel) for record, verdict in results if not verdict.holds]
     assert len(results) == 25
 
 
 def test_lemma_suite_variety_slice():
-    results = lemma_suite(variety("V_KLST_DMBA"))
+    v = variety("V_KLST_DMBA")
+    results = [(record, quasi_identity_holds(v, record.sentence))
+               for record in lemma_registry() if record.variety_name == v.name]
     assert {record.variety_name for record, _ in results} == {"V_KLST_DMBA"}
     assert {record.id for record, _ in results} == {"L3.13", "L3.14", "EqnT", "T3.17"}
     assert all(verdict.holds for _, verdict in results)

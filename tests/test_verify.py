@@ -44,18 +44,19 @@ DISCRIMINATOR_PRODUCTS = 14
 # one-point extensions (_adjoin) per run: the discriminator check stops at the
 # first subuniverse it breaks, which for each lattice-reduct square comes
 # early.  (5,060 when every subuniverse of each product was enumerated before
-# the scan.)
-SUBUNIVERSE_EXTENSIONS = 326
+# the scan; 326 while si_diagrams ran enumerate_embeddings, whose searches
+# each built a generator sequence.)
+SUBUNIVERSE_EXTENSIONS = 262
 # enumerate_homs calls per run: the 16 distinct (SI member, SI generator) hom
-# sets the amalgamation decisions read, once each, plus the 40 that
-# enumerate_embeddings makes.  (524 when every diagram enumerated its hom
-# sets again.)
-HOM_ENUMERATIONS = 56
-# enumerate_embeddings calls per run: si_diagrams enumerates each base's
-# embeddings into each SI member once per variety, the sum over the varieties
-# of (SI generators)^2.  (148 when each (base, right) pair was enumerated
-# again for every left member.)
-EMBEDDING_ENUMERATIONS = 56
+# sets, once each, which both si_diagrams and the amalgamation decisions
+# read.  (524 when every diagram enumerated its hom sets again; 56 while
+# enumerate_embeddings made 40 more.)
+HOM_ENUMERATIONS = 16
+# enumerate_embeddings calls per run: si_diagrams reads the embeddings off the
+# hom sets above.  (148 when each (base, right) pair was enumerated again for
+# every left member; 56, the sum over the varieties of (SI generators)^2,
+# while si_diagrams enumerated each base's embeddings once per variety.)
+EMBEDDING_ENUMERATIONS = 0
 # satisfies_axiom_system calls per run from a cold start: 40 for section 1's
 # axiom grid (4 builtins x 10 systems) plus one per distinct (SI member,
 # variety) membership, 20 of them, proved once however many diagrams ask.
