@@ -18,6 +18,7 @@ import functools
 import itertools
 import json
 import math
+import weakref
 from dataclasses import dataclass, field
 from operator import and_, ne, or_
 from typing import Iterable, Iterator, Sequence
@@ -54,8 +55,12 @@ class FiniteAlgebra:
         return hash((self.name, self.size, self.labels, self.join, self.meet,
                      self.star, self.quote, self.zero, self.one))
 
-    def __hash__(self) -> int:  # hashed once: an algebra keys the verdict table
+    def __hash__(self) -> int:  # hashed once: an algebra keys _FACTS
         return self._hash
+
+    def __eq__(self, other) -> bool:  # `is` first: a hit in _FACTS compares an algebra with itself
+        return self is other or (type(other) is type(self) and self._hash == other._hash
+                                 and self.spec_dict() == other.spec_dict())
 
     def _check_shape(self) -> None:
         n = self.size
@@ -212,6 +217,21 @@ BUILTIN_NAMES = tuple(sorted(BUILTIN_SPECS))
 
 # one construction per name and spec value, so a replaced spec is built anew
 _built = functools.cache(lambda name, spec: FiniteAlgebra(name=name, **dict(spec)))
+
+# Every decided fact about an algebra, keyed by value and weak on the algebra:
+# its facts go with it, unless a fact refers to it (see amalgamation._homs).
+_FACTS: weakref.WeakKeyDictionary[FiniteAlgebra, dict] = weakref.WeakKeyDictionary()
+_UNKNOWN = object()
+
+
+def _known(algebra: FiniteAlgebra, key, decide):
+    """decide() the first time key is asked about an algebra equal to this
+    one, the kept value after that.  A decide() that raises keeps nothing."""
+    facts = _FACTS.get(algebra) or _FACTS.setdefault(algebra, {})
+    value = facts.get(key, _UNKNOWN)
+    if value is _UNKNOWN:
+        value = facts[key] = decide()
+    return value
 
 
 def builtin(name: str) -> FiniteAlgebra:

@@ -21,11 +21,10 @@ Tsinakis, J. Algebra 402, 2014).
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
-from .algebra import FiniteAlgebra, direct_product
+from .algebra import FiniteAlgebra, _known, direct_product
 from .errors import NotFoundError
 from .morphisms import (Homomorphism, brute_force_homs, enumerate_embeddings,
                         enumerate_homs, identity_hom, tupled_hom)
@@ -104,14 +103,12 @@ class Obstruction:
 AmalgamationResult = Amalgam | Obstruction
 
 
-@functools.cache
 def _homs(source: FiniteAlgebra, target: FiniteAlgebra) -> tuple[Homomorphism, ...]:
-    """enumerate_homs once per (source, target) and process, keyed by value
-    like the discriminator check, so a tampered builtin never matches.  Only
-    pairs of SI members reach the cache (see _compatible_pairs and
-    si_diagrams), so it holds at most one small entry per pair of builtin()
-    results."""
-    return tuple(enumerate_homs(source, target))
+    """enumerate_homs once per (source, target) and process, kept by value as
+    ("homs", target) on the source, so a tampered builtin never matches.  A
+    kept hom set refers to its source and keeps it alive: only pairs of SI
+    members, builtins that live on anyway, come here (see _compatible_pairs)."""
+    return _known(source, ("homs", target), lambda: tuple(enumerate_homs(source, target)))
 
 
 def _compatible_pairs(v: VarietyDescriptor, d: Diagram):

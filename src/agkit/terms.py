@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import itertools
 import re
-import weakref
 from dataclasses import dataclass
 from functools import cache, cached_property
 from operator import getitem
 from typing import Callable, Mapping, Union
 
 from . import caps
-from .algebra import FiniteAlgebra
+from .algebra import FiniteAlgebra, _known
 from .errors import EvalError, ParseError
 
 # Deepest term the parser accepts: operators nested in one another, and
@@ -450,10 +449,6 @@ class Verdict:
         return self.holds
 
 
-_VERDICTS: weakref.WeakKeyDictionary[FiniteAlgebra, dict[Sentence, Verdict]] = \
-    weakref.WeakKeyDictionary()
-
-
 def holds_in(algebra: FiniteAlgebra, sentence: Sentence) -> Verdict:
     """Exhaustively decide a sentence on one finite algebra.
 
@@ -464,18 +459,10 @@ def holds_in(algebra: FiniteAlgebra, sentence: Sentence) -> Verdict:
 
     The `assignments` cap applies on every call, to the full n^k, whatever the
     premises or the facts decided before.  Each fact is then decided once
-    (_decide) and kept in _VERDICTS by value; the keys are weak, so an entry
-    lives no longer than the algebra it was first stored under.  Callers
-    share the Verdict and only read its witness.
+    (_decide) and kept in algebra._FACTS: callers share the Verdict, read-only.
     """
     caps.guard("assignments", algebra.size ** len(sentence.variables()))
-    known = _VERDICTS.get(algebra)
-    if known is None:
-        known = _VERDICTS[algebra] = {}
-    verdict = known.get(sentence)
-    if verdict is None:
-        verdict = known[sentence] = _decide(algebra, sentence)
-    return verdict
+    return _known(algebra, sentence, lambda: _decide(algebra, sentence))
 
 
 def _decide(algebra: FiniteAlgebra, sentence: Sentence) -> Verdict:

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from . import caps
-from .algebra import (FiniteAlgebra, _subuniverses, builtin, direct_product,
+from .algebra import (FiniteAlgebra, _known, _subuniverses, builtin, direct_product,
                       subuniverse_closure)
 from .axioms import satisfies_axiom_system
 from .errors import AgkitError, NotFoundError, NotInVarietyError
@@ -122,31 +122,27 @@ def satisfies_base(algebra: FiniteAlgebra, v: VarietyDescriptor) -> Verdict:
     return Verdict(True)
 
 
-# (algebra, variety, assignments limit) triples that passed
-# require_in_variety, keyed by value: a verify-paper run asks again for every
-# diagram.  Under the same limit a cold check passes the same guards, so a hit
-# needs none; under another limit the key misses.  Failures are not stored.
-_MEMBERS: set[tuple[FiniteAlgebra, VarietyDescriptor, int]] = set()
-
-
 def require_in_variety(algebra: FiniteAlgebra, v: VarietyDescriptor) -> None:
-    key = (algebra, v, caps.cap_value("assignments"))
-    if key in _MEMBERS:
-        return
+    """Raise NotInVarietyError unless the algebra is in v.  A pass is kept in
+    algebra._FACTS as ("member", v, limit), limit the `assignments` cap: a hit
+    passed the same guards cold, another limit misses.  Failures are not kept."""
+    _known(algebra, ("member", v, caps.cap_value("assignments")),
+           lambda: _prove_member(algebra, v))
+
+
+def _prove_member(algebra: FiniteAlgebra, v: VarietyDescriptor) -> None:
     report = satisfies_axiom_system(algebra, "ALMOST_GAUTAMA")
     if not report.ok:
         failure = report.failures()[0]
-        witness = failure.verdict.witness or {}
         raise NotInVarietyError(
             "AG", algebra.name, failure.text,
-            {k: algebra.labels[i] for k, i in witness.items()})
+            {k: algebra.labels[i] for k, i in (failure.verdict.witness or {}).items()})
     for label, sentence in v.base:
         verdict = holds_in(algebra, sentence)
         if not verdict.holds:
             raise NotInVarietyError(
                 v.name, algebra.name, str(sentence),
                 {k: algebra.labels[i] for k, i in (verdict.witness or {}).items()})
-    _MEMBERS.add(key)
 
 
 def generated_subvariety(algebra: FiniteAlgebra) -> VarietyDescriptor:
@@ -209,17 +205,17 @@ def discriminator_is_term_op(*algebras: FiniteAlgebra) -> bool:
     for left, right in itertools.combinations_with_replacement(algebras, 2):
         for cap in ("product_elements", "subalgebra_universe"):  # as deciding the pair cold would
             caps.guard(cap, left.size * right.size)
-        if not _discriminator_preserves(left, right):
+        if not _known(left, ("discriminator", right),
+                      lambda: _discriminator_preserves(left, right)):
             return False
     return True
 
 
-@functools.cache
 def _discriminator_preserves(left: FiniteAlgebra, right: FiniteAlgebra) -> bool:
     """Does the discriminator, taken in each factor, preserve every
-    subuniverse U of left x right?  Decided once per pair and process (a
-    verify-paper run asks about the same product for every variety that
-    contains both factors), and at the first U it breaks.
+    subuniverse U of left x right?  Decided at the first U it breaks, once per
+    pair: discriminator_is_term_op keeps it in algebra._FACTS as ("discriminator",
+    right) on left, as verify-paper asks for every variety with both factors.
 
     For p1, p2, p3 in U, disc(p1, p2, p3) is p3 if p1 = p2, p1 if p1, p2
     differ in both coordinates, and otherwise (a3, b1) with b1 != b2 in the

@@ -55,17 +55,12 @@ def log_calls(monkeypatch, module, name: str, log: list) -> None:
 
 
 def forget_facts() -> None:
-    """Empty the process-wide tables of decided facts, so that the next call
-    decides everything cold: discriminator verdicts, hom sets, memberships
-    and sentence verdicts."""
-    from agkit.amalgamation import _homs
-    from agkit.terms import _VERDICTS
-    from agkit.variety import _MEMBERS, _discriminator_preserves
+    """Empty the process-wide table of decided facts, so that the next call
+    decides everything cold: sentence verdicts, memberships, discriminator
+    verdicts and hom sets."""
+    from agkit.algebra import _FACTS
 
-    _discriminator_preserves.cache_clear()
-    _homs.cache_clear()
-    _MEMBERS.clear()
-    _VERDICTS.clear()
+    _FACTS.clear()
 
 
 @st.composite

@@ -398,6 +398,23 @@ def test_builtin_is_built_once_per_spec(monkeypatch):
     assert builtin("3_klst").quote == (2, 2, 0)
 
 
+def test_equality_compares_every_field_but_validate():
+    """FiniteAlgebra.__eq__ tests identity first; otherwise it must agree
+    with comparing the fields one by one, `validate` left out."""
+    original = builtin("4_dmba")
+    variants = [original, dataclasses.replace(original), dataclasses.replace(original,
+                validate=False), dataclasses.replace(original, name="renamed")]
+    variants += [dataclasses.replace(original, **{key: value}) for key, value in [
+        ("labels", ("0", "b", "a", "1")), ("star", (3, 1, 2, 0)), ("quote", (3, 2, 1, 0))]]
+    variants += [builtin(name) for name in BUILTIN_NAMES]
+    fields = [f.name for f in dataclasses.fields(FiniteAlgebra) if f.compare]
+    assert "validate" not in fields and len(fields) == len(SPEC_KEYS)
+    for a, b in itertools.product(variants, repeat=2):
+        same = all(getattr(a, f) == getattr(b, f) for f in fields)
+        assert (a == b) == same and (a != b) != same, (a.name, b.name)
+        assert not same or hash(a) == hash(b)
+
+
 def test_chain4_with_reversal_star_loads_as_lattice():
     # star is not a pseudocomplement here; construction only checks the lattice
     document = {

@@ -11,11 +11,11 @@ from agkit import (BUILTIN_NAMES, Amalgam, FiniteAlgebra, Obstruction, applicati
                    builtin, classify_ap, decide_amalgamation, diagram, direct_product,
                    enumerate_embeddings, generated_subvariety, variety, NotFoundError,
                    NotInVarietyError, all_varieties)
-from agkit.amalgamation import (Diagram, _homs, brute_force_verify_obstruction,
-                                theorem_diagrams)
+from agkit.algebra import _FACTS
+from agkit.amalgamation import Diagram, brute_force_verify_obstruction, theorem_diagrams
 from agkit.morphisms import identity_hom
-from tests.conftest import (brute_force_verify_amalgam, cep_spot_checks, hereditarily_si,
-                            refute_amal_base)
+from tests.conftest import (brute_force_verify_amalgam, cep_spot_checks, forget_facts,
+                            hereditarily_si, refute_amal_base)
 
 AP_EXPECTED = {
     "BA": True, "RDBLST": True, "RKLST": True, "DMBA": True,
@@ -169,14 +169,17 @@ def test_trivial_diagram_amalgamates_in_its_left_side():
 
 
 def test_hom_cache_keeps_only_si_members():
-    # a member outside the SI generators is decided without entering the
-    # cache: only the hom sets of the SI right side, one per SI generator
+    # a member outside the SI generators is decided without keeping its hom
+    # sets: only those of the SI right side, one per SI generator
     v = variety("RDBLST")
     left = direct_product([builtin("2"), builtin("3_dblst")])
     d = diagram(builtin("2"), left, builtin("3_dblst"))
-    _homs.cache_clear()
+    forget_facts()
     result = decide_amalgamation(v, d)
-    assert _homs.cache_info().currsize == len(v.si_algebras())
+    kept = [(source, key[1]) for source, facts in _FACTS.items()
+            for key in facts if type(key) is tuple and key[0] == "homs"]
+    assert len(kept) == len(v.si_algebras())
+    assert set(kept) == {(d.right, si) for si in v.si_algebras()}
     assert brute_force_verify_amalgam(v, left, d.right, d.f.mapping, d.g.mapping, result)
 
 

@@ -54,3 +54,59 @@ def test_every_exported_function_has_a_caller():
     functions = {name for name in agkit.__all__ if inspect.isfunction(getattr(agkit, name))}
     assert sorted(functions - referenced - UNCALLED_EXPORTS.keys()) == []
     assert sorted(UNCALLED_EXPORTS.keys() - functions) == []
+
+
+# the only places in src/agkit that keep results between calls, and why each
+# is not a fact in algebra._FACTS
+CACHE_HOMES = {
+    "algebra._built": "the constructor memo by spec that makes builtins shared objects",
+    "algebra._FACTS": "the one table of decided facts about an algebra",
+    "terms._parse_shipped": "the shipped sentence texts, parsed once; no algebra involved",
+    "variety.free_algebra.square": "products local to one free_algebra call",
+}
+CACHE_NAMES = {"cache", "lru_cache", "WeakKeyDictionary"}
+
+
+def _cache_homes(path: Path) -> list[str]:
+    """The qualified name of each function or variable that a cache decorator
+    or constructor in the module sets up, and "<module>:<line>" for any other
+    use of one."""
+    homes = []
+
+    def names_a_cache(node) -> bool:
+        return (isinstance(node, ast.Name) and node.id in CACHE_NAMES
+                or isinstance(node, ast.Attribute) and node.attr in CACHE_NAMES)
+
+    def uses_a_cache(node) -> bool:
+        return any(map(names_a_cache, ast.walk(node)))
+
+    def visit(node, scope: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+            homes.extend(scope for decorator in node.decorator_list if uses_a_cache(decorator))
+            children = [n for n in ast.iter_child_nodes(node) if n not in node.decorator_list]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value and \
+                uses_a_cache(node.value):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            homes.extend(f"{scope}.{ast.unparse(target)}" for target in targets)
+            return
+        else:
+            if names_a_cache(node):
+                homes.append(f"{path.stem}:{node.lineno}")
+            children = ast.iter_child_nodes(node)
+        for child in children:
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return homes
+
+
+def test_kept_facts_have_one_home():
+    """A fact decided about an algebra is kept in algebra._FACTS, keyed by
+    value and weak on the algebra; functools.cache, lru_cache or a
+    WeakKeyDictionary anywhere else in src/agkit needs a reason here."""
+    homes = [home for path in sorted((ROOT / "src" / "agkit").glob("*.py"))
+             for home in _cache_homes(path)]
+    assert sorted(set(homes) - CACHE_HOMES.keys()) == []
+    assert sorted(CACHE_HOMES.keys() - set(homes)) == []
+    assert len(homes) == len(set(homes))

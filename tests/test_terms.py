@@ -12,9 +12,9 @@ import agkit.terms
 from agkit import (BUILTIN_NAMES, CapExceededError, EvalError, ParseError, builtin,
                    direct_product, eval_term, format_sentence, format_term, free_algebra,
                    holds_in, parse_sentence, parse_term, variety)
-from agkit.algebra import BUILTIN_SPECS, FiniteAlgebra
+from agkit.algebra import _FACTS, BUILTIN_SPECS, FiniteAlgebra
 from agkit.caps import DEFAULT_CAPS
-from agkit.terms import _VERDICTS, MAX_TERM_DEPTH, Const, Join, Meet, Quote, Sentence, Star, Var
+from agkit.terms import MAX_TERM_DEPTH, Const, Join, Meet, Quote, Sentence, Star, Var
 from tests.conftest import CountingTable, forget_facts, log_calls, plain_holds_in
 
 
@@ -339,7 +339,7 @@ def test_scan_reads_what_no_prefix_changes_once():
 def test_known_fact_still_meets_the_assignment_cap(monkeypatch):
     algebra, sentence = builtin("4_dmba"), parse_sentence("x \\/ y \\/ z = 1")
     assert not holds_in(algebra, sentence)  # 64 assignments
-    assert sentence in _VERDICTS[algebra]
+    assert sentence in _FACTS[algebra]
     lower_cap(monkeypatch, "assignments", 63)
     with pytest.raises(CapExceededError):
         holds_in(algebra, sentence)
@@ -374,10 +374,10 @@ def test_equal_algebra_built_anew_is_served_from_the_table(monkeypatch):
 def test_verdict_table_does_not_keep_an_algebra_alive():
     algebra = FiniteAlgebra(name="transient", **BUILTIN_SPECS["3_klst"])
     holds_in(algebra, parse_sentence("x'' = x"))
-    assert algebra in _VERDICTS
+    assert algebra in _FACTS
     del algebra
     gc.collect()
-    assert all(a.name != "transient" for a in _VERDICTS.keys())
+    assert all(a.name != "transient" for a in _FACTS.keys())
 
 
 def test_desugaring_soundness(builtins):

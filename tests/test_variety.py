@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import gc
 import importlib
 import itertools
 import json
+import weakref
 from collections import Counter
 
 import pytest
@@ -17,12 +19,13 @@ from agkit import (AgkitError, BUILTIN_NAMES, CapExceededError, FiniteAlgebra,
                    lattice_reduct, lemma_registry, parse_sentence,
                    quasi_identity_holds, variety, all_varieties,
                    VARIETY_NAMES, enumerate_embeddings, subuniverse_closure)
+from agkit.algebra import _FACTS
 from agkit.caps import DEFAULT_CAPS, cap_value
 from agkit.morphisms import Homomorphism, _extend
-from agkit.variety import (_MEMBERS, _discriminator_preserves, identity_holds_via_free, in_hs,
+from agkit.variety import (_discriminator_preserves, identity_holds_via_free, in_hs,
                            require_in_variety, satisfies_base)
 from tests.conftest import (brute_force_discriminator_preserves, chain4, closure_free_algebra,
-                            generated_members, least_variety_by_bases, log_calls,
+                            forget_facts, generated_members, least_variety_by_bases, log_calls,
                             si_quotients_of_subalgebras)
 
 SI_SETS = {
@@ -229,10 +232,10 @@ def test_repeated_membership_replays_the_assignments_guard(
         return raised.value.guard, raised.value.limit, raised.value.requested
 
     require_in_variety(algebra, v)
-    assert (algebra, v, cap_value("assignments")) in _MEMBERS
+    assert ("member", v, cap_value("assignments")) in _FACTS[algebra]
     monkeypatch.setenv("AGKIT_CAP", str(cap))
     remembered = guard_hit()
-    _MEMBERS.discard((algebra, v, cap))
+    _FACTS[algebra].pop(("member", v, cap), None)
     assert remembered == guard_hit() == ("assignments", cap, requested)
 
 
@@ -240,7 +243,7 @@ def test_repeated_membership_passes_at_a_cap_equal_to_its_largest_request(
         builtins, monkeypatch):
     algebra, v = builtins["4_dmba"], variety("V_DBLST_DMBA")
     monkeypatch.setenv("AGKIT_CAP", str(4 ** 3))  # the base J has three variables
-    _MEMBERS.discard((algebra, v, 4 ** 3))
+    _FACTS.get(algebra, {}).pop(("member", v, 4 ** 3), None)
     require_in_variety(algebra, v)
     require_in_variety(algebra, v)
 
@@ -253,7 +256,7 @@ def test_non_members_are_refuted_on_every_call(builtins):
             require_in_variety(dblst, rklst)
         raised.append((err.value.variety_name, err.value.sentence, err.value.witness))
     assert raised[0] == raised[1]
-    assert (dblst, rklst, cap_value("assignments")) not in _MEMBERS
+    assert ("member", rklst, cap_value("assignments")) not in _FACTS.get(dblst, {})
 
 
 def test_membership_is_remembered_by_value(builtins):
@@ -264,6 +267,21 @@ def test_membership_is_remembered_by_value(builtins):
                                 "name": "3_dblst", "quote": (2, 1, 0)})
     with pytest.raises(NotInVarietyError):
         require_in_variety(tampered, variety("RDBLST"))
+
+
+def test_membership_does_not_keep_an_algebra_alive(builtins):
+    """The facts that require_in_variety and generated_subvariety decide about
+    an algebra are kept no longer than the algebra."""
+    spec = direct_product([builtins["3_dblst"], builtins["3_klst"]]).spec_dict()
+    algebra = load_algebra(json.dumps(dict(spec, name="transient")))
+    require_in_variety(algebra, variety("G"))
+    assert generated_subvariety(algebra).name == "G"
+    assert ("member", variety("G"), cap_value("assignments")) in _FACTS[algebra]
+    alive = weakref.ref(algebra)
+    del algebra
+    gc.collect()
+    assert alive() is None
+    assert all(a.name != "transient" for a in _FACTS.keys())
 
 
 def test_discriminator_on_builtins_and_reducts(builtins):
@@ -292,7 +310,7 @@ def test_cached_discriminator_verdict_meets_the_guards_of_a_cold_check(
                 discriminator_is_term_op(algebra)
         return raised.value.guard, raised.value.limit, raised.value.requested
 
-    _discriminator_preserves.cache_clear()
+    forget_facts()
     cold = guard_hit()
     assert discriminator_is_term_op(algebra)
     assert guard_hit() == cold == (cap, 8, 16)
@@ -303,7 +321,7 @@ def test_discriminator_fiber_test_matches_cubic_scan(builtins):
     algebras += [lattice_reduct(a) for a in algebras]
     verdicts = Counter()
     for left, right in itertools.product(algebras, repeat=2):
-        fast = _discriminator_preserves.__wrapped__(left, right)
+        fast = _discriminator_preserves(left, right)
         assert fast == brute_force_discriminator_preserves(left, right), (left.name, right.name)
         verdicts[fast] += 1
     assert verdicts.total() == 64 and verdicts[True] >= 16 and verdicts[False] > 0
@@ -318,9 +336,9 @@ def test_discriminator_fiber_test_matches_cubic_scan_on_tampered_tables(builtins
     verdicts = set()
     for left in tampered:
         for right in tampered + list(builtins.values()):
-            fast = _discriminator_preserves.__wrapped__(left, right)
+            fast = _discriminator_preserves(left, right)
             assert fast == brute_force_discriminator_preserves(left, right), (left.name, right.name)
-            assert fast == _discriminator_preserves.__wrapped__(right, left)
+            assert fast == _discriminator_preserves(right, left)
             verdicts.add(fast)
     assert verdicts == {True, False}
 
@@ -344,7 +362,7 @@ def discriminator_pairs(draw):
 @given(discriminator_pairs())
 def test_discriminator_fiber_test_matches_cubic_scan_on_generated_members(pair):
     left, right = pair
-    assert _discriminator_preserves.__wrapped__(left, right) == \
+    assert _discriminator_preserves(left, right) == \
         brute_force_discriminator_preserves(left, right)
 
 

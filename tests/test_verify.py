@@ -48,8 +48,8 @@ DISCRIMINATOR_PRODUCTS = 14
 # each built a generator sequence.)
 SUBUNIVERSE_EXTENSIONS = 262
 # enumerate_homs calls per run: the 16 distinct (SI member, SI generator) hom
-# sets, once each, which both si_diagrams and the amalgamation decisions
-# read.  (524 when every diagram enumerated its hom sets again; 56 while
+# sets, once each, kept among the facts that both si_diagrams and the
+# amalgamation decisions read.  (524 when every diagram enumerated its hom sets again; 56 while
 # enumerate_embeddings made 40 more.)
 HOM_ENUMERATIONS = 16
 # enumerate_embeddings calls per run: si_diagrams reads the embeddings off the
@@ -66,7 +66,7 @@ EMBEDDING_ENUMERATIONS = 0
 AXIOM_SYSTEM_CHECKS = 60
 # sentence scans (_decide) per run from a cold start: one per distinct
 # (algebra, sentence) fact, all 182 on the builtins.  (1,120, one per
-# holds_in call, before the verdict table: the axiom grid and each
+# holds_in call, before verdicts were kept: the axiom grid and each
 # membership re-checked ALMOST_GAUTAMA on the builtins; 256 while the
 # one-factor product copies added 74.)
 DECIDED_FACTS = 182
@@ -82,8 +82,8 @@ def logged_run():
     classify_ap, decide_amalgamation, congruence_lattice,
     principal_congruence, enumerate_embeddings, enumerate_homs, tupled_hom,
     _subuniverses, _adjoin, satisfies_axiom_system and _decide call it made,
-    with the discriminator and hom caches, the membership set and the verdict
-    table emptied first."""
+    with the table of kept facts (sentence verdicts, memberships,
+    discriminator verdicts and hom sets) emptied first."""
     traced = {"classify_ap": agkit.amalgamation, "decide_amalgamation": agkit.amalgamation,
               "congruence_lattice": agkit.congruence,
               "principal_congruence": agkit.congruence,
@@ -203,7 +203,7 @@ def test_report_records_match_golden_digest(logged_run):
 
 
 def test_warm_runs_match_golden_digest():
-    """Two runs in one process with every cache kept: a verdict, membership
+    """Two runs in one process with every fact kept: a verdict, membership
     or hom set shared between runs must come back unchanged."""
     for _ in range(2):
         assert records_digest(verify_paper().to_json()) == GOLDEN_RECORDS_SHA256
@@ -244,14 +244,9 @@ def test_verify_paper_decides_each_discriminator_product_once(logged_run):
 def test_verify_paper_enumerates_each_hom_set_once(logged_run):
     _, calls = logged_run
     homs = Counter((args[0], args[1]) for args, _ in calls["enumerate_homs"])
-    # enumerate_embeddings skips the search when the source is the larger
-    via_embeddings = Counter((args[0], args[1]) for args, _ in calls["enumerate_embeddings"]
-                             if args[0].size <= args[1].size)
     assert homs.total() == HOM_ENUMERATIONS
-    assert via_embeddings <= homs
-    decided = homs - via_embeddings
-    assert len(decided) == 16
-    assert all(count == 1 for count in decided.values()), decided.most_common(1)
+    assert len(homs) == 16
+    assert all(count == 1 for count in homs.values()), homs.most_common(1)
 
 
 def test_verify_paper_builds_no_product_for_an_amalgam(logged_run):
@@ -271,8 +266,8 @@ def test_verify_paper_decides_each_fact_once(logged_run):
 
 
 def test_golden_digest_does_not_depend_on_the_hash_seed(tmp_path):
-    """Subuniverses are visited in discovery order and the caches are keyed
-    by value, so two interpreters with different hash seeds must write the
+    """Subuniverses are visited in discovery order and facts are kept by
+    value, so two interpreters with different hash seeds must write the
     same canonical records."""
     src = Path(__file__).resolve().parents[1] / "src"
     script = "import sys; from agkit.cli import main; sys.exit(main(sys.argv[1:]))"
