@@ -19,18 +19,16 @@ import itertools
 import json
 import math
 import weakref
-from dataclasses import dataclass, field
 from operator import and_, ne, or_
 from typing import Iterable, Iterator, Sequence
 
 from . import caps
-from .errors import AlgebraFormatError, LatticeAxiomError, NotFoundError, ParseError
+from .errors import AlgebraFormatError, LatticeAxiomError, NotFoundError, ParseError, _Value
 
 SPEC_KEYS = ("name", "size", "labels", "join", "meet", "star", "quote", "zero", "one")
 
 
-@dataclass(frozen=True)
-class FiniteAlgebra:
+class FiniteAlgebra(_Value, hidden=("validate",)):
     name: str
     size: int
     labels: tuple[str, ...]
@@ -43,7 +41,7 @@ class FiniteAlgebra:
     # Products, subalgebras, and quotients of valid lattices are valid by
     # construction, so internal constructors skip the O(n^2) check, which
     # would more than triple building F_BA(3).  Loading always validates.
-    validate: bool = field(default=True, repr=False, compare=False)
+    validate: bool = True
 
     def __post_init__(self):
         self._check_shape()

@@ -22,17 +22,15 @@ Tsinakis, J. Algebra 402, 2014).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .algebra import FiniteAlgebra, _known, direct_product
-from .errors import NotFoundError
+from .errors import NotFoundError, _Value
 from .morphisms import (Homomorphism, brute_force_homs, enumerate_embeddings,
                         enumerate_homs, identity_hom, tupled_hom)
 from .variety import VarietyDescriptor, discriminator_is_term_op, require_in_variety
 
 
-@dataclass(frozen=True)
-class Diagram:
+class Diagram(_Value):
     base: FiniteAlgebra
     left: FiniteAlgebra
     right: FiniteAlgebra
@@ -63,8 +61,7 @@ def diagram(base: FiniteAlgebra, left: FiniteAlgebra, right: FiniteAlgebra) -> D
     return Diagram(base, left, right, first_embedding(left), first_embedding(right))
 
 
-@dataclass(frozen=True)
-class Amalgam:
+class Amalgam(_Value):
     product: FiniteAlgebra
     f1: Homomorphism  # left -> product
     g1: Homomorphism  # right -> product
@@ -83,8 +80,7 @@ class Amalgam:
         }
 
 
-@dataclass(frozen=True)
-class Obstruction:
+class Obstruction(_Value):
     side: str  # "left" | "right"
     pair: tuple[int, int]  # least unseparated element pair on that side
     hom_census: dict[str, tuple[int, int, int]]  # SI -> (#homs left, #homs right, #pairs)
@@ -185,8 +181,7 @@ def decide_amalgamation(v: VarietyDescriptor, d: Diagram) -> AmalgamationResult:
 
 # --- classification over all SI diagrams --------------------------------------
 
-@dataclass(frozen=True)
-class APReport:
+class APReport(_Value):
     """The decided SI diagrams of a variety, plus the proof of the hypotheses
     that reduce AP to them.
 
@@ -248,8 +243,7 @@ def classify_ap(v: VarietyDescriptor) -> APReport:
 
 # --- applications --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ApplicationsReport:
+class ApplicationsReport(_Value):
     variety_name: str
     has_ap: bool
     tp: bool

@@ -9,15 +9,12 @@ pseudocomplement, which is exactly how the quote slot of 3_dblst is populated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import FiniteAlgebra
-from .errors import NotFoundError
+from .errors import NotFoundError, _Value
 from .terms import Sentence, Verdict, _parse_shipped, holds_in
 
 
-@dataclass(frozen=True)
-class AxiomSystem:
+class AxiomSystem(_Value):
     name: str
     sentences: tuple[tuple[str, Sentence], ...]  # (label, parsed sentence)
 
@@ -96,15 +93,13 @@ def axiom_system(name: str) -> AxiomSystem:
         ) from None
 
 
-@dataclass(frozen=True)
-class SentenceCheck:
+class SentenceCheck(_Value):
     label: str
     text: str
     verdict: Verdict
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(_Value):
     algebra_name: str
     system_name: str
     checks: tuple[SentenceCheck, ...]

@@ -207,6 +207,8 @@ def _cmd_applications(args, report: Report) -> str:
 
 
 def _cmd_free(args, report: Report) -> str:
+    if args.cap is not None and args.cap < 1:
+        raise AgkitError("--cap must be a positive integer")
     v = variety(args.variety)
     free = free_algebra(v, args.n, args.cap)
     factors = [{"si": si.name, "generators": [si.labels[x] for x in t]}

@@ -13,17 +13,16 @@ order), which makes them hashable and keeps serialized reports stable.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import ne
 from typing import Sequence
 
 from . import caps
 from .algebra import FiniteAlgebra
+from .errors import _Value
 from .morphisms import Homomorphism
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(_Value):
     blocks: tuple[int, ...]
 
     @staticmethod
@@ -145,8 +144,7 @@ def principal_congruence(algebra: FiniteAlgebra, a: int, b: int) -> Partition:
     return Partition.from_assignment(block)
 
 
-@dataclass(frozen=True)
-class CongruenceLattice:
+class CongruenceLattice(_Value):
     algebra_name: str
     congruences: tuple[Partition, ...]  # finest first
 
@@ -203,8 +201,7 @@ def congruence_lattice(algebra: FiniteAlgebra) -> CongruenceLattice:
     return CongruenceLattice(algebra.name, tuple(ordered))
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(_Value):
     algebra_name: str
     simple: bool
     subdirectly_irreducible: bool
@@ -232,8 +229,7 @@ def classify(algebra: FiniteAlgebra) -> Classification:
         algebra.name, len(lattice) == 2, monolith is not None, monolith, not decomposable)
 
 
-@dataclass(frozen=True)
-class ScReport:
+class ScReport(_Value):
     """The two pointwise irreducibility conditions.
 
     sc: every x != 1 has x /\\ x'* = 0.

@@ -64,3 +64,64 @@ class NotInVarietyError(AgkitError):
         at = f" at {witness}" if witness else ""
         super().__init__(
             f"{algebra_name} is not in {variety_name}: fails {sentence!r}{at}")
+
+
+
+class _Value:
+    """Base of agkit's value types, in place of @dataclass(frozen=True).
+
+    The fields of a subclass are its annotated names, in order, with its class
+    attributes as defaults; a list or dict default is copied per instance.
+    The subclass gets __match_args__, an __init__ compiled for its fields that
+    runs __post_init__ if defined, and a repr, == and hash over the fields not
+    `hidden`.  == holds between instances of one type only, and the hash is
+    that of the field tuple, as dataclasses make it.  Instances refuse
+    assignment, unless the class says frozen=False, which makes them
+    unhashable instead.
+
+    Why not dataclasses: every agkit command runs in a process of its own, so
+    every command pays the import.  Importing dataclasses, with the inspect,
+    ast, dis and tokenize it imports, and generating its methods for the 28
+    value types took ≈30–37 ms of the ≈0.165 s that a perfbench child took
+    to start (setup_s), and 35 ms of `import agkit` (-X importtime).
+    """
+
+    def __init_subclass__(cls, frozen: bool = True, hidden: tuple[str, ...] = ()):
+        fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls.__match_args__ = fields
+        cls._shown = tuple(name for name in fields if name not in hidden)
+        scope = {"_set": object.__setattr__}  # and _<name>, the default of each field that has one
+        body = []
+        for name in fields:
+            value = name
+            if name in cls.__dict__:
+                scope[f"_{name}"] = default = cls.__dict__[name]
+                if isinstance(default, (list, dict)):
+                    delattr(cls, name)
+                    value = f"_{name}.copy() if {name} is _{name} else {name}"
+            body.append(f"    _set(self, {name!r}, {value})")
+        if hasattr(cls, "__post_init__"):
+            body.append("    self.__post_init__()")
+        params = ", ".join(f"{name}=_{name}" if f"_{name}" in scope else name for name in fields)
+        mine, theirs = (", ".join(f"{who}.{name}" for name in cls._shown) + ","
+                        for who in ("self", "other"))
+        methods: dict = {}
+        exec("\n".join([f"def __init__(self, {params}):", *body,
+                        "def __eq__(self, other):",
+                        f"    if other.__class__ is self.__class__: return ({mine}) == ({theirs})",
+                        "    return NotImplemented",
+                        f"def __hash__(self): return hash(({mine}))"]), scope, methods)
+        for name, method in methods.items():
+            if name not in cls.__dict__:
+                setattr(cls, name, method)
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = _Value._refuse
+        else:
+            cls.__hash__ = None
+
+    def _refuse(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{type(self).__qualname__}({shown})"

@@ -14,14 +14,13 @@ search starts from it, and so do the HS-membership and free-algebra proofs in
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .algebra import FiniteAlgebra, _adjoin, subuniverse_closure
+from .errors import _Value
 
 
-@dataclass(frozen=True)
-class Homomorphism:
+class Homomorphism(_Value):
     source: FiniteAlgebra
     target: FiniteAlgebra
     mapping: tuple[int, ...]

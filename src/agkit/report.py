@@ -8,19 +8,19 @@ files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Any
+
+from .errors import _Value
 
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class Record:
+class Record(_Value):
     id: str
     label: str
     verdict: Any
     expected: Any = None
-    detail: dict = field(default_factory=dict)
+    detail: dict = {}  # copied per instance, as every list or dict default
 
     @property
     def ok(self) -> bool:
@@ -38,11 +38,10 @@ class Record:
         return out
 
 
-@dataclass
-class Report:
+class Report(_Value, frozen=False):
     command: list[str]
     version: str
-    records: list[Record] = field(default_factory=list)
+    records: list[Record] = []  # copied per instance
 
     def add(self, record: Record) -> Record:
         self.records.append(record)

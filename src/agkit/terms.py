@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from functools import cache, cached_property
 from operator import getitem
 from typing import Callable, Mapping, Union
 
 from . import caps
 from .algebra import FiniteAlgebra, _known
-from .errors import EvalError, ParseError
+from .errors import EvalError, ParseError, _Value
 
 # Deepest term the parser accepts: operators nested in one another, and
 # parentheses open at once, are each limited to this many levels.  Parsing,
@@ -35,35 +34,29 @@ from .errors import EvalError, ParseError
 MAX_TERM_DEPTH = 100
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(_Value):
     name: str
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(_Value):
     value: int  # 0 or 1
 
 
-@dataclass(frozen=True)
-class Join:
+class Join(_Value):
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
-class Meet:
+class Meet(_Value):
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
-class Star:
+class Star(_Value):
     arg: "Term"
 
 
-@dataclass(frozen=True)
-class Quote:
+class Quote(_Value):
     arg: "Term"
 
 
@@ -71,8 +64,7 @@ Term = Union[Var, Const, Join, Meet, Star, Quote]
 Equation = tuple[Term, Term]
 
 
-@dataclass(frozen=True)
-class Sentence:
+class Sentence(_Value):
     """An identity (no premises) or a quasi-identity.
 
     Inequalities are stored desugared: the parser turns ``s <= t`` into the
@@ -440,8 +432,7 @@ def _compile_columns(algebra: FiniteAlgebra, equation: Equation, positions: Mapp
     return as_column(equation[0]), as_column(equation[1])
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(_Value):
     holds: bool
     witness: dict[str, int] | None = None
 

@@ -21,13 +21,13 @@ import importlib.resources
 import itertools
 import json
 import math
-from dataclasses import dataclass
+import weakref
 
 from . import caps
 from .algebra import (FiniteAlgebra, _known, _subuniverses, builtin, direct_product,
                       subuniverse_closure)
 from .axioms import satisfies_axiom_system
-from .errors import AgkitError, NotFoundError, NotInVarietyError
+from .errors import AgkitError, NotFoundError, NotInVarietyError, _Value
 from .morphisms import _extend
 from .terms import Sentence, Verdict, _parse_shipped, eval_term, holds_in
 
@@ -58,8 +58,7 @@ _BASES = {
 }
 
 
-@dataclass(frozen=True)
-class VarietyDescriptor:
+class VarietyDescriptor(_Value):
     name: str
     si_names: frozenset[str]
     base: tuple[tuple[str, Sentence], ...]
@@ -96,8 +95,7 @@ def all_varieties() -> tuple[VarietyDescriptor, ...]:
     return tuple(VARIETIES[name] for name in VARIETY_NAMES)
 
 
-@dataclass(frozen=True)
-class VarietyVerdict:
+class VarietyVerdict(_Value):
     holds: bool
     countermodel: tuple[str, dict[str, int]] | None = None  # (SI name, witness)
 
@@ -205,7 +203,7 @@ def discriminator_is_term_op(*algebras: FiniteAlgebra) -> bool:
     for left, right in itertools.combinations_with_replacement(algebras, 2):
         for cap in ("product_elements", "subalgebra_universe"):  # as deciding the pair cold would
             caps.guard(cap, left.size * right.size)
-        if not _known(left, ("discriminator", right),
+        if not _known(left, ("discriminator", weakref.ref(right)),
                       lambda: _discriminator_preserves(left, right)):
             return False
     return True
@@ -215,7 +213,9 @@ def _discriminator_preserves(left: FiniteAlgebra, right: FiniteAlgebra) -> bool:
     """Does the discriminator, taken in each factor, preserve every
     subuniverse U of left x right?  Decided at the first U it breaks, once per
     pair: discriminator_is_term_op keeps it in algebra._FACTS as ("discriminator",
-    right) on left, as verify-paper asks for every variety with both factors.
+    weakref.ref(right)) on left, as verify-paper asks for every variety with both
+    factors.  The weak reference compares and hashes as right does while right
+    lives, and keeps neither algebra alive.
 
     For p1, p2, p3 in U, disc(p1, p2, p3) is p3 if p1 = p2, p1 if p1, p2
     differ in both coordinates, and otherwise (a3, b1) with b1 != b2 in the
@@ -238,8 +238,7 @@ def _discriminator_preserves(left: FiniteAlgebra, right: FiniteAlgebra) -> bool:
 
 # --- free algebras -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class FreeAlgebra:
+class FreeAlgebra(_Value):
     algebra: FiniteAlgebra
     generators: tuple[int, ...]
     variety_name: str
@@ -315,8 +314,7 @@ def identity_holds_via_free(free: FreeAlgebra, sentence: Sentence) -> bool:
 
 # --- lemma registry ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class LemmaRecord:
+class LemmaRecord(_Value):
     id: str
     label: str
     variety_name: str

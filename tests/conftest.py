@@ -20,6 +20,12 @@ def builtins() -> dict[str, FiniteAlgebra]:
     return {name: builtin(name) for name in BUILTIN_NAMES}
 
 
+def replace(obj, **changes):
+    """A copy of a value object with some fields changed, built through its
+    constructor, so __post_init__ checks run on the copy."""
+    return type(obj)(**{name: getattr(obj, name) for name in obj.__match_args__} | changes)
+
+
 class CountingTable(tuple):
     """An operation table that counts the entries (rows, for a binary
     table) read from it, by index or by iteration, as bytes(table) does."""

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 import sys
@@ -17,7 +16,7 @@ from agkit.algebra import SPEC_KEYS, _adjoin, _json_int
 from agkit.caps import DEFAULT_CAPS
 from tests.conftest import (CountingTable, breaks_law, brute_force_lattice_axioms,
                             brute_force_subuniverses, fixpoint_closure, generated_members,
-                            renumbered_products, tuple_direct_product)
+                            renumbered_products, replace, tuple_direct_product)
 
 GOLDEN_3_KLST = ('{"name":"3_klst","size":3,"labels":["0","a","1"],'
                  '"join":[[0,1,2],[1,1,2],[2,2,2]],"meet":[[0,0,0],[0,1,1],[0,1,2]],'
@@ -266,7 +265,7 @@ def with_entry(algebra: FiniteAlgebra, table: str, x: int, y: int, z: int) -> Fi
     """The algebra with z at (x, y) and (y, x) of its join or meet table."""
     rows = [list(row) for row in getattr(algebra, table)]
     rows[x][y] = rows[y][x] = z
-    return dataclasses.replace(algebra, **{table: tuple(map(tuple, rows))})
+    return replace(algebra, **{table: tuple(map(tuple, rows))})
 
 
 @st.composite
@@ -366,7 +365,7 @@ def test_lattice_checks_read_each_table_a_row_at_a_time(product):
     """On valid tables the checks read O(n) rows: a scan by entry reads
     about 5 n^2 rows of each table."""
     join, meet = CountingTable(product.join), CountingTable(product.meet)
-    counting = dataclasses.replace(product, join=join, meet=meet)
+    counting = replace(product, join=join, meet=meet)
     n = counting.size
     join.reads = meet.reads = 0
     counting.verify_lattice_axioms()
@@ -402,13 +401,13 @@ def test_equality_compares_every_field_but_validate():
     """FiniteAlgebra.__eq__ tests identity first; otherwise it must agree
     with comparing the fields one by one, `validate` left out."""
     original = builtin("4_dmba")
-    variants = [original, dataclasses.replace(original), dataclasses.replace(original,
-                validate=False), dataclasses.replace(original, name="renamed")]
-    variants += [dataclasses.replace(original, **{key: value}) for key, value in [
+    variants = [original, replace(original), replace(original,
+                validate=False), replace(original, name="renamed")]
+    variants += [replace(original, **{key: value}) for key, value in [
         ("labels", ("0", "b", "a", "1")), ("star", (3, 1, 2, 0)), ("quote", (3, 2, 1, 0))]]
     variants += [builtin(name) for name in BUILTIN_NAMES]
-    fields = [f.name for f in dataclasses.fields(FiniteAlgebra) if f.compare]
-    assert "validate" not in fields and len(fields) == len(SPEC_KEYS)
+    fields = ["name", "size", "labels", "join", "meet", "star", "quote", "zero", "one"]
+    assert FiniteAlgebra.__match_args__ == (*fields, "validate") and len(fields) == len(SPEC_KEYS)
     for a, b in itertools.product(variants, repeat=2):
         same = all(getattr(a, f) == getattr(b, f) for f in fields)
         assert (a == b) == same and (a != b) != same, (a.name, b.name)

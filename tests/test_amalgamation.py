@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from types import SimpleNamespace
 
@@ -15,7 +14,7 @@ from agkit.algebra import _FACTS
 from agkit.amalgamation import Diagram, brute_force_verify_obstruction, theorem_diagrams
 from agkit.morphisms import identity_hom
 from tests.conftest import (brute_force_verify_amalgam, cep_spot_checks, forget_facts,
-                            hereditarily_si, refute_amal_base)
+                            hereditarily_si, refute_amal_base, replace)
 
 AP_EXPECTED = {
     "BA": True, "RDBLST": True, "RKLST": True, "DMBA": True,
@@ -141,20 +140,20 @@ def test_every_amalgam_certificate_reverifies_by_table_scans():
     left, right, f, g = d.f.target, d.g.target, d.f.mapping, d.g.mapping
     f1 = SimpleNamespace(mapping=tuple(reversed(result.f1.mapping)))
     assert not brute_force_verify_amalgam(v, left, right, f, g,
-                                          dataclasses.replace(result, f1=f1))
+                                          replace(result, f1=f1))
     assert not brute_force_verify_amalgam(v, left, right, f, g,
-                                          dataclasses.replace(result, pairs=()))
+                                          replace(result, pairs=()))
     assert not brute_force_verify_amalgam(variety("BA"), left, right, f, g, result)
     member = result.product
     other = next(builtin(name) for name in BUILTIN_NAMES
                  if name != member.name and builtin(name).size == member.size)
     assert not brute_force_verify_amalgam(v, left, right, f, g,
-                                          dataclasses.replace(result, product=other))
+                                          replace(result, product=other))
     # k names another SI member than h, with the maps themselves unchanged
     ((h, k),) = result.pairs
     k_elsewhere = SimpleNamespace(mapping=k.mapping, target=other)
     assert not brute_force_verify_amalgam(v, left, right, f, g,
-                                          dataclasses.replace(result, pairs=((h, k_elsewhere),)))
+                                          replace(result, pairs=((h, k_elsewhere),)))
 
 
 def test_trivial_diagram_amalgamates_in_its_left_side():

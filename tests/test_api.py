@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import ast
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import agkit
@@ -110,3 +113,26 @@ def test_kept_facts_have_one_home():
     assert sorted(set(homes) - CACHE_HOMES.keys()) == []
     assert sorted(CACHE_HOMES.keys() - set(homes)) == []
     assert len(homes) == len(set(homes))
+
+
+def test_cold_start_loads_no_dataclasses():
+    """Every agkit command is a process of its own, so each pays the import:
+    `import agkit, agkit.cli` loads none of dataclasses, inspect, ast, dis and
+    tokenize (≈45 ms of a start-up when it did), and no module in src/agkit
+    imports dataclasses."""
+    slow = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+    probe = f"import sys, agkit, agkit.cli; print(sorted({sorted(slow)} & sys.modules.keys()))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    loaded = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=env, check=True).stdout
+    assert loaded == "[]\n"
+
+    def imported(node) -> list[str]:
+        if isinstance(node, ast.ImportFrom):
+            return [node.module]
+        return [alias.name for alias in node.names] if isinstance(node, ast.Import) else []
+
+    importers = [path.name for path in sorted((ROOT / "src" / "agkit").glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if "dataclasses" in imported(node)]
+    assert importers == []

@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+import agkit.cli
 import agkit.congruence
 from agkit import builtin, direct_product, dump_algebra
 from agkit.cli import main
@@ -230,6 +231,13 @@ def test_free_generators_out_of_range_exits_2(capsys, n):
     code, _, err = run(capsys, "free", "--variety", "BA", "-n", n)
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("cap", ["-5", "0"])
+def test_free_cap_below_one_exits_2_without_a_run(capsys, monkeypatch, cap):
+    monkeypatch.setattr(agkit.cli, "free_algebra", lambda *args: pytest.fail("ran"))
+    code, out, err = run(capsys, "free", "--variety", "BA", "-n", "1", "--cap", cap)
+    assert (code, out, err) == (2, "", "error: --cap must be a positive integer\n")
 
 
 def test_unknown_command_exits_2(capsys):

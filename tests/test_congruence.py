@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 
@@ -16,7 +15,7 @@ from agkit.morphisms import Homomorphism
 from tests.conftest import (CountingTable, brute_force_congruences, cep_by_definition,
                             chain4, directly_indecomposable_by_definition, generated_members,
                             iter_partitions, join_by_closure, pairwise_congruence_lattice,
-                            renumbered_products, translation_closure)
+                            renumbered_products, replace, translation_closure)
 
 
 def oracle_principal(algebra, a, b):
@@ -97,7 +96,7 @@ def test_principal_congruence_reads_four_rows_per_merge(builtins):
     # merge.
     product = direct_product([builtins[n] for n in ("3_dblst", "3_klst", "4_dmba")])
     join, meet = CountingTable(product.join), CountingTable(product.meet)
-    counting = dataclasses.replace(product, join=join, meet=meet, validate=False)
+    counting = replace(product, join=join, meet=meet, validate=False)
     n = counting.size
     assert n == 36
     seen = set()

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import functools
 import gc
 import itertools
@@ -15,7 +14,7 @@ from agkit import (BUILTIN_NAMES, CapExceededError, EvalError, ParseError, built
 from agkit.algebra import _FACTS, BUILTIN_SPECS, FiniteAlgebra
 from agkit.caps import DEFAULT_CAPS
 from agkit.terms import MAX_TERM_DEPTH, Const, Join, Meet, Quote, Sentence, Star, Var
-from tests.conftest import CountingTable, forget_facts, log_calls, plain_holds_in
+from tests.conftest import CountingTable, forget_facts, log_calls, plain_holds_in, replace
 
 
 def test_parse_postfix_grouping():
@@ -351,7 +350,7 @@ def test_known_fact_still_meets_the_assignment_cap(monkeypatch):
 
 def test_tampered_builtin_gets_its_own_verdict():
     original = builtin("3_dblst")
-    tampered = dataclasses.replace(original, star=(2, 2, 0))  # a* = 1 instead of 0
+    tampered = replace(original, star=(2, 2, 0))  # a* = 1 instead of 0
     assert (tampered.name, tampered.labels) == (original.name, original.labels)
     sentence = parse_sentence("x \\/ x* = 1")
     assert holds_in(original, sentence).witness == {"x": 1}

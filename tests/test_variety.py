@@ -26,7 +26,7 @@ from agkit.variety import (_discriminator_preserves, identity_holds_via_free, in
                            require_in_variety, satisfies_base)
 from tests.conftest import (brute_force_discriminator_preserves, chain4, closure_free_algebra,
                             forget_facts, generated_members, least_variety_by_bases, log_calls,
-                            si_quotients_of_subalgebras)
+                            replace, si_quotients_of_subalgebras)
 
 SI_SETS = {
     "BA": {"2"},
@@ -295,6 +295,20 @@ def test_discriminator_on_several_algebras(builtins):
     assert discriminator_is_term_op(*builtins.values())
     # a lattice reduct fails on its own square, so no family containing it passes
     assert not discriminator_is_term_op(builtins["2"], lattice_reduct(builtins["3_klst"]))
+
+
+def test_discriminator_verdict_does_not_keep_an_algebra_alive(builtins):
+    """The verdict kept on the left algebra refers to the right one weakly, so
+    neither a square nor a pair with a builtin keeps a checked algebra alive."""
+    alive = []
+    for i in range(50):
+        reduct = replace(lattice_reduct(builtins["4_dmba"]), name=f"reduct {i}")
+        assert not discriminator_is_term_op(builtins["2"], reduct)
+        assert not discriminator_is_term_op(reduct)
+        alive.append(weakref.ref(reduct))
+        del reduct
+    gc.collect()
+    assert [ref().name for ref in alive if ref() is not None] == []
 
 
 @pytest.mark.parametrize("cap", ["product_elements", "subalgebra_universe"])
