@@ -28,7 +28,7 @@ from .errors import AlgebraFormatError, LatticeAxiomError, NotFoundError, ParseE
 SPEC_KEYS = ("name", "size", "labels", "join", "meet", "star", "quote", "zero", "one")
 
 
-class FiniteAlgebra(_Value, hidden=("validate",)):
+class FiniteAlgebra(_Value):
     name: str
     size: int
     labels: tuple[str, ...]

@@ -73,11 +73,9 @@ class _Value:
     The fields of a subclass are its annotated names, in order, with its class
     attributes as defaults; a list or dict default is copied per instance.
     The subclass gets __match_args__, an __init__ compiled for its fields that
-    runs __post_init__ if defined, and a repr, == and hash over the fields not
-    `hidden`.  == holds between instances of one type only, and the hash is
-    that of the field tuple, as dataclasses make it.  Instances refuse
-    assignment, unless the class says frozen=False, which makes them
-    unhashable instead.
+    runs __post_init__ if defined, and a repr, == and hash over its fields.
+    == holds between instances of one type only, and the hash is that of the
+    field tuple, as dataclasses make it.  Instances refuse assignment.
 
     Why not dataclasses: every agkit command runs in a process of its own, so
     every command pays the import.  Importing dataclasses, with the inspect,
@@ -86,10 +84,8 @@ class _Value:
     to start (setup_s), and 35 ms of `import agkit` (-X importtime).
     """
 
-    def __init_subclass__(cls, frozen: bool = True, hidden: tuple[str, ...] = ()):
-        fields = tuple(cls.__dict__.get("__annotations__", ()))
-        cls.__match_args__ = fields
-        cls._shown = tuple(name for name in fields if name not in hidden)
+    def __init_subclass__(cls):
+        fields = cls.__match_args__ = tuple(cls.__annotations__)  # its own, not inherited
         scope = {"_set": object.__setattr__}  # and _<name>, the default of each field that has one
         body = []
         for name in fields:
@@ -103,7 +99,7 @@ class _Value:
         if hasattr(cls, "__post_init__"):
             body.append("    self.__post_init__()")
         params = ", ".join(f"{name}=_{name}" if f"_{name}" in scope else name for name in fields)
-        mine, theirs = (", ".join(f"{who}.{name}" for name in cls._shown) + ","
+        mine, theirs = (", ".join(f"{who}.{name}" for name in fields) + ","
                         for who in ("self", "other"))
         methods: dict = {}
         exec("\n".join([f"def __init__(self, {params}):", *body,
@@ -114,14 +110,11 @@ class _Value:
         for name, method in methods.items():
             if name not in cls.__dict__:
                 setattr(cls, name, method)
-        if frozen:
-            cls.__setattr__ = cls.__delattr__ = _Value._refuse
-        else:
-            cls.__hash__ = None
+        cls.__setattr__ = cls.__delattr__ = _Value._refuse
 
     def _refuse(self, name, value=None):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
         return f"{type(self).__qualname__}({shown})"

@@ -38,7 +38,7 @@ class Record(_Value):
         return out
 
 
-class Report(_Value, frozen=False):
+class Report(_Value):
     command: list[str]
     version: str
     records: list[Record] = []  # copied per instance

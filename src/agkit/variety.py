@@ -17,10 +17,10 @@ The reduction is therefore exact, not an approximation.
 from __future__ import annotations
 
 import functools
-import importlib.resources
 import itertools
 import json
 import math
+import os
 import weakref
 
 from . import caps
@@ -321,10 +321,18 @@ class LemmaRecord(_Value):
     sentence: Sentence
 
 
-def lemma_registry() -> tuple[LemmaRecord, ...]:
-    raw = json.loads(
-        importlib.resources.files("agkit").joinpath("data/lemmas.json").read_text())
+def _load_data(name: str) -> dict:
+    """A JSON file shipped in agkit/data.  Read by path: importlib.resources
+    would import modules (inspect, on Python 3.12) that agkit's start-up
+    otherwise never loads."""
+    with open(os.path.join(os.path.dirname(__file__), "data", name), encoding="utf-8") as f:
+        raw = json.load(f)
     assert raw["version"] == 1
+    return raw
+
+
+def lemma_registry() -> tuple[LemmaRecord, ...]:
+    raw = _load_data("lemmas.json")
     return tuple(
         LemmaRecord(r["id"], r["label"], r["variety"], _parse_shipped(r["sentence"]))
         for r in raw["records"])

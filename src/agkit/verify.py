@@ -10,9 +10,7 @@ included, gives its records verdict "error", and the run goes on.
 
 from __future__ import annotations
 
-import importlib.resources
 import itertools
-import json
 
 from . import __version__, caps
 from .algebra import BUILTIN_NAMES, builtin, direct_product, lattice_reduct
@@ -22,15 +20,12 @@ from .axioms import SYSTEM_NAMES, satisfies_axiom_system
 from .congruence import check_sc, classify
 from .errors import AgkitError
 from .report import Record, Report
-from .variety import (LemmaRecord, all_varieties, discriminator_is_term_op, lemma_registry,
-                      quasi_identity_holds, satisfies_base, variety)
+from .variety import (LemmaRecord, _load_data, all_varieties, discriminator_is_term_op,
+                      lemma_registry, quasi_identity_holds, satisfies_base, variety)
 
 
 def load_expectations() -> dict:
-    raw = json.loads(
-        importlib.resources.files("agkit").joinpath("data/expected_verdicts.json").read_text())
-    assert raw["version"] == 1
-    return raw
+    return _load_data("expected_verdicts.json")
 
 
 def _add_unit(report: Report, work, rows):

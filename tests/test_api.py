@@ -119,12 +119,13 @@ def test_cold_start_loads_no_dataclasses():
     """Every agkit command is a process of its own, so each pays the import:
     `import agkit, agkit.cli` loads none of dataclasses, inspect, ast, dis and
     tokenize (≈45 ms of a start-up when it did), and no module in src/agkit
-    imports dataclasses."""
+    imports dataclasses.  The probe runs with -S, so that no site hook loads
+    any of them first."""
     slow = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
     probe = f"import sys, agkit, agkit.cli; print(sorted({sorted(slow)} & sys.modules.keys()))"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    loaded = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                            env=env, check=True).stdout
+    loaded = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+                            text=True, env=env, check=True).stdout
     assert loaded == "[]\n"
 
     def imported(node) -> list[str]:
