@@ -24,7 +24,7 @@ import os
 import weakref
 
 from . import caps
-from .algebra import (FiniteAlgebra, _known, _subuniverses, builtin, direct_product,
+from .algebra import (_FACTS, FiniteAlgebra, _known, _subuniverses, builtin, direct_product,
                       subuniverse_closure)
 from .axioms import satisfies_axiom_system
 from .errors import AgkitError, NotFoundError, NotInVarietyError, _Value
@@ -203,8 +203,12 @@ def discriminator_is_term_op(*algebras: FiniteAlgebra) -> bool:
     for left, right in itertools.combinations_with_replacement(algebras, 2):
         for cap in ("product_elements", "subalgebra_universe"):  # as deciding the pair cold would
             caps.guard(cap, left.size * right.size)
-        if not _known(left, ("discriminator", weakref.ref(right)),
-                      lambda: _discriminator_preserves(left, right)):
+        # right's verdict goes when right does; the callback holds left's
+        # facts, not left, as a value kept in _FACTS keeps its algebra alive
+        facts = _FACTS.setdefault(left, {})
+        key = ("discriminator", weakref.ref(
+            right, lambda ref, facts=facts: facts.pop(("discriminator", ref), None)))
+        if not _known(left, key, lambda: _discriminator_preserves(left, right)):
             return False
     return True
 
@@ -215,7 +219,7 @@ def _discriminator_preserves(left: FiniteAlgebra, right: FiniteAlgebra) -> bool:
     pair: discriminator_is_term_op keeps it in algebra._FACTS as ("discriminator",
     weakref.ref(right)) on left, as verify-paper asks for every variety with both
     factors.  The weak reference compares and hashes as right does while right
-    lives, and keeps neither algebra alive.
+    lives, keeps neither algebra alive, and drops the verdict when right dies.
 
     For p1, p2, p3 in U, disc(p1, p2, p3) is p3 if p1 = p2, p1 if p1, p2
     differ in both coordinates, and otherwise (a3, b1) with b1 != b2 in the

@@ -3,6 +3,7 @@ from __future__ import annotations
 import functools
 import gc
 import itertools
+import weakref
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -318,6 +319,45 @@ def test_holds_in_matches_plain_scan(case):
     assert holds_in(algebra, sentence) == expected  # served from the table
 
 
+@functools.cache
+def _product(*names: str):
+    return direct_product([builtin(name) for name in names])
+
+
+# LX of the lemma registry: its right side reads x only through (x' \/ x'*)'
+LX = "y'' \\/ y* = (x' \\/ x'*)' \\/ y'' \\/ y*"
+
+
+@pytest.mark.parametrize("names, text, witness", [
+    # 24 elements, bytes columns: a column fed by one compound scalar is kept
+    # per value of it, with one or two prefix variables before the column
+    (("2", "3_klst", "4_dmba"), LX, None),
+    (("2", "3_klst", "4_dmba"), "z'' \\/ z* = (x' \\/ y'*)' \\/ z'' \\/ z*",
+     {"x": 8, "y": 0, "z": 4}),
+    (("2", "3_klst", "4_dmba"), "(x /\\ y)* \\/ z' = (x* \\/ y*) \\/ z'", None),
+    (("2", "3_klst", "4_dmba"), "x* \\/ (y /\\ z) = (x* \\/ y) /\\ (x* \\/ z)", None),
+    (("2", "3_klst", "4_dmba"), "(x /\\ y)'* \\/ z = (x /\\ y)* \\/ z",
+     {"x": 0, "y": 0, "z": 0}),
+    # ... and beside a premise that filters the column domain
+    (("2", "3_klst", "4_dmba"), "z* = 0 => (x' \\/ y'*)' \\/ z = z",
+     {"x": 8, "y": 0, "z": 19}),
+    (("2", "3_klst", "4_dmba"), "z' = z => (x /\\ y)* \\/ z = x* \\/ y'* \\/ z", None),
+    # 288 elements, list columns: nothing is kept
+    (("2",) * 5 + ("3_dblst", "3_klst"), "(x' \\/ x'*)' \\/ y = y''", {"x": 0, "y": 3}),
+    (("2",) * 5 + ("3_dblst", "3_klst"), "y* = 0 => (x /\\ x'*)' \\/ y = y",
+     {"x": 0, "y": 283}),
+    (("2",) * 5 + ("3_dblst", "3_klst"), "y* = 0 => (x' \\/ x'*)' \\/ y = (x /\\ x*) \\/ y",
+     None),
+])
+def test_holds_in_matches_plain_scan_on_kept_columns(names, text, witness):
+    """Verdicts and witnesses where a column is computed once per value of the
+    one scalar it reads, and where the column type rules that out."""
+    algebra, sentence = _product(*names), parse_sentence(text)
+    verdict = holds_in(algebra, sentence)
+    assert verdict.witness == witness and verdict.holds == (witness is None)
+    assert verdict == plain_holds_in(algebra, sentence)
+
+
 def test_scan_reads_what_no_prefix_changes_once():
     spec = dict(BUILTIN_SPECS["4_dmba"])
     star = spec["star"] = CountingTable(spec["star"])
@@ -333,6 +373,36 @@ def test_scan_reads_what_no_prefix_changes_once():
     star.reads = 0
     assert agkit.terms._decide(algebra, parse_sentence("x* = y* => x \\/ y = (x \\/ y)''"))
     assert star.reads == n
+
+
+def test_scan_reads_each_join_row_once_per_scalar_value():
+    product = _product("4_dmba", "4_dmba")
+    join = CountingTable(product.join)
+    algebra = replace(product, name="counting", join=join, validate=False)
+    n = algebra.size
+    join.reads = 0  # the constructor's shape check reads every row
+    # x is the prefix and y the column variable.  The join rows are read once
+    # for the prefix-free left side, once as the algebra's byte rows, and
+    # once for the right side's column-column join: that side reads x only
+    # through (x' \/ x'*)', which is 0 at every x, so it is computed once, not
+    # once per prefix (n + 1 rows each).  The scalar x' \/ x'* reads one row
+    # per x, and one more at its one new value.
+    assert agkit.terms._decide(algebra, parse_sentence(LX))
+    assert join.reads == 4 * n + 1
+    # Every join here has one scalar side, which picks a kept byte row.
+    join.reads = 0
+    assert agkit.terms._decide(algebra, parse_sentence("(x \\/ y)* = x* /\\ y*"))
+    assert join.reads == 0
+
+
+def test_byte_rows_do_not_keep_an_algebra_alive():
+    algebra = FiniteAlgebra(name="transient rows", **BUILTIN_SPECS["3_klst"])
+    holds_in(algebra, parse_sentence("(x \\/ y)* = x* /\\ y*"))
+    assert {("byte rows", "join"), ("byte rows", "meet")} <= _FACTS[algebra].keys()
+    alive = weakref.ref(algebra)
+    del algebra
+    gc.collect()
+    assert alive() is None
 
 
 def test_known_fact_still_meets_the_assignment_cap(monkeypatch):
@@ -399,15 +469,24 @@ def test_desugaring_soundness(builtins):
 def test_holds_in_matches_plain_scan_in_both_column_types(monkeypatch, names, kind):
     """Verdicts and witnesses on either side of the 256-element threshold.  A
     scan in the wrong column type gives the same verdicts, only slower, so
-    the type each lookup sees is recorded too."""
+    the type of every column that a compiled node returns is recorded too:
+    unary chains, rows picked by a scalar, and column-column operations."""
     algebra = direct_product([builtin(name) for name in names])
-    kinds, lookup = set(), agkit.terms._lookup
+    kinds, compile_node = set(), agkit.terms._compile
 
-    def recorded(table, domain):
-        kinds.add(type(domain))
-        return lookup(table, domain)
+    def recorded(*args):
+        closure, is_column, feed = compile_node(*args)
+        if not is_column:
+            return closure, is_column, feed
 
-    monkeypatch.setattr(agkit.terms, "_lookup", recorded)
+        def column(env):
+            values = closure(env)
+            kinds.add(type(values))
+            return values
+
+        return column, True, feed
+
+    monkeypatch.setattr(agkit.terms, "_compile", recorded)
     forget_facts()
     for text in ["x** = x'*",
                  "x \\/ y = y",  # fails at the second prefix

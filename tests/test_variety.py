@@ -311,6 +311,21 @@ def test_discriminator_verdict_does_not_keep_an_algebra_alive(builtins):
     assert [ref().name for ref in alive if ref() is not None] == []
 
 
+def test_discriminator_verdict_goes_with_the_right_algebra():
+    """A long-lived left algebra keeps no verdict about a right one that has
+    died: one key per pair checked would pile up (50 here) and be read by no
+    later check, as a dead weak reference equals nothing else."""
+    two = builtin("2")
+    assert discriminator_is_term_op(two)
+    before = len(_FACTS[two])
+    for i in range(50):
+        reduct = replace(lattice_reduct(builtin("4_dmba")), name=f"reduct {i}")
+        assert not discriminator_is_term_op(two, reduct)
+        del reduct
+    gc.collect()
+    assert len(_FACTS[two]) == before
+
+
 @pytest.mark.parametrize("cap", ["product_elements", "subalgebra_universe"])
 def test_cached_discriminator_verdict_meets_the_guards_of_a_cold_check(
         builtins, monkeypatch, cap):
