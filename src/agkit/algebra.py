@@ -44,20 +44,23 @@ class FiniteAlgebra(_Value):
     validate: bool = True
 
     def __post_init__(self):
+        # The hash's slot is set here, with the fields.  A cached_property
+        # would add it to the instance's __dict__ later, and CPython 3.11 then
+        # reads every attribute of that algebra ≈1.7x slower.
+        object.__setattr__(self, "_hashed", None)
         self._check_shape()
         if self.validate:
             self.verify_lattice_axioms()
 
-    @functools.cached_property
-    def _hash(self) -> int:  # the fields __eq__ compares, `validate` left out
-        return hash((self.name, self.size, self.labels, self.join, self.meet,
-                     self.star, self.quote, self.zero, self.one))
-
     def __hash__(self) -> int:  # hashed once: an algebra keys _FACTS
-        return self._hash
+        if self._hashed is None:  # the fields __eq__ compares, `validate` left out
+            object.__setattr__(self, "_hashed", hash((
+                self.name, self.size, self.labels, self.join, self.meet,
+                self.star, self.quote, self.zero, self.one)))
+        return self._hashed
 
     def __eq__(self, other) -> bool:  # `is` first: a hit in _FACTS compares an algebra with itself
-        return self is other or (type(other) is type(self) and self._hash == other._hash
+        return self is other or (type(other) is type(self) and hash(self) == hash(other)
                                  and self.spec_dict() == other.spec_dict())
 
     def _check_shape(self) -> None:
@@ -103,20 +106,14 @@ class FiniteAlgebra(_Value):
         """
         n, jn, mt = self.size, self.join, self.meet
         rng = range(n)
-        reducible = {self.zero}
-        for x, row in enumerate(jn):
-            found = set(itertools.compress(row, map(ne, row, rng)))  # the x \/ y other than y
-            found.discard(x)
-            reducible |= found
-        bit = [0] * n  # a bit per element of J
-        for i, j in enumerate(set(rng) - reducible):
-            bit[j] = 1 << i
-        phi = [sum(itertools.compress(bit, map(x.__eq__, row))) for x, row in enumerate(jn)]
+        phi = _birkhoff(self)
         at = phi.__getitem__
         if (len(set(phi)) == n and list(jn[self.zero]) == list(rng) == list(mt[self.one])
                 and all(list(map(at, j_row)) == list(map(or_, itertools.repeat(p), phi))
                         and list(map(at, m_row)) == list(map(and_, itertools.repeat(p), phi))
                         for p, j_row, m_row in zip(phi, jn, mt))):
+            if n <= 256:  # the only algebras whose scans read it (birkhoff_bytes)
+                _known(self, "birkhoff", lambda: _byte_embedding(phi))
             return
         for x, y in itertools.product(rng, repeat=2):
             if jn[x][y] != jn[y][x]:
@@ -232,6 +229,42 @@ def _known(algebra: FiniteAlgebra, key, decide):
     return value
 
 
+def _birkhoff(algebra: FiniteAlgebra) -> list[int]:
+    """phi(x) = J & down(x) as a bitmask, J the elements other than zero that
+    are the join of no two other elements: Birkhoff's embedding into 2^J if
+    the tables are a bounded distributive lattice.  Reads the join rows twice."""
+    n, jn = algebra.size, algebra.join
+    rng = range(n)
+    reducible = {algebra.zero}
+    for x, row in enumerate(jn):
+        found = set(itertools.compress(row, map(ne, row, rng)))  # the x \/ y other than y
+        found.discard(x)
+        reducible |= found
+    bit = [0] * n  # a bit per element of J
+    for i, j in enumerate(set(rng) - reducible):
+        bit[j] = 1 << i
+    return [sum(itertools.compress(bit, map(x.__eq__, row))) for x, row in enumerate(jn)]
+
+
+def _byte_embedding(phi: Sequence[int]) -> tuple[bytes, bytes] | None:
+    """phi and its inverse as 256-byte translations, or None if |J| > 8 (some
+    phi(x) > 255).  phi(one) = J, so |J| <= 8 forces n <= 256."""
+    if max(phi) > 255:
+        return None
+    back = bytearray(256)
+    for x, image in enumerate(phi):
+        back[image] = x
+    return bytes(phi) + bytes(256 - len(phi)), bytes(back)
+
+
+def birkhoff_bytes(algebra: FiniteAlgebra) -> tuple[bytes, bytes] | None:
+    """The algebra's Birkhoff embedding as kept bytes (_byte_embedding), seeded
+    by verify_lattice_axioms and direct_product, else derived here.  phi is
+    injective and sends \\/ to | and /\\ to &, so phi(x) | phi(y) = phi(x \\/ y)
+    is an image and reads back as x \\/ y: terms._compile joins columns so."""
+    return _known(algebra, "birkhoff", lambda: _byte_embedding(_birkhoff(algebra)))
+
+
 def builtin(name: str) -> FiniteAlgebra:
     try:
         spec = BUILTIN_SPECS[name]
@@ -338,28 +371,45 @@ def read_algebra(path) -> FiniteAlgebra:
 
 def direct_product(factors: Sequence[FiniteAlgebra]) -> FiniteAlgebra:
     """The product, its elements the tuples in lexicographic order (last
-    factor fastest).  The factors are folded in one at a time: element (x, a)
-    of P x f, x in the product P of the factors before f, gets index
-    x * |f| + a, so each table entry is index arithmetic on those of P and f.
+    factor fastest): (x, y) of L x R gets index x * |R| + y (_product_tables).
+
+    Up to 256 elements it keeps its Birkhoff embedding (birkhoff_bytes), in
+    O(n) from the factors': phi(x, y) = phi_L(x) << |J_R| | phi_R(y) is
+    injective and sends \\/ to | and /\\ to & as phi_L and phi_R do.  Larger
+    products keep none: that would hash their tables, and no scan reads it.
     """
     if not factors:
         raise ValueError("direct_product needs at least one factor")
     size = math.prod(f.size for f in factors)
     caps.guard("product_elements", size)
-    first, *rest = factors
-    join, meet, star, quote = first.join, first.meet, first.star, first.quote
-    zero, one = first.zero, first.one
-    for f in rest:
-        k = f.size
-        join, meet = _fold_table(join, f.join, k), _fold_table(meet, f.meet, k)
-        star = tuple(x * k + a for x in star for a in f.star)
-        quote = tuple(x * k + a for x in quote for a in f.quote)
-        zero, one = zero * k + f.zero, one * k + f.one
-    return FiniteAlgebra(
+    join, meet, star, quote, zero, one = _product_tables(factors, size)
+    product = FiniteAlgebra(
         name="(" + " x ".join(f.name for f in factors) + ")", size=size,
         labels=tuple("(" + ",".join(t) + ")"
                      for t in itertools.product(*(f.labels for f in factors))),
         join=join, meet=meet, star=star, quote=quote, zero=zero, one=one, validate=False)
+    if size <= 256:
+        _known(product, "birkhoff", lambda: _product_embedding(factors))
+    return product
+
+
+def _product_tables(factors: Sequence[FiniteAlgebra], size: int) -> tuple:
+    """(join, meet, star, quote, zero, one) of the product, of `size` elements:
+    the halves split where the later factors first reach sqrt(size) elements,
+    folded.  The last fold copies runs of about sqrt(size) entries, not of one
+    factor's size.  Split so, F_RKLST(2) peaks at 268 MiB; split by count, 309."""
+    if len(factors) == 1:
+        (f,) = factors
+        return f.join, f.meet, f.star, f.quote, f.zero, f.one
+    split, k = len(factors) - 1, factors[-1].size
+    while k * k < size and split > 1:
+        split -= 1
+        k *= factors[split].size
+    lj, lm, ls, lq, lz, lo = _product_tables(factors[:split], size // k)
+    rj, rm, rs, rq, rz, ro = _product_tables(factors[split:], k)
+    return (_fold_table(lj, rj, k), _fold_table(lm, rm, k),
+            tuple(x * k + a for x in ls for a in rs), tuple(x * k + a for x in lq for a in rq),
+            lz * k + rz, lo * k + ro)
 
 
 def _fold_table(table: Sequence[Sequence[int]], factor_table: Sequence[Sequence[int]],
@@ -373,8 +423,27 @@ def _fold_table(table: Sequence[Sequence[int]], factor_table: Sequence[Sequence[
     """
     blocks = [[tuple(z * k + v for v in row) for z in range(len(table))]
               for row in factor_table]
-    return tuple(tuple(itertools.chain.from_iterable(map(block.__getitem__, row)))
-                 for row in table for block in blocks)
+    folded = []
+    for row in table:
+        for block in blocks:
+            entries = []
+            for run in map(block.__getitem__, row):
+                entries.extend(run)
+            folded.append(tuple(entries))
+    return tuple(folded)
+
+
+def _product_embedding(factors: Sequence[FiniteAlgebra]) -> tuple[bytes, bytes] | None:
+    """birkhoff_bytes of the product from the factors' (see direct_product)."""
+    phi = [0]
+    for f in factors:
+        embedding = birkhoff_bytes(f)
+        if embedding is None:
+            return None
+        into = embedding[0]
+        width = into[f.one].bit_length()  # phi(one) = J
+        phi = [p << width | q for p in phi for q in into[:f.size]]
+    return _byte_embedding(phi)
 
 
 # --- subuniverses ------------------------------------------------------------

@@ -24,7 +24,7 @@ from operator import getitem, itemgetter
 from typing import Callable, Mapping, Union
 
 from . import caps
-from .algebra import FiniteAlgebra, _known
+from .algebra import FiniteAlgebra, _known, birkhoff_bytes
 from .errors import EvalError, ParseError, _Value
 
 # Deepest term the parser accepts: operators nested in one another, and
@@ -408,6 +408,11 @@ def _compile(algebra: FiniteAlgebra, term: Term, positions: Mapping[str, int],
     A lattice operation with one scalar side picks that side's row: on bytes
     from the table's rows padded to 256 bytes, kept per algebra in
     algebra._FACTS as ("byte rows", "join" or "meet"), 128 KiB at n = 256.
+    One of two bytes columns maps both by the algebra's Birkhoff embedding
+    phi, reads them as ints, takes | or &, and maps back by phi's inverse,
+    where phi fits a byte (|J| <= 8, so n <= 256): exact, as phi is an
+    injective lattice map (algebra.birkhoff_bytes).  Otherwise, and on
+    lists, it reads one table row per column entry.
     """
     match term:
         case Var(name):
@@ -442,6 +447,13 @@ def _compile(algebra: FiniteAlgebra, term: Term, positions: Mapping[str, int],
                 fl = _memo(fl, left_feed, positions, domain) if left_column else fl
                 fr = _memo(fr, right_feed, positions, domain) if right_column else fr
             if left_column and right_column:
+                if isinstance(domain, bytes) and (embedding := birkhoff_bytes(algebra)):
+                    into, back = embedding
+                    combine, width = (int.__or__ if name == "join" else int.__and__), len(domain)
+                    return _hoist(lambda env: combine(
+                        int.from_bytes(fl(env).translate(into), "big"),
+                        int.from_bytes(fr(env).translate(into), "big"),
+                    ).to_bytes(width, "big").translate(back), True, feed)
                 rows, kind = table.__getitem__, type(domain)
                 return _hoist(lambda env: kind(map(getitem, map(rows, fl(env)), fr(env))),
                               True, feed)
@@ -517,11 +529,12 @@ def _decide(algebra: FiniteAlgebra, sentence: Sentence) -> Verdict:
       once, and lists above.  A table lookup over a bytes column is one
       bytes.translate, by a chain of * and ' composed into one table or by
       the row of a lattice operation's scalar side, from the byte rows kept
-      per algebra.  Per prefix only what depends on it is redone (_compile):
-      a subterm that reads no prefix variable is computed once, and a bytes
-      column that reads the prefix through one scalar only (not the only
-      prefix variable itself) once per value of it, in a dict that goes when
-      the scan does.  The scan only reads columns.
+      per algebra.  A join or meet of two bytes columns is one | or & on
+      the Birkhoff embedding where |J| <= 8.  Per prefix only what depends
+      on it is redone (_compile): a subterm that reads no prefix variable is
+      computed once, and a bytes column that reads the prefix through one
+      scalar only (not the only prefix variable itself) once per value of
+      it, in a dict that goes when the scan does.  The scan only reads columns.
 
     Prefixes run in the plain scan's order and each column in index order, so
     the first failing assignment found is the plain scan's witness.

@@ -443,10 +443,51 @@ def test_direct_product_shape(builtins):
 # the oracle takes ~0.35 s on a 256-element product
 @settings(max_examples=10, deadline=None)
 @given(st.lists(st.sampled_from(BUILTIN_NAMES), min_size=1, max_size=4))
+# The factors split where the later ones first reach sqrt(|P|): after the
+# first factor, in the middle, before the last, and in F_AG(1)'s shape
+@example(["4_dmba", "2", "2"])
+@example(["3_dblst", "2", "4_dmba", "3_klst"])
+@example(["2", "2", "4_dmba"])
+@example(["2", "2", "3_dblst", "3_klst", "4_dmba"])
 def test_direct_product_matches_tuple_oracle(names):
     factors = [builtin(name) for name in names]
     # equality compares name, labels, every table and both constants
     assert direct_product(factors) == tuple_direct_product(factors)
+
+
+def _up_to_256_elements(names: list[str]) -> list[str]:
+    """The longest prefix of the names whose product has at most 256 elements."""
+    size = 1
+    for i, name in enumerate(names):
+        size *= builtin(name).size
+        if size > 256:
+            return names[:i]
+    return names
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(BUILTIN_NAMES), min_size=1, max_size=8).map(
+    _up_to_256_elements))
+@example(["2"] * 8)
+@example(["3_klst"] * 4)
+@example(["3_dblst"] * 5)
+def test_direct_product_keeps_its_birkhoff_embedding(names):
+    """The embedding a product of at most 256 elements keeps is injective and
+    sends \\/ to | and /\\ to &, or is None where |J| > 8 (2 has one
+    join-irreducible, the other builtins two)."""
+    product = direct_product([builtin(name) for name in names])
+    kept = agkit.algebra._FACTS[product]["birkhoff"]
+    if sum(1 if name == "2" else 2 for name in names) > 8:
+        assert kept is None
+        return
+    into, back = kept
+    phi = into[:product.size]
+    assert len(set(phi)) == product.size
+    assert all(back[image] == x for x, image in enumerate(phi))
+    at = phi.__getitem__
+    for image, join_row, meet_row in zip(phi, product.join, product.meet):
+        assert list(map(at, join_row)) == [image | other for other in phi]
+        assert list(map(at, meet_row)) == [image & other for other in phi]
 
 
 def test_product_of_mixed_chains_satisfies_regularity(builtins):

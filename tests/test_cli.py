@@ -405,3 +405,93 @@ def test_json_output_matches_golden_digest(capsys, tmp_path, monkeypatch, case):
     code, out, _ = run(capsys, *argv, "--json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _hostile_algebras(tmp_path) -> list[str]:
+    """An algebra argument from each hostile class: a missing file, a
+    directory, a file that is not UTF-8, not JSON, nested too deeply, not an
+    object, short of keys or with a ragged table, then an unknown builtin and
+    an empty name."""
+    files = {"not_utf8.json": b"\xff\xfe{", "not_json.json": b"{not json",
+             "nested.json": b"[" * 100_000, "array.json": b"[1, 2]",
+             "keys.json": b'{"name": "x", "size": 2}',
+             "ragged.json": json.dumps(dict(json.loads(dump_algebra(builtin("2"))),
+                                            join=[[0, 1], [1]])).encode()}
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    (tmp_path / "directory").mkdir()
+    return [str(tmp_path / name) for name in ("missing.json", "directory", *files)] + [
+        "3_kldst", ""]
+
+
+BAD_VARIETIES = ("NOPE", "")
+BAD_SENTENCES = ("x = " + "(" * 200 + "x" + ")" * 200, "x" + "*" * 500 + " = x",
+                 "", "=>", "x = y =>")
+# AGKIT_CAP at 1, at 0 and below, and malformed
+BAD_CAPS = ("1", "0", "-3", "abc", "")
+
+
+def _hostile_argvs(tmp_path) -> dict[str, list[list[str]]]:
+    """Per command, argument lists drawn from the hostile classes."""
+    algebras = _hostile_algebras(tmp_path)
+    return {
+        "algebra": [["algebra", "show", a] for a in algebras],
+        "check": [["check", "--variety", v, "--sentence", "x = x"] for v in BAD_VARIETIES]
+        + [["check", "--variety", "G", "--sentence", s] for s in BAD_SENTENCES],
+        "homs": [argv for a in algebras for argv in (["homs", a, "2"], ["homs", "2", a])],
+        "congruences": [["congruences", a] for a in algebras],
+        "classify": [["classify", a] for a in algebras],
+        "amalgamate": [["amalgamate", "--variety", "AG", "--base", a, "--left", "2",
+                        "--right", "2"] for a in algebras]
+        + [["amalgamate", "--variety", "AG", "--base", "2", "--left", "3_klst",
+            "--right", a] for a in algebras]
+        + [["amalgamate", "--variety", v, "--base", "2", "--left", "2", "--right", "2"]
+           for v in BAD_VARIETIES],
+        "classify-ap": [["classify-ap"]] + [["classify-ap", "--variety", v]
+                                            for v in BAD_VARIETIES],
+        "lemmas": [["lemmas", "--variety", v] for v in BAD_VARIETIES],
+        "applications": [["applications", "--variety", v] for v in BAD_VARIETIES],
+        "free": [["free", "--variety", v, "-n", "1"] for v in BAD_VARIETIES]
+        + [["free", "--variety", "AG", "-n", n] for n in ("0", "-1", "4", "1000000")]
+        + [["free", "--variety", "AG", "-n", "1", "--cap", cap]
+           for cap in ("0", "-1", "1", "100000000")],
+        "verify-paper": [["verify-paper", "--out", str(tmp_path / "directory")],
+                         ["verify-paper", "--out", str(tmp_path / "missing" / "r.json")]],
+    }
+
+
+# One well-formed call per command, run under each of BAD_CAPS
+WELL_FORMED = {
+    "algebra": ["algebra", "show", "2"],
+    "check": ["check", "--variety", "G", "--sentence", "x*' = x**"],
+    "homs": ["homs", "2", "3_klst"],
+    "congruences": ["congruences", "4_dmba"],
+    "classify": ["classify", "3_klst"],
+    "amalgamate": ["amalgamate", "--variety", "AG", "--base", "2", "--left", "3_klst",
+                   "--right", "4_dmba"],
+    "classify-ap": ["classify-ap", "--all"],
+    "lemmas": ["lemmas"],
+    "applications": ["applications", "--variety", "G"],
+    "free": ["free", "--variety", "G", "-n", "1"],
+    "verify-paper": ["verify-paper", "--out", "{tmp}/report.json"],
+}
+
+
+@pytest.mark.parametrize("command", list(agkit.cli._HANDLERS))
+def test_hostile_input_ends_in_an_exit_code(capsys, monkeypatch, tmp_path, command):
+    """Every command, on each class of hostile input, returns 0, 1 or 2 and
+    lets no exception escape; exit 2 comes with one stderr line, `error: ...`."""
+    hostile = _hostile_argvs(tmp_path)
+    assert WELL_FORMED.keys() == hostile.keys() == agkit.cli._HANDLERS.keys()
+    well_formed = [arg.format(tmp=tmp_path) for arg in WELL_FORMED[command]]
+    sweep = [(argv, None) for argv in hostile[command]]
+    sweep += [(well_formed, cap) for cap in BAD_CAPS]
+    for argv, cap in sweep:
+        if cap is None:
+            monkeypatch.delenv("AGKIT_CAP", raising=False)
+        else:
+            monkeypatch.setenv("AGKIT_CAP", cap)
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 1, 2), (argv, cap)
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, cap, err)

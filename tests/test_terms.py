@@ -8,6 +8,7 @@ import weakref
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import agkit.algebra
 import agkit.terms
 from agkit import (BUILTIN_NAMES, CapExceededError, EvalError, ParseError, builtin,
                    direct_product, eval_term, format_sentence, format_term, free_algebra,
@@ -306,22 +307,44 @@ def _case(algebra_name: str, text: str):
     return builtin(algebra_name), parse_sentence(text)
 
 
+@functools.cache
+def _chain_algebra(n: int) -> FiniteAlgebra:
+    """The n-element chain, star its pseudocomplement and quote its order
+    reversal.  Its join-irreducibles are the n - 1 elements other than 0."""
+    return FiniteAlgebra(
+        name=f"chain{n}", size=n, labels=tuple(map(str, range(n))),
+        join=tuple(tuple(max(x, y) for y in range(n)) for x in range(n)),
+        meet=tuple(tuple(min(x, y) for y in range(n)) for x in range(n)),
+        star=(n - 1,) + (0,) * (n - 1), quote=tuple(reversed(range(n))), zero=0, one=n - 1)
+
+
+@functools.cache
+def _product(*names: str):
+    return direct_product([builtin(name) for name in names])
+
+
 @settings(max_examples=150, deadline=None)
 @given(_scan_cases())
 @example(_case("3_klst", "x /\\ y'* = x /\\ y"))
 @example(_case("4_dmba", "x' /\\ y** = y**"))
 @example(_case("3_dblst", "x \\/ y = (x \\/ y)''"))
 @example(_case("4_dmba", "y' = y => x /\\ y = x"))
+# joins and meets of two columns: on the Birkhoff embedding in a byte where
+# |J| <= 8 (9 elements, and 3_klst^4 with two prefix variables before the
+# column domain a premise filters), element by element where |J| = 9
+@example((_chain_algebra(9), parse_sentence("(a \\/ x) /\\ (a \\/ x)'* = a /\\ x'*")))
+@example((_chain_algebra(9), parse_sentence("x' = x => (a \\/ x) /\\ (a \\/ x)'* = (a /\\ x)'")))
+@example((_chain_algebra(10), parse_sentence("(a \\/ x) /\\ (a \\/ x)'* = a /\\ x'*")))
+@example((_chain_algebra(10), parse_sentence("(x \\/ y)' /\\ (x /\\ y)* <= x' \\/ y*")))
+@example((_product(*["3_klst"] * 4), parse_sentence(
+    "z' = z => (x \\/ z)' /\\ (y \\/ z*) = (x /\\ y) \\/ (x /\\ z) \\/ (y /\\ z')")))
+@example((_product(*["3_klst"] * 4), parse_sentence(
+    "z' = z => (x /\\ z) \\/ (y /\\ z*) = (x \\/ y) /\\ (z \\/ y'*)")))
 def test_holds_in_matches_plain_scan(case):
     algebra, sentence = case
     expected = plain_holds_in(algebra, sentence)
     assert holds_in(algebra, sentence) == expected
     assert holds_in(algebra, sentence) == expected  # served from the table
-
-
-@functools.cache
-def _product(*names: str):
-    return direct_product([builtin(name) for name in names])
 
 
 # LX of the lemma registry: its right side reads x only through (x' \/ x'*)'
@@ -393,6 +416,59 @@ def test_scan_reads_each_join_row_once_per_scalar_value():
     join.reads = 0
     assert agkit.terms._decide(algebra, parse_sentence("(x \\/ y)* = x* /\\ y*"))
     assert join.reads == 0
+
+
+L37_FREE = "(a \\/ x) \\/ ((a \\/ x) /\\ (a \\/ x)'*)* = 1"
+
+
+def test_scan_reads_no_row_per_prefix_for_two_columns():
+    product = _product("4_dmba", "4_dmba")
+    join, meet = CountingTable(product.join), CountingTable(product.meet)
+    algebra = replace(product, name="counting rows", join=join, meet=meet, validate=False)
+    n = algebra.size
+    forget_facts()
+    join.reads = meet.reads = 0  # the constructor's shape check reads every row
+    # a is the prefix and x the column variable.  a \/ x picks a kept byte
+    # row (n join rows, once).  The meet and the outer join are of two
+    # columns, so they are an & and an | on the Birkhoff embedding, which
+    # _birkhoff derives from the join rows in two passes (2n rows, once).
+    assert agkit.terms._decide(algebra, parse_sentence(L37_FREE))
+    assert (join.reads, meet.reads) == (3 * n, 0)
+
+
+def test_product_scan_reads_the_embedding_the_product_kept(monkeypatch):
+    """A product keeps its Birkhoff embedding, built from its factors' in
+    O(n): scanning it derives none by the O(n^2) pass over its rows."""
+    derived = []
+    log_calls(monkeypatch, agkit.algebra, "_birkhoff", derived)
+    forget_facts()
+    algebra = direct_product([builtin("2")] * 8)
+    assert holds_in(algebra, parse_sentence(L37_FREE))
+    assert [args[0] for args, _ in derived] == [builtin("2")]  # the factor's, once
+
+
+@pytest.mark.parametrize("make, byte_path", [
+    (lambda: _chain_algebra(9), True),  # |J| = 8
+    (lambda: _chain_algebra(10), False),  # |J| = 9
+    (lambda: _product(*["3_klst"] * 4), True),  # 81 elements, |J| = 8
+], ids=["chain9", "chain10", "3_klst^4"])
+def test_join_of_two_columns_reads_no_row_iff_j_fits_a_byte(make, byte_path):
+    """A join of two columns reads no join row where |J| <= 8, and one row
+    per column entry where |J| > 8.  Verdicts agree with the plain scan."""
+    source = make()
+    join = CountingTable(source.join)
+    algebra = replace(source, name=f"counting {source.name}", join=join, validate=False)
+    n = algebra.size
+    forget_facts()
+    join.reads = 0
+    # x is the prefix and y the column variable.  The left side joins two
+    # columns at each prefix, the right side once, as y \/ y' reads no
+    # prefix; x \/ y' picks a kept byte row (n rows) and the embedding is
+    # derived from the join rows (2n), each once.
+    sentence = parse_sentence("(x /\\ y) \\/ y' = (x \\/ y') /\\ (y \\/ y')")
+    assert agkit.terms._decide(algebra, sentence) == plain_holds_in(source, sentence)
+    assert join.reads == 3 * n + (0 if byte_path else n + n * n)
+    assert (agkit.algebra.birkhoff_bytes(algebra) is not None) == byte_path
 
 
 def test_byte_rows_do_not_keep_an_algebra_alive():
