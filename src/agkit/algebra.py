@@ -19,13 +19,14 @@ import itertools
 import json
 import math
 import weakref
-from operator import and_, ne, or_
+from operator import and_, attrgetter, ne, or_
 from typing import Iterable, Iterator, Sequence
 
 from . import caps
 from .errors import AlgebraFormatError, LatticeAxiomError, NotFoundError, ParseError, _Value
 
 SPEC_KEYS = ("name", "size", "labels", "join", "meet", "star", "quote", "zero", "one")
+_spec = attrgetter(*SPEC_KEYS)  # the fields that == and the hash compare: not `validate`
 
 
 class FiniteAlgebra(_Value):
@@ -53,15 +54,13 @@ class FiniteAlgebra(_Value):
             self.verify_lattice_axioms()
 
     def __hash__(self) -> int:  # hashed once: an algebra keys _FACTS
-        if self._hashed is None:  # the fields __eq__ compares, `validate` left out
-            object.__setattr__(self, "_hashed", hash((
-                self.name, self.size, self.labels, self.join, self.meet,
-                self.star, self.quote, self.zero, self.one)))
+        if self._hashed is None:
+            object.__setattr__(self, "_hashed", hash(_spec(self)))
         return self._hashed
 
     def __eq__(self, other) -> bool:  # `is` first: a hit in _FACTS compares an algebra with itself
         return self is other or (type(other) is type(self) and hash(self) == hash(other)
-                                 and self.spec_dict() == other.spec_dict())
+                                 and _spec(self) == _spec(other))
 
     def _check_shape(self) -> None:
         n = self.size

@@ -67,26 +67,31 @@ class Partition(_Value):
             [self.blocks[i] * other.size + other.blocks[i] for i in range(self.size)])
 
     def join(self, other: "Partition") -> "Partition":
-        """Each block of self merged with one block of self that a block of
-        other also meets, once per distinct such pair; a merge relabels the
-        smaller group of blocks into the larger."""
+        """Each block of self merged (_merge) with one block of self that a
+        block of other also meets, once per distinct such pair."""
         label = list(range(self.num_blocks))  # the group of each block of self
         members = [[b] for b in label]
         met = dict(zip(other.blocks, self.blocks))  # a block of self each block of other meets
         for mine, linked in set(zip(self.blocks, map(met.__getitem__, other.blocks))):
-            keep, gone = label[linked], label[mine]
-            if keep == gone:
-                continue
-            if len(members[keep]) < len(members[gone]):
-                keep, gone = gone, keep
-            for b in members[gone]:
-                label[b] = keep
-            members[keep] += members[gone]
+            if label[mine] != label[linked]:
+                _merge(label, members, linked, mine)
         return Partition.from_assignment(list(map(label.__getitem__, self.blocks)))
 
     def restrict(self, elements: Sequence[int]) -> "Partition":
         """Partition induced on a subsequence of the universe."""
         return Partition.from_assignment([self.blocks[x] for x in elements])
+
+
+def _merge(label: list[int], members: list[list[int]], x: int, y: int) -> None:
+    """Merge the groups of x and y, label[x] != label[y], members[g] the
+    items labelled g.  The smaller group is relabelled into the larger, so no
+    item is relabelled more than log2(n) times."""
+    keep, gone = label[x], label[y]
+    if len(members[keep]) < len(members[gone]):
+        keep, gone = gone, keep
+    for z in members[gone]:
+        label[z] = keep
+    members[keep] += members[gone]
 
 
 def is_congruence(algebra: FiniteAlgebra, partition: Partition) -> bool:
@@ -113,8 +118,7 @@ def is_congruence(algebra: FiniteAlgebra, partition: Partition) -> bool:
 def principal_congruence(algebra: FiniteAlgebra, a: int, b: int) -> Partition:
     """Least congruence identifying a and b.
 
-    block[x] is the id of x's block; a merge relabels the smaller block into
-    the larger, so no element is relabeled more than log2(n) times.  A merged
+    block[x] is the id of x's block, and _merge joins two blocks.  A merged
     pair (x, y) queues (x*, y*), (x', y') and, from the rows join[x], join[y],
     meet[x], meet[y] read once, those (x \\/ c, y \\/ c) and (x /\\ c, y /\\ c)
     that straddle two blocks: a pair inside one block adds nothing.  The
@@ -129,14 +133,9 @@ def principal_congruence(algebra: FiniteAlgebra, a: int, b: int) -> Partition:
     queue = [(a, b)]
     while queue:
         x, y = queue.pop()
-        keep, gone = block[x], block[y]
-        if keep == gone:
+        if block[x] == block[y]:  # inline: pops outnumber merges 10-18x
             continue
-        if len(members[keep]) < len(members[gone]):
-            keep, gone = gone, keep
-        for z in members[gone]:
-            block[z] = keep
-        members[keep] += members[gone]
+        _merge(block, members, x, y)
         queue += (star[x], star[y]), (quote[x], quote[y])
         for table in (join, meet):
             rx, ry = table[x], table[y]

@@ -147,22 +147,20 @@ def enumerate_homs(source: FiniteAlgebra, target: FiniteAlgebra) -> list[Homomor
     found: list[tuple[int, ...]] = []
 
     def search(mapping: dict[int, int], remaining: Sequence[int]) -> None:
-        position = 0
-        while position < len(remaining) and remaining[position] in mapping:
-            position += 1
-        if position == len(remaining):
-            # generators exhausted: closure of the domain is the whole source
+        # the domain is Sg(start, generators so far), and each generator lies
+        # outside that closure: it is unmapped, and two leaves differ at one
+        if not remaining:
             found.append(tuple(mapping[x] for x in range(source.size)))
             return
-        element = remaining[position]
+        element = remaining[0]
         for image in range(target.size):
             extended = _propagate(source, target, dict(mapping) | {element: image},
                                   [element])
             if extended is not None:
-                search(extended, remaining[position + 1:])
+                search(extended, remaining[1:])
 
     search(start, generators)
-    return [Homomorphism(source, target, mapping) for mapping in sorted(set(found))]
+    return [Homomorphism(source, target, mapping) for mapping in sorted(found)]
 
 
 def brute_force_homs(source: FiniteAlgebra, target: FiniteAlgebra) -> list[tuple[int, ...]]:

@@ -163,13 +163,13 @@ class _Parser:
     def expect(self, kind: str, expected: tuple[str, ...]) -> tuple[str, str, int]:
         token = self.peek()
         if token[0] != kind:
-            self.fail(expected)
+            raise self.error(expected)
         return self.advance()
 
-    def fail(self, expected: tuple[str, ...]) -> None:
+    def error(self, expected: tuple[str, ...]) -> ParseError:
         kind, text, pos = self.peek()
         got = "end of input" if kind == "end" else repr(text)
-        raise ParseError(f"unexpected {got}", pos, expected)
+        return ParseError(f"unexpected {got}", pos, expected)
 
     def nest(self, depth: int, position: int) -> int:
         """depth + 1, or a ParseError once that passes MAX_TERM_DEPTH."""
@@ -219,8 +219,7 @@ class _Parser:
             self.expect("rparen", ("')'",))
             self.parens -= 1
             return node, depth
-        self.fail(("variable", "'0'", "'1'", "'('"))
-        raise AssertionError("unreachable")
+        raise self.error(("variable", "'0'", "'1'", "'('"))
 
     def equation(self) -> Equation:
         lhs, depth = self.term()
@@ -233,8 +232,7 @@ class _Parser:
             rhs, rhs_depth = self.term()
             self.nest(max(depth, rhs_depth), position)
             return (Meet(lhs, rhs), lhs)  # s <= t  ~>  s /\ t = s
-        self.fail(("'='", "'<='"))
-        raise AssertionError("unreachable")
+        raise self.error(("'='", "'<='"))
 
     def sentence(self) -> Sentence:
         equations = [self.equation()]
@@ -248,7 +246,7 @@ class _Parser:
             return Sentence(tuple(equations), conclusion)
         expected = ("'=>'", "end of input")
         if len(equations) != 1:
-            self.fail(expected)  # premises need a conclusion
+            raise self.error(expected)  # premises need a conclusion
         self.expect("end", expected)
         return Sentence((), equations[0])
 

@@ -28,7 +28,7 @@ from .algebra import (_FACTS, FiniteAlgebra, _known, _subuniverses, builtin, dir
                       subuniverse_closure)
 from .axioms import satisfies_axiom_system
 from .errors import AgkitError, NotFoundError, NotInVarietyError, _Value
-from .morphisms import _extend
+from .morphisms import _extend, _generator_sequence
 from .terms import Sentence, Verdict, _parse_shipped, eval_term, holds_in
 
 VARIETY_NAMES = ("BA", "RDBLST", "RKLST", "DMBA", "G",
@@ -70,9 +70,6 @@ class VarietyDescriptor(_Value):
     def level(self) -> int:
         """Height in the subvariety lattice (0 = bottom)."""
         return len(self.si_names) - 1
-
-    def __str__(self) -> str:
-        return self.name
 
 
 VARIETIES: dict[str, VarietyDescriptor] = {
@@ -170,20 +167,13 @@ def in_hs(algebra: FiniteAlgebra, target: FiniteAlgebra) -> bool:
     from Sg(a) onto the target, which `morphisms._extend` decides.  Proof:
     given a surjection h from a subalgebra B onto the target, take a
     preimage a of g in B; h restricted to Sg(a) maps onto Sg(g), the whole
-    target.  Only |algebra|^len(g) tuples are tried, g being a shortest
-    generating tuple.
+    target.  Any generating tuple g is correct; |algebra|^len(g) tuples are
+    tried, g the hom search's greedy sequence (morphisms._generator_sequence):
+    () for 2, one element for the other builtins.
     """
-    generators = _shortest_generating_tuple(target)
+    generators = _generator_sequence(target, frozenset())
     return any(_extend(algebra, target, zip(a, generators)) is not None
                for a in itertools.product(algebra.elements(), repeat=len(generators)))
-
-
-def _shortest_generating_tuple(algebra: FiniteAlgebra) -> tuple[int, ...]:
-    """The first tuple, in order of length and then of combinations, that
-    generates the algebra: () for 2, one element for the other builtins."""
-    return next(generators for k in range(algebra.size + 1)
-                for generators in itertools.combinations(algebra.elements(), k)
-                if len(subuniverse_closure(algebra, generators)) == algebra.size)
 
 
 # --- discriminator -----------------------------------------------------------

@@ -11,12 +11,14 @@ import agkit.algebra
 from agkit import (AgkitError, AlgebraFormatError, BUILTIN_NAMES, CapExceededError,
                    FiniteAlgebra, LatticeAxiomError, NotFoundError, ParseError, builtin,
                    direct_product, dump_algebra, enumerate_embeddings, enumerate_subalgebras,
-                   lattice_reduct, load_algebra, subalgebra, subuniverse_closure)
+                   holds_in, lattice_reduct, load_algebra, parse_sentence, subalgebra,
+                   subuniverse_closure)
 from agkit.algebra import SPEC_KEYS, _adjoin, _json_int
 from agkit.caps import DEFAULT_CAPS
 from tests.conftest import (CountingTable, breaks_law, brute_force_lattice_axioms,
                             brute_force_subuniverses, fixpoint_closure, generated_members,
-                            renumbered_products, replace, tuple_direct_product)
+                            plain_holds_in, renumbered_products, replace,
+                            tuple_direct_product)
 
 GOLDEN_3_KLST = ('{"name":"3_klst","size":3,"labels":["0","a","1"],'
                  '"join":[[0,1,2],[1,1,2],[2,2,2]],"meet":[[0,0,0],[0,1,1],[0,1,2]],'
@@ -64,7 +66,7 @@ def test_load_rejects_bad_keys():
 
 def test_load_rejects_out_of_range_table(builtins):
     for key, value in [("star", [5, 0]), ("join", [[0, 2], [1, 1]]),
-                       ("meet", [[0, 0], [-1, 1]])]:
+                       ("meet", [[0, 0], [-1, 1]]), ("one", 2), ("zero", -1)]:
         document = json.loads(dump_algebra(builtins["2"]))
         document[key] = value
         with pytest.raises(AlgebraFormatError, match="out of range|bad star"):
@@ -315,6 +317,8 @@ N5 = relation_algebra(5, [(1, 2)])
 # six or fewer elements turned up in 3 x 10^4 random ones like it
 WRONG_LUB = with_entry(relation_algebra(7, [(1, 2), (1, 4), (1, 5), (2, 5), (3, 4), (3, 5),
                                             (4, 5)]), "join", 2, 4, 6)
+# the 3-chain with one = a, its middle: only the unit laws see 1 /\ a = a
+MIDDLE_ONE = replace(builtin("3_klst"), name="3-chain, one = a", one=1, validate=False)
 
 
 @settings(max_examples=300, deadline=None)
@@ -352,7 +356,8 @@ def test_non_distributive_lattices_are_rejected(lattice):
     (M3, "distributivity (meet over join)", (3, 1, 2)),
     (N5, "distributivity (meet over join)", (2, 1, 3)),
     (WRONG_LUB, "join associativity", (2, 4, 5)),
-], ids=["M3", "N5", "WRONG_LUB"])
+    (MIDDLE_ONE, "one is a meet unit", (2,)),
+], ids=["M3", "N5", "WRONG_LUB", "MIDDLE_ONE"])
 def test_rejected_tables_name_a_fixed_law_and_witness(algebra, axiom, witness):
     with pytest.raises(LatticeAxiomError) as err:
         algebra.verify_lattice_axioms()
@@ -438,6 +443,43 @@ def test_direct_product_shape(builtins):
     # componentwise, with tuple labels
     assert square.labels == ("(0,0)", "(0,1)", "(1,0)", "(1,1)")
     square.verify_lattice_axioms()
+
+
+def test_direct_product_needs_a_factor():
+    with pytest.raises(ValueError, match="at least one factor"):
+        direct_product([])
+
+
+def test_equal_algebras_built_apart_are_equal_and_share_their_facts(builtins):
+    """== compares the stored tables, as the hash does, and copies none."""
+    factors = [builtins["3_dblst"], builtins["4_dmba"], builtins["4_dmba"]]
+    first, second = direct_product(factors), direct_product(factors)
+    assert first is not second and first.join is not second.join
+    assert first == second and hash(first) == hash(second)
+    assert agkit.algebra._FACTS[first] is agkit.algebra._FACTS[second]
+    star = list(second.star)
+    star[1] = star[2]
+    tampered = replace(second, star=tuple(star), validate=False)
+    assert tampered != first
+    object.__setattr__(tampered, "_hashed", hash(first))  # as if the hashes collided
+    assert tampered != first and first != tampered
+
+
+def test_product_past_a_byte_keeps_no_embedding():
+    """A 10-element chain has |J| = 9, so its product with 2 keeps None, and
+    its scans take the element-by-element path."""
+    n = 10
+    chain = FiniteAlgebra(
+        name="chain10", size=n, labels=tuple(map(str, range(n))),
+        join=tuple(tuple(max(x, y) for y in range(n)) for x in range(n)),
+        meet=tuple(tuple(min(x, y) for y in range(n)) for x in range(n)),
+        star=(n - 1,) + (0,) * (n - 1), quote=tuple(reversed(range(n))), zero=0, one=n - 1)
+    product = direct_product([chain, builtin("2")])
+    assert agkit.algebra._FACTS[product]["birkhoff"] is None  # kept, not derived
+    for text in ["(a \\/ x) /\\ (a \\/ x)'* = a /\\ x'*",
+                 "(x \\/ y)' /\\ (x /\\ y)* <= x' \\/ y*"]:
+        sentence = parse_sentence(text)
+        assert holds_in(product, sentence) == plain_holds_in(product, sentence), text
 
 
 # the oracle takes ~0.35 s on a 256-element product

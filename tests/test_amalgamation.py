@@ -8,11 +8,11 @@ import pytest
 import agkit.algebra
 from agkit import (BUILTIN_NAMES, Amalgam, FiniteAlgebra, Obstruction, applications,
                    builtin, classify_ap, decide_amalgamation, diagram, direct_product,
-                   enumerate_embeddings, generated_subvariety, variety, NotFoundError,
-                   NotInVarietyError, all_varieties)
+                   enumerate_embeddings, generated_subvariety, lattice_reduct, variety,
+                   NotFoundError, NotInVarietyError, all_varieties)
 from agkit.algebra import _FACTS
 from agkit.amalgamation import Diagram, brute_force_verify_obstruction, theorem_diagrams
-from agkit.morphisms import identity_hom
+from agkit.morphisms import Homomorphism, identity_hom
 from tests.conftest import (brute_force_verify_amalgam, cep_spot_checks, forget_facts,
                             hereditarily_si, refute_amal_base, replace)
 
@@ -64,6 +64,53 @@ def test_theorem_diagram_results():
     for key, (vname, base, left, right) in theorem_diagrams().items():
         d = diagram(builtin(base), builtin(left), builtin(right))
         assert brute_force_verify_obstruction(variety(vname), d, outcomes[key]), key
+
+
+@pytest.mark.parametrize("first", ["3_klst", "2"])
+def test_right_side_obstruction_and_its_mirror(first):
+    """<2; 3_klst, F x 4_dmba> in V_KLST_DMBA, F = 3_klst or 2: the one hom
+    of F x 4_dmba into 3_klst goes through F, so it separates 3_klst but not
+    (0, 0) from (0, a); 3_klst has no hom into 2 or 4_dmba."""
+    v, klst = variety("V_KLST_DMBA"), builtin("3_klst")
+    product = direct_product([builtin(first), builtin("4_dmba")])
+    d = diagram(builtin("2"), klst, product)
+    right = decide_amalgamation(v, d)
+    left = decide_amalgamation(v, diagram(builtin("2"), product, klst))
+    assert (right.side, right.pair) == ("right", (0, 1))
+    assert (left.side, left.pair) == ("left", (0, 1))
+    assert right.hom_census["3_klst"] == left.hom_census["3_klst"] == (1, 1, 1)
+    # (0, 0) and (a, 0), or (1, 0), differ in F: the oracle rejects the pair
+    # as soon as it reaches 3_klst, before it scans the maps into 4_dmba
+    assert not brute_force_verify_obstruction(v, d, Obstruction("right", (0, 4),
+                                                                right.hom_census))
+
+
+def test_oracle_confirms_both_sides_of_a_right_side_obstruction():
+    """The oracle compares the (h, k) pairs into 3_klst, which gets a hom from
+    each side.  The 8-element right side keeps its scan into 4_dmba to 4^8
+    maps (4^12 for 3_klst x 4_dmba takes seconds)."""
+    v, klst = variety("V_KLST_DMBA"), builtin("3_klst")
+    product = direct_product([builtin("2"), builtin("4_dmba")])
+    for d in (diagram(builtin("2"), klst, product), diagram(builtin("2"), product, klst)):
+        result = decide_amalgamation(v, d)
+        assert brute_force_verify_obstruction(v, d, result)
+
+
+def test_oracle_skips_the_pairs_that_do_not_commute():
+    """<2 x 2; 2 x 3_klst, 2 x 4_dmba> in V_KLST_DMBA: the second projection
+    of each side separates (0, 1) there, but commutes with no hom of the
+    other side, so both sides' (0, 1) stay unseparated; (0, 3) and (0, 4)
+    differ in the first factor, which a compatible pair separates."""
+    v, two = variety("V_KLST_DMBA"), builtin("2")
+    d = diagram(direct_product([two, two]), direct_product([two, builtin("3_klst")]),
+                direct_product([two, builtin("4_dmba")]))
+    result = decide_amalgamation(v, d)
+    assert (result.side, result.pair) == ("left", (0, 1))
+    assert result.hom_census == {"2": (1, 1, 1), "3_klst": (2, 1, 1), "4_dmba": (1, 3, 1)}
+    for side, pair, confirmed in [("left", (0, 1), True), ("right", (0, 1), True),
+                                  ("left", (0, 3), False), ("right", (0, 4), False)]:
+        obstruction = Obstruction(side, pair, result.hom_census)
+        assert brute_force_verify_obstruction(v, d, obstruction) is confirmed, (side, pair)
 
 
 def test_obstruction_census_shapes():
@@ -259,10 +306,18 @@ def test_refute_amal_base():
 
 
 def test_diagram_validation(builtins):
-    two, dmba = builtins["2"], builtins["4_dmba"]
+    two, klst, dmba = builtins["2"], builtins["3_klst"], builtins["4_dmba"]
     embed = enumerate_embeddings(two, dmba)[0]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="g must map"):
         Diagram(two, dmba, dmba, embed, identity_hom(dmba))  # g has wrong source
+    with pytest.raises(ValueError, match="f must map"):
+        Diagram(two, dmba, dmba, identity_hom(dmba), embed)  # f has wrong source
+    with pytest.raises(ValueError, match="f must map"):
+        Diagram(two, klst, dmba, embed, embed)  # f has wrong target
+    square, line = lattice_reduct(dmba), lattice_reduct(two)
+    onto = Homomorphism(square, line, (0, 0, 1, 1))
+    with pytest.raises(ValueError, match="must be embeddings"):
+        Diagram(square, line, line, onto, onto)
     with pytest.raises(NotFoundError):
         diagram(builtins["3_dblst"], builtins["3_klst"], builtins["3_klst"])
 

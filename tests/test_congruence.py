@@ -67,6 +67,12 @@ def test_principal_congruence_examples(builtins):
     assert principal_congruence(lattice_reduct(square), 1, 3).blocks == (0, 1, 0, 1)
 
 
+def test_a_partition_of_another_size_is_no_congruence(builtins):
+    for size in (3, 5):
+        assert not is_congruence(builtins["4_dmba"], Partition.identity(size))
+    assert is_congruence(builtins["4_dmba"], Partition.identity(4))
+
+
 def test_principal_congruence_matches_oracle_up_to_size_6(builtins):
     subjects = list(builtins.values())
     subjects.append(direct_product([builtins["2"], builtins["2"]]))

@@ -126,6 +126,34 @@ def test_preservation_post_check(builtins):
         Homomorphism(builtins["3_dblst"], builtins["2"], (0, 0, 1))
 
 
+# Each map breaks exactly one check of the post-check.  The lattice reduct
+# of 4_dmba maps onto that of 2 keeping 0, 1, star and quote (identities
+# there), so only a lattice operation can fail.
+@pytest.mark.parametrize("source, target, reduct, mapping, broken", [
+    ("2", "2", False, (0,), "wrong shape"),
+    ("2", "2", False, (0, 2), "wrong shape"),
+    ("2", "2", False, (1, 0), "constants"),
+    ("3_dblst", "3_klst", False, (0, 1, 2), "quote"),
+    ("4_dmba", "2", True, (0, 0, 0, 1), "join"),
+    ("4_dmba", "2", True, (0, 1, 1, 1), "meet"),
+])
+def test_post_check_names_the_broken_law(source, target, reduct, mapping, broken):
+    def make(name):
+        return lattice_reduct(builtin(name)) if reduct else builtin(name)
+    with pytest.raises(ValueError, match=broken):
+        Homomorphism(make(source), make(target), mapping)
+
+
+def test_brute_force_homs_drops_maps_that_break_only_a_lattice_operation():
+    """Of the four maps of the lattice reducts 4_dmba -> 2 that keep 0 and 1,
+    all keep star and quote, and (0, 0, 0, 1) breaks join and (0, 1, 1, 1)
+    meet: the oracle keeps the other two only, as the search does."""
+    source, target = lattice_reduct(builtin("4_dmba")), lattice_reduct(builtin("2"))
+    homs = brute_force_homs(source, target)
+    assert homs == [(0, 0, 1, 1), (0, 1, 0, 1)]
+    assert [h.mapping for h in enumerate_homs(source, target)] == homs
+
+
 def test_is_isomorphic_examples(builtins):
     # an isomorphism is an embedding between algebras of one size
     assert not enumerate_embeddings(builtins["3_dblst"], builtins["3_klst"])

@@ -131,3 +131,24 @@ def test_list_and_dict_defaults_are_fresh_per_instance():
     one, two = Report(["x"], "1"), Report(["x"], "1")
     one.add(first)
     assert two.records == [] and one.records is not two.records
+
+
+def test_reports_are_truthy_iff_they_pass():
+    """`if report:` reads the verdict: VarietyVerdict by holds, ScReport by
+    sc and AxiomReport by ok, each seen both ways.  Without __bool__ every
+    instance would be truthy."""
+    from agkit import (builtin, check_sc, direct_product, parse_sentence,
+                       quasi_identity_holds, satisfies_axiom_system, variety)
+    involution = parse_sentence("x'' = x")
+    two = builtin("2")
+    reports = [
+        (quasi_identity_holds(variety("BA"), involution), "holds", True),
+        (quasi_identity_holds(variety("AG"), involution), "holds", False),
+        (check_sc(two), "sc", True),
+        (check_sc(direct_product([two, two])), "sc", False),
+        (satisfies_axiom_system(builtin("4_dmba"), "ALMOST_GAUTAMA"), "ok", True),
+        (satisfies_axiom_system(builtin("4_dmba"), "KLEENE"), "ok", False),
+    ]
+    for report, field, expected in reports:
+        assert getattr(report, field) is expected, report
+        assert bool(report) is expected, report

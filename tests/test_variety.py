@@ -420,6 +420,14 @@ def test_free_algebra_decides_one_variable_identities():
                 quasi_identity_holds(v, sentence).holds, (name, text)
 
 
+def test_identity_holds_via_free_rejects_what_it_cannot_decide():
+    free = free_algebra(variety("BA"), 1)
+    with pytest.raises(ValueError, match="identities only"):
+        identity_holds_via_free(free, parse_sentence("x = 0 => x* = 1"))
+    with pytest.raises(ValueError, match="more variables"):
+        identity_holds_via_free(free, parse_sentence("x \\/ y = y \\/ x"))
+
+
 def test_free_algebra_cap():
     with pytest.raises(CapExceededError):
         free_algebra(variety("AG"), 2, max_elements=10)
