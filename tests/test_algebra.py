@@ -319,6 +319,9 @@ WRONG_LUB = with_entry(relation_algebra(7, [(1, 2), (1, 4), (1, 5), (2, 5), (3, 
                                             (4, 5)]), "join", 2, 4, 6)
 # the 3-chain with one = a, its middle: only the unit laws see 1 /\ a = a
 MIDDLE_ONE = replace(builtin("3_klst"), name="3-chain, one = a", one=1, validate=False)
+# the 3-chain with 0 /\ 1 = 1 but 1 /\ 0 = 0: its join is still commutative
+ONE_SIDED_MEET = replace(builtin("3_klst"), name="3-chain, one-sided meet",
+                         meet=((0, 0, 2), (0, 1, 1), (0, 1, 2)), validate=False)
 
 
 @settings(max_examples=300, deadline=None)
@@ -357,7 +360,8 @@ def test_non_distributive_lattices_are_rejected(lattice):
     (N5, "distributivity (meet over join)", (2, 1, 3)),
     (WRONG_LUB, "join associativity", (2, 4, 5)),
     (MIDDLE_ONE, "one is a meet unit", (2,)),
-], ids=["M3", "N5", "WRONG_LUB", "MIDDLE_ONE"])
+    (ONE_SIDED_MEET, "meet commutativity", (0, 2)),
+], ids=["M3", "N5", "WRONG_LUB", "MIDDLE_ONE", "ONE_SIDED_MEET"])
 def test_rejected_tables_name_a_fixed_law_and_witness(algebra, axiom, witness):
     with pytest.raises(LatticeAxiomError) as err:
         algebra.verify_lattice_axioms()

@@ -1,8 +1,6 @@
 """Which lines of src/agkit run, and under what.
 
-    python3 tools/reach.py [--keep DIR] > REACH.txt
-
---keep DIR keeps each phase's lines in DIR, and reuses those already there.
+    python3 tools/reach.py > REACH.txt
 
 Stdlib only, and not part of Tier-1: it runs the suite under a line tracer,
 which costs a few times the suite's own time.  Three phases, each in a fresh
@@ -11,7 +9,10 @@ interpreter so that no cache is warm from another phase:
   ops    one op per distinct input of each perfbench workload, through the
          `OPS` of perfbench/child.py (imported, not edited), seed 0;
   cli    all 11 CLI commands, in text and --json form (verify-paper, which
-         has no --json, with and without --out);
+         has no --json, with and without --out), on builtins and on the
+         inputs of CLI_INPUTS: algebra files, amalgamable diagrams, a
+         right-side obstruction, a base with no embedding, --variety, --cap
+         and AGKIT_CAP; and --version;
   tests  the Tier-1 suite (pytest, in process).
 
 A line is a function-body line of src/agkit that the code objects' `co_lines`
@@ -20,15 +21,18 @@ ran in no phase and those that ran only under the tests, each with a tag:
 
   guard          an AssertionError that no input should reach
   untested       any other line that runs nowhere: test it or delete it
-  hostile input  an error branch of code that also runs outside the tests
-  other input    a path that inputs other than the sweep's take
+  hostile input  an error branch: input that the code refuses
   oracle         a check that shares no code with the path it checks
   API name       a public name that only the tests call (ROADMAP item 12)
   dead           none of these: reach it from a real input or delete it
+
+A test-only line is tagged by a LINE_TAGS entry, or by FUNCTION_TAGS if no
+line of its function runs outside the tests; any other is dead.
 """
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import functools
 import io
@@ -47,11 +51,10 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "agkit"
 PHASES = ("ops", "cli", "tests")
 
-# The tag of each function whose lines run only under the tests, where it is
-# not the default: "hostile input" if the function also runs outside the
-# tests, else "dead".
-TAGS = {
-    "amalgamation.py:brute_force_verify_obstruction": "oracle",
+# Functions that only the tests enter, tagged whole.  The tag holds only while
+# no line of the function runs outside the tests; after that, each of its
+# test-only lines needs a LINE_TAGS entry.
+FUNCTION_TAGS = {
     "congruence.py:is_congruence": "oracle",
     "morphisms.py:brute_force_homs": "oracle",
     "algebra.py:enumerate_subalgebras": "API name",
@@ -73,6 +76,7 @@ TAGS = {
     "variety.py:VarietyVerdict.__bool__": "API name",
     "congruence.py:ScReport.__bool__": "API name",
     "axioms.py:AxiomReport.__bool__": "API name",
+    # called only from an error branch
     "algebra.py:FiniteAlgebra._axiom_fail": "hostile input",
     "algebra.py:_cut": "hostile input",
     "errors.py:CapExceededError.__init__": "hostile input",
@@ -82,37 +86,55 @@ TAGS = {
     "errors.py:_Value._refuse": "hostile input",
     "terms.py:_Parser.error": "hostile input",
     "variety.py:_coordinate": "hostile input",
-    # paths that inputs other than the sweep's take: an algebra file,
-    # --variety, a cap set by hand, an amalgamable or non-SI diagram, a
-    # trivial algebra, no hom, |J| > 8 or more than 256 elements, a sentence
-    # with no variable
-    "algebra.py:read_algebra": "other input",
-    "cli.py:_resolve_algebra": "other input",
-    "cli.py:_cmd_amalgamate": "other input",
-    "cli.py:_cmd_classify_ap": "other input",
-    "caps.py:cap_value": "other input",
-    "amalgamation.py:Amalgam.as_dict": "other input",
-    "amalgamation.py:decide_amalgamation": "other input",
-    "morphisms.py:tupled_hom": "other input",
-    "morphisms.py:identity_hom": "other input",
-    "morphisms.py:enumerate_homs": "other input",
-    "morphisms.py:enumerate_embeddings": "other input",
-    "morphisms.py:_propagate": "other input",
-    "congruence.py:classify": "other input",
-    "algebra.py:_byte_embedding": "other input",
-    "algebra.py:_product_embedding": "other input",
-    "terms.py:_compile": "other input",
-    "terms.py:_lookup": "other input",
-    "terms.py:_decide": "other input",
-    "terms.py:eval_term": "other input",
 }
-# Lines tagged apart from their function, by a fragment of the line.
+# Test-only lines of functions that also run outside the tests.  An entry tags
+# each statement of the function that starts on a line holding the fragment,
+# with the statements after it in its block (just the line if no statement
+# starts there).  The first entry that covers a line tags it.
 LINE_TAGS = [
+    ("algebra.py:FiniteAlgebra._check_shape", "raise", "hostile input"),
+    # the scans that name the law, after the check that the tables pass
+    ("algebra.py:FiniteAlgebra.verify_lattice_axioms", "for x, y in", "hostile input"),
+    ("algebra.py:builtin", "except KeyError", "hostile input"),
+    ("algebra.py:_json_int", "raise", "hostile input"),
+    ("algebra.py:_json_str", "raise", "hostile input"),
+    ("algebra.py:_json_array", "raise", "hostile input"),
+    ("algebra.py:_json_ints", "map(_json_int", "hostile input"),
+    ("algebra.py:load_algebra", "except", "hostile input"),
+    ("algebra.py:load_algebra", "raise", "hostile input"),
+    ("algebra.py:read_algebra", "except", "hostile input"),
+    ("algebra.py:direct_product", "raise", "hostile input"),
+    ("amalgamation.py:Diagram.__post_init__", "raise", "hostile input"),
+    # a target that receives homs from both sides: no obstruction the paper's
+    # diagrams give has one
+    ("amalgamation.py:brute_force_verify_obstruction", "if any(h[d.f(z)]", "oracle"),
+    ("axioms.py:axiom_system", "except KeyError", "hostile input"),
+    ("caps.py:cap_value", "except ValueError", "hostile input"),
+    ("caps.py:guard", "raise", "hostile input"),
     ("cli.py:_resolve_algebra", "raise", "hostile input"),
+    ("cli.py:_emit", "except OSError", "hostile input"),
     ("cli.py:_cmd_classify_ap", "raise", "hostile input"),
-    ("caps.py:cap_value", "raise", "hostile input"),
-    ("terms.py:eval_term", "KeyError", "hostile input"),
-    ("terms.py:eval_term", "EvalError", "hostile input"),
+    ("cli.py:_cmd_free", "raise", "hostile input"),
+    ("cli.py:_cmd_verify_paper", '== "error"', "hostile input"),
+    ("morphisms.py:Homomorphism.__post_init__", "raise", "hostile input"),
+    ("morphisms.py:Homomorphism.after", "raise", "hostile input"),
+    ("morphisms.py:brute_force_homs", "continue", "oracle"),
+    ("terms.py:_tokenize", "raise", "hostile input"),
+    ("terms.py:_Parser.expect", "raise", "hostile input"),
+    ("terms.py:_Parser.nest", "raise", "hostile input"),
+    ("terms.py:_Parser.atom", "raise", "hostile input"),
+    ("terms.py:_Parser.equation", "raise", "hostile input"),
+    ("terms.py:_Parser.sentence", "raise", "hostile input"),
+    ("terms.py:eval_term", "except KeyError", "hostile input"),
+    # a variable: only identity_holds_via_free evaluates a term that has one
+    ("terms.py:eval_term", "try:", "API name"),
+    ("variety.py:variety", "except KeyError", "hostile input"),
+    ("variety.py:_prove_member", "failure =", "hostile input"),
+    ("variety.py:_prove_member", "raise", "hostile input"),
+    ("variety.py:generated_subvariety", "raise", "hostile input"),
+    ("variety.py:free_algebra", "raise", "hostile input"),
+    ("verify.py:_add_unit", "except AgkitError", "hostile input"),
+    ("verify.py:_add_unit", '"error"', "hostile input"),
 ]
 
 CLI_COMMANDS = (
@@ -127,6 +149,32 @@ CLI_COMMANDS = (
     ["applications", "--variety", "AG"],
     ["free", "--variety", "AG", "-n", "1"],
 )
+# Inputs past the builtins, each to a command above; a file name below stands
+# for that algebra's file.
+CLI_INPUTS = (
+    ["algebra", "show", "chain10"],
+    ["classify", "trivial"],
+    ["homs", "trivial", "2"],
+    ["check", "--variety", "AG", "--sentence", "x = y, 0 = 1 => x' = y"],
+    ["check", "--variety", "AG", "--sentence", "(0 \\/ 1) /\\ 1 = 0"],
+    ["amalgamate", "--variety", "V_KLST_DMBA", "--base", "2", "--left", "3_klst",
+     "--right", "product"],
+    ["amalgamate", "--variety", "V_KLST_DMBA", "--base", "2", "--left", "product",
+     "--right", "product"],
+    ["amalgamate", "--variety", "AG", "--base", "trivial", "--left", "trivial",
+     "--right", "trivial"],
+    ["classify-ap", "--variety", "BA"],
+    ["free", "--variety", "AG", "-n", "1", "--cap", "4096"],
+    ["amalgamate", "--variety", "AG", "--base", "4_dmba", "--left", "2", "--right", "2"],
+)
+FILES = {
+    "trivial": dict(name="trivial", size=1, labels=["0"], join=[[0]], meet=[[0]],
+                    star=[0], quote=[0], zero=0, one=0),
+    "chain10": dict(name="chain10", size=10, labels=list("0123456789"),
+                    join=[[max(x, y) for y in range(10)] for x in range(10)],
+                    meet=[[min(x, y) for y in range(10)] for x in range(10)],
+                    star=[9] + [0] * 9, quote=list(reversed(range(10))), zero=0, one=9),
+}  # and "product", the file of 3_klst x 4_dmba
 
 
 # --- lines --------------------------------------------------------------------
@@ -204,16 +252,26 @@ def phase_ops() -> dict[str, set[int]]:
 
 def phase_cli() -> dict[str, set[int]]:
     sys.path[:0] = [str(ROOT / "src")]
+    from agkit.algebra import builtin, direct_product, dump_algebra
     scratch = tempfile.TemporaryDirectory()
-    out = Path(scratch.name) / "report.json"
-    commands = [c + j for c in CLI_COMMANDS for j in ([], ["--json"])]
-    commands += [["verify-paper"], ["verify-paper", "--out", str(out)]]
+    texts = {name: json.dumps(spec) for name, spec in FILES.items()}
+    texts["product"] = dump_algebra(direct_product([builtin("3_klst"), builtin("4_dmba")]))
+    files = {name: str(Path(scratch.name) / f"{name}.json") for name in texts}
+    for name, text in texts.items():  # untraced: not a CLI path
+        Path(files[name]).write_text(text)
+    commands = [[files.get(token, token) for token in c] + j
+                for c in CLI_COMMANDS + CLI_INPUTS for j in ([], ["--json"])]
+    commands += [["verify-paper"], ["verify-paper", "--out", str(Path(scratch.name) / "r.json")],
+                 ["--version"]]
 
     def run():
         from agkit import cli
-        with contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             for argv in commands:
                 cli.main(argv)
+            os.environ["AGKIT_CAP"] = "4096"
+            cli.main(["free", "--variety", "AG", "-n", "1"])
+            del os.environ["AGKIT_CAP"]
     with scratch:
         return traced(run)
 
@@ -232,14 +290,36 @@ def phase_tests() -> dict[str, set[int]]:
 
 # --- report -------------------------------------------------------------------
 
-def tag(module: str, owner: str, text: str, runs_outside: bool) -> str:
-    if "AssertionError" in text:
-        return "guard"
-    name = f"{module}:{owner}"
+def block_ends(module: str) -> dict[int, int]:
+    """For each line that starts a statement or an except clause, the last
+    line of the block it is in: of its last sibling.  The innermost wins."""
+    ends = {}
+    for node in ast.walk(ast.parse("\n".join(module_source(module)))):
+        for field in ("body", "orelse", "finalbody", "handlers"):
+            block = getattr(node, field, None)
+            if isinstance(block, list) and block:
+                for stmt in block:
+                    ends[stmt.lineno] = block[-1].end_lineno
+    return ends
+
+
+def line_tags(lines: dict[str, dict[int, str]]) -> dict[tuple[str, int], str]:
+    """The label of each line that a LINE_TAGS entry covers."""
+    known = {f"{m}:{owner}" for m, owners in lines.items() for owner in owners.values()}
+    if stale := set(FUNCTION_TAGS) - known:
+        raise SystemExit(f"FUNCTION_TAGS names no function: {sorted(stale)}")
+    labels = {}
     for function, fragment, label in LINE_TAGS:
-        if function == name and fragment in text:
-            return label
-    return TAGS.get(name, "hostile input" if runs_outside else "dead")
+        module = function.split(":")[0]
+        ends, source = block_ends(module), module_source(module)
+        starts = [n for n, owner in lines[module].items()
+                  if f"{module}:{owner}" == function and fragment in source[n - 1]]
+        if not starts:
+            raise SystemExit(f"LINE_TAGS: no line of {function} holds {fragment!r}")
+        for n in starts:
+            for m in range(n, ends.get(n, n) + 1):
+                labels.setdefault((module, m), label)
+    return labels
 
 
 @functools.cache
@@ -249,6 +329,7 @@ def module_source(module: str) -> list[str]:
 
 def report(phases: dict[str, dict[str, set[int]]]) -> str:
     lines = executable_lines()
+    labels = line_tags(lines)
     everywhere: dict[str, set[int]] = defaultdict(set)
     outside: dict[str, set[int]] = defaultdict(set)
     for name, reached in phases.items():
@@ -266,17 +347,24 @@ def report(phases: dict[str, dict[str, set[int]]]) -> str:
         for title, picked in (("never run", never), ("tests only", only)):
             for n in picked:
                 owner, text = owners[n], module_source(module)[n - 1].strip()
-                label = tag(module, owner, text, (module, owner) in running)
-                if title == "never run" and label != "guard":
+                if "AssertionError" in text:
+                    label = "guard"
+                elif title == "never run":
                     label = "untested"
+                elif (module, n) in labels:
+                    label = labels[module, n]
+                elif (module, owner) in running:
+                    label = "dead"
+                else:
+                    label = FUNCTION_TAGS.get(f"{module}:{owner}", "dead")
                 counts[title, label] += 1
                 rows.append(f"{title:10}  {n:4}  {label:13}  {owner}: {text}")
     summary = [f"src/agkit: {sum(map(len, lines.values()))} function-body lines; "
                f"pytest exit {next(iter(phases['tests']['<exit>']))}"]
     for title in ("never run", "tests only"):
-        labels = {label: c for (t, label), c in counts.items() if t == title}
-        summary.append(f"{title}: {sum(labels.values())} "
-                       f"({', '.join(f'{k} {v}' for k, v in sorted(labels.items())) or 'none'})")
+        tally = {label: c for (t, label), c in counts.items() if t == title}
+        summary.append(f"{title}: {sum(tally.values())} "
+                       f"({', '.join(f'{k} {v}' for k, v in sorted(tally.items())) or 'none'})")
     return "\n".join(summary + rows) + "\n"
 
 
@@ -285,14 +373,12 @@ def main(argv: list[str]) -> int:
         reached = globals()[f"phase_{argv[1]}"]()
         Path(argv[2]).write_text(json.dumps({m: sorted(s) for m, s in reached.items()}))
         return 0
-    keep = Path(argv[1]) if argv[:1] == ["--keep"] else None
     phases = {}
     with tempfile.TemporaryDirectory() as scratch:
         for name in PHASES:
-            target = (keep or Path(scratch)) / f"{name}.json"
-            if not target.exists():
-                subprocess.run([sys.executable, __file__, "--phase", name, str(target)],
-                               stdout=sys.stderr, check=True)
+            target = Path(scratch) / f"{name}.json"
+            subprocess.run([sys.executable, __file__, "--phase", name, str(target)],
+                           stdout=sys.stderr, check=True)
             phases[name] = {m: set(s) for m, s in json.loads(target.read_text()).items()}
     sys.stdout.write(report(phases))
     return 0
