@@ -111,8 +111,8 @@ class FiniteAlgebra(_Value):
                 and all(list(map(at, j_row)) == list(map(or_, itertools.repeat(p), phi))
                         and list(map(at, m_row)) == list(map(and_, itertools.repeat(p), phi))
                         for p, j_row, m_row in zip(phi, jn, mt))):
-            if n <= 256:  # the only algebras whose scans read it (birkhoff_bytes)
-                _known(self, "birkhoff", lambda: _byte_embedding(phi))
+            if n <= 256:  # the congruence_universe cap, and the scans' byte form
+                _known(self, "birkhoff", lambda: phi)
             return
         for x, y in itertools.product(rng, repeat=2):
             if jn[x][y] != jn[y][x]:
@@ -228,7 +228,7 @@ def _known(algebra: FiniteAlgebra, key, decide):
     return value
 
 
-def _birkhoff(algebra: FiniteAlgebra) -> list[int]:
+def _birkhoff(algebra: FiniteAlgebra) -> tuple[int, ...]:
     """phi(x) = J & down(x) as a bitmask, J the elements other than zero that
     are the join of no two other elements: Birkhoff's embedding into 2^J if
     the tables are a bounded distributive lattice.  Reads the join rows twice."""
@@ -242,26 +242,31 @@ def _birkhoff(algebra: FiniteAlgebra) -> list[int]:
     bit = [0] * n  # a bit per element of J
     for i, j in enumerate(set(rng) - reducible):
         bit[j] = 1 << i
-    return [sum(itertools.compress(bit, map(x.__eq__, row))) for x, row in enumerate(jn)]
+    return tuple(sum(itertools.compress(bit, map(x.__eq__, row))) for x, row in enumerate(jn))
+
+
+def birkhoff(algebra: FiniteAlgebra) -> tuple[int, ...]:
+    """The algebra's Birkhoff embedding phi (_birkhoff), kept per algebra:
+    seeded by verify_lattice_axioms and direct_product, else derived here."""
+    return _known(algebra, "birkhoff", lambda: _birkhoff(algebra))
+
+
+def birkhoff_bytes(algebra: FiniteAlgebra) -> tuple[bytes, bytes] | None:
+    """phi and its inverse as 256-byte translations, derived from the kept phi
+    and kept beside it, or None if |J| > 8 (some phi(x) > 255; phi(one) = J,
+    so |J| <= 8 forces n <= 256).  phi is injective and sends \\/ to | and
+    /\\ to &, so phi(x) | phi(y) = phi(x \\/ y) is an image and reads back as
+    x \\/ y: terms._compile joins columns so."""
+    return _known(algebra, "birkhoff bytes", lambda: _byte_embedding(birkhoff(algebra)))
 
 
 def _byte_embedding(phi: Sequence[int]) -> tuple[bytes, bytes] | None:
-    """phi and its inverse as 256-byte translations, or None if |J| > 8 (some
-    phi(x) > 255).  phi(one) = J, so |J| <= 8 forces n <= 256."""
     if max(phi) > 255:
         return None
     back = bytearray(256)
     for x, image in enumerate(phi):
         back[image] = x
     return bytes(phi) + bytes(256 - len(phi)), bytes(back)
-
-
-def birkhoff_bytes(algebra: FiniteAlgebra) -> tuple[bytes, bytes] | None:
-    """The algebra's Birkhoff embedding as kept bytes (_byte_embedding), seeded
-    by verify_lattice_axioms and direct_product, else derived here.  phi is
-    injective and sends \\/ to | and /\\ to &, so phi(x) | phi(y) = phi(x \\/ y)
-    is an image and reads back as x \\/ y: terms._compile joins columns so."""
-    return _known(algebra, "birkhoff", lambda: _byte_embedding(_birkhoff(algebra)))
 
 
 def builtin(name: str) -> FiniteAlgebra:
@@ -372,10 +377,10 @@ def direct_product(factors: Sequence[FiniteAlgebra]) -> FiniteAlgebra:
     """The product, its elements the tuples in lexicographic order (last
     factor fastest): (x, y) of L x R gets index x * |R| + y (_product_tables).
 
-    Up to 256 elements it keeps its Birkhoff embedding (birkhoff_bytes), in
-    O(n) from the factors': phi(x, y) = phi_L(x) << |J_R| | phi_R(y) is
-    injective and sends \\/ to | and /\\ to & as phi_L and phi_R do.  Larger
-    products keep none: that would hash their tables, and no scan reads it.
+    Up to 256 elements it keeps its Birkhoff embedding (birkhoff), in O(n)
+    from the factors': phi(x, y) = phi_L(x) << |J_R| | phi_R(y) is injective
+    and sends \\/ to | and /\\ to & as phi_L and phi_R do.  Larger products
+    keep none: that would hash their tables, past the congruence_universe cap.
     """
     if not factors:
         raise ValueError("direct_product needs at least one factor")
@@ -432,17 +437,14 @@ def _fold_table(table: Sequence[Sequence[int]], factor_table: Sequence[Sequence[
     return tuple(folded)
 
 
-def _product_embedding(factors: Sequence[FiniteAlgebra]) -> tuple[bytes, bytes] | None:
-    """birkhoff_bytes of the product from the factors' (see direct_product)."""
-    phi = [0]
+def _product_embedding(factors: Sequence[FiniteAlgebra]) -> tuple[int, ...]:
+    """birkhoff of the product from the factors' (see direct_product)."""
+    phi = (0,)
     for f in factors:
-        embedding = birkhoff_bytes(f)
-        if embedding is None:
-            return None
-        into = embedding[0]
+        into = birkhoff(f)
         width = into[f.one].bit_length()  # phi(one) = J
-        phi = [p << width | q for p in phi for q in into[:f.size]]
-    return _byte_embedding(phi)
+        phi = tuple(p << width | q for p in phi for q in into)
+    return phi
 
 
 # --- subuniverses ------------------------------------------------------------

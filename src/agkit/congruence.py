@@ -2,9 +2,18 @@
 derived classification (simple / subdirectly irreducible / directly
 indecomposable), plus instance checks for the congruence extension property.
 
-Con(A) is generated by one principal congruence per join-irreducible of the
-distributive lattice reduct, Cg(j_, j) with j_ the lower cover of j, not by
-one per pair of elements (see congruence_lattice).
+A congruence is a mask S of join-irreducibles on the Birkhoff embedding
+phi(x) = {j in J : j <= x}, which every algebra keeps (algebra.birkhoff;
+Davey & Priestley, Introduction to Lattices and Order, ch. 5).  Every
+FiniteAlgebra is distributive (checked on construction, kept by every
+constructor), and Con of a finite distributive lattice L is Boolean on J
+(Graetzer, Lattice Theory: Foundation, 2011, III.3): Cg_L(u, v) is theta_S,
+the kernel of x -> phi(x) & ~S, for S = phi(u) XOR phi(v).  Proof: it
+relates x = u /\\ v ~ y = u \\/ v, so for j in S, j_ its lower cover, it
+relates j_ = j_ \\/ (j /\\ x) ~ j_ \\/ (j /\\ y) = j; each pair of theta_S is a
+chain of pairs (z, z \\/ j) with z >= j_, j in S, which j_ ~ j relates; and
+theta_S relates u, v.  Con(A) is the theta_S closed under star and quote,
+and theta_S \\/ theta_T = theta_(S | T).
 
 Partitions are canonical block-id arrays (block ids in first-occurrence
 order), which makes them hashable and keeps serialized reports stable.
@@ -13,11 +22,10 @@ order), which makes them hashable and keeps serialized reports stable.
 from __future__ import annotations
 
 import itertools
-from operator import ne
 from typing import Sequence
 
 from . import caps
-from .algebra import FiniteAlgebra
+from .algebra import FiniteAlgebra, birkhoff
 from .errors import _Value
 from .morphisms import Homomorphism
 
@@ -67,31 +75,25 @@ class Partition(_Value):
             [self.blocks[i] * other.size + other.blocks[i] for i in range(self.size)])
 
     def join(self, other: "Partition") -> "Partition":
-        """Each block of self merged (_merge) with one block of self that a
-        block of other also meets, once per distinct such pair."""
+        """Each block of self merged with one block of self that a block of
+        other also meets, once per distinct such pair; the smaller group into
+        the larger, so no block is relabelled more than log2(n) times."""
         label = list(range(self.num_blocks))  # the group of each block of self
-        members = [[b] for b in label]
+        members = [[b] for b in label]  # members[g]: the blocks labelled g
         met = dict(zip(other.blocks, self.blocks))  # a block of self each block of other meets
         for mine, linked in set(zip(self.blocks, map(met.__getitem__, other.blocks))):
-            if label[mine] != label[linked]:
-                _merge(label, members, linked, mine)
+            keep, gone = label[linked], label[mine]
+            if keep != gone:
+                if len(members[keep]) < len(members[gone]):
+                    keep, gone = gone, keep
+                for z in members[gone]:
+                    label[z] = keep
+                members[keep] += members[gone]
         return Partition.from_assignment(list(map(label.__getitem__, self.blocks)))
 
     def restrict(self, elements: Sequence[int]) -> "Partition":
         """Partition induced on a subsequence of the universe."""
         return Partition.from_assignment([self.blocks[x] for x in elements])
-
-
-def _merge(label: list[int], members: list[list[int]], x: int, y: int) -> None:
-    """Merge the groups of x and y, label[x] != label[y], members[g] the
-    items labelled g.  The smaller group is relabelled into the larger, so no
-    item is relabelled more than log2(n) times."""
-    keep, gone = label[x], label[y]
-    if len(members[keep]) < len(members[gone]):
-        keep, gone = gone, keep
-    for z in members[gone]:
-        label[z] = keep
-    members[keep] += members[gone]
 
 
 def is_congruence(algebra: FiniteAlgebra, partition: Partition) -> bool:
@@ -116,31 +118,29 @@ def is_congruence(algebra: FiniteAlgebra, partition: Partition) -> bool:
 
 
 def principal_congruence(algebra: FiniteAlgebra, a: int, b: int) -> Partition:
-    """Least congruence identifying a and b.
+    """Least congruence identifying a and b: theta_S for the least S that
+    holds phi(a) XOR phi(b) and is closed under star and quote (see above).
 
-    block[x] is the id of x's block, and _merge joins two blocks.  A merged
-    pair (x, y) queues (x*, y*), (x', y') and, from the rows join[x], join[y],
-    meet[x], meet[y] read once, those (x \\/ c, y \\/ c) and (x /\\ c, y /\\ c)
-    that straddle two blocks: a pair inside one block adds nothing.  The
-    blocks are the equivalence generated by the merged pairs, all of whose
-    translations end in one block; so every translation maps related x, y
-    to one block, and x ~ y, u ~ v give x \\/ u ~ y \\/ u ~ y \\/ v.
+    A pass groups the elements by phi(x) & ~S, r the first of x's group, and
+    adds phi(f x) XOR phi(f r), f in {star, quote}: forced, as a congruence
+    relating x and r relates f x and f r.  A pass that adds nothing leaves
+    f x ~ f r ~ f y for all x ~ y.  Each pass but the last adds a bit: at most
+    |J| + 1 passes of O(n), and no join or meet row is read.
     """
-    join, meet, star, quote = algebra.join, algebra.meet, algebra.star, algebra.quote
-    block = list(range(algebra.size))
-    members = [[x] for x in block]
-    at = block.__getitem__
-    queue = [(a, b)]
-    while queue:
-        x, y = queue.pop()
-        if block[x] == block[y]:  # inline: pops outnumber merges 10-18x
-            continue
-        _merge(block, members, x, y)
-        queue += (star[x], star[y]), (quote[x], quote[y])
-        for table in (join, meet):
-            rx, ry = table[x], table[y]
-            queue += itertools.compress(zip(rx, ry), map(ne, map(at, rx), map(at, ry)))
-    return Partition.from_assignment(block)
+    phi = birkhoff(algebra)
+    star = [phi[y] for y in algebra.star]  # phi(x*)
+    quote = [phi[y] for y in algebra.quote]  # phi(x')
+    collapsed = phi[a] ^ phi[b]
+    while True:
+        keep = ~collapsed
+        first = {}  # the first element of each group
+        forced = collapsed
+        for x, p in enumerate(phi):
+            r = first.setdefault(p & keep, x)
+            forced |= star[r] ^ star[x] | quote[r] ^ quote[x]
+        if forced == collapsed:
+            return Partition.from_assignment([p & keep for p in phi])
+        collapsed = forced
 
 
 class CongruenceLattice(_Value):
@@ -171,32 +171,30 @@ class CongruenceLattice(_Value):
 
 
 def congruence_lattice(algebra: FiniteAlgebra) -> CongruenceLattice:
-    """All congruences: the joins of the Cg(j_, j), one per join-irreducible j
-    of the lattice reduct, where j_, the join of all elements strictly below
-    j, differs from j iff j is join-irreducible.
+    """All congruences: the ORs of the masks of the Cg(j_, j), one per
+    join-irreducible j, j_ its lower cover.  theta_S in Con(A) is the join
+    of the Cg(j_, j) over j in S, as each lies in theta_S and collapses j.
 
-    - Cg(a, b) = Cg(a /\\ b, a \\/ b), the join of Cg(p, q) over the covers
-      p < q of a maximal chain from a /\\ b to a \\/ b.
-    - In a distributive lattice a cover p < q has one join-irreducible j with
-      j <= q and j not <= p.  Then j_ \\/ p = p, j /\\ p = j_ and j \\/ p = q,
-      so Cg(p, q) = Cg(j_, j).
-    - Every FiniteAlgebra is distributive: the O(n^2) check on construction
-      proves it, and products, subalgebras, quotients and free algebras keep it.
+    j and j_ are read off phi: taken by |phi(x)|, j is the first element
+    whose phi holds a bit b, its own, and phi(j_) = phi(j) XOR b.  The mask
+    of Cg(j_, j) is the bits b whose (j_, j) it relates.
     """
     caps.guard("congruence_universe", algebra.size)
-    n, join, meet = algebra.size, algebra.join, algebra.meet
-    generators = set()
-    for j in range(n):
-        below = algebra.zero
-        for x in range(n):
-            if x != j and meet[x][j] == x:
-                below = join[below][x]
-        if below != j:
-            generators.add(principal_congruence(algebra, below, j))
-    found = {Partition.identity(n)}
-    for generator in generators:  # found: the joins of the generators so far
-        found |= {theta.join(generator) for theta in found}
-    ordered = sorted(found, key=lambda p: (-p.num_blocks, p.blocks))
+    phi = birkhoff(algebra)
+    element = {p: x for x, p in enumerate(phi)}
+    irreducibles = []  # (b, j_, j), b the bit of j
+    owned = 0
+    for p in sorted(phi, key=int.bit_count):
+        if bit := p & ~owned:
+            owned |= bit
+            irreducibles.append((bit, element[p ^ bit], element[p]))
+    found = {0}  # the masks of the joins of the generators so far
+    for _, lower, j in irreducibles:
+        blocks = principal_congruence(algebra, lower, j).blocks
+        generator = sum(b for b, x, y in irreducibles if blocks[x] == blocks[y])
+        found |= {mask | generator for mask in found}
+    congruences = (Partition.from_assignment([p & ~mask for p in phi]) for mask in found)
+    ordered = sorted(congruences, key=lambda p: (-p.num_blocks, p.blocks))
     return CongruenceLattice(algebra.name, tuple(ordered))
 
 

@@ -104,17 +104,61 @@ def renumbered_products(draw, min_size: int = 24, max_size: int = 64):
         if min_size <= math.prod(builtin(n).size for n in names) <= max_size]))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     product = direct_product([builtin(n) for n in rng.sample(names, len(names))])
-    n = product.size
-    to = rng.sample(range(n), n)
+    return renumber(product, rng.sample(range(product.size), product.size))
+
+
+def renumber(algebra: FiniteAlgebra, to: list[int]) -> FiniteAlgebra:
+    """The algebra with element x renamed to[x], to a permutation."""
+    n = algebra.size
     order = sorted(range(n), key=to.__getitem__)  # order[to[x]] == x
     return FiniteAlgebra(
-        name="renumbered " + product.name, size=n,
-        labels=tuple(product.labels[x] for x in order),
-        join=tuple(tuple(to[product.join[x][y]] for y in order) for x in order),
-        meet=tuple(tuple(to[product.meet[x][y]] for y in order) for x in order),
-        star=tuple(to[product.star[x]] for x in order),
-        quote=tuple(to[product.quote[x]] for x in order),
-        zero=to[product.zero], one=to[product.one], validate=False)
+        name="renumbered " + algebra.name, size=n,
+        labels=tuple(algebra.labels[x] for x in order),
+        join=tuple(tuple(to[algebra.join[x][y]] for y in order) for x in order),
+        meet=tuple(tuple(to[algebra.meet[x][y]] for y in order) for x in order),
+        star=tuple(to[algebra.star[x]] for x in order),
+        quote=tuple(to[algebra.quote[x]] for x in order),
+        zero=to[algebra.zero], one=to[algebra.one], validate=False)
+
+
+@st.composite
+def distributive_algebras(draw, max_size: int = 40, max_irreducibles: int = 39):
+    """A chain, or a product of two or three chains, of at most max_size
+    elements and at most max_irreducibles join-irreducibles (a chain of k
+    has k - 1), renumbered at random, with arbitrary star and quote tables,
+    checked on construction (validate=True).  Unlike generated_members and
+    renumbered_products, it draws lattices that are no AG member and no
+    lattice reduct of one: long chains, and |J| past a byte."""
+    lengths: list[int] = []
+    for _ in range(draw(st.integers(1, 3))):
+        longest = min(max_size // math.prod(lengths),
+                      max_irreducibles + 1 - sum(k - 1 for k in lengths))
+        lengths.append(draw(st.integers(1, longest)))
+    points = list(itertools.product(*map(range, lengths)))  # (0, ..) first, (.., k - 1) last
+    index = {p: i for i, p in enumerate(points)}
+    n = len(points)
+    to = draw(st.permutations(range(n)))
+    order = sorted(range(n), key=to.__getitem__)
+
+    def table(pick) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(to[index[tuple(map(pick, points[x], points[y]))]] for y in order)
+                     for x in order)
+
+    unary = st.lists(st.integers(0, n - 1), min_size=n, max_size=n).map(tuple)
+    return FiniteAlgebra(
+        name="chains " + " x ".join(map(str, lengths)), size=n,
+        labels=tuple(map(str, range(n))), join=table(max), meet=table(min),
+        star=draw(unary), quote=draw(unary), zero=to[0], one=to[n - 1])
+
+
+def chain_algebra(n: int) -> FiniteAlgebra:
+    """The n-element chain, star its pseudocomplement and quote its order
+    reversal.  Its join-irreducibles are the n - 1 elements other than 0."""
+    return FiniteAlgebra(
+        name=f"chain{n}", size=n, labels=tuple(map(str, range(n))),
+        join=tuple(tuple(max(x, y) for y in range(n)) for x in range(n)),
+        meet=tuple(tuple(min(x, y) for y in range(n)) for x in range(n)),
+        star=(n - 1,) + (0,) * (n - 1), quote=tuple(reversed(range(n))), zero=0, one=n - 1)
 
 
 def chain4(star: tuple[int, ...], quote: tuple[int, ...]) -> FiniteAlgebra:

@@ -15,7 +15,7 @@ from agkit import (AgkitError, AlgebraFormatError, BUILTIN_NAMES, CapExceededErr
                    subuniverse_closure)
 from agkit.algebra import SPEC_KEYS, _adjoin, _json_int
 from agkit.caps import DEFAULT_CAPS
-from tests.conftest import (CountingTable, breaks_law, brute_force_lattice_axioms,
+from tests.conftest import (CountingTable, breaks_law, brute_force_lattice_axioms, chain_algebra,
                             brute_force_subuniverses, fixpoint_closure, generated_members,
                             plain_holds_in, renumbered_products, replace,
                             tuple_direct_product)
@@ -71,6 +71,13 @@ def test_load_rejects_out_of_range_table(builtins):
         document[key] = value
         with pytest.raises(AlgebraFormatError, match="out of range|bad star"):
             load_algebra(json.dumps(document))
+
+
+def test_load_rejects_zero_equal_to_one_in_a_nontrivial_algebra(builtins):
+    document = json.loads(dump_algebra(builtins["2"]))
+    document["one"] = document["zero"]
+    with pytest.raises(AlgebraFormatError, match="zero = one in a nontrivial algebra"):
+        load_algebra(json.dumps(document))
 
 
 def test_load_rejects_a_table_that_is_not_square(builtins):
@@ -470,16 +477,12 @@ def test_equal_algebras_built_apart_are_equal_and_share_their_facts(builtins):
 
 
 def test_product_past_a_byte_keeps_no_embedding():
-    """A 10-element chain has |J| = 9, so its product with 2 keeps None, and
-    its scans take the element-by-element path."""
-    n = 10
-    chain = FiniteAlgebra(
-        name="chain10", size=n, labels=tuple(map(str, range(n))),
-        join=tuple(tuple(max(x, y) for y in range(n)) for x in range(n)),
-        meet=tuple(tuple(min(x, y) for y in range(n)) for x in range(n)),
-        star=(n - 1,) + (0,) * (n - 1), quote=tuple(reversed(range(n))), zero=0, one=n - 1)
-    product = direct_product([chain, builtin("2")])
-    assert agkit.algebra._FACTS[product]["birkhoff"] is None  # kept, not derived
+    """A 10-element chain has |J| = 9, so its product with 2 keeps phi with
+    |J| = 10 but no byte form, and its scans take the element-by-element path."""
+    product = direct_product([chain_algebra(10), builtin("2")])
+    kept = agkit.algebra._FACTS[product]["birkhoff"]  # kept, not derived
+    assert kept[product.one] == 2 ** 10 - 1 and len(set(kept)) == product.size
+    assert agkit.algebra.birkhoff_bytes(product) is None
     for text in ["(a \\/ x) /\\ (a \\/ x)'* = a /\\ x'*",
                  "(x \\/ y)' /\\ (x /\\ y)* <= x' \\/ y*"]:
         sentence = parse_sentence(text)
@@ -518,18 +521,22 @@ def _up_to_256_elements(names: list[str]) -> list[str]:
 @example(["3_klst"] * 4)
 @example(["3_dblst"] * 5)
 def test_direct_product_keeps_its_birkhoff_embedding(names):
-    """The embedding a product of at most 256 elements keeps is injective and
-    sends \\/ to | and /\\ to &, or is None where |J| > 8 (2 has one
-    join-irreducible, the other builtins two)."""
+    """The embedding a product of at most 256 elements keeps is injective,
+    sends \\/ to | and /\\ to &, and has one bit per join-irreducible (2
+    has one, the other builtins two).  Its byte form is None where |J| > 8,
+    else phi and its inverse."""
     product = direct_product([builtin(name) for name in names])
-    kept = agkit.algebra._FACTS[product]["birkhoff"]
-    if sum(1 if name == "2" else 2 for name in names) > 8:
-        assert kept is None
-        return
-    into, back = kept
-    phi = into[:product.size]
+    phi = agkit.algebra._FACTS[product]["birkhoff"]
+    irreducibles = sum(1 if name == "2" else 2 for name in names)
+    assert phi[product.one] == 2 ** irreducibles - 1
     assert len(set(phi)) == product.size
-    assert all(back[image] == x for x, image in enumerate(phi))
+    embedding = agkit.algebra.birkhoff_bytes(product)
+    if irreducibles > 8:
+        assert embedding is None
+    else:
+        into, back = embedding
+        assert into == bytes(phi) + bytes(256 - product.size)
+        assert all(back[image] == x for x, image in enumerate(phi))
     at = phi.__getitem__
     for image, join_row, meet_row in zip(phi, product.join, product.meet):
         assert list(map(at, join_row)) == [image | other for other in phi]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -9,13 +10,14 @@ from hypothesis import example, given, settings, strategies as st
 import agkit.congruence
 from agkit import (BUILTIN_NAMES, CapExceededError, FiniteAlgebra, Partition, builtin,
                    cep_instance, check_sc, classify, congruence_lattice, direct_product,
-                   enumerate_embeddings, is_congruence, lattice_reduct,
-                   principal_congruence, quotient, subalgebra)
+                   dump_algebra, enumerate_embeddings, is_congruence, lattice_reduct,
+                   load_algebra, principal_congruence, quotient, subalgebra)
 from agkit.morphisms import Homomorphism
 from tests.conftest import (CountingTable, brute_force_congruences, cep_by_definition,
-                            chain4, directly_indecomposable_by_definition, generated_members,
-                            iter_partitions, join_by_closure, pairwise_congruence_lattice,
-                            renumbered_products, replace, translation_closure)
+                            chain4, chain_algebra, directly_indecomposable_by_definition,
+                            distributive_algebras, generated_members, iter_partitions,
+                            join_by_closure, log_calls, pairwise_congruence_lattice,
+                            renumber, renumbered_products, replace, translation_closure)
 
 
 def oracle_principal(algebra, a, b):
@@ -96,22 +98,62 @@ def test_principal_congruence_matches_translation_closure(algebra, reduct, data)
         assert is_congruence(algebra, theta)
 
 
-def test_principal_congruence_reads_four_rows_per_merge(builtins):
-    # Each merge reads join[x], join[y], meet[x], meet[y] once, and a result
-    # with k blocks took n - k merges; closing pair by pair reads 4n rows per
-    # merge.
+def _with_pairs(algebra: FiniteAlgebra):
+    element = st.integers(0, algebra.size - 1)
+    return st.tuples(st.just(algebra), st.lists(st.tuples(element, element), min_size=1,
+                                                max_size=3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(distributive_algebras().flatmap(_with_pairs))
+@example((chain_algebra(10), [(0, 9), (4, 5), (2, 7)]))  # |J| = 9: phi has no byte form
+@example((chain_algebra(1), [(0, 0)]))
+def test_principal_congruence_matches_translation_closure_on_chains(case):
+    """On chains and products of chains with arbitrary star and quote tables.
+    A kernel that closes under star only, or starts from phi(a) | phi(b) in
+    place of phi(a) XOR phi(b), fails here."""
+    algebra, pairs = case
+    for a, b in pairs:
+        theta = principal_congruence(algebra, a, b)
+        assert theta == translation_closure(algebra, a, b), (a, b)
+        assert is_congruence(algebra, theta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(distributive_algebras(max_irreducibles=6))  # at most 2^6 congruences for the oracle
+@example(chain_algebra(10))
+@example(chain_algebra(1))
+def test_congruence_lattice_matches_pairwise_build_on_chains(algebra):
+    """A kernel that closes under star only, or starts from phi(a) | phi(b),
+    fails here too."""
+    lattice = congruence_lattice(algebra)
+    assert lattice == pairwise_congruence_lattice(algebra)
+    if algebra.size <= 8:
+        assert set(lattice) == set(brute_force_congruences(algebra))
+
+
+def test_principal_congruence_reads_no_row(builtins, monkeypatch):
+    """principal_congruence reads the algebra's kept Birkhoff embedding and
+    its unary tables, no join or meet row, and congruence_lattice of a loaded
+    algebra reads the embedding its load kept."""
     product = direct_product([builtins[n] for n in ("3_dblst", "3_klst", "4_dmba")])
     join, meet = CountingTable(product.join), CountingTable(product.meet)
     counting = replace(product, join=join, meet=meet, validate=False)
     n = counting.size
     assert n == 36
+    assert agkit.algebra._FACTS[counting]["birkhoff"]  # the product's: counting == product
+    join.reads = meet.reads = 0  # the constructor's shape check reads every row
     seen = set()
     for a, b in itertools.combinations(range(n), 2):
-        join.reads = meet.reads = 0
-        theta = principal_congruence(counting, a, b)
-        assert join.reads + meet.reads <= 4 * (n - theta.num_blocks), (a, b)
-        seen.add(theta.num_blocks)
+        seen.add(principal_congruence(counting, a, b).num_blocks)
+    assert join.reads + meet.reads == 0
     assert seen == {1, 3, 4, 9, 12}
+    product = direct_product([builtins[n] for n in ("3_dblst", "4_dmba", "4_dmba")])
+    loaded = load_algebra(dump_algebra(renumber(product, random.Random(0).sample(range(48), 48))))
+    derived = []
+    log_calls(monkeypatch, agkit.algebra, "_birkhoff", derived)
+    assert len(congruence_lattice(loaded)) == 8
+    assert derived == []
 
 
 def test_congruence_lattice_examples(builtins):

@@ -16,7 +16,8 @@ from agkit import (BUILTIN_NAMES, CapExceededError, EvalError, ParseError, built
 from agkit.algebra import _FACTS, BUILTIN_SPECS, FiniteAlgebra
 from agkit.caps import DEFAULT_CAPS
 from agkit.terms import MAX_TERM_DEPTH, Const, Join, Meet, Quote, Sentence, Star, Var
-from tests.conftest import CountingTable, forget_facts, log_calls, plain_holds_in, replace
+from tests.conftest import (CountingTable, chain_algebra, forget_facts, log_calls, plain_holds_in,
+                            replace)
 
 
 def test_parse_postfix_grouping():
@@ -308,16 +309,6 @@ def _case(algebra_name: str, text: str):
 
 
 @functools.cache
-def _chain_algebra(n: int) -> FiniteAlgebra:
-    """The n-element chain, star its pseudocomplement and quote its order
-    reversal.  Its join-irreducibles are the n - 1 elements other than 0."""
-    return FiniteAlgebra(
-        name=f"chain{n}", size=n, labels=tuple(map(str, range(n))),
-        join=tuple(tuple(max(x, y) for y in range(n)) for x in range(n)),
-        meet=tuple(tuple(min(x, y) for y in range(n)) for x in range(n)),
-        star=(n - 1,) + (0,) * (n - 1), quote=tuple(reversed(range(n))), zero=0, one=n - 1)
-
-
 @functools.cache
 def _product(*names: str):
     return direct_product([builtin(name) for name in names])
@@ -332,10 +323,10 @@ def _product(*names: str):
 # joins and meets of two columns: on the Birkhoff embedding in a byte where
 # |J| <= 8 (9 elements, and 3_klst^4 with two prefix variables before the
 # column domain a premise filters), element by element where |J| = 9
-@example((_chain_algebra(9), parse_sentence("(a \\/ x) /\\ (a \\/ x)'* = a /\\ x'*")))
-@example((_chain_algebra(9), parse_sentence("x' = x => (a \\/ x) /\\ (a \\/ x)'* = (a /\\ x)'")))
-@example((_chain_algebra(10), parse_sentence("(a \\/ x) /\\ (a \\/ x)'* = a /\\ x'*")))
-@example((_chain_algebra(10), parse_sentence("(x \\/ y)' /\\ (x /\\ y)* <= x' \\/ y*")))
+@example((chain_algebra(9), parse_sentence("(a \\/ x) /\\ (a \\/ x)'* = a /\\ x'*")))
+@example((chain_algebra(9), parse_sentence("x' = x => (a \\/ x) /\\ (a \\/ x)'* = (a /\\ x)'")))
+@example((chain_algebra(10), parse_sentence("(a \\/ x) /\\ (a \\/ x)'* = a /\\ x'*")))
+@example((chain_algebra(10), parse_sentence("(x \\/ y)' /\\ (x /\\ y)* <= x' \\/ y*")))
 @example((_product(*["3_klst"] * 4), parse_sentence(
     "z' = z => (x \\/ z)' /\\ (y \\/ z*) = (x /\\ y) \\/ (x /\\ z) \\/ (y /\\ z')")))
 @example((_product(*["3_klst"] * 4), parse_sentence(
@@ -448,8 +439,8 @@ def test_product_scan_reads_the_embedding_the_product_kept(monkeypatch):
 
 
 @pytest.mark.parametrize("make, byte_path", [
-    (lambda: _chain_algebra(9), True),  # |J| = 8
-    (lambda: _chain_algebra(10), False),  # |J| = 9
+    (lambda: chain_algebra(9), True),  # |J| = 8
+    (lambda: chain_algebra(10), False),  # |J| = 9
     (lambda: _product(*["3_klst"] * 4), True),  # 81 elements, |J| = 8
 ], ids=["chain9", "chain10", "3_klst^4"])
 def test_join_of_two_columns_reads_no_row_iff_j_fits_a_byte(make, byte_path):

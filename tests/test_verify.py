@@ -5,6 +5,7 @@ import importlib
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -18,10 +19,12 @@ import agkit.axioms
 import agkit.congruence
 import agkit.morphisms
 import agkit.terms
+from agkit import (check_sc, classify, direct_product, dump_algebra, generated_subvariety,
+                   load_algebra)
 from agkit.caps import DEFAULT_CAPS
 from agkit.variety import VARIETY_NAMES
 from agkit.verify import load_expectations, verify_paper
-from tests.conftest import forget_facts, log_calls
+from tests.conftest import forget_facts, log_calls, renumber
 
 # sha256 of the canonical records of the untampered run: sorted keys, no
 # whitespace.  The digest does not depend on PYTHONHASHSEED (see
@@ -74,6 +77,15 @@ DECIDED_FACTS = 182
 # the pair's own maps.  (136, two per amalgam, while each amalgam was the
 # one-factor product (S).)
 TUPLED_MAPS = 0
+# calls one large_algebras op (perfbench) makes on a renumbered 48-element
+# product, loaded from JSON: classify builds Con(A) once from one principal
+# congruence per join-irreducible (6: 2 + 2 + 2), and every congruence reads
+# the Birkhoff embedding that the load derived and kept.  (The lattice
+# merged blocks pair by pair, reading join and meet rows, until congruences
+# were masks of join-irreducibles.)  The 15 decided facts are the AG axioms
+# and the sentences that decide the generated subvariety.
+LARGE_OP_CALLS = {"principal_congruence": 6, "congruence_lattice": 1, "_birkhoff": 1,
+                  "_decide": 15}
 
 
 @pytest.fixture(scope="module")
@@ -279,3 +291,25 @@ def test_golden_digest_does_not_depend_on_the_hash_seed(tmp_path):
                               env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert records_digest(out.read_text()) == GOLDEN_RECORDS_SHA256, seed
+
+
+def test_large_algebra_op_counts(builtins, monkeypatch):
+    """One large_algebras op, in process: load, classify, check_sc and
+    generated_subvariety.  The builtins are built already, as in_hs builds
+    them in a fresh process, and every fact is forgotten."""
+    rng = random.Random(0)
+    product = direct_product([builtins[n] for n in rng.sample(["3_dblst", "4_dmba", "4_dmba"], 3)])
+    text = dump_algebra(renumber(product, rng.sample(range(48), 48)))
+    forget_facts()
+    modules = {"principal_congruence": agkit.congruence, "congruence_lattice": agkit.congruence,
+               "_birkhoff": agkit.algebra, "_decide": agkit.terms}
+    calls = {name: [] for name in modules}
+    for name, module in modules.items():
+        log_calls(monkeypatch, module, name, calls[name])
+    algebra = load_algebra(text)
+    classification, sc = classify(algebra), check_sc(algebra)
+    assert generated_subvariety(algebra).name == "V_DBLST_DMBA"
+    assert not (classification.simple or classification.subdirectly_irreducible
+                or classification.directly_indecomposable or sc.sc or sc.join_variant)
+    assert {name: len(log) for name, log in calls.items()} == LARGE_OP_CALLS
+    assert {args[0] for args, _ in calls["_decide"]} == {algebra}

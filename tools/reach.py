@@ -63,7 +63,10 @@ FUNCTION_TAGS = {
     "congruence.py:quotient": "API name",
     "variety.py:identity_holds_via_free": "API name",
     "terms.py:parse_term": "API name",
+    "congruence.py:Partition.identity": "API name",
     "congruence.py:Partition.total": "API name",
+    # cep_instance's join of principal congruences; congruence_lattice ORs masks
+    "congruence.py:Partition.join": "API name",
     "congruence.py:Partition.relates": "API name",
     "congruence.py:Partition.restrict": "API name",
     "congruence.py:CongruenceLattice.top": "API name",
