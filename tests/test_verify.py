@@ -79,11 +79,9 @@ DECIDED_FACTS = 182
 TUPLED_MAPS = 0
 # calls one large_algebras op (perfbench) makes on a renumbered 48-element
 # product, loaded from JSON: classify builds Con(A) once from one principal
-# congruence per join-irreducible (6: 2 + 2 + 2), and every congruence reads
-# the Birkhoff embedding that the load derived and kept.  (The lattice
-# merged blocks pair by pair, reading join and meet rows, until congruences
-# were masks of join-irreducibles.)  The 15 decided facts are the AG axioms
-# and the sentences that decide the generated subvariety.
+# congruence per join-irreducible (6: 2 + 2 + 2), and every congruence and
+# scan reads the Birkhoff embedding that the load derived and kept.  The 15
+# decided facts are the ALMOST_GAUTAMA axioms of the membership check.
 LARGE_OP_CALLS = {"principal_congruence": 6, "congruence_lattice": 1, "_birkhoff": 1,
                   "_decide": 15}
 
@@ -295,8 +293,9 @@ def test_golden_digest_does_not_depend_on_the_hash_seed(tmp_path):
 
 def test_large_algebra_op_counts(builtins, monkeypatch):
     """One large_algebras op, in process: load, classify, check_sc and
-    generated_subvariety.  The builtins are built already, as in_hs builds
-    them in a fresh process, and every fact is forgotten."""
+    generated_subvariety, with every fact forgotten.  The builtins are built
+    before the count: in a fresh process in_hs builds them, and each derives
+    its own embedding then."""
     rng = random.Random(0)
     product = direct_product([builtins[n] for n in rng.sample(["3_dblst", "4_dmba", "4_dmba"], 3)])
     text = dump_algebra(renumber(product, rng.sample(range(48), 48)))

@@ -91,9 +91,10 @@ def main(argv: list[str] | None = None) -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {metric["name"]: metric["better"] for metric in benchmark["end_to_end"]}
     workloads = args.workloads or [w["name"] for w in benchmark["workloads"]]
+    uncommitted = bool(git("status", "--porcelain", "--untracked-files=no"))
     record = {
         "commits": {"parent": git("rev-parse", args.parent), "change": git("rev-parse", "HEAD"),
-                    "change_uncommitted": bool(git("status", "--porcelain", "--untracked-files=no"))},
+                    "change_uncommitted": uncommitted},
         "python": platform.python_version(),
         "host": {"machine": platform.machine(), "cpus": os.cpu_count()},
         "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
