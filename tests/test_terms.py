@@ -309,7 +309,6 @@ def _case(algebra_name: str, text: str):
 
 
 @functools.cache
-@functools.cache
 def _product(*names: str):
     return direct_product([builtin(name) for name in names])
 

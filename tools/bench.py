@@ -1,17 +1,17 @@
 """Record perfbench runs of this checkout against a parent commit.
 
-    python3 tools/bench.py --parent REV --seed N --out BENCH_<n>.json
-                           [--pairs 10] [--seconds 20] [--workload W ...]
+    python3 tools/bench.py --parent REV --seed N --out BENCH_<n>.json [--workload W ...]
 
-Stdlib only.  It extracts REV with `git archive` into a temporary directory
-and runs perfbench/run.py there and in this checkout, each side its own
-copy of run.py: per workload, --pairs alternating pairs of `--trace 0` runs
-(the parent first in even pairs, this checkout first in odd ones), then one
-`--trace 1` run per side.  The JSON it writes holds, per workload and side,
-each end-to-end metric's median and quartiles over the pairs, how many
-pairs each side won on it (the better side by BENCHMARK.json; equal values
-win for neither), every run's values, and the traced per-layer values; and
-the commits, the Python version, the host and PYTHONDONTWRITEBYTECODE.
+Stdlib only. It extracts REV with `git archive` into a temporary directory
+and runs perfbench/run.py there and in this checkout, each side its own copy
+of run.py: per workload, PAIRS alternating pairs of `--trace 0` runs (the
+parent first in even pairs, this checkout first in odd ones), then one
+`--trace 1` run per side, each run as long as BENCHMARK.json's run_seconds.
+The JSON it writes holds, per workload and side, each end-to-end metric's
+median and quartiles over the pairs, how many pairs each side won on it (the
+better side by BENCHMARK.json; equal values win for neither), every run's
+values, and the traced per-layer values; and the commits, the Python
+version, the host and PYTHONDONTWRITEBYTECODE.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+PAIRS = 12
 
 
 def git(*args: str) -> str:
@@ -84,11 +85,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent", required=True, help="the commit to compare against")
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=20)
     parser.add_argument("--workload", action="append", dest="workloads")
     args = parser.parse_args(argv)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
     better = {metric["name"]: metric["better"] for metric in benchmark["end_to_end"]}
     workloads = args.workloads or [w["name"] for w in benchmark["workloads"]]
     uncommitted = bool(git("status", "--porcelain", "--untracked-files=no"))
@@ -98,7 +98,7 @@ def main(argv: list[str] | None = None) -> int:
         "python": platform.python_version(),
         "host": {"machine": platform.machine(), "cpus": os.cpu_count()},
         "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
-        "seed": args.seed, "seconds": args.seconds, "pairs": args.pairs,
+        "seed": args.seed, "seconds": seconds, "pairs": PAIRS,
         "workloads": {},
     }
     with tempfile.TemporaryDirectory() as scratch:
@@ -106,11 +106,11 @@ def main(argv: list[str] | None = None) -> int:
         extract(args.parent, trees["parent"])
         for workload in workloads:
             runs = {side: [] for side in SIDES}
-            for pair in range(args.pairs):
+            for pair in range(PAIRS):
                 for side in (SIDES if pair % 2 == 0 else SIDES[::-1]):
-                    runs[side].append(run(trees[side], workload, args.seed, args.seconds, 0))
-                print(f"{workload}: pair {pair + 1}/{args.pairs}", file=sys.stderr)
-            traced = {side: run(trees[side], workload, args.seed, args.seconds, 1)
+                    runs[side].append(run(trees[side], workload, args.seed, seconds, 0))
+                print(f"{workload}: pair {pair + 1}/{PAIRS}", file=sys.stderr)
+            traced = {side: run(trees[side], workload, args.seed, seconds, 1)
                       for side in SIDES}
             record["workloads"][workload] = {"end_to_end": compare(runs, better),
                                              "traced": traced}
