@@ -40,8 +40,9 @@ class FiniteAlgebra(_Value):
     zero: int
     one: int
     # Products, subalgebras, and quotients of valid lattices are valid by
-    # construction, so internal constructors skip the O(n^2) check, which
-    # would more than triple building F_BA(3).  Loading always validates.
+    # construction, so internal constructors skip the O(n^2) checks: the
+    # lattice laws and the range of every join and meet entry, which would
+    # more than triple building F_BA(3).  Loading always validates.
     validate: bool = True
 
     def __post_init__(self):
@@ -73,7 +74,7 @@ class FiniteAlgebra(_Value):
             table = getattr(self, table_name)
             if len(table) != n or set(map(len, table)) != {n}:
                 raise AlgebraFormatError(f"{self.name}: {table_name} table must be {n}x{n}")
-            if not universe.issuperset(itertools.chain.from_iterable(table)):
+            if self.validate and not universe.issuperset(itertools.chain.from_iterable(table)):
                 raise AlgebraFormatError(f"{self.name}: {table_name} entry out of range")
         for table_name in ("star", "quote"):
             table = getattr(self, table_name)
@@ -381,6 +382,13 @@ def direct_product(factors: Sequence[FiniteAlgebra]) -> FiniteAlgebra:
     from the factors': phi(x, y) = phi_L(x) << |J_R| | phi_R(y) is injective
     and sends \\/ to | and /\\ to & as phi_L and phi_R do.  Larger products
     keep none: that would hash their tables, past the congruence_universe cap.
+
+    If factors repeat, it also keeps ("diagonal") the elements whose
+    coordinates agree across equal factors, in index order: a subuniverse D
+    isomorphic to the product P' of the distinct factors.  The product is in
+    SP(P') and D in S of it, so the product and D satisfy the same
+    quasi-identities (Gorbunov, Algebraic Theory of Quasivarieties, 1998).
+    holds_in scans D first.
     """
     if not factors:
         raise ValueError("direct_product needs at least one factor")
@@ -394,7 +402,17 @@ def direct_product(factors: Sequence[FiniteAlgebra]) -> FiniteAlgebra:
         join=join, meet=meet, star=star, quote=quote, zero=zero, one=one, validate=False)
     if size <= 256:
         _known(product, "birkhoff", lambda: _product_embedding(factors))
+        if len(set(factors)) < len(factors):
+            _known(product, "diagonal", lambda: _diagonal(factors))
     return product
+
+
+def _diagonal(factors: Sequence[FiniteAlgebra]) -> tuple[int, ...]:
+    """The product's elements whose coordinates agree across equal factors,
+    in index order (see direct_product)."""
+    first = [factors.index(f) for f in factors]  # the first factor equal to each
+    return tuple(i for i, t in enumerate(itertools.product(*(f.elements() for f in factors)))
+                 if all(t[j] == t[k] for j, k in enumerate(first)))
 
 
 def _product_tables(factors: Sequence[FiniteAlgebra], size: int) -> tuple:

@@ -34,7 +34,7 @@ def _resolve_algebra(token: str):
 
 
 def _emit(report: Report, text: str, as_json: bool, out: str | None = None) -> None:
-    payload = report.to_json()
+    payload = report.to_json() if as_json or out else None
     if out:
         try:
             with open(out, "w", encoding="utf-8") as handle:

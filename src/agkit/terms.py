@@ -24,7 +24,7 @@ from operator import getitem, itemgetter
 from typing import Callable, Mapping, Union
 
 from . import caps
-from .algebra import FiniteAlgebra, _known, birkhoff_bytes
+from .algebra import _FACTS, FiniteAlgebra, _known, birkhoff_bytes
 from .errors import EvalError, ParseError, _Value
 
 # Deepest term the parser accepts: operators nested in one another, and
@@ -506,13 +506,31 @@ def holds_in(algebra: FiniteAlgebra, sentence: Sentence) -> Verdict:
     The `assignments` cap applies on every call, to the full n^k, whatever the
     premises or the facts decided before.  Each fact is then decided once
     (_decide) and kept in algebra._FACTS: callers share the Verdict, read-only.
+
+    On a product with repeated factors, a sentence that holds on the
+    diagonal D that direct_product keeps holds; else the full scan finds the
+    witness.  Exact: an equation holds in a product iff it holds in every
+    coordinate, so premises => e fails iff every factor satisfies the
+    premises somewhere and some factor also breaks e there.  That depends
+    only on the set of distinct factors, and D is isomorphic to their
+    product (Gorbunov, Algebraic Theory of Quasivarieties, 1998).
     """
     caps.guard("assignments", algebra.size ** len(sentence.variables()))
-    return _known(algebra, sentence, lambda: _decide(algebra, sentence))
+
+    def decide() -> Verdict:
+        diagonal = _FACTS.get(algebra, {}).get("diagonal")
+        if diagonal is not None and (verdict := _decide(algebra, sentence, diagonal)):
+            return verdict
+        return _decide(algebra, sentence)
+
+    return _known(algebra, sentence, decide)
 
 
-def _decide(algebra: FiniteAlgebra, sentence: Sentence) -> Verdict:
-    """The scan behind holds_in.  It skips only assignments that fail a premise:
+def _decide(algebra: FiniteAlgebra, sentence: Sentence,
+            domain: tuple[int, ...] | None = None) -> Verdict:
+    """The scan behind holds_in, with every variable over `domain` (a
+    subuniverse, all elements if None).  It skips only assignments that fail
+    a premise:
 
     - A premise without variables is decided once; if it fails, the sentence
       holds.  A premise in one variable filters that variable's domain once,
@@ -539,7 +557,7 @@ def _decide(algebra: FiniteAlgebra, sentence: Sentence) -> Verdict:
     """
     variables = sentence.variables()
     kind = bytes if algebra.size <= 256 else list  # the columns' type
-    domains = dict.fromkeys(variables, kind(range(algebra.size)))
+    domains = dict.fromkeys(variables, kind(range(algebra.size) if domain is None else domain))
     remaining = []
     for (lhs, rhs), names in zip(sentence.premises, sentence.premise_variables):
         if len(names) > 1:

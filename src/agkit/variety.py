@@ -275,6 +275,10 @@ def free_algebra(v: VarietyDescriptor, n: int,
         if not any(_extend(k, si, zip(u, t)) is not None for k, u in kept):
             raise AgkitError(f"{name}: coordinate {_coordinate(si, t)} is the image "
                              "of no kept coordinate under a homomorphism")
+    caps.guard("free_elements", math.prod(si.size for si, _ in kept), max_elements)
+    # built before the squares, so that a square equal to it (F_BA(1) is 2 x 2)
+    # finds its facts kept on it, not F's kept on a square that dies at return
+    product = direct_product([si for si, _ in kept])
     square = functools.cache(lambda s, r: direct_product([s, r]))
     for (s, t), (r, u) in itertools.combinations(kept, 2):
         generated = subuniverse_closure(square(s, r), [a * r.size + b for a, b in zip(t, u)])
@@ -282,12 +286,10 @@ def free_algebra(v: VarietyDescriptor, n: int,
             raise AgkitError(f"{name}: coordinates {_coordinate(s, t)} and "
                              f"{_coordinate(r, u)} generate {len(generated)} of the "
                              f"{s.size * r.size} elements of {s.name} x {r.name}")
-    caps.guard("free_elements", math.prod(si.size for si, _ in kept), max_elements)
     generators = [0] * n
     for si, t in kept:
         generators = [g * si.size + x for g, x in zip(generators, t)]
-    return FreeAlgebra(direct_product([si for si, _ in kept]), tuple(generators),
-                       v.name, tuple(kept))
+    return FreeAlgebra(product, tuple(generators), v.name, tuple(kept))
 
 
 def _coordinate(si: FiniteAlgebra, t: tuple[int, ...]) -> str:

@@ -514,6 +514,41 @@ def _up_to_256_elements(names: list[str]) -> list[str]:
     return names
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.sampled_from(BUILTIN_NAMES), min_size=1, max_size=8).map(
+    _up_to_256_elements))
+@example(["2"] * 8)
+@example(["3_klst", "2", "3_klst", "2"])
+@example(["2", "3_dblst", "3_klst", "4_dmba"])
+def test_direct_product_keeps_its_diagonal(names):
+    """A product of at most 256 elements with equal factors keeps the
+    elements whose coordinates agree across equal factors.  They are as
+    many as the elements of the product of the distinct factors, taken in
+    the order they first appear, and a subuniverse with that product's
+    tables: repeating coordinates keeps the lexicographic order.  A product
+    of distinct factors keeps none."""
+    product = direct_product([builtin(name) for name in names])
+    diagonal = agkit.algebra._FACTS[product].get("diagonal")
+    distinct = list(dict.fromkeys(names))
+    if len(distinct) == len(names):
+        assert diagonal is None
+        return
+    first = [names.index(name) for name in names]
+    for x in diagonal:
+        labels = product.labels[x][1:-1].split(",")  # the builtins' labels have no comma
+        assert all(labels[j] == labels[k] for j, k in enumerate(first)), product.labels[x]
+    expected = direct_product([builtin(name) for name in distinct])
+    restricted = subalgebra(product, diagonal)  # raises unless it is a subuniverse
+    assert restricted.size == expected.size
+    assert [getattr(restricted, f) for f in ("join", "meet", "star", "quote", "zero", "one")] \
+        == [getattr(expected, f) for f in ("join", "meet", "star", "quote", "zero", "one")]
+
+
+def test_product_past_a_byte_keeps_no_diagonal():
+    product = direct_product([builtin("2")] * 9)
+    assert "diagonal" not in agkit.algebra._FACTS.get(product, {})
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.sampled_from(BUILTIN_NAMES), min_size=1, max_size=8).map(
     _up_to_256_elements))

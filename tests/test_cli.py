@@ -9,6 +9,7 @@ import pytest
 
 import agkit.cli
 import agkit.congruence
+import agkit.report
 from agkit import builtin, direct_product, dump_algebra
 from agkit.cli import main
 from tests.conftest import log_calls
@@ -238,6 +239,26 @@ def test_free_cap_below_one_exits_2_without_a_run(capsys, monkeypatch, cap):
     monkeypatch.setattr(agkit.cli, "free_algebra", lambda *args: pytest.fail("ran"))
     code, out, err = run(capsys, "free", "--variety", "BA", "-n", "1", "--cap", cap)
     assert (code, out, err) == (2, "", "error: --cap must be a positive integer\n")
+
+
+def test_report_is_encoded_only_for_json_or_out(capsys, monkeypatch, tmp_path):
+    """A command in text form encodes no report; --json and --out each
+    encode it once, and write the same bytes."""
+    encoded = []
+    to_json = agkit.report.Report.to_json
+
+    def logged(report):
+        encoded.append(report)
+        return to_json(report)
+
+    monkeypatch.setattr(agkit.report.Report, "to_json", logged)
+    check = ["check", "--variety", "BA", "--sentence", "x'' = x"]
+    assert run(capsys, *check)[0] == 0 and encoded == []
+    _, out, _ = run(capsys, *check, "--json")
+    assert len(encoded) == 1 and json.loads(out)["records"][0]["verdict"] is True
+    path = tmp_path / "report.json"
+    assert run(capsys, "verify-paper", "--out", str(path))[0] == 0
+    assert len(encoded) == 2 and path.read_text() == to_json(encoded[1])
 
 
 def test_unknown_command_exits_2(capsys):

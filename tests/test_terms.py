@@ -3,6 +3,8 @@ from __future__ import annotations
 import functools
 import gc
 import itertools
+import math
+import random
 import weakref
 
 import pytest
@@ -10,14 +12,16 @@ from hypothesis import example, given, settings, strategies as st
 
 import agkit.algebra
 import agkit.terms
-from agkit import (BUILTIN_NAMES, CapExceededError, EvalError, ParseError, builtin,
-                   direct_product, eval_term, format_sentence, format_term, free_algebra,
-                   holds_in, parse_sentence, parse_term, variety)
+from agkit import (BUILTIN_NAMES, CapExceededError, EvalError, ParseError, all_varieties,
+                   builtin, direct_product, eval_term, format_sentence, format_term,
+                   free_algebra, holds_in, lemma_registry, parse_sentence, parse_term,
+                   subuniverse_closure, variety)
 from agkit.algebra import _FACTS, BUILTIN_SPECS, FiniteAlgebra
+from agkit.axioms import SYSTEMS
 from agkit.caps import DEFAULT_CAPS
 from agkit.terms import MAX_TERM_DEPTH, Const, Join, Meet, Quote, Sentence, Star, Var
-from tests.conftest import (CountingTable, chain_algebra, forget_facts, log_calls, plain_holds_in,
-                            replace)
+from tests.conftest import (CountingTable, chain_algebra, distributive_algebras, forget_facts,
+                            log_calls, plain_holds_in, renumber, replace)
 
 
 def test_parse_postfix_grouping():
@@ -288,11 +292,12 @@ def _put(term, value):
 
 
 @st.composite
-def _scan_cases(draw):
-    """An algebra and a sentence over a, b, x, y with 0-3 premises of 0, 1 or 2
-    variables; the variables are capped so the oracle's n^k stays small.  The
-    conclusion may repeat one chain on the column variable, the last one."""
-    algebra = draw(st.sampled_from(_scan_algebras()))
+def _scan_cases(draw, algebras=None):
+    """An algebra (from `algebras`, else _scan_algebras) and a sentence over
+    a, b, x, y with 0-3 premises of 0, 1 or 2 variables; the variables are
+    capped so the oracle's n^k stays small.  The conclusion may repeat one
+    chain on the column variable, the last one."""
+    algebra = draw(st.sampled_from(_scan_algebras()) if algebras is None else algebras)
     k = max(k for k in range(1, 5) if algebra.size ** k <= 2000)
     pool = tuple(sorted(draw(st.permutations(("a", "b", "x", "y")))[:k]))
     premises = []
@@ -335,6 +340,80 @@ def test_holds_in_matches_plain_scan(case):
     expected = plain_holds_in(algebra, sentence)
     assert holds_in(algebra, sentence) == expected
     assert holds_in(algebra, sentence) == expected  # served from the table
+
+
+@functools.cache
+def _shipped_sentences() -> tuple[Sentence, ...]:
+    """The sentences of the lemma registry, the axiom systems and the variety
+    bases: most hold on a product of builtins, where random sentences fail."""
+    return tuple(dict.fromkeys(
+        [r.sentence for r in lemma_registry()]
+        + [s for system in SYSTEMS.values() for _, s in system.sentences]
+        + [s for v in all_varieties() for _, s in v.base]))
+
+
+@st.composite
+def _repeated_products(draw):
+    """A product of at most 36 elements with two to four factors, at least
+    two of them equal, each a builtin or a small distributive_algebras draw,
+    in a drawn order."""
+    factor = st.one_of(st.sampled_from(BUILTIN_NAMES).map(builtin),
+                       distributive_algebras(max_size=4))
+    distinct = draw(st.lists(factor, min_size=1, max_size=2, unique=True))
+    repeats = draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=2))
+    factors = draw(st.permutations(distinct + repeats).filter(
+        lambda factors: math.prod(f.size for f in factors) <= 36))
+    return direct_product(factors)
+
+
+@st.composite
+def _repeated_product_cases(draw):
+    """A product with equal factors and a shipped sentence that its size
+    admits, or a drawn one."""
+    algebra = draw(_repeated_products())
+    shipped = [s for s in _shipped_sentences() if algebra.size ** len(s.variables()) <= 2000]
+    if draw(st.booleans()):
+        return algebra, draw(st.sampled_from(shipped))
+    return draw(_scan_cases(st.just(algebra)))
+
+
+def _products_case(names, text: str, nest: bool = False, seed: int | None = None):
+    """A product of builtins, its first two factors made one factor if
+    `nest`, its elements renumbered by a seeded permutation if `seed` is
+    given, and a sentence."""
+    factors = [builtin(name) for name in names]
+    if nest:
+        factors[:2] = [direct_product(factors[:2])]
+    algebra = direct_product(factors)
+    if seed is not None:
+        algebra = renumber(algebra, random.Random(seed).sample(range(algebra.size), algebra.size))
+    return algebra, parse_sentence(text)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_repeated_product_cases())
+# no x satisfies the premises in 2, while 3_klst breaks the conclusion at
+# x = y = a: the product holds vacuously, as the diagonal 3_klst x 2 does
+@example(_products_case(("3_klst", "2", "2"), "x' = x, x /\\ y = x => y = 1"))
+@example(_products_case(("3_klst", "3_klst", "2"), "x' = x*"))  # fails at x = (0,0,1)
+@example(_products_case(("2", "2"), "1* = 1"))  # no variables: fails, witness {}
+@example(_products_case(("2", "2", "3_dblst"), "0' = 1 => 1' = 0"))
+# 2 x 3_dblst x 2 as (2 x 3_dblst) x 2: no two factors are equal, so no diagonal
+@example(_products_case(("2", "3_dblst", "2"), "x \\/ x' = 1", nest=True))
+@example(_products_case(("2", "3_dblst", "2"), "x' = x* => x = 1", nest=True))
+# renumbered: the loaded form of a product knows no factors, so no diagonal
+@example(_products_case(("2", "2", "3_klst"), "x*' = x**", seed=1))
+@example(_products_case(("2", "2", "3_klst"), "x \\/ y' = y' \\/ x*", seed=2))
+def test_holds_in_on_repeated_factors_matches_plain_scan(case):
+    """On a product with equal factors, holds_in first scans the diagonal
+    the product keeps, and decides there every sentence that holds.  Its
+    verdict and witness are still those of the plain scan of all n^k
+    assignments in index order."""
+    algebra, sentence = case
+    assert holds_in(algebra, sentence) == plain_holds_in(algebra, sentence)
+    diagonal = _FACTS[algebra].get("diagonal")
+    if diagonal is not None:
+        assert subuniverse_closure(algebra, diagonal) == frozenset(diagonal)
 
 
 # LX of the lemma registry: its right side reads x only through (x' \/ x'*)'

@@ -428,6 +428,17 @@ def test_identity_holds_via_free_rejects_what_it_cannot_decide():
         identity_holds_via_free(free, parse_sentence("x \\/ y = y \\/ x"))
 
 
+def test_free_algebra_keeps_the_facts_its_product_seeded():
+    """F_BA(1) is 2 x 2, equal to the square that proof (b) builds and drops.
+    The facts direct_product seeds outlive the call, kept on F itself."""
+    forget_facts()
+    free = free_algebra(variety("BA"), 1)
+    gc.collect()
+    facts = _FACTS[free.algebra]
+    assert facts["birkhoff"] == (0, 1, 2, 3)
+    assert facts["diagonal"] == (0, 3)
+
+
 def test_free_algebra_cap():
     with pytest.raises(CapExceededError):
         free_algebra(variety("AG"), 2, max_elements=10)
@@ -450,7 +461,7 @@ def test_free_algebra_is_isomorphic_to_the_closure_build(name, n):
 def test_free_algebra_size_counts_generating_tuples_up_to_automorphism():
     """|F_V(n)| is the product over the SI generators S of |S|^(g_n(S)/|Aut S|),
     g_n(S) the number of n-tuples that generate S.  The cap error names the
-    size once both proof obligations hold, before any table is built."""
+    size once proof obligation (a) holds, before any table is built."""
     for name in VARIETY_NAMES:
         for n in range(4):
             expected = 1

@@ -19,8 +19,9 @@ import agkit.axioms
 import agkit.congruence
 import agkit.morphisms
 import agkit.terms
-from agkit import (check_sc, classify, direct_product, dump_algebra, generated_subvariety,
-                   load_algebra)
+from agkit import (check_sc, classify, direct_product, dump_algebra, free_algebra,
+                   generated_subvariety, holds_in, lemma_registry, load_algebra,
+                   satisfies_axiom_system, variety)
 from agkit.caps import DEFAULT_CAPS
 from agkit.variety import VARIETY_NAMES
 from agkit.verify import load_expectations, verify_paper
@@ -84,6 +85,13 @@ TUPLED_MAPS = 0
 # decided facts are the ALMOST_GAUTAMA axioms of the membership check.
 LARGE_OP_CALLS = {"principal_congruence": 6, "congruence_lattice": 1, "_birkhoff": 1,
                   "_decide": 15}
+
+# scans one free_terms op (perfbench) makes on F_BA(3) = 2^8: the 21 lemma
+# registry sentences within the assignments cap, then the 15 ALMOST_GAUTAMA
+# axioms, 35 distinct sentences.  Each holds, so each is decided on the
+# 2-element diagonal of the product alone: no scan of all 256 elements.  (0
+# diagonal and 35 full scans when every scan ran over all the elements.)
+FREE_OP_SCANS = {"diagonal": 35, "full": 0, "facts": 35}
 
 
 @pytest.fixture(scope="module")
@@ -312,3 +320,21 @@ def test_large_algebra_op_counts(builtins, monkeypatch):
                 or classification.directly_indecomposable or sc.sc or sc.join_variant)
     assert {name: len(log) for name, log in calls.items()} == LARGE_OP_CALLS
     assert {args[0] for args, _ in calls["_decide"]} == {algebra}
+
+
+def test_free_algebra_op_counts(monkeypatch):
+    """One free_terms op on F_BA(3), in process, with every fact forgotten:
+    a scan of the diagonal passes `domain`, a full scan does not."""
+    monkeypatch.delenv("AGKIT_CAP", raising=False)
+    forget_facts()
+    calls = []
+    log_calls(monkeypatch, agkit.terms, "_decide", calls)
+    free = free_algebra(variety("BA"), 3).algebra
+    for record in lemma_registry():
+        if free.size ** len(record.sentence.variables()) <= DEFAULT_CAPS["assignments"]:
+            assert holds_in(free, record.sentence), record.id
+    assert satisfies_axiom_system(free, "ALMOST_GAUTAMA").ok
+    assert {args[0] for args, _ in calls} == {free}
+    assert {"diagonal": sum(len(args) == 3 for args, _ in calls),
+            "full": sum(len(args) == 2 for args, _ in calls),
+            "facts": len({args[:2] for args, _ in calls})} == FREE_OP_SCANS
