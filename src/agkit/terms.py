@@ -24,7 +24,7 @@ from operator import getitem, itemgetter
 from typing import Callable, Mapping, Union
 
 from . import caps
-from .algebra import _FACTS, FiniteAlgebra, _known, birkhoff_bytes
+from .algebra import FiniteAlgebra, _known, birkhoff_bytes
 from .errors import EvalError, ParseError, _Value
 
 # Deepest term the parser accepts: operators nested in one another, and
@@ -518,7 +518,7 @@ def holds_in(algebra: FiniteAlgebra, sentence: Sentence) -> Verdict:
     caps.guard("assignments", algebra.size ** len(sentence.variables()))
 
     def decide() -> Verdict:
-        diagonal = _FACTS.get(algebra, {}).get("diagonal")
+        diagonal = _known(algebra, "diagonal", lambda: None)  # None: no product seeded one
         if diagonal is not None and (verdict := _decide(algebra, sentence, diagonal)):
             return verdict
         return _decide(algebra, sentence)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import sys
@@ -514,7 +515,7 @@ def _up_to_256_elements(names: list[str]) -> list[str]:
     return names
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=10, deadline=None)
 @given(st.lists(st.sampled_from(BUILTIN_NAMES), min_size=1, max_size=8).map(
     _up_to_256_elements))
 @example(["2"] * 8)
@@ -527,6 +528,7 @@ def test_direct_product_keeps_its_diagonal(names):
     the order they first appear, and a subuniverse with that product's
     tables: repeating coordinates keeps the lexicographic order.  A product
     of distinct factors keeps none."""
+    gc.collect()  # so that no dead equal product from an earlier draw holds the facts
     product = direct_product([builtin(name) for name in names])
     diagonal = agkit.algebra._FACTS[product].get("diagonal")
     distinct = list(dict.fromkeys(names))

@@ -340,6 +340,9 @@ def test_holds_in_matches_plain_scan(case):
     expected = plain_holds_in(algebra, sentence)
     assert holds_in(algebra, sentence) == expected
     assert holds_in(algebra, sentence) == expected  # served from the table
+    # the full scan too, which holds_in skips for a sentence that holds on
+    # the diagonal of a product with equal factors
+    assert agkit.terms._decide(algebra, sentence) == expected
 
 
 @functools.cache
@@ -395,7 +398,7 @@ def _products_case(names, text: str, nest: bool = False, seed: int | None = None
 # no x satisfies the premises in 2, while 3_klst breaks the conclusion at
 # x = y = a: the product holds vacuously, as the diagonal 3_klst x 2 does
 @example(_products_case(("3_klst", "2", "2"), "x' = x, x /\\ y = x => y = 1"))
-@example(_products_case(("3_klst", "3_klst", "2"), "x' = x*"))  # fails at x = (0,0,1)
+@example(_products_case(("3_klst", "3_klst", "2"), "x' = x*"))  # fails first at x = (0,a,0)
 @example(_products_case(("2", "2"), "1* = 1"))  # no variables: fails, witness {}
 @example(_products_case(("2", "2", "3_dblst"), "0' = 1 => 1' = 0"))
 # 2 x 3_dblst x 2 as (2 x 3_dblst) x 2: no two factors are equal, so no diagonal
@@ -411,7 +414,9 @@ def test_holds_in_on_repeated_factors_matches_plain_scan(case):
     assignments in index order."""
     algebra, sentence = case
     assert holds_in(algebra, sentence) == plain_holds_in(algebra, sentence)
-    diagonal = _FACTS[algebra].get("diagonal")
+    # an equal product that hypothesis built before and that is not yet
+    # collected may hold this one's facts (_FACTS is weak and keyed by value)
+    diagonal = _FACTS.get(algebra, {}).get("diagonal")
     if diagonal is not None:
         assert subuniverse_closure(algebra, diagonal) == frozenset(diagonal)
 
