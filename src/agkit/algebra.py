@@ -46,20 +46,20 @@ class FiniteAlgebra(_Value):
     validate: bool = True
 
     def __post_init__(self):
-        # The hash's slot is set here, with the fields.  A cached_property
-        # would add it to the instance's __dict__ later, and CPython 3.11 then
-        # reads every attribute of that algebra ≈1.7x slower.
+        # Both slots are set here, with the fields: added later, as by a cached_property,
+        # they make CPython 3.11 read every attribute of that algebra ≈1.7x slower.
         object.__setattr__(self, "_hashed", None)
+        object.__setattr__(self, "_facts", None)
         self._check_shape()
         if self.validate:
             self.verify_lattice_axioms()
 
-    def __hash__(self) -> int:  # hashed once: an algebra keys _FACTS
+    def __hash__(self) -> int:  # hashed once: it keys _FACTS and the facts about other algebras
         if self._hashed is None:
             object.__setattr__(self, "_hashed", hash(_spec(self)))
         return self._hashed
 
-    def __eq__(self, other) -> bool:  # `is` first: a hit in _FACTS compares an algebra with itself
+    def __eq__(self, other) -> bool:  # `is` first: an algebra is mostly compared with itself
         return self is other or (type(other) is type(self) and hash(self) == hash(other)
                                  and _spec(self) == _spec(other))
 
@@ -213,20 +213,37 @@ BUILTIN_NAMES = tuple(sorted(BUILTIN_SPECS))
 # one construction per name and spec value, so a replaced spec is built anew
 _built = functools.cache(lambda name, spec: FiniteAlgebra(name=name, **dict(spec)))
 
-# Every decided fact about an algebra, keyed by value and weak on the algebra:
-# its facts go with it, unless a fact refers to it (see amalgamation._homs).
-_FACTS: weakref.WeakKeyDictionary[FiniteAlgebra, dict] = weakref.WeakKeyDictionary()
+# The facts about each algebra value: one dict, held weakly here and strongly in
+# the _facts slot of every equal algebra (_known), so it lives while one does.
+# A fact that refers to its algebra (amalgamation._homs) makes a cycle: gc frees it.
+class _Facts(dict):
+    __slots__ = ("__weakref__",)
+
+
+class _Key(tuple):  # (hash, *spec) of an algebra: its tables are hashed once, by it
+    def __hash__(self) -> int:
+        return self[0]
+
+
+_FACTS: weakref.WeakValueDictionary[_Key, _Facts] = weakref.WeakValueDictionary()
 _UNKNOWN = object()
 
 
 def _known(algebra: FiniteAlgebra, key, decide):
     """decide() the first time key is asked about an algebra equal to this
     one, the kept value after that.  A decide() that raises keeps nothing."""
-    facts = _FACTS.get(algebra) or _FACTS.setdefault(algebra, {})
+    facts = algebra._facts or _facts_of(algebra)
     value = facts.get(key, _UNKNOWN)
     if value is _UNKNOWN:
         value = facts[key] = decide()
     return value
+
+
+def _facts_of(algebra: FiniteAlgebra) -> dict:
+    if algebra._facts is None:
+        key = _Key((hash(algebra), *_spec(algebra)))
+        object.__setattr__(algebra, "_facts", _FACTS.setdefault(key, _Facts()))
+    return algebra._facts
 
 
 def _birkhoff(algebra: FiniteAlgebra) -> tuple[int, ...]:

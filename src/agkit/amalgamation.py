@@ -100,10 +100,9 @@ AmalgamationResult = Amalgam | Obstruction
 
 
 def _homs(source: FiniteAlgebra, target: FiniteAlgebra) -> tuple[Homomorphism, ...]:
-    """enumerate_homs once per (source, target) and process, kept by value as
-    ("homs", target) on the source, so a tampered builtin never matches.  A
-    kept hom set refers to its source and keeps it alive: only pairs of SI
-    members, builtins that live on anyway, come here (see _compatible_pairs)."""
+    """enumerate_homs once per (source, target) value, kept as ("homs",
+    target) in the source's facts, so a tampered builtin never matches.  A
+    hom set refers to its source, a cycle that goes when the source does."""
     return _known(source, ("homs", target), lambda: tuple(enumerate_homs(source, target)))
 
 
@@ -111,16 +110,12 @@ def _compatible_pairs(v: VarietyDescriptor, d: Diagram):
     pairs: list[tuple[Homomorphism, Homomorphism]] = []
     census: dict[str, tuple[int, int, int]] = {}
     base_range = range(d.base.size)
-    sis = v.si_algebras()
-    for si in sis:
-        homs_left = _homs(d.left, si) if d.left in sis else enumerate_homs(d.left, si)
-        homs_right = _homs(d.right, si) if d.right in sis else enumerate_homs(d.right, si)
-        count = 0
-        for h, k in itertools.product(homs_left, homs_right):
-            if all(h(d.f(x)) == k(d.g(x)) for x in base_range):
-                pairs.append((h, k))
-                count += 1
-        census[si.name] = (len(homs_left), len(homs_right), count)
+    for si in v.si_algebras():
+        homs_left, homs_right = _homs(d.left, si), _homs(d.right, si)
+        found = [(h, k) for h, k in itertools.product(homs_left, homs_right)
+                 if all(h(d.f(x)) == k(d.g(x)) for x in base_range)]
+        pairs += found
+        census[si.name] = (len(homs_left), len(homs_right), len(found))
     return pairs, census
 
 

@@ -249,46 +249,41 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="decide a sentence in a variety")
     p.add_argument("--variety", required=True)
     p.add_argument("--sentence", required=True)
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("homs", help="enumerate homomorphisms")
     p.add_argument("source")
     p.add_argument("target")
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("congruences", help="congruence lattice")
     p.add_argument("target")
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("classify", help="simple / SI / DI / (SC)")
     p.add_argument("target")
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("amalgamate", help="decide one diagram")
     p.add_argument("--variety", required=True)
     p.add_argument("--base", required=True)
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("classify-ap", help="decide AP per variety")
     p.add_argument("--variety")
     p.add_argument("--all", action="store_true")
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("lemmas", help="run the lemma suite")
     p.add_argument("--variety")
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("applications", help="derived properties for a variety")
     p.add_argument("--variety", required=True)
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("free", help="free algebra on n generators")
     p.add_argument("--variety", required=True)
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--json", action="store_true")
+
+    for name, p in sub.choices.items():  # every command above can print its report
+        if name != "algebra":  # as JSON; algebra's show takes --json itself
+            p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("verify-paper", help="run the full verification pipeline")
     p.add_argument("--out", default=None, help="write the JSON report here")

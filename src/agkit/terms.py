@@ -404,8 +404,8 @@ def _compile(algebra: FiniteAlgebra, term: Term, positions: Mapping[str, int],
     A column side with one feed is computed once per value of it (_memo)
     where it meets a node with several feeds, and at the root (as_column).
     A lattice operation with one scalar side picks that side's row: on bytes
-    from the table's rows padded to 256 bytes, kept per algebra in
-    algebra._FACTS as ("byte rows", "join" or "meet"), 128 KiB at n = 256.
+    from the table's rows padded to 256 bytes, kept in the algebra's facts
+    (_known) as ("byte rows", "join" or "meet"), 128 KiB at n = 256.
     One of two bytes columns maps both by the algebra's Birkhoff embedding
     phi, reads them as ints, takes | or &, and maps back by phi's inverse,
     where phi fits a byte (|J| <= 8, so n <= 256): exact, as phi is an
@@ -505,7 +505,7 @@ def holds_in(algebra: FiniteAlgebra, sentence: Sentence) -> Verdict:
 
     The `assignments` cap applies on every call, to the full n^k, whatever the
     premises or the facts decided before.  Each fact is then decided once
-    (_decide) and kept in algebra._FACTS: callers share the Verdict, read-only.
+    (_decide) and kept per algebra value (_known): callers share the Verdict, read-only.
 
     On a product with repeated factors, a sentence that holds on the
     diagonal D that direct_product keeps holds; else the full scan finds the

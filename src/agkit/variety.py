@@ -24,7 +24,7 @@ import os
 import weakref
 
 from . import caps
-from .algebra import (_FACTS, FiniteAlgebra, _known, _subuniverses, builtin, direct_product,
+from .algebra import (FiniteAlgebra, _known, _subuniverses, builtin, direct_product,
                       subuniverse_closure)
 from .axioms import satisfies_axiom_system
 from .errors import AgkitError, NotFoundError, NotInVarietyError, _Value
@@ -119,8 +119,8 @@ def satisfies_base(algebra: FiniteAlgebra, v: VarietyDescriptor) -> Verdict:
 
 def require_in_variety(algebra: FiniteAlgebra, v: VarietyDescriptor) -> None:
     """Raise NotInVarietyError unless the algebra is in v.  A pass is kept in
-    algebra._FACTS as ("member", v, limit), limit the `assignments` cap: a hit
-    passed the same guards cold, another limit misses.  Failures are not kept."""
+    its facts (_known) as ("member", v, limit), limit the `assignments` cap: a
+    hit passed the same guards cold, another limit misses.  Failures are not kept."""
     _known(algebra, ("member", v, caps.cap_value("assignments")),
            lambda: _prove_member(algebra, v))
 
@@ -193,12 +193,10 @@ def discriminator_is_term_op(*algebras: FiniteAlgebra) -> bool:
     for left, right in itertools.combinations_with_replacement(algebras, 2):
         for cap in ("product_elements", "subalgebra_universe"):  # as deciding the pair cold would
             caps.guard(cap, left.size * right.size)
-        # right's verdict goes when right does; the callback holds left's
-        # facts, not left, as a value kept in _FACTS keeps its algebra alive
-        facts = _FACTS.setdefault(left, {})
-        key = ("discriminator", weakref.ref(
-            right, lambda ref, facts=facts: facts.pop(("discriminator", ref), None)))
-        if not _known(left, key, lambda: _discriminator_preserves(left, right)):
+        verdicts = _known(left, "discriminator", weakref.WeakKeyDictionary)  # weak on right
+        if right not in verdicts:
+            verdicts[right] = _discriminator_preserves(left, right)
+        if not verdicts[right]:
             return False
     return True
 
@@ -206,10 +204,7 @@ def discriminator_is_term_op(*algebras: FiniteAlgebra) -> bool:
 def _discriminator_preserves(left: FiniteAlgebra, right: FiniteAlgebra) -> bool:
     """Does the discriminator, taken in each factor, preserve every
     subuniverse U of left x right?  Decided at the first U it breaks, once per
-    pair: discriminator_is_term_op keeps it in algebra._FACTS as ("discriminator",
-    weakref.ref(right)) on left, as verify-paper asks for every variety with both
-    factors.  The weak reference compares and hashes as right does while right
-    lives, keeps neither algebra alive, and drops the verdict when right dies.
+    pair, as verify-paper asks each variety (kept on left, weak on right).
 
     For p1, p2, p3 in U, disc(p1, p2, p3) is p3 if p1 = p2, p1 if p1, p2
     differ in both coordinates, and otherwise (a3, b1) with b1 != b2 in the
@@ -276,8 +271,6 @@ def free_algebra(v: VarietyDescriptor, n: int,
             raise AgkitError(f"{name}: coordinate {_coordinate(si, t)} is the image "
                              "of no kept coordinate under a homomorphism")
     caps.guard("free_elements", math.prod(si.size for si, _ in kept), max_elements)
-    # built before the squares, so that a square equal to it (F_BA(1) is 2 x 2)
-    # finds its facts kept on it, not F's kept on a square that dies at return
     product = direct_product([si for si, _ in kept])
     square = functools.cache(lambda s, r: direct_product([s, r]))
     for (s, t), (r, u) in itertools.combinations(kept, 2):

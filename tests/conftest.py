@@ -60,13 +60,22 @@ def log_calls(monkeypatch, module, name: str, log: list) -> None:
                 monkeypatch.setattr(bound, attr, logged)
 
 
+def kept_facts(algebra: FiniteAlgebra) -> dict:
+    """The facts kept about the algebra's value, shared by every algebra
+    equal to it: the one way the tests read the store."""
+    from agkit.algebra import _facts_of
+
+    return _facts_of(algebra)
+
+
 def forget_facts() -> None:
-    """Empty the process-wide table of decided facts, so that the next call
+    """Empty the facts dict of every algebra value, so that the next call
     decides everything cold: sentence verdicts, memberships, discriminator
-    verdicts and hom sets."""
+    verdicts and hom sets.  Live algebras keep their (now empty) dicts."""
     from agkit.algebra import _FACTS
 
-    _FACTS.clear()
+    for facts in list(_FACTS.values()):
+        facts.clear()
 
 
 @st.composite
@@ -388,6 +397,44 @@ def brute_force_subuniverses(algebra: FiniteAlgebra) -> set[frozenset[int]]:
         for seed in itertools.combinations(range(algebra.size), r):
             out.add(subuniverse_closure(algebra, seed))
     return out
+
+
+def dual_homs(source: FiniteAlgebra, target: FiniteAlgebra,
+              embeddings: bool = False) -> list[tuple[int, ...]]:
+    """Oracle for enumerate_homs by Birkhoff duality, as sorted map arrays.
+
+    The {0,1}-lattice homomorphisms h: S -> T are the maps h(x) = the join of
+    {q in J(T) : f(q) <= x}, f: J(T) -> J(S) order-preserving, and h is
+    one-to-one iff f is onto (Davey & Priestley, Introduction to Lattices
+    and Order, ch. 5 and 11).  The homomorphisms are the h that also commute
+    with star and quote; with `embeddings`, those whose f is onto.  x <= y
+    iff x \\/ y = y, and J(A) is the elements other than 0 that are the join
+    of no two others, both read off the join table: no agkit code runs."""
+
+    def dual(algebra: FiniteAlgebra):
+        join = algebra.join
+        reducible = {algebra.zero} | {z for x, row in enumerate(join)
+                                      for y, z in enumerate(row) if z not in (x, y)}
+        irreducibles = [j for j in range(algebra.size) if j not in reducible]
+        below = [frozenset(i for i, j in enumerate(irreducibles) if join[j][x] == x)
+                 for x in range(algebra.size)]  # the J(A) below x, by position
+        return irreducibles, below
+
+    j_source, below_source = dual(source)
+    j_target, below_target = dual(target)
+    element = {b: m for m, b in enumerate(below_target)}
+    found = []
+    for f in itertools.product(range(len(j_source)), repeat=len(j_target)):
+        if any(f[p] not in below_source[j_source[f[q]]]
+               for q, j in enumerate(j_target) for p in below_target[j]):
+            continue  # not order-preserving
+        h = tuple(element[frozenset(q for q, p in enumerate(f) if p in below)]
+                  for below in below_source)
+        if all(h[source.star[x]] == target.star[h[x]] and h[source.quote[x]] == target.quote[h[x]]
+               for x in range(source.size)):
+            if not embeddings or len(set(f)) == len(j_source):
+                found.append(h)
+    return sorted(found)
 
 
 def brute_force_discriminator_preserves(left: FiniteAlgebra, right: FiniteAlgebra) -> bool:

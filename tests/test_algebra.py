@@ -17,9 +17,9 @@ from agkit import (AgkitError, AlgebraFormatError, BUILTIN_NAMES, CapExceededErr
 from agkit.algebra import SPEC_KEYS, _adjoin, _json_int
 from agkit.caps import DEFAULT_CAPS
 from tests.conftest import (CountingTable, breaks_law, brute_force_lattice_axioms, chain_algebra,
-                            brute_force_subuniverses, fixpoint_closure, generated_members,
-                            plain_holds_in, renumbered_products, replace,
-                            tuple_direct_product)
+                            brute_force_subuniverses, fixpoint_closure, forget_facts,
+                            generated_members, kept_facts, log_calls, plain_holds_in,
+                            renumbered_products, replace, tuple_direct_product)
 
 GOLDEN_3_KLST = ('{"name":"3_klst","size":3,"labels":["0","a","1"],'
                  '"join":[[0,1,2],[1,1,2],[2,2,2]],"meet":[[0,0,0],[0,1,1],[0,1,2]],'
@@ -468,7 +468,7 @@ def test_equal_algebras_built_apart_are_equal_and_share_their_facts(builtins):
     first, second = direct_product(factors), direct_product(factors)
     assert first is not second and first.join is not second.join
     assert first == second and hash(first) == hash(second)
-    assert agkit.algebra._FACTS[first] is agkit.algebra._FACTS[second]
+    assert kept_facts(first) is kept_facts(second)
     star = list(second.star)
     star[1] = star[2]
     tampered = replace(second, star=tuple(star), validate=False)
@@ -477,11 +477,30 @@ def test_equal_algebras_built_apart_are_equal_and_share_their_facts(builtins):
     assert tampered != first and first != tampered
 
 
+def test_facts_outlive_the_equal_algebra_first_asked(monkeypatch):
+    """Facts belong to the value: an equal product built second keeps the
+    diagonal and the embedding that the first one's construction seeded
+    after the first one dies, and its scans still start on the diagonal."""
+    forget_facts()
+    first = direct_product([builtin("2")] * 2)
+    second = direct_product([builtin("2")] * 2)
+    del first
+    gc.collect()
+    derived, decided = [], []
+    log_calls(monkeypatch, agkit.algebra, "_birkhoff", derived)
+    log_calls(monkeypatch, agkit.terms, "_decide", decided)
+    assert agkit.algebra._known(second, "diagonal", lambda: None) == (0, 3)
+    assert kept_facts(second)["birkhoff"] == agkit.algebra.birkhoff(second) == (0, 1, 2, 3)
+    assert holds_in(second, parse_sentence("x \\/ x* = 1"))
+    assert derived == []
+    assert [args[2:] for args, _ in decided] == [((0, 3),)]
+
+
 def test_product_past_a_byte_keeps_no_embedding():
     """A 10-element chain has |J| = 9, so its product with 2 keeps phi with
     |J| = 10 but no byte form, and its scans take the element-by-element path."""
     product = direct_product([chain_algebra(10), builtin("2")])
-    kept = agkit.algebra._FACTS[product]["birkhoff"]  # kept, not derived
+    kept = kept_facts(product)["birkhoff"]  # kept, not derived
     assert kept[product.one] == 2 ** 10 - 1 and len(set(kept)) == product.size
     assert agkit.algebra.birkhoff_bytes(product) is None
     for text in ["(a \\/ x) /\\ (a \\/ x)'* = a /\\ x'*",
@@ -528,9 +547,8 @@ def test_direct_product_keeps_its_diagonal(names):
     the order they first appear, and a subuniverse with that product's
     tables: repeating coordinates keeps the lexicographic order.  A product
     of distinct factors keeps none."""
-    gc.collect()  # so that no dead equal product from an earlier draw holds the facts
     product = direct_product([builtin(name) for name in names])
-    diagonal = agkit.algebra._FACTS[product].get("diagonal")
+    diagonal = kept_facts(product).get("diagonal")
     distinct = list(dict.fromkeys(names))
     if len(distinct) == len(names):
         assert diagonal is None
@@ -548,7 +566,7 @@ def test_direct_product_keeps_its_diagonal(names):
 
 def test_product_past_a_byte_keeps_no_diagonal():
     product = direct_product([builtin("2")] * 9)
-    assert "diagonal" not in agkit.algebra._FACTS.get(product, {})
+    assert "diagonal" not in kept_facts(product)
 
 
 @settings(max_examples=40, deadline=None)
@@ -563,7 +581,7 @@ def test_direct_product_keeps_its_birkhoff_embedding(names):
     has one, the other builtins two).  Its byte form is None where |J| > 8,
     else phi and its inverse."""
     product = direct_product([builtin(name) for name in names])
-    phi = agkit.algebra._FACTS[product]["birkhoff"]
+    phi = kept_facts(product)["birkhoff"]
     irreducibles = sum(1 if name == "2" else 2 for name in names)
     assert phi[product.one] == 2 ** irreducibles - 1
     assert len(set(phi)) == product.size

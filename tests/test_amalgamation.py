@@ -1,20 +1,22 @@
 from __future__ import annotations
 
+import gc
 import itertools
+import weakref
 from types import SimpleNamespace
 
 import pytest
 
 import agkit.algebra
+import agkit.morphisms
 from agkit import (BUILTIN_NAMES, Amalgam, FiniteAlgebra, Obstruction, applications,
                    builtin, classify_ap, decide_amalgamation, diagram, direct_product,
                    enumerate_embeddings, generated_subvariety, lattice_reduct, variety,
                    NotFoundError, NotInVarietyError, all_varieties)
-from agkit.algebra import _FACTS
 from agkit.amalgamation import Diagram, brute_force_verify_obstruction, theorem_diagrams
 from agkit.morphisms import Homomorphism, identity_hom
-from tests.conftest import (brute_force_verify_amalgam, cep_spot_checks, forget_facts,
-                            hereditarily_si, refute_amal_base, replace)
+from tests.conftest import (brute_force_verify_amalgam, cep_spot_checks, dual_homs, forget_facts,
+                            hereditarily_si, kept_facts, log_calls, refute_amal_base, replace)
 
 AP_EXPECTED = {
     "BA": True, "RDBLST": True, "RKLST": True, "DMBA": True,
@@ -214,19 +216,29 @@ def test_trivial_diagram_amalgamates_in_its_left_side():
     assert result.as_dict() == {"result": "amalgam", "factors": [], "f1": [], "g1": []}
 
 
-def test_hom_cache_keeps_only_si_members():
-    # a member outside the SI generators is decided without keeping its hom
-    # sets: only those of the SI right side, one per SI generator
+def test_hom_sets_of_a_product_source_are_kept_and_go_with_it(monkeypatch):
+    """A member outside the SI generators keeps its hom sets, one per SI
+    generator, as its SI right side does: a second decision enumerates
+    none.  A kept hom set refers to its source, and the source is still
+    collected once nothing else does."""
     v = variety("RDBLST")
     left = direct_product([builtin("2"), builtin("3_dblst")])
     d = diagram(builtin("2"), left, builtin("3_dblst"))
     forget_facts()
     result = decide_amalgamation(v, d)
-    kept = [(source, key[1]) for source, facts in _FACTS.items()
-            for key in facts if type(key) is tuple and key[0] == "homs"]
-    assert len(kept) == len(v.si_algebras())
-    assert set(kept) == {(d.right, si) for si in v.si_algebras()}
+    for si in v.si_algebras():
+        assert [h.mapping for h in kept_facts(left)[("homs", si)]] == dual_homs(left, si)
+        assert ("homs", si) in kept_facts(d.right)
     assert brute_force_verify_amalgam(v, left, d.right, d.f.mapping, d.g.mapping, result)
+    enumerated = []
+    log_calls(monkeypatch, agkit.morphisms, "enumerate_homs", enumerated)
+    assert decide_amalgamation(v, d) == result
+    assert enumerated == []
+    monkeypatch.undo()
+    alive = weakref.ref(left)
+    del left, d, result
+    gc.collect()
+    assert alive() is None
 
 
 def test_monotone_in_the_variety():

@@ -60,14 +60,17 @@ def test_every_exported_function_has_a_caller():
 
 
 # the only places in src/agkit that keep results between calls, and why each
-# is not a fact in algebra._FACTS
+# is not a fact kept through algebra._known
 CACHE_HOMES = {
     "algebra._built": "the constructor memo by spec that makes builtins shared objects",
-    "algebra._FACTS": "the one table of decided facts about an algebra",
+    "algebra._FACTS": "the one table of facts: a dict per algebra value, held weakly, "
+                      "that every algebra equal to the value holds in its _facts slot",
     "terms._parse_shipped": "the shipped sentence texts, parsed once; no algebra involved",
+    "variety.discriminator_is_term_op.verdicts": "verdicts about a pair, kept in the left "
+                                                 "algebra's facts and weak on the right one",
     "variety.free_algebra.square": "products local to one free_algebra call",
 }
-CACHE_NAMES = {"cache", "lru_cache", "WeakKeyDictionary"}
+CACHE_NAMES = {"cache", "lru_cache", "WeakKeyDictionary", "WeakValueDictionary"}
 
 
 def _cache_homes(path: Path) -> list[str]:
@@ -105,9 +108,9 @@ def _cache_homes(path: Path) -> list[str]:
 
 
 def test_kept_facts_have_one_home():
-    """A fact decided about an algebra is kept in algebra._FACTS, keyed by
-    value and weak on the algebra; functools.cache, lru_cache or a
-    WeakKeyDictionary anywhere else in src/agkit needs a reason here."""
+    """A fact decided about an algebra is kept through algebra._known, in the
+    facts dict of its value; functools.cache, lru_cache, a WeakKeyDictionary
+    or a WeakValueDictionary anywhere else in src/agkit needs a reason here."""
     homes = [home for path in sorted((ROOT / "src" / "agkit").glob("*.py"))
              for home in _cache_homes(path)]
     assert sorted(set(homes) - CACHE_HOMES.keys()) == []

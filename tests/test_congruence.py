@@ -16,7 +16,7 @@ from agkit.morphisms import Homomorphism
 from tests.conftest import (CountingTable, brute_force_congruences, cep_by_definition,
                             chain4, chain_algebra, directly_indecomposable_by_definition,
                             distributive_algebras, forget_facts, generated_members,
-                            iter_partitions, join_by_closure, log_calls,
+                            iter_partitions, join_by_closure, kept_facts, log_calls,
                             pairwise_congruence_lattice, renumber, renumbered_products, replace,
                             translation_closure)
 
@@ -142,7 +142,7 @@ def test_principal_congruence_reads_no_row(builtins, monkeypatch):
     counting = replace(product, join=join, meet=meet, validate=False)
     n = counting.size
     assert n == 36
-    assert agkit.algebra._FACTS[counting]["birkhoff"]  # the product's: counting == product
+    assert kept_facts(counting)["birkhoff"]  # the product's: counting == product
     join.reads = meet.reads = 0  # the constructor's shape check reads every row
     seen = set()
     for a, b in itertools.combinations(range(n), 2):
@@ -287,6 +287,29 @@ def test_check_sc_witness(builtins):
                       if y not in (zero, one) and product.join[y][star[y]] == one]
     assert report.join_variant_witness == join_violators[0]
     assert product.labels[report.join_variant_witness] == "(0,1)"
+
+
+@pytest.mark.parametrize("names", [("3_dblst",), ("3_klst",), ("4_dmba",), ("2", "2"),
+                                   ("3_dblst", "3_klst"), ("2", "3_klst"), ("3_dblst", "4_dmba")])
+def test_check_sc_does_not_depend_on_the_numbering(names):
+    """Renumbered so that zero is not 0 and one is not n - 1, an algebra
+    gets the same (SC) verdicts, and each witness violates its condition."""
+    algebra = direct_product([builtin(name) for name in names])
+    report = check_sc(algebra)
+    n = algebra.size
+    rng = random.Random(n)
+    orders = [list(reversed(range(n)))] + [rng.sample(range(n), n) for _ in range(6)]
+    for to in orders:
+        if to[algebra.zero] == 0 or to[algebra.one] == n - 1:
+            continue
+        other = renumber(algebra, to)
+        sc = check_sc(other)
+        assert (sc.sc, sc.join_variant) == (report.sc, report.join_variant), to
+        one, zero, meet, star, quote = other.one, other.zero, other.meet, other.star, other.quote
+        if (x := sc.sc_witness) is not None:
+            assert x != one and meet[x][star[quote[x]]] != zero
+        if (x := sc.join_variant_witness) is not None:
+            assert x not in (zero, one) and other.join[x][star[x]] == one
 
 
 def test_sc_equivalence_on_small_members(builtins):

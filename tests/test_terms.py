@@ -16,12 +16,12 @@ from agkit import (BUILTIN_NAMES, CapExceededError, EvalError, ParseError, all_v
                    builtin, direct_product, eval_term, format_sentence, format_term,
                    free_algebra, holds_in, lemma_registry, parse_sentence, parse_term,
                    subuniverse_closure, variety)
-from agkit.algebra import _FACTS, BUILTIN_SPECS, FiniteAlgebra
+from agkit.algebra import BUILTIN_SPECS, FiniteAlgebra
 from agkit.axioms import SYSTEMS
 from agkit.caps import DEFAULT_CAPS
 from agkit.terms import MAX_TERM_DEPTH, Const, Join, Meet, Quote, Sentence, Star, Var
 from tests.conftest import (CountingTable, chain_algebra, distributive_algebras, forget_facts,
-                            log_calls, plain_holds_in, renumber, replace)
+                            kept_facts, log_calls, plain_holds_in, renumber, replace)
 
 
 def test_parse_postfix_grouping():
@@ -414,9 +414,7 @@ def test_holds_in_on_repeated_factors_matches_plain_scan(case):
     assignments in index order."""
     algebra, sentence = case
     assert holds_in(algebra, sentence) == plain_holds_in(algebra, sentence)
-    # an equal product that hypothesis built before and that is not yet
-    # collected may hold this one's facts (_FACTS is weak and keyed by value)
-    diagonal = _FACTS.get(algebra, {}).get("diagonal")
+    diagonal = kept_facts(algebra)["diagonal"]
     if diagonal is not None:
         assert subuniverse_closure(algebra, diagonal) == frozenset(diagonal)
 
@@ -548,7 +546,7 @@ def test_join_of_two_columns_reads_no_row_iff_j_fits_a_byte(make, byte_path):
 def test_byte_rows_do_not_keep_an_algebra_alive():
     algebra = FiniteAlgebra(name="transient rows", **BUILTIN_SPECS["3_klst"])
     holds_in(algebra, parse_sentence("(x \\/ y)* = x* /\\ y*"))
-    assert {("byte rows", "join"), ("byte rows", "meet")} <= _FACTS[algebra].keys()
+    assert {("byte rows", "join"), ("byte rows", "meet")} <= kept_facts(algebra).keys()
     alive = weakref.ref(algebra)
     del algebra
     gc.collect()
@@ -558,7 +556,7 @@ def test_byte_rows_do_not_keep_an_algebra_alive():
 def test_known_fact_still_meets_the_assignment_cap(monkeypatch):
     algebra, sentence = builtin("4_dmba"), parse_sentence("x \\/ y \\/ z = 1")
     assert not holds_in(algebra, sentence)  # 64 assignments
-    assert sentence in _FACTS[algebra]
+    assert sentence in kept_facts(algebra)
     lower_cap(monkeypatch, "assignments", 63)
     with pytest.raises(CapExceededError):
         holds_in(algebra, sentence)
@@ -593,10 +591,11 @@ def test_equal_algebra_built_anew_is_served_from_the_table(monkeypatch):
 def test_verdict_table_does_not_keep_an_algebra_alive():
     algebra = FiniteAlgebra(name="transient", **BUILTIN_SPECS["3_klst"])
     holds_in(algebra, parse_sentence("x'' = x"))
-    assert algebra in _FACTS
+    assert kept_facts(algebra)
     del algebra
     gc.collect()
-    assert all(a.name != "transient" for a in _FACTS.keys())
+    assert kept_facts(FiniteAlgebra(name="transient", **BUILTIN_SPECS["3_klst"],
+                                    validate=False)) == {}
 
 
 def test_desugaring_soundness(builtins):

@@ -19,14 +19,13 @@ from agkit import (AgkitError, BUILTIN_NAMES, CapExceededError, FiniteAlgebra,
                    lattice_reduct, lemma_registry, parse_sentence,
                    quasi_identity_holds, variety, all_varieties,
                    VARIETY_NAMES, enumerate_embeddings, subuniverse_closure)
-from agkit.algebra import _FACTS
 from agkit.caps import DEFAULT_CAPS, cap_value
 from agkit.morphisms import Homomorphism, _extend
 from agkit.variety import (_discriminator_preserves, identity_holds_via_free, in_hs,
                            require_in_variety, satisfies_base)
 from tests.conftest import (brute_force_discriminator_preserves, chain4, closure_free_algebra,
-                            forget_facts, generated_members, least_variety_by_bases, log_calls,
-                            replace, si_quotients_of_subalgebras)
+                            forget_facts, generated_members, kept_facts, least_variety_by_bases,
+                            log_calls, replace, si_quotients_of_subalgebras)
 
 SI_SETS = {
     "BA": {"2"},
@@ -232,10 +231,10 @@ def test_repeated_membership_replays_the_assignments_guard(
         return raised.value.guard, raised.value.limit, raised.value.requested
 
     require_in_variety(algebra, v)
-    assert ("member", v, cap_value("assignments")) in _FACTS[algebra]
+    assert ("member", v, cap_value("assignments")) in kept_facts(algebra)
     monkeypatch.setenv("AGKIT_CAP", str(cap))
     remembered = guard_hit()
-    _FACTS[algebra].pop(("member", v, cap), None)
+    kept_facts(algebra).pop(("member", v, cap), None)
     assert remembered == guard_hit() == ("assignments", cap, requested)
 
 
@@ -243,7 +242,7 @@ def test_repeated_membership_passes_at_a_cap_equal_to_its_largest_request(
         builtins, monkeypatch):
     algebra, v = builtins["4_dmba"], variety("V_DBLST_DMBA")
     monkeypatch.setenv("AGKIT_CAP", str(4 ** 3))  # the base J has three variables
-    _FACTS.get(algebra, {}).pop(("member", v, 4 ** 3), None)
+    kept_facts(algebra).pop(("member", v, 4 ** 3), None)
     require_in_variety(algebra, v)
     require_in_variety(algebra, v)
 
@@ -256,7 +255,7 @@ def test_non_members_are_refuted_on_every_call(builtins):
             require_in_variety(dblst, rklst)
         raised.append((err.value.variety_name, err.value.sentence, err.value.witness))
     assert raised[0] == raised[1]
-    assert ("member", rklst, cap_value("assignments")) not in _FACTS.get(dblst, {})
+    assert ("member", rklst, cap_value("assignments")) not in kept_facts(dblst)
 
 
 def test_membership_is_remembered_by_value(builtins):
@@ -276,12 +275,13 @@ def test_membership_does_not_keep_an_algebra_alive(builtins):
     algebra = load_algebra(json.dumps(dict(spec, name="transient")))
     require_in_variety(algebra, variety("G"))
     assert generated_subvariety(algebra).name == "G"
-    assert ("member", variety("G"), cap_value("assignments")) in _FACTS[algebra]
+    assert ("member", variety("G"), cap_value("assignments")) in kept_facts(algebra)
     alive = weakref.ref(algebra)
     del algebra
     gc.collect()
     assert alive() is None
-    assert all(a.name != "transient" for a in _FACTS.keys())
+    rebuilt = load_algebra(json.dumps(dict(spec, name="transient")))
+    assert kept_facts(rebuilt).keys() == {"birkhoff"}  # seeded by this load alone
 
 
 def test_discriminator_on_builtins_and_reducts(builtins):
@@ -317,13 +317,14 @@ def test_discriminator_verdict_goes_with_the_right_algebra():
     later check, as a dead weak reference equals nothing else."""
     two = builtin("2")
     assert discriminator_is_term_op(two)
-    before = len(_FACTS[two])
+    before, verdicts = len(kept_facts(two)), len(kept_facts(two)["discriminator"])
     for i in range(50):
         reduct = replace(lattice_reduct(builtin("4_dmba")), name=f"reduct {i}")
         assert not discriminator_is_term_op(two, reduct)
         del reduct
     gc.collect()
-    assert len(_FACTS[two]) == before
+    assert len(kept_facts(two)) == before
+    assert len(kept_facts(two)["discriminator"]) == verdicts
 
 
 @pytest.mark.parametrize("cap", ["product_elements", "subalgebra_universe"])
@@ -433,8 +434,7 @@ def test_free_algebra_keeps_the_facts_its_product_seeded():
     The facts direct_product seeds outlive the call, kept on F itself."""
     forget_facts()
     free = free_algebra(variety("BA"), 1)
-    gc.collect()
-    facts = _FACTS[free.algebra]
+    facts = kept_facts(free.algebra)
     assert facts["birkhoff"] == (0, 1, 2, 3)
     assert facts["diagonal"] == (0, 3)
 

@@ -12,6 +12,11 @@ median and quartiles over the pairs, how many pairs each side won on it (the
 better side by BENCHMARK.json; equal values win for neither), every run's
 values, and the traced per-layer values; and the commits, the Python
 version, the host and PYTHONDONTWRITEBYTECODE.
+
+It also times a cold in-process `verify_paper()` ("cold_verify_paper"): PAIRS
+alternating pairs, each run a fresh interpreter that imports agkit from the
+side's src/ and times the one call alone, import excluded, with the same
+summary and pair wins (metric "op_s", lower is better).
 """
 
 from __future__ import annotations
@@ -57,6 +62,22 @@ def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dic
     if not result["correct"]:
         raise SystemExit(f"run.py reported failed ops in {tree} on {workload}:\n{done.stdout}")
     return {name: metric["value"] for name, metric in result["metrics"].items()}
+
+
+COLD_VERIFY = ("import time, agkit\nstart = time.perf_counter()\nagkit.verify_paper()\n"
+               "print(time.perf_counter() - start)")
+
+
+def cold_verify_paper(tree: Path) -> dict:
+    """The seconds of one verify_paper() in a fresh interpreter, under the
+    default caps and PYTHONHASHSEED=0, as perfbench runs its children."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="0")
+    env.pop("AGKIT_CAP", None)
+    done = subprocess.run([sys.executable, "-c", COLD_VERIFY], cwd=tree, env=env,
+                          capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"verify_paper() failed in {tree}:\n{done.stderr}")
+    return {"op_s": float(done.stdout)}
 
 
 def summary(values: list[float]) -> dict:
@@ -114,6 +135,11 @@ def main(argv: list[str] | None = None) -> int:
                       for side in SIDES}
             record["workloads"][workload] = {"end_to_end": compare(runs, better),
                                              "traced": traced}
+        runs = {side: [] for side in SIDES}
+        for pair in range(PAIRS):
+            for side in (SIDES if pair % 2 == 0 else SIDES[::-1]):
+                runs[side].append(cold_verify_paper(trees[side]))
+        record["cold_verify_paper"] = compare(runs, {"op_s": "lower"})
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     return 0
 
