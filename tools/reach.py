@@ -107,6 +107,9 @@ LINE_TAGS = [
     ("algebra.py:load_algebra", "raise", "hostile input"),
     ("algebra.py:read_algebra", "except", "hostile input"),
     ("algebra.py:direct_product", "raise", "hostile input"),
+    # == of two equal algebras that are distinct objects: the fact table
+    # compares (hash, spec) keys, not algebras
+    ("algebra.py:FiniteAlgebra.__eq__", "_spec(self) == _spec(other)", "API name"),
     ("amalgamation.py:Diagram.__post_init__", "raise", "hostile input"),
     # a target that receives homs from both sides: no obstruction the paper's
     # diagrams give has one
