@@ -475,6 +475,7 @@ def test_equal_algebras_built_apart_are_equal_and_share_their_facts(builtins):
     assert tampered != first
     object.__setattr__(tampered, "_hashed", hash(first))  # as if the hashes collided
     assert tampered != first and first != tampered
+    assert kept_facts(tampered) is not kept_facts(first)
 
 
 def test_facts_outlive_the_equal_algebra_first_asked(monkeypatch):
