@@ -1,9 +1,12 @@
 """Finite algebras in the fixed signature (join, meet, star, quote, 0, 1).
 
-Elements are dense indices 0..n-1; display labels live on the algebra.  The
-quote slot holds whichever unary operation the algebra carries there: for the
-regular double Stone algebra on the three-element chain that is the dual
-pseudocomplement, for the Kleene-style algebras the De Morgan operation.
+Elements are dense indices 0..n-1; display labels live on the algebra.  Up
+to 256 elements the join and meet rows are bytes, however they were given,
+and above that tuples, so one spec is one value either way; star and quote
+are tuples.  The quote slot holds whichever unary operation the algebra
+carries there: for the regular double Stone algebra on the three-element
+chain that is the dual pseudocomplement, for the Kleene-style algebras the
+De Morgan operation.
 
 Construction verifies the bounded-distributive-lattice axioms in O(n^2), a row
 at a time, by Birkhoff's embedding (verify_lattice_axioms); loading checks the
@@ -19,7 +22,7 @@ import itertools
 import json
 import math
 import weakref
-from operator import and_, attrgetter, ne, or_
+from operator import and_, attrgetter, iadd, ne, or_
 from typing import Iterable, Iterator, Sequence
 
 from . import caps
@@ -33,8 +36,8 @@ class FiniteAlgebra(_Value):
     name: str
     size: int
     labels: tuple[str, ...]
-    join: tuple[tuple[int, ...], ...]
-    meet: tuple[tuple[int, ...], ...]
+    join: tuple[bytes | tuple[int, ...], ...]  # rows: bytes up to 256 elements, else tuples
+    meet: tuple[bytes | tuple[int, ...], ...]
     star: tuple[int, ...]
     quote: tuple[int, ...]
     zero: int
@@ -51,6 +54,10 @@ class FiniteAlgebra(_Value):
         object.__setattr__(self, "_hashed", None)
         object.__setattr__(self, "_facts", None)
         self._check_shape()
+        row = bytes if self.size <= 256 else tuple  # after the range check: bytes() refuses 256
+        for name in ("join", "meet"):
+            if not {row}.issuperset(map(type, table := getattr(self, name))):
+                object.__setattr__(self, name, tuple(map(row, table)))
         if self.validate:
             self.verify_lattice_axioms()
 
@@ -452,24 +459,26 @@ def _product_tables(factors: Sequence[FiniteAlgebra], size: int) -> tuple:
 
 
 def _fold_table(table: Sequence[Sequence[int]], factor_table: Sequence[Sequence[int]],
-                k: int) -> tuple[tuple[int, ...], ...]:
+                k: int) -> tuple[Sequence[int], ...]:
     """A binary table of P x f from those of P and f (|f| = k): entry
     (x * k + a, y * k + b) is table[x][y] * k + factor_table[a][b].
 
     blocks[a][z] holds the k entries z * k + factor_table[a][b] over b, so a
-    row is the concatenation of blocks[a][table[x][y]] over y.  The rows
-    share the blocks' int objects instead of each making its own.
+    row is the concatenation of blocks[a][table[x][y]] over y.  Up to 256
+    elements, where FiniteAlgebra keeps bytes rows, a block is factor_table[a]
+    translated by v -> z * k + v and a row one join of blocks, with no
+    Python step per entry.  Above, tuple rows share the blocks' int objects.
     """
-    blocks = [[tuple(z * k + v for v in row) for z in range(len(table))]
-              for row in factor_table]
-    folded = []
-    for row in table:
-        for block in blocks:
-            entries = []
-            for run in map(block.__getitem__, row):
-                entries.extend(run)
-            folded.append(tuple(entries))
-    return tuple(folded)
+    if len(table) * k <= 256:
+        ramp = bytes(range(256))  # rotated by z * k: each v < k goes to z * k + v <= 255
+        blocks = [[row.translate(ramp[z * k:] + ramp[:z * k]) for z in range(len(table))]
+                  for row in factor_table]
+        glue = b"".join
+    else:
+        blocks = [[tuple(z * k + v for v in row) for z in range(len(table))]
+                  for row in factor_table]
+        glue = lambda runs: tuple(functools.reduce(iadd, runs, []))  # list += run: C copies
+    return tuple(glue(map(block.__getitem__, row)) for row in table for block in blocks)
 
 
 def _product_embedding(factors: Sequence[FiniteAlgebra]) -> tuple[int, ...]:

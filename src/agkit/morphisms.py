@@ -164,11 +164,14 @@ def enumerate_homs(source: FiniteAlgebra, target: FiniteAlgebra) -> list[Homomor
 
 
 def brute_force_homs(source: FiniteAlgebra, target: FiniteAlgebra) -> list[tuple[int, ...]]:
-    """Oracle for enumerate_homs: scan all |target|^|source| maps and keep the
-    ones that pass direct table checks.  It shares no code with the
-    backtracking search, so the two can be cross-checked."""
+    """Oracle for enumerate_homs: scan the |target|^(|source| - 2) maps that
+    send 0 to 0 and 1 to 1, in index order, and keep the ones that pass direct
+    table checks.  It shares no code with the backtracking search, so the two
+    can be cross-checked."""
+    pinned = {source.zero: target.zero, source.one: target.one}  # trivial source: 0 -> 1
     out = []
-    for mapping in itertools.product(range(target.size), repeat=source.size):
+    for mapping in itertools.product(*[(pinned[x],) if x in pinned else range(target.size)
+                                       for x in range(source.size)]):
         if mapping[source.zero] != target.zero or mapping[source.one] != target.one:
             continue
         if any(mapping[source.star[x]] != target.star[mapping[x]]

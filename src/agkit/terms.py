@@ -110,39 +110,29 @@ class Sentence(_Value):
 
 # --- scanner -----------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<join>\\/)
-      | (?P<meet>/\\)
-      | (?P<leq><=)
-      | (?P<implies>=>)
-      | (?P<eq>=)
-      | (?P<star>\*)
-      | (?P<quote>')
-      | (?P<lparen>\()
-      | (?P<rparen>\))
-      | (?P<comma>,)
-      | (?P<const>[01])
-      | (?P<var>[a-z][a-z0-9]*)
-    """,
-    re.VERBOSE,
-)
+# One match per token after any whitespace, so one findall splits a sentence:
+# group 1 is the token, or "" where a character starts none (the \S).  Tried in
+# order: "=>" before "=".  Tokens are texts; an error finds its offset (_offset).
+_TOKEN_RE = re.compile(r"\s*(?:(\\/|/\\|<=|=>|=|\*|'|\(|\)|,|[01]|[a-z][a-z0-9]*)|\S)")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        kind = match.lastgroup
-        assert kind is not None
-        if kind != "ws":
-            tokens.append((kind, match.group(), pos))
-        pos = match.end()
-    tokens.append(("end", "", len(text)))
+def _tokenize(text: str) -> list[str]:
+    """The tokens of text, then "" for its end; a ParseError at the first
+    character that starts no token."""
+    tokens = _TOKEN_RE.findall(text)
+    if "" in tokens:
+        pos = _offset(text, tokens.index(""))
+        raise ParseError(f"unexpected character {text[pos]!r}", pos)
+    tokens.append("")
     return tokens
+
+
+def _offset(text: str, index: int) -> int:
+    """Where token `index` of text starts, len(text) for its end.  Only a
+    ParseError needs it, so it scans the text again."""
+    for match in itertools.islice(_TOKEN_RE.finditer(text), index, None):
+        return match.start(1) if match[1] else match.end() - 1
+    return len(text)
 
 
 class _Parser:
@@ -152,109 +142,107 @@ class _Parser:
         self.index = 0
         self.parens = 0  # currently open
 
-    def peek(self) -> tuple[str, str, int]:
+    def peek(self) -> str:
         return self.tokens[self.index]
 
-    def advance(self) -> tuple[str, str, int]:
-        token = self.tokens[self.index]
+    def advance(self) -> int:  # the index of the token stepped past
         self.index += 1
-        return token
+        return self.index - 1
 
-    def expect(self, kind: str, expected: tuple[str, ...]) -> tuple[str, str, int]:
-        token = self.peek()
-        if token[0] != kind:
+    def expect(self, token: str, expected: tuple[str, ...]) -> None:
+        if self.peek() != token:
             raise self.error(expected)
-        return self.advance()
+        self.advance()
 
     def error(self, expected: tuple[str, ...]) -> ParseError:
-        kind, text, pos = self.peek()
-        got = "end of input" if kind == "end" else repr(text)
-        return ParseError(f"unexpected {got}", pos, expected)
+        token = self.peek()
+        got = repr(token) if token else "end of input"
+        return ParseError(f"unexpected {got}", _offset(self.text, self.index), expected)
 
-    def nest(self, depth: int, position: int) -> int:
-        """depth + 1, or a ParseError once that passes MAX_TERM_DEPTH."""
+    def nest(self, depth: int, at: int) -> int:
+        """depth + 1, or a ParseError at token `at` once that passes MAX_TERM_DEPTH."""
         if depth >= MAX_TERM_DEPTH:
-            raise ParseError(f"term nested deeper than {MAX_TERM_DEPTH} levels", position)
+            raise ParseError(f"term nested deeper than {MAX_TERM_DEPTH} levels",
+                             _offset(self.text, at))
         return depth + 1
 
     # term := join ; join := meet (\/ meet)* ; meet := unary (/\ unary)*
     # Each returns the term and its depth, the operators nested in it.
     def term(self) -> tuple[Term, int]:
         node, depth = self.meet()
-        while self.peek()[0] == "join":
-            _, _, position = self.advance()
+        while self.peek() == "\\/":
+            at = self.advance()
             right, right_depth = self.meet()
-            node, depth = Join(node, right), self.nest(max(depth, right_depth), position)
+            node, depth = Join(node, right), self.nest(max(depth, right_depth), at)
         return node, depth
 
     def meet(self) -> tuple[Term, int]:
         node, depth = self.unary()
-        while self.peek()[0] == "meet":
-            _, _, position = self.advance()
+        while self.peek() == "/\\":
+            at = self.advance()
             right, right_depth = self.unary()
-            node, depth = Meet(node, right), self.nest(max(depth, right_depth), position)
+            node, depth = Meet(node, right), self.nest(max(depth, right_depth), at)
         return node, depth
 
     def unary(self) -> tuple[Term, int]:
         node, depth = self.atom()
-        while self.peek()[0] in ("star", "quote"):
-            kind, _, position = self.advance()
-            node = Star(node) if kind == "star" else Quote(node)
-            depth = self.nest(depth, position)
+        while self.peek() in ("*", "'"):
+            at = self.advance()
+            node = Star(node) if self.tokens[at] == "*" else Quote(node)
+            depth = self.nest(depth, at)
         return node, depth
 
     def atom(self) -> tuple[Term, int]:
-        kind, text, position = self.peek()
-        if kind == "var":
+        token = self.peek()
+        if token[:1].isalpha():  # only variables start with a letter
             self.advance()
-            return Var(text), 0
-        if kind == "const":
+            return Var(token), 0
+        if token in ("0", "1"):
             self.advance()
-            return Const(int(text)), 0
-        if kind == "lparen":
+            return Const(int(token)), 0
+        if token == "(":
             # the parser recurses once per open parenthesis
-            self.parens = self.nest(self.parens, position)
-            self.advance()
+            self.parens = self.nest(self.parens, self.advance())
             node, depth = self.term()
-            self.expect("rparen", ("')'",))
+            self.expect(")", ("')'",))
             self.parens -= 1
             return node, depth
         raise self.error(("variable", "'0'", "'1'", "'('"))
 
     def equation(self) -> Equation:
         lhs, depth = self.term()
-        kind, _, position = self.peek()
-        if kind == "eq":
+        token = self.peek()
+        if token == "=":
             self.advance()
             return (lhs, self.term()[0])
-        if kind == "leq":
-            self.advance()
+        if token == "<=":
+            at = self.advance()
             rhs, rhs_depth = self.term()
-            self.nest(max(depth, rhs_depth), position)
+            self.nest(max(depth, rhs_depth), at)
             return (Meet(lhs, rhs), lhs)  # s <= t  ~>  s /\ t = s
         raise self.error(("'='", "'<='"))
 
     def sentence(self) -> Sentence:
         equations = [self.equation()]
-        while self.peek()[0] == "comma":
+        while self.peek() == ",":
             self.advance()
             equations.append(self.equation())
-        if self.peek()[0] == "implies":
+        if self.peek() == "=>":
             self.advance()
             conclusion = self.equation()
-            self.expect("end", ("end of input",))
+            self.expect("", ("end of input",))
             return Sentence(tuple(equations), conclusion)
         expected = ("'=>'", "end of input")
         if len(equations) != 1:
             raise self.error(expected)  # premises need a conclusion
-        self.expect("end", expected)
+        self.expect("", expected)
         return Sentence((), equations[0])
 
 
 def parse_term(text: str) -> Term:
     parser = _Parser(text)
     node, _ = parser.term()
-    parser.expect("end", ("end of input",))
+    parser.expect("", ("end of input",))
     return node
 
 
@@ -404,7 +392,7 @@ def _compile(algebra: FiniteAlgebra, term: Term, positions: Mapping[str, int],
     A column side with one feed is computed once per value of it (_memo)
     where it meets a node with several feeds, and at the root (as_column).
     A lattice operation with one scalar side picks that side's row: on bytes
-    from the table's rows padded to 256 bytes, kept in the algebra's facts
+    the table's own bytes rows padded to 256, kept in the algebra's facts
     (_known) as ("byte rows", "join" or "meet"), 128 KiB at n = 256.
     One of two bytes columns maps both by the algebra's Birkhoff embedding
     phi, reads them as ints, takes | or &, and maps back by phi's inverse,
@@ -462,7 +450,7 @@ def _compile(algebra: FiniteAlgebra, term: Term, positions: Mapping[str, int],
                 scalar, col = (fr, fl) if left_column else (fl, fr)
                 if isinstance(domain, bytes):
                     translations = _known(algebra, ("byte rows", name), lambda: tuple(
-                        bytes(row) + bytes(256 - len(row)) for row in table))
+                        row + bytes(256 - len(row)) for row in table))
                     return _hoist(lambda env: col(env).translate(translations[scalar(env)]),
                                   True, feed)
                 return _hoist(lambda env: list(map(table[scalar(env)].__getitem__, col(env))),

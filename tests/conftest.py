@@ -3,12 +3,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 import sys
 
 import pytest
 from hypothesis import strategies as st
 
-from agkit import BUILTIN_NAMES, FiniteAlgebra, builtin
+from agkit import BUILTIN_NAMES, FiniteAlgebra, ParseError, builtin
 
 # The pairwise oracle makes n(n-1)/2 principal congruences: 0.5 s at 36
 # elements, 7 s at 64, so generated members stay at or below this size.
@@ -397,6 +398,43 @@ def brute_force_subuniverses(algebra: FiniteAlgebra) -> set[frozenset[int]]:
         for seed in itertools.combinations(range(algebra.size), r):
             out.add(subuniverse_closure(algebra, seed))
     return out
+
+
+# The sentence scanner as a match loop, one token kind per named group.
+_TOKEN_KINDS = re.compile(
+    r"""(?P<ws>\s+)
+      | (?P<join>\\/)
+      | (?P<meet>/\\)
+      | (?P<leq><=)
+      | (?P<implies>=>)
+      | (?P<eq>=)
+      | (?P<star>\*)
+      | (?P<quote>')
+      | (?P<lparen>\()
+      | (?P<rparen>\))
+      | (?P<comma>,)
+      | (?P<const>[01])
+      | (?P<var>[a-z][a-z0-9]*)
+    """,
+    re.VERBOSE,
+)
+
+
+def match_loop_tokens(text: str) -> list[tuple[str, str, int]]:
+    """Oracle for terms._tokenize: (kind, text, offset) of each token, then
+    ("end", "", len(text)), by one regex match per token or run of
+    whitespace; a ParseError at the first character that starts none."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        match = _TOKEN_KINDS.match(text, pos)
+        if match is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        if match.lastgroup != "ws":
+            tokens.append((match.lastgroup, match.group(), pos))
+        pos = match.end()
+    tokens.append(("end", "", len(text)))
+    return tokens
 
 
 def dual_homs(source: FiniteAlgebra, target: FiniteAlgebra,

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import itertools
 import json
+import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -14,12 +17,12 @@ from agkit import (AgkitError, AlgebraFormatError, BUILTIN_NAMES, CapExceededErr
                    direct_product, dump_algebra, enumerate_embeddings, enumerate_subalgebras,
                    holds_in, lattice_reduct, load_algebra, parse_sentence, subalgebra,
                    subuniverse_closure)
-from agkit.algebra import SPEC_KEYS, _adjoin, _json_int
+from agkit.algebra import BUILTIN_SPECS, SPEC_KEYS, _adjoin, _json_int
 from agkit.caps import DEFAULT_CAPS
 from tests.conftest import (CountingTable, breaks_law, brute_force_lattice_axioms, chain_algebra,
                             brute_force_subuniverses, fixpoint_closure, forget_facts,
                             generated_members, kept_facts, log_calls, plain_holds_in,
-                            renumbered_products, replace, tuple_direct_product)
+                            renumber, renumbered_products, replace, tuple_direct_product)
 
 GOLDEN_3_KLST = ('{"name":"3_klst","size":3,"labels":["0","a","1"],'
                  '"join":[[0,1,2],[1,1,2],[2,2,2]],"meet":[[0,0,0],[0,1,1],[0,1,2]],'
@@ -383,6 +386,7 @@ def test_lattice_checks_read_each_table_a_row_at_a_time(product):
     about 5 n^2 rows of each table."""
     join, meet = CountingTable(product.join), CountingTable(product.meet)
     counting = replace(product, join=join, meet=meet)
+    assert counting.join is join and counting.meet is meet  # bytes rows are kept as given
     n = counting.size
     join.reads = meet.reads = 0
     counting.verify_lattice_axioms()
@@ -478,6 +482,70 @@ def test_equal_algebras_built_apart_are_equal_and_share_their_facts(builtins):
     assert kept_facts(tampered) is not kept_facts(first)
 
 
+def test_tuple_and_bytes_rows_give_one_value():
+    """Up to 256 elements the join and meet rows are kept as bytes however
+    they are given, so the two forms of one spec are one value: equal, hashed
+    alike and with one facts dict.  A table of bytes rows is kept as given.
+    Above 256 elements rows are kept as tuples, also when given as lists."""
+    spec = dict(BUILTIN_SPECS["4_dmba"], name="rows")
+    as_bytes = {key: tuple(map(bytes, spec[key])) for key in ("join", "meet")}
+    from_tuples, from_bytes = FiniteAlgebra(**spec), FiniteAlgebra(**spec | as_bytes)
+    assert from_tuples.join == as_bytes["join"] and from_bytes.join is as_bytes["join"]
+    assert from_tuples == from_bytes and hash(from_tuples) == hash(from_bytes)
+    assert kept_facts(from_tuples) is kept_facts(from_bytes)
+    assert type(from_tuples.star) is type(from_tuples.quote) is tuple
+    large = direct_product([builtin("2")] * 5 + [builtin("3_klst")] * 2)  # 288 elements
+    from_lists = replace(large, join=tuple(map(list, large.join)), validate=False)
+    assert {tuple} == set(map(type, from_lists.join)) == set(map(type, large.meet))
+    assert from_lists == large and hash(from_lists) == hash(large)
+    assert kept_facts(from_lists) is kept_facts(large)
+
+
+def test_canonical_dumps_are_unchanged_by_the_row_type():
+    """dump_algebra (json.dumps of spec_dict) of the builtins, a renumbered
+    product and 2^8, as it was when the rows were tuples of ints."""
+    product = direct_product([builtin(n) for n in ("3_dblst", "3_klst", "4_dmba")])
+    algebras = [*map(builtin, BUILTIN_NAMES),
+                renumber(product, random.Random(0).sample(range(36), 36)),
+                direct_product([builtin("2")] * 8)]
+    for algebra in algebras:
+        spec = algebra.spec_dict()
+        assert {int} == {type(x) for key in ("join", "meet") for row in spec[key] for x in row}
+        assert dump_algebra(algebra) == json.dumps(spec, separators=(",", ":"))
+    dumps = "\n".join(map(dump_algebra, algebras))
+    assert hashlib.sha256(dumps.encode()).hexdigest() == \
+        "46fa5028c9619b574cbd474f35ce6badebf67714f72207eda446c18418880408"
+
+
+@pytest.mark.parametrize("entry, message", [
+    (256, "4_dmba: {} entry out of range"), (-1, "4_dmba: {} entry out of range"),
+    (True, "expected an integer, got true"), (1.5, "expected an integer, got 1.5"),
+    ("1", 'expected an integer, got "1"')], ids=["256", "-1", "true", "1.5", "string"])
+@pytest.mark.parametrize("table", ["join", "meet"])
+def test_load_refuses_an_entry_that_fits_no_row(builtins, table, entry, message):
+    """An entry that no byte row holds is refused with the message of the
+    range or type check, not bytes()'s own ValueError."""
+    document = json.loads(dump_algebra(builtins["4_dmba"]))
+    document[table][1][2] = entry
+    with pytest.raises(AlgebraFormatError) as err:
+        load_algebra(json.dumps(document))
+    assert str(err.value) == message.format(table)
+
+
+def test_product_of_eight_twos_allocates_its_tables_as_bytes():
+    """2^8's join and meet are 512 rows of 256 bytes, ≈150 KB; as tuples of
+    ints they were ≈1.2 MB (tracemalloc peak of the construction)."""
+    factors = [builtin("2")] * 8
+    gc.collect()
+    tracemalloc.start()
+    try:
+        direct_product(factors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 256 * 1024
+
+
 def test_facts_outlive_the_equal_algebra_first_asked(monkeypatch):
     """Facts belong to the value: an equal product built second keeps the
     diagonal and the embedding that the first one's construction seeded
@@ -519,10 +587,15 @@ def test_product_past_a_byte_keeps_no_embedding():
 @example(["3_dblst", "2", "4_dmba", "3_klst"])
 @example(["2", "2", "4_dmba"])
 @example(["2", "2", "3_dblst", "3_klst", "4_dmba"])
+@example(["2"] * 5 + ["3_klst"] * 2)  # 288 elements: the fold's tuple rows
 def test_direct_product_matches_tuple_oracle(names):
     factors = [builtin(name) for name in names]
+    product = direct_product(factors)
     # equality compares name, labels, every table and both constants
-    assert direct_product(factors) == tuple_direct_product(factors)
+    assert product == tuple_direct_product(factors)
+    row = bytes if product.size <= 256 else tuple
+    assert {row} == set(map(type, product.join)) == set(map(type, product.meet))
+    assert type(product.star) is type(product.quote) is tuple
 
 
 def _up_to_256_elements(names: list[str]) -> list[str]:

@@ -140,6 +140,7 @@ def test_principal_congruence_reads_no_row(builtins, monkeypatch):
     product = direct_product([builtins[n] for n in ("3_dblst", "3_klst", "4_dmba")])
     join, meet = CountingTable(product.join), CountingTable(product.meet)
     counting = replace(product, join=join, meet=meet, validate=False)
+    assert counting.join is join and counting.meet is meet  # bytes rows are kept as given
     n = counting.size
     assert n == 36
     assert kept_facts(counting)["birkhoff"]  # the product's: counting == product

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from agkit import (BUILTIN_NAMES, FiniteAlgebra, builtin, direct_product,
                    enumerate_embeddings, enumerate_homs, identity_hom, lattice_reduct,
                    subalgebra, subuniverse_closure)
+from agkit.algebra import BUILTIN_SPECS
 from agkit.amalgamation import _homs
 from agkit.morphisms import Homomorphism, _extend, brute_force_homs, tupled_hom
 from tests.conftest import dual_homs, generated_members, kept_facts, renumber, renumbered_products
@@ -65,6 +67,32 @@ def test_homs_match_the_birkhoff_dual(source, target):
     assert [h.mapping for h in enumerate_embeddings(source, target)] == embeddings
     assert embeddings == [h.mapping for h in homs if h.injective]
     assert _homs(source, target) == tuple(homs) == kept_facts(source)[("homs", target)]
+
+
+# The builtins and every product of them with at most 8 elements, by factor
+# names, and their lattice reducts, whose identity star and quote leave the
+# join and meet checks alone to cut the maps down: at most 4^6 maps a pair
+# once 0 and 1 are pinned, all 192 pairs in ≈0.2 s (2-vCPU x86-64 VM, Python
+# 3.11.7).  Built in the test: a product kept alive here would keep the facts
+# of every equal product alive, and with them the sources of their hom sets.
+SMALL_SOURCES = [names for k in (1, 2, 3) for names in itertools.product(BUILTIN_NAMES, repeat=k)
+                 if math.prod(BUILTIN_SPECS[name]["size"] for name in names) <= 8]
+
+
+@pytest.mark.parametrize("reduct", [False, True], ids=["", "lattice"])
+@pytest.mark.parametrize("names", SMALL_SOURCES, ids=" x ".join)
+def test_brute_force_homs_matches_the_birkhoff_dual(names, reduct):
+    """brute_force_homs and dual_homs share no code, so each checks the
+    other; both check the search.  From a lattice reduct, a map that keeps
+    joins but not meets, such as a -> a, b -> 1 from 4_dmba's onto the
+    chain's, is no hom."""
+    factors = [builtin(name) for name in names]
+    source = direct_product(factors) if len(factors) > 1 else factors[0]
+    source = lattice_reduct(source) if reduct else source
+    for target in [*map(builtin, BUILTIN_NAMES), *map(lattice_reduct, map(builtin, BUILTIN_NAMES))]:
+        homs = dual_homs(source, target)
+        assert brute_force_homs(source, target) == homs, target.name
+        assert [h.mapping for h in enumerate_homs(source, target)] == homs, target.name
 
 
 def builtin_or_lattice_reduct():

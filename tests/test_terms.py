@@ -21,7 +21,8 @@ from agkit.axioms import SYSTEMS
 from agkit.caps import DEFAULT_CAPS
 from agkit.terms import MAX_TERM_DEPTH, Const, Join, Meet, Quote, Sentence, Star, Var
 from tests.conftest import (CountingTable, chain_algebra, distributive_algebras, forget_facts,
-                            kept_facts, log_calls, plain_holds_in, renumber, replace)
+                            kept_facts, log_calls, match_loop_tokens, plain_holds_in, renumber,
+                            replace)
 
 
 def test_parse_postfix_grouping():
@@ -106,6 +107,109 @@ def test_parse_sentence_raises_only_parse_errors(text):
         parse_sentence(text)
     except ParseError:
         pass
+
+
+# Characters that start no token, or look like part of one: capitals, a lone
+# half of an operator, digits past 1 and non-ASCII, plus whitespace that \s
+# takes (a no-break space, a line separator).
+_SCANNER_JUNK = (" ", "\t", "\n", "\xa0", "\u2028", "X", "Q", "/", "\\", "<", ">", "2", "9",
+                 "\xe9", "⇒", "\x00", ";")
+
+
+@st.composite
+def _scanner_soup(draw):
+    """Tokens of the sentence grammar, with up to four junk characters."""
+    pieces = draw(st.lists(st.sampled_from(_TOKENS + ("a0", "=>", "<=")), max_size=30))
+    for stray in draw(st.lists(st.one_of(st.sampled_from(_SCANNER_JUNK), st.characters()),
+                               max_size=4)):
+        pieces.insert(draw(st.integers(0, len(pieces))), stray)
+    return "".join(pieces)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scanner_soup())
+@example("x=>y<=z")
+@example("x =< y")
+@example("x<=>y")
+@example("x \\/\\/ y /\\")
+@example("a0b1 = 10 ")
+@example("x = y\xa0=> z = z ")
+def test_tokenize_matches_the_match_loop(text):
+    """One findall gives the match loop's tokens, and _offset their
+    offsets; or the same ParseError (message, position, expected)."""
+    try:
+        expected = match_loop_tokens(text)
+    except ParseError as err:
+        with pytest.raises(ParseError) as got:
+            agkit.terms._tokenize(text)
+        assert (got.value.reason, got.value.position, got.value.expected) == \
+            (err.reason, err.position, err.expected)
+        return
+    tokens = agkit.terms._tokenize(text)
+    assert tokens == [token for _, token, _ in expected]
+    assert [agkit.terms._offset(text, i) for i in range(len(tokens))] == \
+        [position for _, _, position in expected]
+
+
+# parse_sentence on hostile text: the sentence it prints, or its ParseError's
+# (message, position, expected), as the match-loop scanner gave them.
+_ATOM = ("variable", "'0'", "'1'", "'('")
+_RELATION = ("'='", "'<='")
+_END = ("'=>'", "end of input")
+PARSE_OUTCOMES = [
+    ("", ("unexpected end of input", 0, _ATOM)),
+    ("   ", ("unexpected end of input", 3, _ATOM)),
+    ("x", ("unexpected end of input", 1, _RELATION)),
+    ("x = y =>", ("unexpected end of input", 8, _ATOM)),
+    ("x = y => z", ("unexpected end of input", 10, _RELATION)),
+    ("x = = y", ("unexpected '='", 4, _ATOM)),
+    ("x <= y => y = x", "x /\\ y = x => y = x"),
+    ("x < y", ("unexpected character '<'", 2, ())),
+    ("x > y", ("unexpected character '>'", 2, ())),
+    ("x / y", ("unexpected character '/'", 2, ())),
+    ("x \\ y", ("unexpected character '\\\\'", 2, ())),
+    ("x \\/ y /\\", ("unexpected end of input", 9, _ATOM)),
+    ("x \\/\\/ y = x", ("unexpected '\\\\/'", 4, _ATOM)),
+    ("X = x", ("unexpected character 'X'", 0, ())),
+    ("x = 2", ("unexpected character '2'", 4, ())),
+    ("x1 = 10", ("unexpected '0'", 6, _END)),
+    ("x = y,", ("unexpected end of input", 6, _ATOM)),
+    (", x = y", ("unexpected ','", 0, _ATOM)),
+    ("(x = y", ("unexpected '='", 3, ("')'",))),
+    ("x = (y", ("unexpected end of input", 6, ("')'",))),
+    ("x = y)", ("unexpected ')'", 5, _END)),
+    ("x* = x'''", "x* = x'''"),
+    ("\xe9 = x", ("unexpected character '\xe9'", 0, ())),
+    ("x = y\xa0=> x = y", "x = y => x = y"),
+    ("x = y\t\n=> z = z", "x = y => z = z"),
+    ("x =\u2028y", "x = y"),
+    ("x ⇒ y", ("unexpected character '⇒'", 2, ())),
+    ("x = y => => x = y", ("unexpected '=>'", 9, _ATOM)),
+    ("x=>y", ("unexpected '=>'", 1, _RELATION)),
+    ("x<=>y", ("unexpected character '>'", 3, ())),
+    ("x =< y", ("unexpected character '<'", 3, ())),
+    ("x = y, y = z", ("unexpected end of input", 12, _END)),
+    ("x \\/ y /\\ z' = 1 /\\ 0*", "x \\/ y /\\ z' = 1 /\\ 0*"),
+    ("(" * 101 + "x" + ")" * 101 + " = x", ("term nested deeper than 100 levels", 100, ())),
+    ("x" + "*" * 101 + " = x", ("term nested deeper than 100 levels", 101, ())),
+    ("x = y \\", ("unexpected character '\\\\'", 6, ())),
+    ("x = y =", ("unexpected '='", 6, _END)),
+    ("x' <= y* , y = 1 => x = 0", "x' /\\ y* = x', y = 1 => x = 0"),
+    ("a0b1 = b1a0 =>", ("unexpected end of input", 14, _ATOM)),
+    ("x = y\x00", ("unexpected character '\\x00'", 5, ())),
+    ("x == y", ("unexpected '='", 3, _ATOM)),
+    ("x\\/y/\\z=x", "x \\/ y /\\ z = x"),
+    ("x /\\ (y \\/ z) = )", ("unexpected ')'", 16, _ATOM)),
+]
+
+
+@pytest.mark.parametrize("text, outcome", PARSE_OUTCOMES)
+def test_parse_outcomes_on_hostile_text(text, outcome):
+    try:
+        got = str(parse_sentence(text))
+    except ParseError as err:
+        got = (err.reason, err.position, err.expected)
+    assert got == outcome
 
 
 def test_terms_at_the_depth_limit_print_hash_and_evaluate(builtins):

@@ -13,15 +13,24 @@ better side by BENCHMARK.json; equal values win for neither), every run's
 values, and the traced per-layer values; and the commits, the Python
 version, the host and PYTHONDONTWRITEBYTECODE.
 
-It also times a cold in-process `verify_paper()` ("cold_verify_paper"): PAIRS
-alternating pairs, each run a fresh interpreter that imports agkit from the
-side's src/ and times the one call alone, import excluded, with the same
-summary and pair wins (metric "op_s", lower is better).
+It also times, each with the same summary and pair wins (lower is better):
+
+  cold_verify_paper  a cold in-process `verify_paper()`: PAIRS alternating
+                     pairs, each run a fresh interpreter that imports agkit
+                     from the side's src/ and times the one call alone,
+                     import excluded (metric "op_s");
+  import_agkit       `python -X importtime -c 'import agkit'`: PAIRS
+                     alternating pairs, the cumulative import time of the
+                     `agkit` package as the interpreter reports it ("import_s");
+  tier1              the Tier-1 suite, `python -m pytest -q` in the side's
+                     tree: TIER1_PAIRS alternating pairs of wall times
+                     ("wall_s"), each run required to pass.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import os
@@ -31,11 +40,13 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 PAIRS = 12
+TIER1_PAIRS = 3  # a suite run takes ≈25-35 s
 
 
 def git(*args: str) -> str:
@@ -68,16 +79,50 @@ COLD_VERIFY = ("import time, agkit\nstart = time.perf_counter()\nagkit.verify_pa
                "print(time.perf_counter() - start)")
 
 
-def cold_verify_paper(tree: Path) -> dict:
-    """The seconds of one verify_paper() in a fresh interpreter, under the
-    default caps and PYTHONHASHSEED=0, as perfbench runs its children."""
+def python(tree: Path, *args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter in `tree` that imports agkit from its src/, under
+    the default caps and PYTHONHASHSEED=0, as perfbench runs its children."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="0")
     env.pop("AGKIT_CAP", None)
-    done = subprocess.run([sys.executable, "-c", COLD_VERIFY], cwd=tree, env=env,
-                          capture_output=True, text=True)
+    done = subprocess.run([sys.executable, *args], cwd=tree, env=env, capture_output=True,
+                          text=True)
     if done.returncode != 0:
-        raise SystemExit(f"verify_paper() failed in {tree}:\n{done.stderr}")
-    return {"op_s": float(done.stdout)}
+        raise SystemExit(f"{' '.join(args)} failed in {tree}:\n{done.stdout}{done.stderr}")
+    return done
+
+
+def cold_verify_paper(tree: Path) -> dict:
+    """The seconds of one verify_paper() in a fresh interpreter."""
+    return {"op_s": float(python(tree, "-c", COLD_VERIFY).stdout)}
+
+
+def import_agkit(tree: Path) -> dict:
+    """The cumulative seconds of `import agkit` by -X importtime, whose
+    stderr lines read `import time: self [us] | cumulative | name`."""
+    for line in python(tree, "-X", "importtime", "-c", "import agkit").stderr.splitlines():
+        fields = line.split("|")
+        if fields[-1].strip() == "agkit":
+            return {"import_s": int(fields[1]) / 1e6}
+    raise SystemExit(f"no import time for agkit in {tree}")
+
+
+def tier1(tree: Path) -> dict:
+    """The wall seconds of one Tier-1 run, which must pass."""
+    start = time.perf_counter()
+    python(tree, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors")
+    return {"wall_s": time.perf_counter() - start}
+
+
+def alternate(trees: dict[str, Path], measure, label: str,
+              pairs: int = PAIRS) -> dict[str, list[dict]]:
+    """`pairs` alternating pairs of measure(tree): the parent first in even
+    pairs, this checkout first in odd ones."""
+    runs = {side: [] for side in SIDES}
+    for pair in range(pairs):
+        for side in (SIDES if pair % 2 == 0 else SIDES[::-1]):
+            runs[side].append(measure(trees[side]))
+        print(f"{label}: pair {pair + 1}/{pairs}", file=sys.stderr)
+    return runs
 
 
 def summary(values: list[float]) -> dict:
@@ -119,27 +164,24 @@ def main(argv: list[str] | None = None) -> int:
         "python": platform.python_version(),
         "host": {"machine": platform.machine(), "cpus": os.cpu_count()},
         "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
-        "seed": args.seed, "seconds": seconds, "pairs": PAIRS,
+        "seed": args.seed, "seconds": seconds, "pairs": PAIRS, "tier1_pairs": TIER1_PAIRS,
         "workloads": {},
     }
     with tempfile.TemporaryDirectory() as scratch:
         trees = {"parent": Path(scratch), "change": ROOT}
         extract(args.parent, trees["parent"])
         for workload in workloads:
-            runs = {side: [] for side in SIDES}
-            for pair in range(PAIRS):
-                for side in (SIDES if pair % 2 == 0 else SIDES[::-1]):
-                    runs[side].append(run(trees[side], workload, args.seed, seconds, 0))
-                print(f"{workload}: pair {pair + 1}/{PAIRS}", file=sys.stderr)
+            runs = alternate(trees, functools.partial(
+                run, workload=workload, seed=args.seed, seconds=seconds, trace=0), workload)
             traced = {side: run(trees[side], workload, args.seed, seconds, 1)
                       for side in SIDES}
             record["workloads"][workload] = {"end_to_end": compare(runs, better),
                                              "traced": traced}
-        runs = {side: [] for side in SIDES}
-        for pair in range(PAIRS):
-            for side in (SIDES if pair % 2 == 0 else SIDES[::-1]):
-                runs[side].append(cold_verify_paper(trees[side]))
-        record["cold_verify_paper"] = compare(runs, {"op_s": "lower"})
+        for measure, metric, pairs in ((cold_verify_paper, "op_s", PAIRS),
+                                       (import_agkit, "import_s", PAIRS),
+                                       (tier1, "wall_s", TIER1_PAIRS)):
+            runs = alternate(trees, measure, measure.__name__, pairs)
+            record[measure.__name__] = compare(runs, {metric: "lower"})
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     return 0
 

@@ -63,6 +63,7 @@ FUNCTION_TAGS = {
     "congruence.py:quotient": "API name",
     "variety.py:identity_holds_via_free": "API name",
     "terms.py:parse_term": "API name",
+    "terms.py:_offset": "hostile input",  # a ParseError's offset: only errors ask for it
     "congruence.py:Partition.identity": "API name",
     "congruence.py:Partition.total": "API name",
     # cep_instance's join of principal congruences; congruence_lattice ORs masks
@@ -126,6 +127,7 @@ LINE_TAGS = [
     ("morphisms.py:Homomorphism.after", "raise", "hostile input"),
     ("morphisms.py:brute_force_homs", "continue", "oracle"),
     ("terms.py:_tokenize", "raise", "hostile input"),
+    ("terms.py:_tokenize", "pos = _offset", "hostile input"),
     ("terms.py:_Parser.expect", "raise", "hostile input"),
     ("terms.py:_Parser.nest", "raise", "hostile input"),
     ("terms.py:_Parser.atom", "raise", "hostile input"),
