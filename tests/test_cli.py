@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import time
 from collections import Counter
 
@@ -12,7 +13,7 @@ import agkit.congruence
 import agkit.report
 from agkit import builtin, direct_product, dump_algebra
 from agkit.cli import main
-from tests.conftest import log_calls
+from tests.conftest import chain4, log_calls, renumber
 
 
 def run(capsys, *argv):
@@ -426,6 +427,73 @@ def test_json_output_matches_golden_digest(capsys, tmp_path, monkeypatch, case):
     code, out, _ = run(capsys, *argv, "--json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of the stdout, then of the --json stdout, of `congruences` and
+# `classify` on each builtin and on the algebra files of CONGRUENCE_FILES,
+# captured while Con(A) was still built as partitions: the text lists every
+# partition with its classes, finest first, and the JSON holds the blocks and
+# the monolith.
+GOLDEN_CONGRUENCE_SHA256 = {
+    "congruences 2": ("ab9cff5e35ed5b9f9bb818eb2c5a2adbdb35e3b150ffbcabd6299c0ba89ab5da",
+                      "8cf40afa909b16c5223cfa1405879686aa46da426838486cde1ee7f041906dc3"),
+    "congruences 3_dblst": ("aa2b073ed0683f50537e82d419ff957b96324134b77589b75895827c0b77cd5f",
+                            "ce3b9673b706cf2630f9bf648e9f555ce08108dedd474585f376ccbe5a312df1"),
+    "congruences 3_klst": ("7e848c3aa0806857a14a31c07ed8676819a8a3b653b25f89267225a06725c5d5",
+                           "9137b48d32515905e142d81144a9d8c5add2116d04d12c9c79507825c6e9e86d"),
+    "congruences 4_dmba": ("cc7f45153ee18654bc424b37e7a8baaed90f0c392b7d271c4efab1017b987352",
+                           "bc15a0154a8242f34fbbfeebcc06f02ef77cb905089cde60080e7b99f1648951"),
+    "congruences product36.json": (
+        "eb65226d89ad816e38516cca6c926c88341e4bd60f89639ef21d0fea4351fe26",
+        "8f772ab2c6f04789cd398bd8bec86fb1b0e92532b4301a6d947d9a54cb02a7fe"),
+    "congruences power8.json": (
+        "dd0a75a02ab8c06173482ade4927ce00a0680f646fd229b3792e8ff906f4f530",
+        "ed38a16e400a83aef68da2e27d267f840c06b334c87b5b9e540d7e5634534cc6"),
+    "congruences chain4.json": (
+        "58fd5f36abf3c6124eac6a49a6c4e45a1c553b3c83625d189273071e56bc7ee1",
+        "ad2bf2007b1a4961b5212bb4143d4aa9500546c94ab5050fd48a63c4c71abea6"),
+    "classify 2": ("8f3625aa90182f47d8e8cfe53a8d92d5202a94c651d53fb88e3ea584ec2a962f",
+                   "bc727e1e7f0e7edf11a6677671be044d8e885561f4f288cf1024224cf297dc04"),
+    "classify 3_dblst": ("e0c8405f8bf7223dd57d995f9e219a66f7feb0d639697515d7f7668a54c828bb",
+                         "c37e66f6d6356aa75d4d3ed436bff19bea30866120088502a818b8905c991117"),
+    "classify 3_klst": ("e0c8405f8bf7223dd57d995f9e219a66f7feb0d639697515d7f7668a54c828bb",
+                        "c9536335a34246f2b996493048c174871f23b9c21af085d7b2956b26096754ec"),
+    "classify 4_dmba": ("3a81b136ff8f34b91f167f69cd51e375c0da892a54c034702758a70e5a2beafe",
+                        "0504e971c749c0f0a3701e8bdc5fb4e1964945735cf3e8cb07272b922e3a62c7"),
+    "classify product36.json": (
+        "e07bb997d03650413d570b9b51d109b5079fe001e7fc32ba5e350a30dc38a52d",
+        "bf30dff7cb16306868ee2296411aae5f7c54b1b3e04ebd6af9d695ebfd747c1f"),
+    "classify power8.json": (
+        "e07bb997d03650413d570b9b51d109b5079fe001e7fc32ba5e350a30dc38a52d",
+        "14fb496119aebc6c37d5edd3fca7400f0d434a155d9f1c633152ef4a2a73de6b"),
+    "classify chain4.json": (
+        "c0b0db5b15c47c4532b1709474a477bb847019da2800b706a8688c9698bc1a2d",
+        "1046a6f6c2d2b5e7e112f8ba05fef695abe26da1f2f455af54294d1ebd514614"),
+}
+CONGRUENCE_FILES = {
+    # a renumbered 36-element product: no partition is in the product's order
+    "product36.json": lambda: renumber(
+        direct_product([builtin(n) for n in ("3_dblst", "3_klst", "4_dmba")]),
+        random.Random(0).sample(range(36), 36)),
+    # 2^8: 256 congruences, at the congruence_universe cap
+    "power8.json": lambda: direct_product([builtin("2")] * 8),
+    # the chain 0 < a < b < 1 with five congruences and the monolith {0,a | b | 1}
+    "chain4.json": lambda: chain4((0, 0, 0, 0), (0, 0, 1, 0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CONGRUENCE_SHA256))
+def test_congruence_output_matches_golden_digest(capsys, tmp_path, monkeypatch, case):
+    command, target = case.split()
+    monkeypatch.chdir(tmp_path)  # a relative path keeps the echoed command the same
+    if target in CONGRUENCE_FILES:
+        (tmp_path / target).write_text(dump_algebra(CONGRUENCE_FILES[target]()))
+    digests = []
+    for flags in ((), ("--json",)):
+        code, out, _ = run(capsys, command, target, *flags)
+        assert code == 0
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    assert tuple(digests) == GOLDEN_CONGRUENCE_SHA256[case]
 
 
 def _hostile_algebras(tmp_path) -> list[str]:
