@@ -15,13 +15,19 @@ chain of pairs (z, z \\/ j) with z >= j_, j in S, which j_ ~ j relates; and
 theta_S relates u, v.  Con(A) is the theta_S closed under star and quote,
 and theta_S \\/ theta_T = theta_(S | T).
 
-Partitions are canonical block-id arrays (block ids in first-occurrence
-order), which makes them hashable and keeps serialized reports stable.
+A congruence stays a closed mask from closure to verdict; theta_S /\\ theta_T
+= theta_(S & T) as well.  Partitions, canonical block-id arrays (block ids in
+first-occurrence order, hashable and stable in serialized reports), are
+built only for output: principal_congruence's value, the congruences a
+CongruenceLattice yields, a monolith, and cep_instance's comparison with a
+congruence of the subalgebra.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from typing import Sequence
 
 from . import caps
@@ -38,14 +44,6 @@ class Partition(_Value):
         relabel = {value: i for i, value in enumerate(dict.fromkeys(assignment))}
         return Partition(tuple(map(relabel.__getitem__, assignment)))
 
-    @staticmethod
-    def identity(n: int) -> "Partition":
-        return Partition(tuple(range(n)))
-
-    @staticmethod
-    def total(n: int) -> "Partition":
-        return Partition((0,) * n)
-
     @property
     def size(self) -> int:
         return len(self.blocks)
@@ -54,46 +52,11 @@ class Partition(_Value):
     def num_blocks(self) -> int:
         return max(self.blocks) + 1 if self.blocks else 0
 
-    def relates(self, x: int, y: int) -> bool:
-        return self.blocks[x] == self.blocks[y]
-
     def classes(self) -> tuple[tuple[int, ...], ...]:
         out: list[list[int]] = [[] for _ in range(self.num_blocks)]
         for element, block in enumerate(self.blocks):
             out[block].append(element)
         return tuple(tuple(c) for c in out)
-
-    def refines(self, other: "Partition") -> bool:
-        block_map: dict[int, int] = {}
-        for mine, theirs in zip(self.blocks, other.blocks):
-            if block_map.setdefault(mine, theirs) != theirs:
-                return False
-        return True
-
-    def meet(self, other: "Partition") -> "Partition":
-        return Partition.from_assignment(
-            [self.blocks[i] * other.size + other.blocks[i] for i in range(self.size)])
-
-    def join(self, other: "Partition") -> "Partition":
-        """Each block of self merged with one block of self that a block of
-        other also meets, once per distinct such pair; the smaller group into
-        the larger, so no block is relabelled more than log2(n) times."""
-        label = list(range(self.num_blocks))  # the group of each block of self
-        members = [[b] for b in label]  # members[g]: the blocks labelled g
-        met = dict(zip(other.blocks, self.blocks))  # a block of self each block of other meets
-        for mine, linked in set(zip(self.blocks, map(met.__getitem__, other.blocks))):
-            keep, gone = label[linked], label[mine]
-            if keep != gone:
-                if len(members[keep]) < len(members[gone]):
-                    keep, gone = gone, keep
-                for z in members[gone]:
-                    label[z] = keep
-                members[keep] += members[gone]
-        return Partition.from_assignment(list(map(label.__getitem__, self.blocks)))
-
-    def restrict(self, elements: Sequence[int]) -> "Partition":
-        """Partition induced on a subsequence of the universe."""
-        return Partition.from_assignment([self.blocks[x] for x in elements])
 
 
 def is_congruence(algebra: FiniteAlgebra, partition: Partition) -> bool:
@@ -117,9 +80,8 @@ def is_congruence(algebra: FiniteAlgebra, partition: Partition) -> bool:
     return True
 
 
-def principal_congruence(algebra: FiniteAlgebra, a: int, b: int) -> Partition:
-    """Least congruence identifying a and b: theta_S for the least S that
-    holds phi(a) XOR phi(b) and is closed under star and quote (see above).
+def _closure(algebra: FiniteAlgebra, collapsed: int) -> int:
+    """The least S that holds `collapsed` and is closed under star and quote.
 
     A pass groups the elements by phi(x) & ~S, r the first of x's group, and
     adds phi(f x) XOR phi(f r), f in {star, quote}: forced, as a congruence
@@ -130,7 +92,6 @@ def principal_congruence(algebra: FiniteAlgebra, a: int, b: int) -> Partition:
     phi = birkhoff(algebra)
     star = [phi[y] for y in algebra.star]  # phi(x*)
     quote = [phi[y] for y in algebra.quote]  # phi(x')
-    collapsed = phi[a] ^ phi[b]
     while True:
         keep = ~collapsed
         first = {}  # the first element of each group
@@ -139,63 +100,49 @@ def principal_congruence(algebra: FiniteAlgebra, a: int, b: int) -> Partition:
             r = first.setdefault(p & keep, x)
             forced |= star[r] ^ star[x] | quote[r] ^ quote[x]
         if forced == collapsed:
-            return Partition.from_assignment([p & keep for p in phi])
+            return collapsed
         collapsed = forced
+
+
+def _partition(phi: Sequence[int], mask: int) -> Partition:
+    """theta_mask on the elements whose embeddings phi lists."""
+    return Partition.from_assignment([p & ~mask for p in phi])
+
+
+def principal_congruence(algebra: FiniteAlgebra, a: int, b: int) -> Partition:
+    """Least congruence identifying a and b: theta_S, S the closure of
+    phi(a) XOR phi(b) under star and quote (see above)."""
+    phi = birkhoff(algebra)
+    return _partition(phi, _closure(algebra, phi[a] ^ phi[b]))
 
 
 class CongruenceLattice(_Value):
     algebra_name: str
-    congruences: tuple[Partition, ...]  # finest first
+    masks: tuple[int, ...]  # the closed masks, ascending: 0 first, J last
+    phi: tuple[int, ...]  # the Birkhoff embedding they act on
 
     def __len__(self) -> int:
-        return len(self.congruences)
+        return len(self.masks)
 
     def __iter__(self):
-        return iter(self.congruences)
-
-    @property
-    def bottom(self) -> Partition:
-        return self.congruences[0]
-
-    @property
-    def top(self) -> Partition:
-        return self.congruences[-1]
-
-    def nontrivial(self) -> tuple[Partition, ...]:
-        return tuple(p for p in self.congruences if p.num_blocks != p.size)
-
-    def monolith(self) -> Partition | None:
-        """The unique minimum nontrivial congruence, when it exists."""
-        candidates = self.nontrivial()
-        return next((c for c in candidates if all(c.refines(o) for o in candidates)), None)
+        """The congruences as partitions, finest first."""
+        partitions = (_partition(self.phi, mask) for mask in self.masks)
+        return iter(sorted(partitions, key=lambda p: (-p.num_blocks, p.blocks)))
 
 
 def congruence_lattice(algebra: FiniteAlgebra) -> CongruenceLattice:
-    """All congruences: the ORs of the masks of the Cg(j_, j), one per
-    join-irreducible j, j_ its lower cover.  theta_S in Con(A) is the join
-    of the Cg(j_, j) over j in S, as each lies in theta_S and collapses j.
-
-    j and j_ are read off phi: taken by |phi(x)|, j is the first element
-    whose phi holds a bit b, its own, and phi(j_) = phi(j) XOR b.  The mask
-    of Cg(j_, j) is the bits b whose (j_, j) it relates.
+    """All congruences: the ORs of the closures of the bits of phi(1) = J.
+    The closure of the bit of j is Cg(j_, j), j_ its lower cover, as phi(j_)
+    = phi(j) XOR that bit; theta_S in Con(A) is the join of the Cg(j_, j) over
+    j in S, as each lies in theta_S and collapses j.
     """
     caps.guard("congruence_universe", algebra.size)
     phi = birkhoff(algebra)
-    element = {p: x for x, p in enumerate(phi)}
-    irreducibles = []  # (b, j_, j), b the bit of j
-    owned = 0
-    for p in sorted(phi, key=int.bit_count):
-        if bit := p & ~owned:
-            owned |= bit
-            irreducibles.append((bit, element[p ^ bit], element[p]))
     found = {0}  # the masks of the joins of the generators so far
-    for _, lower, j in irreducibles:
-        blocks = principal_congruence(algebra, lower, j).blocks
-        generator = sum(b for b, x, y in irreducibles if blocks[x] == blocks[y])
+    for i in range(phi[algebra.one].bit_length()):
+        generator = _closure(algebra, 1 << i)
         found |= {mask | generator for mask in found}
-    congruences = (Partition.from_assignment([p & ~mask for p in phi]) for mask in found)
-    ordered = sorted(congruences, key=lambda p: (-p.num_blocks, p.blocks))
-    return CongruenceLattice(algebra.name, tuple(ordered))
+    return CongruenceLattice(algebra.name, tuple(sorted(found)), phi)
 
 
 class Classification(_Value):
@@ -210,20 +157,26 @@ def classify(algebra: FiniteAlgebra) -> Classification:
     """Simple iff |Con| = 2; SI iff a monolith exists; DI iff no pair of
     congruences other than {0, 1} is a factor pair.
 
-    theta, phi is a factor pair iff theta /\\ phi = 0 and theta o phi = 1.  As
-    theta /\\ phi = 0, each theta-class meets each phi-class at most once, so
-    theta o phi = 1 (every theta-class meets every phi-class) iff the numbers
-    of blocks multiply to |A|.
+    theta_S <= theta_T iff S is a subset of T: theta_S relates j_ ~ j for the
+    j in S only.  So the monolith, the least nonzero congruence, is the AND
+    of the nonzero masks when that AND is nonzero, and theta_S /\\ theta_T =
+    theta_(S & T) is 0 iff S & T = 0.  theta_S, theta_T is a factor pair iff
+    their meet is 0 and theta_S o theta_T = 1.  As the meet is 0, each class
+    of one meets each class of the other at most once, so theta_S o theta_T =
+    1 (every class of one meets every class of the other) iff the numbers of
+    blocks multiply to |A|; theta_S has a block per distinct phi(x) & ~S.
     """
     if algebra.size < 2:
         return Classification(algebra.name, False, False, None, False)
     lattice = congruence_lattice(algebra)
+    masks, phi = lattice.masks, lattice.phi
+    least = functools.reduce(operator.and_, masks[1:])
+    blocks = {mask: len({p & ~mask for p in phi}) for mask in masks[1:-1]}
     decomposable = any(
-        theta.num_blocks * phi.num_blocks == algebra.size and theta.meet(phi) == lattice.bottom
-        for theta, phi in itertools.combinations(lattice.congruences[1:-1], 2))
-    monolith = lattice.monolith()
-    return Classification(
-        algebra.name, len(lattice) == 2, monolith is not None, monolith, not decomposable)
+        s & t == 0 and blocks[s] * blocks[t] == algebra.size
+        for s, t in itertools.combinations(blocks, 2))
+    return Classification(algebra.name, len(masks) == 2, least != 0,
+                          _partition(phi, least) if least else None, not decomposable)
 
 
 class ScReport(_Value):
@@ -277,17 +230,19 @@ def cep_instance(sub: FiniteAlgebra, sup: FiniteAlgebra, embedding: Homomorphism
     Con(sup) is never enumerated: an extension Psi contains e[theta], hence Phi,
     so theta <= Phi|e <= Psi|e = theta; and Phi is an extension if Phi|e = theta.
     Phi is the join of the Cg^sup(e(c), e(x)) over each theta-class, x ranging
-    over its members and c its first member.
+    over its members and c its first member: theta_S, S the closure of the OR
+    of their phi(e c) XOR phi(e x), as closures of masks join by OR.
     """
     if embedding.source != sub or embedding.target != sup or not embedding.injective:
         raise ValueError("cep_instance needs a verified embedding sub -> sup")
-    image = embedding.mapping
+    phi = birkhoff(sup)
+    image = [phi[y] for y in embedding.mapping]
     for theta in congruence_lattice(sub):
-        generated = Partition.identity(sup.size)
+        collapsed = 0
         for first, *rest in theta.classes():
             for x in rest:
-                generated = generated.join(principal_congruence(sup, image[first], image[x]))
-        if generated.restrict(image) != theta:
+                collapsed |= image[first] ^ image[x]
+        if _partition(image, _closure(sup, collapsed)) != theta:
             return False
     return True
 
@@ -297,6 +252,7 @@ def quotient(algebra: FiniteAlgebra, partition: Partition,
     """Quotient by a congruence (raises ValueError if not compatible)."""
     if not is_congruence(algebra, partition):
         raise ValueError(f"partition {partition.blocks} is not a congruence of {algebra.name}")
+    partition = Partition.from_assignment(partition.blocks)  # ids 0, 1, .. for classes()
     classes = partition.classes()
     representative = [cls[0] for cls in classes]
     labels = tuple("{" + ",".join(algebra.labels[x] for x in cls) + "}" for cls in classes)

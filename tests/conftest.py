@@ -299,11 +299,13 @@ def translation_closure(algebra: FiniteAlgebra, a: int, b: int):
 
 
 def join_by_closure(theta, phi) -> tuple[int, ...]:
-    """Oracle for Partition.join: the union of the two equivalence relations
-    as a set of pairs, closed transitively (Warshall), then numbered by hand:
-    a block's id is its rank by least element, first occurrence order."""
-    rng = range(theta.size)
-    related = {(x, y) for x in rng for y in rng if theta.relates(x, y) or phi.relates(x, y)}
+    """Oracle join of two partitions: the union of the two equivalence
+    relations as a set of pairs, closed transitively (Warshall), then numbered
+    by hand: a block's id is its rank by least element, first occurrence
+    order."""
+    rng = range(len(theta.blocks))
+    related = {(x, y) for x in rng for y in rng
+               if theta.blocks[x] == theta.blocks[y] or phi.blocks[x] == phi.blocks[y]}
     for k, x, y in itertools.product(rng, repeat=3):
         if (x, k) in related and (k, y) in related:
             related.add((x, y))
@@ -314,16 +316,32 @@ def join_by_closure(theta, phi) -> tuple[int, ...]:
 
 def pairwise_congruence_lattice(algebra: FiniteAlgebra):
     """Oracle for congruence_lattice: the principal congruence of every pair
-    of elements, join-closed against every congruence found, finest first.
+    of elements, join-closed against every congruence found, as partitions
+    finest first.  Partitions join by union-find over their block-mates.
 
     Con(A) is a sublattice of Con(L), L the distributive lattice reduct, and
     Con(L) is Boolean on J(L), the join-irreducibles of L: the x != 0 above
     the join of all y < x.  More than 2^|J(L)| partitions found means wrong
     principal congruences, which fails here instead of growing towards all
     Bell(n) partitions."""
-    from agkit.congruence import CongruenceLattice, Partition, principal_congruence
+    from agkit.congruence import Partition, principal_congruence
 
     n = algebra.size
+
+    def join(theta, phi):
+        parent = list(range(n))
+
+        def root(x: int) -> int:
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for blocks in (theta.blocks, phi.blocks):
+            first: dict[int, int] = {}
+            for x, block in enumerate(blocks):
+                parent[root(x)] = root(first.setdefault(block, x))
+        return Partition.from_assignment([root(x) for x in range(n)])
+
     irreducibles = 0
     for x in range(n):
         below = algebra.zero
@@ -331,37 +349,39 @@ def pairwise_congruence_lattice(algebra: FiniteAlgebra):
             if y != x and algebra.meet[x][y] == y:
                 below = algebra.join[below][y]
         irreducibles += below != x
-    found = {Partition.identity(n)}
+    found = {Partition(tuple(range(n)))}
     for a, b in itertools.combinations(range(n), 2):
         found.add(principal_congruence(algebra, a, b))
     work = list(found)
     while work:
         theta = work.pop()
         for phi in list(found):
-            joined = theta.join(phi)
+            joined = join(theta, phi)
             if joined not in found:
                 found.add(joined)
                 work.append(joined)
                 assert len(found) <= 2 ** irreducibles, "more partitions than Con(L) has"
-    ordered = sorted(found, key=lambda p: (-p.num_blocks, p.blocks))
-    return CongruenceLattice(algebra.name, tuple(ordered))
+    return tuple(sorted(found, key=lambda p: (-p.num_blocks, p.blocks)))
 
 
-def directly_indecomposable_by_definition(lattice) -> bool:
-    """Oracle for classify's DI verdict: no pair of congruences other than
-    {0, 1} has meet 0 and join 1 and permutes, the relational products being
-    computed as sets of pairs."""
+def directly_indecomposable_by_definition(congruences) -> bool:
+    """Oracle for classify's DI verdict on an algebra of at least 2 elements,
+    given all its congruences as partitions: no pair other than {0, 1} has
+    meet 0 and join 1 and permutes.  The meet is 0 iff no two elements share
+    both blocks, the join is join_by_closure's, and the relational products
+    are computed as sets of pairs."""
 
     def compose(p, q) -> frozenset[tuple[int, int]]:
         q_classes = {i: c for c in q.classes() for i in c}
         return frozenset((x, z) for cls in p.classes() for x in cls for y in cls
                          for z in q_classes[y])
 
-    bottom, top = lattice.bottom, lattice.top
-    for theta, phi in itertools.combinations_with_replacement(lattice.congruences, 2):
-        if {theta, phi} == {bottom, top}:
-            continue
-        if (theta.meet(phi) == bottom and theta.join(phi) == top
+    for theta, phi in itertools.combinations_with_replacement(congruences, 2):
+        n = len(theta.blocks)
+        if {len(set(theta.blocks)), len(set(phi.blocks))} == {n, 1}:
+            continue  # {0, 1}
+        if (len(set(zip(theta.blocks, phi.blocks))) == n
+                and set(join_by_closure(theta, phi)) == {0}
                 and compose(theta, phi) == compose(phi, theta)):
             return False
     return True
@@ -370,9 +390,10 @@ def directly_indecomposable_by_definition(lattice) -> bool:
 def cep_by_definition(sub: FiniteAlgebra, sup_congruences, embedding) -> bool:
     """Oracle: every member of Con(sub) is the restriction of a member of
     Con(sup), given as `sup_congruences`, to the image of the embedding."""
-    from agkit.congruence import congruence_lattice
+    from agkit.congruence import Partition, congruence_lattice
 
-    restrictions = {theta.restrict(embedding.mapping) for theta in sup_congruences}
+    restrictions = {Partition.from_assignment([theta.blocks[x] for x in embedding.mapping])
+                    for theta in sup_congruences}
     return all(theta in restrictions for theta in congruence_lattice(sub))
 
 

@@ -16,52 +16,29 @@ from agkit.morphisms import Homomorphism
 from tests.conftest import (CountingTable, brute_force_congruences, cep_by_definition,
                             chain4, chain_algebra, directly_indecomposable_by_definition,
                             distributive_algebras, forget_facts, generated_members,
-                            iter_partitions, join_by_closure, kept_facts, log_calls,
+                            iter_partitions, kept_facts, log_calls,
                             pairwise_congruence_lattice, renumber, renumbered_products, replace,
                             translation_closure)
 
 
 def oracle_principal(algebra, a, b):
     """Brute force: the refinement-least congruence containing (a, b)."""
-    containing = [p for p in brute_force_congruences(algebra) if p.relates(a, b)]
-    least = containing[0]
-    for p in containing[1:]:
-        least = least.meet(p)
+    containing = [p.blocks for p in brute_force_congruences(algebra) if p.blocks[a] == p.blocks[b]]
+    least = Partition.from_assignment(list(zip(*containing)))  # their meet
     assert is_congruence(algebra, least)
     return least
 
 
 def test_partition_canonical_form():
     assert Partition.from_assignment([5, 5, 7, 5]).blocks == (0, 0, 1, 0)
-    assert Partition.identity(3).blocks == (0, 1, 2)
-    assert Partition.total(3).blocks == (0, 0, 0)
-
-
-def test_partition_meet_join_refine():
-    p = Partition.from_assignment([0, 0, 1, 1])
-    q = Partition.from_assignment([0, 1, 1, 0])
-    assert p.meet(q).blocks == (0, 1, 2, 3)
-    assert p.join(q).blocks == (0, 0, 0, 0)
-    assert Partition.identity(4).refines(p)
-    assert p.refines(Partition.total(4))
-    assert not p.refines(q)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 12).flatmap(lambda n: st.lists(
-    st.lists(st.integers(0, n - 1), min_size=n, max_size=n), min_size=2, max_size=2)))
-def test_partition_join_matches_transitive_closure(assignments):
-    theta, phi = map(Partition.from_assignment, assignments)
-    assert theta.join(phi).blocks == join_by_closure(theta, phi)
-    assert phi.join(theta) == theta.join(phi)
 
 
 def test_principal_congruence_examples(builtins):
     dblst = builtins["3_dblst"]
-    assert principal_congruence(dblst, 0, 1) == Partition.total(3)
+    assert principal_congruence(dblst, 0, 1) == Partition((0, 0, 0))
     for algebra in builtins.values():
         for x in algebra.elements():
-            assert principal_congruence(algebra, x, x) == Partition.identity(algebra.size)
+            assert principal_congruence(algebra, x, x) == Partition(tuple(algebra.elements()))
     square = direct_product([builtins["2"], builtins["2"]])
     # identifying (0,0) with (0,1) collapses exactly the second coordinate
     assert principal_congruence(square, 0, 1).blocks == (0, 0, 1, 1)
@@ -72,8 +49,8 @@ def test_principal_congruence_examples(builtins):
 
 def test_a_partition_of_another_size_is_no_congruence(builtins):
     for size in (3, 5):
-        assert not is_congruence(builtins["4_dmba"], Partition.identity(size))
-    assert is_congruence(builtins["4_dmba"], Partition.identity(4))
+        assert not is_congruence(builtins["4_dmba"], Partition(tuple(range(size))))
+    assert is_congruence(builtins["4_dmba"], Partition((0, 1, 2, 3)))
 
 
 def test_principal_congruence_matches_oracle_up_to_size_6(builtins):
@@ -128,7 +105,7 @@ def test_congruence_lattice_matches_pairwise_build_on_chains(algebra):
     """A kernel that closes under star only, or starts from phi(a) | phi(b),
     fails here too."""
     lattice = congruence_lattice(algebra)
-    assert lattice == pairwise_congruence_lattice(algebra)
+    assert tuple(lattice) == pairwise_congruence_lattice(algebra)
     if algebra.size <= 8:
         assert set(lattice) == set(brute_force_congruences(algebra))
 
@@ -184,12 +161,12 @@ def test_congruence_lattice_entries_are_compatible(builtins):
 @example(direct_product([builtin("3_dblst"), builtin("3_klst"), builtin("4_dmba")]))
 def test_congruence_lattice_matches_pairwise_build(algebra):
     lattice = congruence_lattice(algebra)
-    assert lattice == pairwise_congruence_lattice(algebra)
+    assert tuple(lattice) == pairwise_congruence_lattice(algebra)
     if algebra.size <= 8:
         assert set(lattice) == set(brute_force_congruences(algebra))
     if algebra.size >= 2:
         assert classify(algebra).directly_indecomposable == (
-            directly_indecomposable_by_definition(lattice))
+            directly_indecomposable_by_definition(list(lattice)))
 
 
 def test_congruence_lattice_fraser_horn(builtins):
@@ -210,13 +187,7 @@ def test_congruence_lattice_one_principal_congruence_per_join_irreducible(
     # The lattice reduct of 2 x 2 x 4_dmba x 4_dmba has 1 + 1 + 2 + 2
     # join-irreducibles, against 2,016 pairs of its 64 elements.
     calls = []
-    original = agkit.congruence.principal_congruence
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(agkit.congruence, "principal_congruence", counted)
+    log_calls(monkeypatch, agkit.congruence, "_closure", calls)
     product = direct_product([builtins[n] for n in ("2", "2", "4_dmba", "4_dmba")])
     assert product.size == 64
     assert len(congruence_lattice(product)) == 16
@@ -235,8 +206,31 @@ def test_classify_builtins_all_irreducible(builtins):
         assert result.simple
         assert result.subdirectly_irreducible
         assert result.directly_indecomposable
-        assert result.monolith == Partition.total(algebra.size)
+        assert result.monolith == Partition((0,) * algebra.size)
         assert check_sc(algebra).sc
+
+
+def least_nontrivial(congruences):
+    """The nontrivial partition that refines every other one, or None; c
+    refines o iff each block of c meets one block of o."""
+    nontrivial = [c for c in congruences if c.num_blocks != c.size]
+    return next((c for c in nontrivial
+                 if all(len(set(zip(c.blocks, o.blocks))) == c.num_blocks for o in nontrivial)),
+                None)
+
+
+@settings(max_examples=16, deadline=None)
+@given(st.one_of(distributive_algebras(max_size=8), renumbered_products(min_size=4, max_size=8)))
+@example(chain4((0, 0, 0, 0), (0, 0, 1, 0)))  # five congruences, the monolith {0,a | b | 1}
+def test_classify_matches_brute_force_monolith(algebra):
+    """Chains and products of chains with arbitrary star and quote tables,
+    most of them outside the variety, and renumbered products of builtins."""
+    congruences = brute_force_congruences(algebra)
+    monolith = least_nontrivial(congruences)
+    result = classify(algebra)
+    assert result.monolith == monolith
+    assert result.subdirectly_irreducible == (monolith is not None)
+    assert result.simple == (len(congruences) == 2)
 
 
 def test_classify_product_is_reducible(builtins):
@@ -397,7 +391,7 @@ def test_congruence_lattice_and_di_on_chains(star, quote):
     lattice = congruence_lattice(chain)
     assert set(lattice) == set(brute_force_congruences(chain))
     assert classify(chain).directly_indecomposable == (
-        directly_indecomposable_by_definition(lattice))
+        directly_indecomposable_by_definition(list(lattice)))
 
 
 def test_cep_instance_false_case():
@@ -424,6 +418,24 @@ def test_quotient_by_projection_kernel(builtins):
     image = quotient(square, kernel)
     assert image.size == 2
     assert enumerate_embeddings(image, builtins["2"])
+
+
+def test_quotient_by_gapped_or_negative_block_ids(builtins):
+    dblst = builtins["3_dblst"]
+    for blocks in ((1, 1, 1), (-1, -1, -1)):
+        assert quotient(dblst, Partition(blocks)) == quotient(dblst, Partition((0, 0, 0)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(generated_members(), st.data())
+def test_quotient_does_not_depend_on_block_ids(algebra, data):
+    """Any relabelling of a congruence's block ids, gapped and negative ones
+    included, gives the quotient of its canonical form."""
+    theta = data.draw(st.sampled_from(list(congruence_lattice(algebra))))
+    k = theta.num_blocks
+    ids = data.draw(st.lists(st.integers(-2 * k, 2 * k), min_size=k, max_size=k, unique=True))
+    relabelled = Partition(tuple(ids[block] for block in theta.blocks))
+    assert quotient(algebra, relabelled) == quotient(algebra, theta)
 
 
 def test_quotient_rejects_non_congruence(builtins):

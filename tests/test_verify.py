@@ -32,12 +32,14 @@ from tests.conftest import forget_facts, log_calls, renumber
 # test_golden_digest_does_not_depend_on_the_hash_seed).
 GOLDEN_RECORDS_SHA256 = "bed7a894465af4beaf80f57610d6ee82195b7ebf3ccd6500c7e308bd24786698"
 
-# principal_congruence and congruence_lattice calls one verify_paper() run
-# makes: section 2's classifications only.  (4,863 principal congruences when
+# closures of a mask (congruence._closure, one per principal congruence) and
+# congruence_lattice calls one verify_paper() run makes: section 2's
+# classifications only.  (4,863 principal congruences when
 # the CEP spot checks enumerated Con(sup) for every embedding, then 755 and
 # 158 lattices until one discriminator check proved CEP and hereditary SI,
 # then 239, one per pair of elements, until Con(A) was generated by one
-# principal congruence per join-irreducible of the lattice reduct.)
+# principal congruence per join-irreducible of the lattice reduct, each the
+# closure of that join-irreducible's bit.)
 PRINCIPAL_CONGRUENCES = 28
 CONGRUENCE_LATTICES = 10
 # subuniverse searches per run from a cold start: the discriminator check
@@ -79,11 +81,11 @@ DECIDED_FACTS = 182
 # one-factor product (S).)
 TUPLED_MAPS = 0
 # calls one large_algebras op (perfbench) makes on a renumbered 48-element
-# product, loaded from JSON: classify builds Con(A) once from one principal
-# congruence per join-irreducible (6: 2 + 2 + 2), and every congruence and
+# product, loaded from JSON: classify builds Con(A) once from one closure per
+# join-irreducible (6: 2 + 2 + 2), and every congruence and
 # scan reads the Birkhoff embedding that the load derived and kept.  The 15
 # decided facts are the ALMOST_GAUTAMA axioms of the membership check.
-LARGE_OP_CALLS = {"principal_congruence": 6, "congruence_lattice": 1, "_birkhoff": 1,
+LARGE_OP_CALLS = {"_closure": 6, "congruence_lattice": 1, "_birkhoff": 1,
                   "_decide": 15}
 
 # scans one free_terms op (perfbench) makes on F_BA(3) = 2^8: the 21 lemma
@@ -98,13 +100,13 @@ FREE_OP_SCANS = {"diagonal": 35, "full": 0, "facts": 35}
 def logged_run():
     """One verify_paper() run, with the arguments and results of every
     classify_ap, decide_amalgamation, congruence_lattice,
-    principal_congruence, enumerate_embeddings, enumerate_homs, tupled_hom,
+    _closure, enumerate_embeddings, enumerate_homs, tupled_hom,
     _subuniverses, _adjoin, satisfies_axiom_system and _decide call it made,
     with the table of kept facts (sentence verdicts, memberships,
     discriminator verdicts and hom sets) emptied first."""
     traced = {"classify_ap": agkit.amalgamation, "decide_amalgamation": agkit.amalgamation,
               "congruence_lattice": agkit.congruence,
-              "principal_congruence": agkit.congruence,
+              "_closure": agkit.congruence,
               "enumerate_embeddings": agkit.morphisms,
               "enumerate_homs": agkit.morphisms,
               "tupled_hom": agkit.morphisms,
@@ -243,7 +245,7 @@ def test_verify_paper_congruence_budget(logged_run):
     assert max(a.size for a in algebras) <= 12
     repeated = Counter(a for a in algebras if a.size > 4)
     assert all(count == 1 for count in repeated.values()), repeated.most_common(1)
-    assert len(calls["principal_congruence"]) == PRINCIPAL_CONGRUENCES
+    assert len(calls["_closure"]) == PRINCIPAL_CONGRUENCES
     assert len(calls["congruence_lattice"]) == CONGRUENCE_LATTICES
 
 
@@ -308,7 +310,7 @@ def test_large_algebra_op_counts(builtins, monkeypatch):
     product = direct_product([builtins[n] for n in rng.sample(["3_dblst", "4_dmba", "4_dmba"], 3)])
     text = dump_algebra(renumber(product, rng.sample(range(48), 48)))
     forget_facts()
-    modules = {"principal_congruence": agkit.congruence, "congruence_lattice": agkit.congruence,
+    modules = {"_closure": agkit.congruence, "congruence_lattice": agkit.congruence,
                "_birkhoff": agkit.algebra, "_decide": agkit.terms}
     calls = {name: [] for name in modules}
     for name, module in modules.items():

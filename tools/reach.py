@@ -64,13 +64,10 @@ FUNCTION_TAGS = {
     "variety.py:identity_holds_via_free": "API name",
     "terms.py:parse_term": "API name",
     "terms.py:_offset": "hostile input",  # a ParseError's offset: only errors ask for it
-    "congruence.py:Partition.identity": "API name",
-    "congruence.py:Partition.total": "API name",
-    # cep_instance's join of principal congruences; congruence_lattice ORs masks
-    "congruence.py:Partition.join": "API name",
-    "congruence.py:Partition.relates": "API name",
-    "congruence.py:Partition.restrict": "API name",
-    "congruence.py:CongruenceLattice.top": "API name",
+    # congruence_lattice and cep_instance close masks with _closure
+    "congruence.py:principal_congruence": "API name",
+    # read in src only by is_congruence, the oracle
+    "congruence.py:Partition.size": "API name",
     "morphisms.py:Homomorphism.surjective": "API name",
     "terms.py:Sentence.kind": "API name",
     "axioms.py:AxiomSystem.labels": "API name",
