@@ -166,7 +166,7 @@ def test_congruence_lattice_matches_pairwise_build(algebra):
         assert set(lattice) == set(brute_force_congruences(algebra))
     if algebra.size >= 2:
         assert classify(algebra).directly_indecomposable == (
-            directly_indecomposable_by_definition(list(lattice)))
+            directly_indecomposable_by_definition(lattice))
 
 
 def test_congruence_lattice_fraser_horn(builtins):
@@ -391,7 +391,7 @@ def test_congruence_lattice_and_di_on_chains(star, quote):
     lattice = congruence_lattice(chain)
     assert set(lattice) == set(brute_force_congruences(chain))
     assert classify(chain).directly_indecomposable == (
-        directly_indecomposable_by_definition(list(lattice)))
+        directly_indecomposable_by_definition(lattice))
 
 
 def test_cep_instance_false_case():
