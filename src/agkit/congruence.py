@@ -236,7 +236,7 @@ def cep_instance(sub: FiniteAlgebra, sup: FiniteAlgebra, embedding: Homomorphism
     if embedding.source != sub or embedding.target != sup or not embedding.injective:
         raise ValueError("cep_instance needs a verified embedding sub -> sup")
     phi = birkhoff(sup)
-    image = [phi[y] for y in embedding.mapping]
+    image = [phi[y] for y in embedding.mapping]  # phi(e x), x in sub
     for theta in congruence_lattice(sub):
         collapsed = 0
         for first, *rest in theta.classes():
