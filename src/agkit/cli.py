@@ -105,12 +105,12 @@ def _cmd_homs(args, report: Report) -> str:
 
 def _cmd_congruences(args, report: Report) -> str:
     algebra = _resolve_algebra(args.target)
-    lattice = congruence_lattice(algebra)
+    partitions = list(congruence_lattice(algebra))  # built once, finest first
     report.add(Record(id=f"congruences/{algebra.name}", label="congruence lattice",
-                      verdict=len(lattice),
-                      detail={"congruences": [list(p.blocks) for p in lattice]}))
-    lines = [f"{len(lattice)} congruence(s) of {algebra.name} (finest first)"]
-    for p in lattice:
+                      verdict=len(partitions),
+                      detail={"congruences": [list(p.blocks) for p in partitions]}))
+    lines = [f"{len(partitions)} congruence(s) of {algebra.name} (finest first)"]
+    for p in partitions:
         classes = " | ".join(
             "{" + ",".join(algebra.labels[x] for x in cls) + "}" for cls in p.classes())
         lines.append(f"  {list(p.blocks)}  {classes}")
