@@ -18,9 +18,6 @@ class AxiomSystem(_Value):
     name: str
     sentences: tuple[tuple[str, Sentence], ...]  # (label, parsed sentence)
 
-    def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.sentences)
-
 
 def _parsed(pairs: list[tuple[str, str]]) -> tuple[tuple[str, Sentence], ...]:
     return tuple((label, _parse_shipped(text)) for label, text in pairs)

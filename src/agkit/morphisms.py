@@ -51,10 +51,6 @@ class Homomorphism(_Value):
     def injective(self) -> bool:
         return len(set(self.mapping)) == len(self.mapping)
 
-    @property
-    def surjective(self) -> bool:
-        return len(set(self.mapping)) == self.target.size
-
     def after(self, inner: "Homomorphism") -> "Homomorphism":
         """self o inner."""
         if inner.target != self.source:

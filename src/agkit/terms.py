@@ -75,10 +75,6 @@ class Sentence(_Value):
     premises: tuple[Equation, ...]
     conclusion: Equation
 
-    @property
-    def kind(self) -> str:
-        return "identity" if not self.premises else "quasi-identity"
-
     def variables(self) -> tuple[str, ...]:
         return self._variables
 
@@ -331,14 +327,11 @@ def eval_term(algebra: FiniteAlgebra, term: Term, assignment: Mapping[str, int])
 
 # A compiled term: the values of the prefix variables in, a value or a column out.
 # Every column has the type of the column variable's domain (bytes or list), so
-# two compare equal exactly when their values do.  A column may be a shared
-# object, such as a prefix-free column computed once or the column variable's
-# domain: only read it.
+# two compare equal exactly when their values do.  A closure that reads the
+# prefix computes its value anew on each call; one that does not returns one
+# shared object, such as a prefix-free column or the column variable's domain:
+# only read it.
 Closure = Callable[[tuple[int, ...]], "int | bytes | list[int]"]
-# A compiled node's feed, the scalar closure it reads the prefix through, by
-# identity: None if it reads no prefix variable, a scalar's own closure, or
-# for a column the one feed of its children, else _SEVERAL.
-_SEVERAL = object()
 
 
 def _lookup(table, domain: bytes | list[int]) -> Callable:
@@ -350,47 +343,24 @@ def _lookup(table, domain: bytes | list[int]) -> Callable:
     return lambda column, at=table.__getitem__: list(map(at, column))
 
 
-def _hoist(closure: Closure, is_column: bool, feed) -> tuple[Closure, bool, object]:
-    """A closure that reads no prefix variable is evaluated once, here; one
-    that does passes on its feed."""
-    if feed is None:
+def _hoist(closure: Closure, is_column: bool, reads: bool) -> tuple[Closure, bool, bool]:
+    """A closure that reads no prefix variable is evaluated once, here."""
+    if not reads:
         value = closure(())
-        return (lambda env: value), is_column, None
-    return closure, is_column, feed if is_column else closure
-
-
-def _memo(closure: Closure, feed, positions: Mapping[str, int],
-          domain: bytes | list[int]) -> Closure:
-    """A bytes column with one feed, computed once per value of it: at most n
-    columns of 256 bytes, kept as long as the compiled scan.  List columns are
-    not kept (n lists of n ints), nor is a column whose feed is the only
-    prefix variable (an itemgetter): every prefix is then a new value."""
-    if feed is None or feed is _SEVERAL or not isinstance(domain, bytes) or \
-            len(positions) == 1 and isinstance(feed, itemgetter):
-        return closure
-    columns: dict[int, bytes] = {}
-
-    def memoized(env):
-        value = feed(env)
-        known = columns.get(value)
-        if known is None:
-            known = columns[value] = closure(env)
-        return known
-
-    return memoized
+        return (lambda env: value), is_column, False
+    return closure, is_column, reads
 
 
 def _compile(algebra: FiniteAlgebra, term: Term, positions: Mapping[str, int],
-             column: str, domain: bytes | list[int]) -> tuple[Closure, bool, object]:
-    """Compile a term for the column scan in holds_in: (closure, is_column, feed).
+             column: str, domain: bytes | list[int]) -> tuple[Closure, bool, bool]:
+    """Compile a term for the column scan in holds_in: (closure, is_column, reads).
 
     Each closure takes the values of the variables in `positions`, as a tuple.
     A scalar closure returns the term's value.  A column closure returns its
     values as the variable `column` runs over `domain`, in `domain`'s type.
-    A node that reads no variable in `positions` is evaluated here, once.
+    `reads` says whether the term reads a variable in `positions`; a node
+    that reads none is evaluated here, once (_hoist).
 
-    A column side with one feed is computed once per value of it (_memo)
-    where it meets a node with several feeds, and at the root (as_column).
     A lattice operation with one scalar side picks that side's row: on bytes
     the table's own bytes rows padded to 256, kept in the algebra's facts
     (_known) as ("byte rows", "join" or "meet"), 128 KiB at n = 256.
@@ -403,12 +373,11 @@ def _compile(algebra: FiniteAlgebra, term: Term, positions: Mapping[str, int],
     match term:
         case Var(name):
             if name == column:
-                return (lambda env: domain), True, None
-            closure = itemgetter(positions[name])
-            return closure, False, closure
+                return (lambda env: domain), True, False
+            return itemgetter(positions[name]), False, True
         case Const(value):
             constant = algebra.zero if value == 0 else algebra.one
-            return (lambda env: constant), False, None
+            return (lambda env: constant), False, False
         case Star() | Quote():
             tables = []  # the chain of postfix operators, outermost first
             while isinstance(term, (Star, Quote)):
@@ -417,21 +386,17 @@ def _compile(algebra: FiniteAlgebra, term: Term, positions: Mapping[str, int],
             chain = tables.pop()  # the chain composed into one table
             for table in reversed(tables):
                 chain = list(map(table.__getitem__, chain))
-            inner, is_column, feed = _compile(algebra, term, positions, column, domain)
+            inner, is_column, reads = _compile(algebra, term, positions, column, domain)
             if is_column:
                 lookup = _lookup(chain, domain)
-                return _hoist(lambda env: lookup(inner(env)), True, feed)
-            return _hoist(lambda env: chain[inner(env)], False, feed)
+                return _hoist(lambda env: lookup(inner(env)), True, reads)
+            return _hoist(lambda env: chain[inner(env)], False, reads)
         case Join(left, right) | Meet(left, right):
             name = "join" if isinstance(term, Join) else "meet"
             table = getattr(algebra, name)
-            fl, left_column, left_feed = _compile(algebra, left, positions, column, domain)
-            fr, right_column, right_feed = _compile(algebra, right, positions, column, domain)
-            feed = (left_feed if right_feed in (None, left_feed)
-                    else right_feed if left_feed is None else _SEVERAL)
-            if feed is _SEVERAL:
-                fl = _memo(fl, left_feed, positions, domain) if left_column else fl
-                fr = _memo(fr, right_feed, positions, domain) if right_column else fr
+            fl, left_column, left_reads = _compile(algebra, left, positions, column, domain)
+            fr, right_column, right_reads = _compile(algebra, right, positions, column, domain)
+            reads = left_reads or right_reads
             if left_column and right_column:
                 if isinstance(domain, bytes) and (embedding := birkhoff_bytes(algebra)):
                     into, back = embedding
@@ -439,10 +404,10 @@ def _compile(algebra: FiniteAlgebra, term: Term, positions: Mapping[str, int],
                     return _hoist(lambda env: combine(
                         int.from_bytes(fl(env).translate(into), "big"),
                         int.from_bytes(fr(env).translate(into), "big"),
-                    ).to_bytes(width, "big").translate(back), True, feed)
+                    ).to_bytes(width, "big").translate(back), True, reads)
                 rows, kind = table.__getitem__, type(domain)
                 return _hoist(lambda env: kind(map(getitem, map(rows, fl(env)), fr(env))),
-                              True, feed)
+                              True, reads)
             if left_column or right_column:
                 # Lattice tables are commutative (checked on construction and
                 # kept by every internal constructor), so the scalar side may
@@ -452,25 +417,22 @@ def _compile(algebra: FiniteAlgebra, term: Term, positions: Mapping[str, int],
                     translations = _known(algebra, ("byte rows", name), lambda: tuple(
                         row + bytes(256 - len(row)) for row in table))
                     return _hoist(lambda env: col(env).translate(translations[scalar(env)]),
-                                  True, feed)
+                                  True, reads)
                 return _hoist(lambda env: list(map(table[scalar(env)].__getitem__, col(env))),
-                              True, feed)
-            return _hoist(lambda env: table[fl(env)][fr(env)], False, feed)
+                              True, reads)
+            return _hoist(lambda env: table[fl(env)][fr(env)], False, reads)
     raise AssertionError(f"bad term {term!r}")
 
 
 def _compile_columns(algebra: FiniteAlgebra, equation: Equation, positions: Mapping[str, int],
                      column: str, domain: bytes | list[int]) -> tuple[Closure, Closure]:
-    """Both sides of an equation as column closures; a scalar side is repeated.
-    Each side with one feed is computed once per value of it (_memo)."""
+    """Both sides of an equation as column closures; a scalar side is repeated."""
 
     def as_column(term: Term) -> Closure:
-        closure, is_column, feed = _compile(algebra, term, positions, column, domain)
-        if not is_column:
-            scalar = closure
-            closure, _, feed = _hoist(lambda env: type(domain)([scalar(env)]) * len(domain),
-                                      True, feed)
-        return _memo(closure, feed, positions, domain)
+        closure, is_column, reads = _compile(algebra, term, positions, column, domain)
+        if is_column:
+            return closure
+        return _hoist(lambda env: type(domain)([closure(env)]) * len(domain), True, reads)[0]
 
     return as_column(equation[0]), as_column(equation[1])
 
@@ -534,11 +496,9 @@ def _decide(algebra: FiniteAlgebra, sentence: Sentence,
       bytes.translate, by a chain of * and ' composed into one table or by
       the row of a lattice operation's scalar side, from the byte rows kept
       per algebra.  A join or meet of two bytes columns is one | or & on
-      the Birkhoff embedding where |J| <= 8.  Per prefix only what depends
-      on it is redone (_compile): a subterm that reads no prefix variable is
-      computed once, and a bytes column that reads the prefix through one
-      scalar only (not the only prefix variable itself) once per value of
-      it, in a dict that goes when the scan does.  The scan only reads columns.
+      the Birkhoff embedding where |J| <= 8.  Per prefix only what reads it
+      is redone (_compile): a subterm that reads no prefix variable is
+      computed once, before the scan.  The scan only reads columns.
 
     Prefixes run in the plain scan's order and each column in index order, so
     the first failing assignment found is the plain scan's witness.

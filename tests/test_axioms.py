@@ -47,7 +47,7 @@ def test_reports_carry_witnesses(builtins):
 def test_rdblst_checks_both_regularity_forms(builtins):
     report = satisfies_axiom_system(builtins["3_dblst"], "RDBLST")
     assert report.ok
-    labels = set(axiom_system("RDBLST").labels())
+    labels = {label for label, _ in axiom_system("RDBLST").sentences}
     assert {"r", "r1"} <= labels
 
 

@@ -47,7 +47,6 @@ def test_inequality_desugars_to_equation():
 
 def test_parse_quasi_identity_with_premises():
     sentence = parse_sentence("a* = 0, a' = 1 => x' \\/ x'* = 1")
-    assert sentence.kind == "quasi-identity"
     assert len(sentence.premises) == 2
     assert sentence.premises[0] == (Star(Var("a")), Const(0))
     assert sentence.variables() == ("a", "x")
@@ -528,8 +527,8 @@ LX = "y'' \\/ y* = (x' \\/ x'*)' \\/ y'' \\/ y*"
 
 
 @pytest.mark.parametrize("names, text, witness", [
-    # 24 elements, bytes columns: a column fed by one compound scalar is kept
-    # per value of it, with one or two prefix variables before the column
+    # 24 elements, bytes columns: a column that reads the prefix through one
+    # compound scalar, with one or two prefix variables before the column
     (("2", "3_klst", "4_dmba"), LX, None),
     (("2", "3_klst", "4_dmba"), "z'' \\/ z* = (x' \\/ y'*)' \\/ z'' \\/ z*",
      {"x": 8, "y": 0, "z": 4}),
@@ -541,7 +540,7 @@ LX = "y'' \\/ y* = (x' \\/ x'*)' \\/ y'' \\/ y*"
     (("2", "3_klst", "4_dmba"), "z* = 0 => (x' \\/ y'*)' \\/ z = z",
      {"x": 8, "y": 0, "z": 19}),
     (("2", "3_klst", "4_dmba"), "z' = z => (x /\\ y)* \\/ z = x* \\/ y'* \\/ z", None),
-    # 288 elements, list columns: nothing is kept
+    # 288 elements: the same shapes on list columns
     (("2",) * 5 + ("3_dblst", "3_klst"), "(x' \\/ x'*)' \\/ y = y''", {"x": 0, "y": 3}),
     (("2",) * 5 + ("3_dblst", "3_klst"), "y* = 0 => (x /\\ x'*)' \\/ y = y",
      {"x": 0, "y": 283}),
@@ -549,8 +548,8 @@ LX = "y'' \\/ y* = (x' \\/ x'*)' \\/ y'' \\/ y*"
      None),
 ])
 def test_holds_in_matches_plain_scan_on_kept_columns(names, text, witness):
-    """Verdicts and witnesses where a column is computed once per value of the
-    one scalar it reads, and where the column type rules that out."""
+    """Verdicts and witnesses where a column reads the prefix only through a
+    compound scalar subterm, on bytes and on list columns."""
     algebra, sentence = _product(*names), parse_sentence(text)
     verdict = holds_in(algebra, sentence)
     assert verdict.witness == witness and verdict.holds == (witness is None)
@@ -580,14 +579,13 @@ def test_scan_reads_each_join_row_once_per_scalar_value():
     algebra = replace(product, name="counting", join=join, validate=False)
     n = algebra.size
     join.reads = 0  # the constructor's shape check reads every row
-    # x is the prefix and y the column variable.  The join rows are read once
-    # for the prefix-free left side, once as the algebra's byte rows, and
-    # once for the right side's column-column join: that side reads x only
-    # through (x' \/ x'*)', which is 0 at every x, so it is computed once, not
-    # once per prefix (n + 1 rows each).  The scalar x' \/ x'* reads one row
-    # per x, and one more at its one new value.
+    # x is the prefix and y the column variable.  The join rows are read
+    # twice for the Birkhoff embedding that joins two columns, and once as
+    # the algebra's byte rows, which the scalar side of every other join
+    # picks from; neither is read again per prefix.  The scalar x' \/ x'*
+    # reads one row per x.
     assert agkit.terms._decide(algebra, parse_sentence(LX))
-    assert join.reads == 4 * n + 1
+    assert join.reads == 4 * n
     # Every join here has one scalar side, which picks a kept byte row.
     join.reads = 0
     assert agkit.terms._decide(algebra, parse_sentence("(x \\/ y)* = x* /\\ y*"))
@@ -728,16 +726,16 @@ def test_holds_in_matches_plain_scan_in_both_column_types(monkeypatch, names, ki
     kinds, compile_node = set(), agkit.terms._compile
 
     def recorded(*args):
-        closure, is_column, feed = compile_node(*args)
+        closure, is_column, reads = compile_node(*args)
         if not is_column:
-            return closure, is_column, feed
+            return closure, is_column, reads
 
         def column(env):
             values = closure(env)
             kinds.add(type(values))
             return values
 
-        return column, True, feed
+        return column, True, reads
 
     monkeypatch.setattr(agkit.terms, "_compile", recorded)
     forget_facts()

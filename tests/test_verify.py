@@ -172,6 +172,28 @@ def test_tampered_builtin_flips_multiple_records(monkeypatch):
     assert all(message.startswith("3_dblst is not in") for message in errors.values())
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_renumbered_builtins_keep_every_record(monkeypatch, seed):
+    """verify_paper() with each builtin's elements renamed by a seeded
+    permutation that moves both zero and one: every record keeps its
+    verdict, expected value and outcome."""
+    monkeypatch.delenv("AGKIT_CAP", raising=False)
+
+    def outcomes():
+        return [(r.id, r.verdict, r.expected, r.ok) for r in verify_paper().records]
+
+    plain, rng = outcomes(), random.Random(seed)
+    for name in agkit.algebra.BUILTIN_NAMES:
+        algebra = agkit.algebra.builtin(name)
+        to = list(range(algebra.size))
+        while to[algebra.zero] == algebra.zero or to[algebra.one] == algebra.one:
+            rng.shuffle(to)
+        renumbered = renumber(algebra, to)
+        monkeypatch.setitem(agkit.algebra.BUILTIN_SPECS, name, {
+            key: getattr(renumbered, key) for key in agkit.algebra.BUILTIN_SPECS[name]})
+    assert outcomes() == plain
+
+
 # (cap, limit) pairs of the sweep that some unit exceeds, so that the run has
 # "error" records; under every other pair it gives the default verdicts.
 CAPPED_RUNS_WITH_ERRORS = {

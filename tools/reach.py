@@ -68,9 +68,6 @@ FUNCTION_TAGS = {
     "congruence.py:principal_congruence": "API name",
     # read in src only by is_congruence, the oracle
     "congruence.py:Partition.size": "API name",
-    "morphisms.py:Homomorphism.surjective": "API name",
-    "terms.py:Sentence.kind": "API name",
-    "axioms.py:AxiomSystem.labels": "API name",
     "errors.py:_Value.__repr__": "API name",
     # kept so that `if report:` reads the verdict: without them it is truthy
     "terms.py:Verdict.__bool__": "API name",
