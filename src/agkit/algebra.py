@@ -22,7 +22,7 @@ import itertools
 import json
 import math
 import weakref
-from operator import and_, attrgetter, iadd, ne, or_
+from operator import and_, attrgetter, iadd, itemgetter, ne, or_
 from typing import Iterable, Iterator, Sequence
 
 from . import caps
@@ -507,15 +507,11 @@ def _adjoin(algebra: FiniteAlgebra, closed: frozenset[int],
     members = set(closed).union(queue)
     while queue:
         x = queue.pop()
-        for y in list(members):
-            for z in (algebra.join[x][y], algebra.meet[x][y]):
-                if z not in members:
-                    members.add(z)
-                    queue.append(z)
-        for z in (algebra.star[x], algebra.quote[x]):
-            if z not in members:
-                members.add(z)
-                queue.append(z)
+        pick = itemgetter(x, *members)  # x is a member: at least two keys, so a tuple
+        new = {*pick(algebra.join[x]), *pick(algebra.meet[x]),
+               algebra.star[x], algebra.quote[x]} - members
+        members |= new
+        queue.extend(new)
     return frozenset(members)
 
 

@@ -1,5 +1,9 @@
 """Command-line surface.
 
+Each command is one `_command` declaration on its handler.  A run builds only
+the parser of the command it names (the whole tree for `--help`, `--version`
+and a missing or unknown command), and each refusal prints one `error:` line.
+
 Exit codes: 0 = ran and every verdict matched its expectation (commands
 without baked-in expectations exit 0 on completion), 1 = a checked verdict
 failed, 2 = usage, parse or configuration error, or a cap hit.  In
@@ -23,6 +27,38 @@ from .report import Record, Report, markdown_table
 from .terms import parse_sentence
 from .variety import all_varieties, free_algebra, lemma_registry, quasi_identity_holds, variety
 from .verify import _add_lemma, _add_unit, verify_paper
+
+
+_COMMANDS = {}  # name -> (help, argument adders, handler), in --help order
+
+
+def _command(name: str, help: str, *arguments):
+    """Declare the decorated handler as command `name`."""
+    def register(handler):
+        _COMMANDS[name] = (help, arguments, handler)
+        return handler
+    return register
+
+
+def _arg(*names, **options):
+    return lambda parser: parser.add_argument(*names, **options)
+
+
+def _add(sub, name: str, help: str, arguments) -> argparse.ArgumentParser:
+    parser = sub.add_parser(name, help=help)
+    for add in arguments:
+        add(parser)
+    return parser
+
+
+_JSON = _arg("--json", action="store_true")  # print the report as JSON
+
+
+def _show(parser) -> None:
+    """algebra's one subcommand, which takes --json itself."""
+    _add(parser.add_subparsers(dest="algebra_command", required=True), "show",
+         "print tables and canonical form",
+         (_arg("target", help="builtin name or spec file path"), _JSON))
 
 
 def _resolve_algebra(token: str):
@@ -64,6 +100,7 @@ def _pretty_algebra(algebra) -> str:
     return "\n".join(lines)
 
 
+@_command("algebra", "inspect an algebra", _show)
 def _cmd_algebra(args, report: Report) -> str:
     algebra = _resolve_algebra(args.target)
     report.add(Record(id=f"algebra/{algebra.name}", label="algebra",
@@ -71,6 +108,8 @@ def _cmd_algebra(args, report: Report) -> str:
     return _pretty_algebra(algebra)
 
 
+@_command("check", "decide a sentence in a variety",
+          _arg("--variety", required=True), _arg("--sentence", required=True), _JSON)
 def _cmd_check(args, report: Report) -> str:
     v = variety(args.variety)
     sentence = parse_sentence(args.sentence)
@@ -90,6 +129,7 @@ def _cmd_check(args, report: Report) -> str:
     return text
 
 
+@_command("homs", "enumerate homomorphisms", _arg("source"), _arg("target"), _JSON)
 def _cmd_homs(args, report: Report) -> str:
     source, target = _resolve_algebra(args.source), _resolve_algebra(args.target)
     homs = enumerate_homs(source, target)
@@ -103,6 +143,7 @@ def _cmd_homs(args, report: Report) -> str:
     return "\n".join(lines)
 
 
+@_command("congruences", "congruence lattice", _arg("target"), _JSON)
 def _cmd_congruences(args, report: Report) -> str:
     algebra = _resolve_algebra(args.target)
     partitions = list(congruence_lattice(algebra))  # built once, finest first
@@ -117,6 +158,7 @@ def _cmd_congruences(args, report: Report) -> str:
     return "\n".join(lines)
 
 
+@_command("classify", "simple / SI / DI / (SC)", _arg("target"), _JSON)
 def _cmd_classify(args, report: Report) -> str:
     algebra = _resolve_algebra(args.target)
     result = classify(algebra)
@@ -136,6 +178,9 @@ def _cmd_classify(args, report: Report) -> str:
     return "\n".join(f"{key}: {value}" for key, value in detail.items())
 
 
+@_command("amalgamate", "decide one diagram", _arg("--variety", required=True),
+          _arg("--base", required=True), _arg("--left", required=True),
+          _arg("--right", required=True), _JSON)
 def _cmd_amalgamate(args, report: Report) -> str:
     v = variety(args.variety)
     d = diagram(_resolve_algebra(args.base), _resolve_algebra(args.left),
@@ -151,6 +196,8 @@ def _cmd_amalgamate(args, report: Report) -> str:
             f"pair={result.pair} census={result.hom_census}")
 
 
+@_command("classify-ap", "decide AP per variety", _arg("--variety"),
+          _arg("--all", action="store_true"), _JSON)
 def _cmd_classify_ap(args, report: Report) -> str:
     """Each variety is a unit, as in verify-paper: a cap hit gives it an error row."""
     if args.all:
@@ -174,6 +221,7 @@ def _cmd_classify_ap(args, report: Report) -> str:
         for v, ap in sorted(outcomes, key=lambda pair: (-pair[0].level, pair[0].name))])
 
 
+@_command("lemmas", "run the lemma suite", _arg("--variety"), _JSON)
 def _cmd_lemmas(args, report: Report) -> str:
     """Each lemma is a unit, as in verify-paper: a cap hit gives it an error row."""
     name = variety(args.variety).name if args.variety else None
@@ -186,6 +234,8 @@ def _cmd_lemmas(args, report: Report) -> str:
     return markdown_table(["lemma", "variety", "status"], rows)
 
 
+@_command("applications", "derived properties for a variety",
+          _arg("--variety", required=True), _JSON)
 def _cmd_applications(args, report: Report) -> str:
     v = variety(args.variety)
     app = applications(classify_ap(v))
@@ -206,6 +256,8 @@ def _cmd_applications(args, report: Report) -> str:
     return "\n".join(lines)
 
 
+@_command("free", "free algebra on n generators", _arg("--variety", required=True),
+          _arg("-n", type=int, required=True), _arg("--cap", type=int), _JSON)
 def _cmd_free(args, report: Report) -> str:
     if args.cap is not None and args.cap < 1:
         raise AgkitError("--cap must be a positive integer")
@@ -222,6 +274,8 @@ def _cmd_free(args, report: Report) -> str:
             "factors: " + " x ".join(f"{f['si']}[{','.join(f['generators'])}]" for f in factors))
 
 
+@_command("verify-paper", "run the full verification pipeline",
+          _arg("--out", help="write the JSON report here"))
 def _cmd_verify_paper(args, report: Report) -> str:
     report.records.extend(verify_paper().records)
     lines = [f"FAIL {record.id} [{record.label}]: got {record.verdict!r}"
@@ -233,91 +287,36 @@ def _cmd_verify_paper(args, report: Report) -> str:
     return "\n".join(lines)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    """Each rejection raises AgkitError; add_subparsers makes every subparser one too."""
+
+    def error(self, message):
+        raise AgkitError(message)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The whole tree, or only `command`'s branch when it names a command."""
+    parser = _Parser(
         prog="agkit",
         description="finite-algebra workbench for the Almost Gautama subvarieties")
     parser.add_argument("--version", action="version", version=f"agkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("algebra", help="inspect an algebra")
-    algebra_sub = p.add_subparsers(dest="algebra_command", required=True)
-    p_show = algebra_sub.add_parser("show", help="print tables and canonical form")
-    p_show.add_argument("target", help="builtin name or spec file path")
-    p_show.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("check", help="decide a sentence in a variety")
-    p.add_argument("--variety", required=True)
-    p.add_argument("--sentence", required=True)
-
-    p = sub.add_parser("homs", help="enumerate homomorphisms")
-    p.add_argument("source")
-    p.add_argument("target")
-
-    p = sub.add_parser("congruences", help="congruence lattice")
-    p.add_argument("target")
-
-    p = sub.add_parser("classify", help="simple / SI / DI / (SC)")
-    p.add_argument("target")
-
-    p = sub.add_parser("amalgamate", help="decide one diagram")
-    p.add_argument("--variety", required=True)
-    p.add_argument("--base", required=True)
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-
-    p = sub.add_parser("classify-ap", help="decide AP per variety")
-    p.add_argument("--variety")
-    p.add_argument("--all", action="store_true")
-
-    p = sub.add_parser("lemmas", help="run the lemma suite")
-    p.add_argument("--variety")
-
-    p = sub.add_parser("applications", help="derived properties for a variety")
-    p.add_argument("--variety", required=True)
-
-    p = sub.add_parser("free", help="free algebra on n generators")
-    p.add_argument("--variety", required=True)
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("--cap", type=int, default=None)
-
-    for name, p in sub.choices.items():  # every command above can print its report
-        if name != "algebra":  # as JSON; algebra's show takes --json itself
-            p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("verify-paper", help="run the full verification pipeline")
-    p.add_argument("--out", default=None, help="write the JSON report here")
+    for name in [command] if command in _COMMANDS else _COMMANDS:
+        help, arguments, handler = _COMMANDS[name]
+        _add(sub, name, help, arguments).set_defaults(handler=handler)
     return parser
-
-
-_HANDLERS = {
-    "algebra": _cmd_algebra,
-    "check": _cmd_check,
-    "homs": _cmd_homs,
-    "congruences": _cmd_congruences,
-    "classify": _cmd_classify,
-    "amalgamate": _cmd_amalgamate,
-    "classify-ap": _cmd_classify_ap,
-    "lemmas": _cmd_lemmas,
-    "applications": _cmd_applications,
-    "free": _cmd_free,
-    "verify-paper": _cmd_verify_paper,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-
-    try:
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         report = Report([args.command] + argv[1:], __version__)
-        text = _HANDLERS[args.command](args, report)
+        text = args.handler(args, report)
         _emit(report, text, getattr(args, "json", False), getattr(args, "out", None))
         return 0 if report.ok else 1
+    except SystemExit as exc:  # --help and --version
+        return int(exc.code or 0)
     except AgkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

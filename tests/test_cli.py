@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import random
+import sys
 import time
 from collections import Counter
 
@@ -549,6 +551,29 @@ def _hostile_argvs(tmp_path) -> dict[str, list[list[str]]]:
     }
 
 
+# Per command, and at the top level, argument lists that argparse rejects: a
+# missing or unknown command or option, a missing value, a value of the wrong
+# type and a stray positional
+REJECTED = {
+    "top level": [[], ["bogus"], ["--bogus"], ["--json", "lemmas"]],
+    "algebra": [["algebra"], ["algebra", "bogus"], ["algebra", "show"],
+                ["algebra", "--json", "show", "2"], ["algebra", "show", "2", "--bogus"]],
+    "check": [["check"], ["check", "--variety", "G"],
+              ["check", "--variety", "G", "--sentence", "x = x", "extra"]],
+    "homs": [["homs"], ["homs", "2"], ["homs", "2", "2", "2"]],
+    "congruences": [["congruences"], ["congruences", "2", "--bogus"]],
+    "classify": [["classify"], ["classify", "2", "3"]],
+    "amalgamate": [["amalgamate", "--variety", "G"],
+                   ["amalgamate", "--base", "2", "--left", "2", "--right", "2"]],
+    "classify-ap": [["classify-ap", "--variety"], ["classify-ap", "--all", "x"]],
+    "lemmas": [["lemmas", "--variety"], ["lemmas", "x"]],
+    "applications": [["applications"], ["applications", "--variety"]],
+    "free": [["free", "--variety", "BA"], ["free", "--variety", "BA", "-n", "x"],
+             ["free", "--variety", "BA", "-n", "1", "--cap", "1.5"], ["free", "-n", "1"]],
+    "verify-paper": [["verify-paper", "--json"], ["verify-paper", "--out"],
+                     ["verify-paper", "x"]],
+}
+
 # One well-formed call per command, run under each of BAD_CAPS
 WELL_FORMED = {
     "algebra": ["algebra", "show", "2"],
@@ -566,21 +591,81 @@ WELL_FORMED = {
 }
 
 
-@pytest.mark.parametrize("command", list(agkit.cli._HANDLERS))
+@pytest.mark.parametrize("command", list(REJECTED))
 def test_hostile_input_ends_in_an_exit_code(capsys, monkeypatch, tmp_path, command):
     """Every command, on each class of hostile input, returns 0, 1 or 2 and
-    lets no exception escape; exit 2 comes with one stderr line, `error: ...`."""
+    lets no exception escape; exit 2 comes with one stderr line, `error: ...`.
+    What argparse rejects, here or at the top level, exits 2."""
     hostile = _hostile_argvs(tmp_path)
-    assert WELL_FORMED.keys() == hostile.keys() == agkit.cli._HANDLERS.keys()
-    well_formed = [arg.format(tmp=tmp_path) for arg in WELL_FORMED[command]]
-    sweep = [(argv, None) for argv in hostile[command]]
-    sweep += [(well_formed, cap) for cap in BAD_CAPS]
+    assert WELL_FORMED.keys() == hostile.keys() == agkit.cli._COMMANDS.keys()
+    assert REJECTED.keys() - {"top level"} == agkit.cli._COMMANDS.keys()
+    sweep = [(argv, None) for argv in hostile.get(command, [])]
+    if command in WELL_FORMED:
+        well_formed = [arg.format(tmp=tmp_path) for arg in WELL_FORMED[command]]
+        sweep += [(well_formed, cap) for cap in BAD_CAPS]
+    sweep += [(argv, None) for argv in REJECTED[command]]
     for argv, cap in sweep:
         if cap is None:
             monkeypatch.delenv("AGKIT_CAP", raising=False)
         else:
             monkeypatch.setenv("AGKIT_CAP", cap)
-        code, _, err = run(capsys, *argv)
+        code, out, err = run(capsys, *argv)
         assert code in (0, 1, 2), (argv, cap)
+        if argv in REJECTED[command]:
+            assert (code, out) == (2, ""), argv
         if code == 2:
             assert err.startswith("error: ") and err.count("\n") == 1, (argv, cap, err)
+
+
+# sha256 of the stdout of --help, --version and each command's -h, captured
+# before the commands were declared in one registry; each exits 0 with
+# nothing on stderr.  The bytes are argparse's layout at 80 columns, which
+# differs across Python versions, so they are pinned for Python 3.11.
+GOLDEN_HELP_SHA256 = {
+    "--help": "31a61d6875e2b471d14ce301c8be49e74fd9e0037ead5d3334756c74fd7d3a86",
+    "--version": "4ff5db33655c4839ca220e41f1d3090a51d1d2986372f3f5dada67727301ce7f",
+    "algebra -h": "c36cf4491e4d60966ff39762dde823a6b56cbfb8fc339dd2ca0e042180eac3a0",
+    "algebra show -h": "b3bb0c0e26b6e19fce3716ef9b0ab2063ceddd5beeda03d10bb598de64fee424",
+    "check -h": "710811e79886a07b374dba58d496cd914cbfd004fd0eb58d949766cf84d43109",
+    "homs -h": "8363af4ee189157b1ac8d8e811ce19c22e9945ad15ec6089302eb816e5911191",
+    "congruences -h": "223c7c2f66a0ca9c9b14e927fb929e4c53e34e4bebb4c400da87c0dc26432533",
+    "classify -h": "a64a5b4cda3d3ce97b4045b933f1e1bf6861d369900dc907a7cd3fc91c1b9911",
+    "amalgamate -h": "f296a7eceaf538cd3e8c5c51fde53526f5dd68b56ca664aae8bbb5404d2be18b",
+    "classify-ap -h": "2398b04c6b4655516e780552918fac8b002198e356c5c04a64945ea01c4fcd79",
+    "lemmas -h": "9dfefb491cf0daa1fa53eade84d55c3a50e75b43a43ae19edbafb482ed8ed152",
+    "applications -h": "99e8eb90dacec2bc8d1703f93227635ad6c643d0fbe4b091e88f3792f14d6ec0",
+    "free -h": "05a72b0a4ab74248d6dc13d840afb2cb9fc2d3906344b1336fbac6d596207190",
+    "verify-paper -h": "3d21d15e95ba84ee65b8e9a2f0de11c275eb474f563f1aa7ec1276caab7ee247",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse layout of Python 3.11")
+@pytest.mark.parametrize("case", list(GOLDEN_HELP_SHA256))
+def test_help_output_matches_golden_digest(capsys, monkeypatch, case):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, *case.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_HELP_SHA256[case]
+
+
+def test_help_covers_every_command():
+    assert {case.split()[0] for case in GOLDEN_HELP_SHA256} - {"--help", "--version"} == \
+        agkit.cli._COMMANDS.keys()
+
+
+@pytest.mark.parametrize("argv, parsers", [
+    (["verify-paper", "--out", "{tmp}/report.json"], 2),  # agkit and verify-paper
+    (["algebra", "show", "2"], 3),  # agkit, algebra and show
+    (["--version"], 13), (["bogus"], 13),  # the whole tree
+])
+def test_a_run_builds_only_the_parser_it_uses(capsys, monkeypatch, tmp_path, argv, parsers):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(parser, *args, **kwargs):
+        built.append(parser)
+        init(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+    assert len(built) == parsers

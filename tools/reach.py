@@ -117,6 +117,7 @@ LINE_TAGS = [
     ("cli.py:_cmd_classify_ap", "raise", "hostile input"),
     ("cli.py:_cmd_free", "raise", "hostile input"),
     ("cli.py:_cmd_verify_paper", '== "error"', "hostile input"),
+    ("cli.py:_Parser.error", "raise", "hostile input"),
     ("morphisms.py:Homomorphism.__post_init__", "raise", "hostile input"),
     ("morphisms.py:Homomorphism.after", "raise", "hostile input"),
     ("morphisms.py:brute_force_homs", "continue", "oracle"),
