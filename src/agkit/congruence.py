@@ -1,6 +1,6 @@
-"""Congruences: principal congruences, the congruence lattice, and the
-derived classification (simple / subdirectly irreducible / directly
-indecomposable), plus instance checks for the congruence extension property.
+"""Congruences: principal congruences, the congruence lattice (the one list of
+Con(A)), the classification (simple / SI / DI), read off the closures that
+generate Con(A), and instance checks for the congruence extension property.
 
 A congruence is a mask S of join-irreducibles on the Birkhoff embedding
 phi(x) = {j in J : j <= x}, which every algebra keeps (algebra.birkhoff;
@@ -15,10 +15,11 @@ chain of pairs (z, z \\/ j) with z >= j_, j in S, which j_ ~ j relates; and
 theta_S relates u, v.  Con(A) is the theta_S closed under star and quote,
 and theta_S \\/ theta_T = theta_(S | T).
 
-A congruence stays a closed mask from closure to verdict; theta_S /\\ theta_T
-= theta_(S & T) as well.  Partitions, canonical block-id arrays (block ids in
-first-occurrence order, hashable and stable in serialized reports), are
-built only for output: principal_congruence's value, the congruences a
+A congruence stays a closed mask from closure to verdict: theta_S /\\ theta_T
+= theta_(S & T), and theta_S <= theta_T iff S is in T (theta_S relates j_ ~ j
+for j in S only).  Partitions, canonical block-id arrays (block ids in
+first-occurrence order, hashable and stable in serialized reports), are built
+only for output: principal_congruence's value, the congruences a
 CongruenceLattice yields, a monolith, and cep_instance's comparison with a
 congruence of the subalgebra.
 """
@@ -154,29 +155,28 @@ class Classification(_Value):
 
 
 def classify(algebra: FiniteAlgebra) -> Classification:
-    """Simple iff |Con| = 2; SI iff a monolith exists; DI iff no pair of
-    congruences other than {0, 1} is a factor pair.
-
-    theta_S <= theta_T iff S is a subset of T: theta_S relates j_ ~ j for the
-    j in S only.  So the monolith, the least nonzero congruence, is the AND
-    of the nonzero masks when that AND is nonzero, and theta_S /\\ theta_T =
-    theta_(S & T) is 0 iff S & T = 0.  theta_S, theta_T is a factor pair iff
-    their meet is 0 and theta_S o theta_T = 1.  As the meet is 0, each class
-    of one meets each class of the other at most once, so theta_S o theta_T =
-    1 (every class of one meets every class of the other) iff the numbers of
-    blocks multiply to |A|; theta_S has a block per distinct phi(x) & ~S.
+    """Simple iff Con = {0, 1}; SI iff a monolith exists; DI iff no pair of
+    congruences but {0, 1} is a factor pair.  Read off the closures C_j of the
+    bits j of J, whose ORs are Con(A) (congruence_lattice): A is simple iff
+    each C_j is J, and the monolith is theta_M, M = AND of the C_j, if M != 0.
+    A factor pair is theta_S, theta_T, T = J - S (meet 0, join 1), both closed,
+    with each phi(x) & T | phi(y) & S a phi(z), x theta_S z theta_T y: iff no
+    j in S is comparable to a k in T (for j < k, x, y = k, 0 or 0, k has no z;
+    else down-sets meet S and T in down-sets).  So A is DI iff J is connected,
+    j linked to the bits of C_j and of phi(j), the least phi(x) holding j.
     """
     if algebra.size < 2:
         return Classification(algebra.name, False, False, None, False)
-    lattice = congruence_lattice(algebra)
-    masks, phi = lattice.masks, lattice.phi
-    least = functools.reduce(operator.and_, masks[1:])
-    blocks = {mask: len({p & ~mask for p in phi}) for mask in masks[1:-1]}
-    decomposable = any(
-        s & t == 0 and blocks[s] * blocks[t] == algebra.size
-        for s, t in itertools.combinations(blocks, 2))
-    return Classification(algebra.name, len(masks) == 2, least != 0,
-                          _partition(phi, least) if least else None, not decomposable)
+    caps.guard("congruence_universe", algebra.size)
+    phi = birkhoff(algebra)
+    closures = [_closure(algebra, 1 << j) for j in range(phi[algebra.one].bit_length())]
+    least = functools.reduce(operator.and_, closures)
+    links = [c | min(p for p in phi if p >> j & 1) for j, c in enumerate(closures)]
+    linked = 1  # the bits linked to bit 0: each pass adds one or is the last
+    for _ in links:
+        linked = functools.reduce(operator.or_, (link for link in links if link & linked))
+    return Classification(algebra.name, least == phi[algebra.one], least != 0,
+                          _partition(phi, least) if least else None, linked == phi[algebra.one])
 
 
 class ScReport(_Value):

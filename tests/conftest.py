@@ -161,14 +161,35 @@ def distributive_algebras(draw, max_size: int = 40, max_irreducibles: int = 39):
         star=draw(unary), quote=draw(unary), zero=to[0], one=to[n - 1])
 
 
-def chain_algebra(n: int) -> FiniteAlgebra:
-    """The n-element chain, star its pseudocomplement and quote its order
-    reversal.  Its join-irreducibles are the n - 1 elements other than 0."""
+def chain_algebra(n: int, star: tuple[int, ...] | None = None,
+                  quote: tuple[int, ...] | None = None) -> FiniteAlgebra:
+    """The n-element chain with the given star and quote tables, by default
+    star its pseudocomplement and quote its order reversal.  Its
+    join-irreducibles are the n - 1 elements other than 0."""
     return FiniteAlgebra(
         name=f"chain{n}", size=n, labels=tuple(map(str, range(n))),
         join=tuple(tuple(max(x, y) for y in range(n)) for x in range(n)),
         meet=tuple(tuple(min(x, y) for y in range(n)) for x in range(n)),
-        star=(n - 1,) + (0,) * (n - 1), quote=tuple(reversed(range(n))), zero=0, one=n - 1)
+        star=star or (n - 1,) + (0,) * (n - 1), quote=quote or tuple(reversed(range(n))),
+        zero=0, one=n - 1)
+
+
+@st.composite
+def chain_products(draw, max_irreducibles: int = 4):
+    """A product of two or three chains of 2 to 4 elements, at most
+    max_irreducibles join-irreducibles in all, each chain with its own
+    arbitrary star and quote tables, renumbered at random.  Its star and quote
+    act per factor, so it is never directly indecomposable, unlike almost
+    every distributive_algebras draw."""
+    from agkit import direct_product
+
+    lengths = draw(st.lists(st.integers(2, 4), min_size=2, max_size=3).filter(
+        lambda ks: sum(k - 1 for k in ks) <= max_irreducibles))
+    tables = [st.lists(st.integers(0, k - 1), min_size=k, max_size=k).map(tuple)
+              for k in lengths]
+    product = direct_product([chain_algebra(k, draw(t), draw(t))
+                              for k, t in zip(lengths, tables)])
+    return renumber(product, draw(st.permutations(range(product.size))))
 
 
 def chain4(star: tuple[int, ...], quote: tuple[int, ...]) -> FiniteAlgebra:

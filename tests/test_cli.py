@@ -13,9 +13,9 @@ import pytest
 import agkit.cli
 import agkit.congruence
 import agkit.report
-from agkit import builtin, direct_product, dump_algebra
+from agkit import builtin, direct_product, dump_algebra, load_algebra
 from agkit.cli import main
-from tests.conftest import chain4, log_calls, renumber
+from tests.conftest import chain4, chain_algebra, log_calls, renumber
 
 
 def run(capsys, *argv):
@@ -118,14 +118,31 @@ def test_classify_command(capsys):
 
 def test_classify_file_at_the_congruence_cap(capsys, tmp_path, monkeypatch):
     # 2^8: 256 elements, the default congruence_universe cap, and 2^8
-    # congruences by Fraser-Horn
+    # congruences by Fraser-Horn, which classify reads off 8 closures
+    # without listing them
     path = tmp_path / "power.json"
     path.write_text(dump_algebra(direct_product([builtin("2")] * 8)))
     lattices = []
     log_calls(monkeypatch, agkit.congruence, "congruence_lattice", lattices)
     code, out, _ = run(capsys, "classify", str(path))
     assert code == 0 and "simple: False" in out
-    assert [len(lattice) for _, lattice in lattices] == [256]
+    assert lattices == []
+    assert len(agkit.congruence.congruence_lattice(load_algebra(path.read_text()))) == 256
+
+
+def test_classify_a_long_chain_without_listing_its_congruences(capsys, tmp_path):
+    """A 30-element chain with identity star and quote passes every cap, and
+    every mask of its 29 join-irreducibles is closed: 2^29 congruences.
+    classify reads its verdicts off the 29 closures, one per bit."""
+    path = tmp_path / "chain30.json"
+    identity = tuple(range(30))
+    path.write_text(dump_algebra(chain_algebra(30, identity, identity)))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "classify", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert out.splitlines()[:3] == [
+        "simple: False", "subdirectly_irreducible: False", "directly_indecomposable: True"]
 
 
 def test_amalgamate_obstruction_exits_zero(capsys):

@@ -14,7 +14,7 @@ from agkit import (BUILTIN_NAMES, CapExceededError, FiniteAlgebra, Partition, bu
                    load_algebra, principal_congruence, quotient, subalgebra)
 from agkit.morphisms import Homomorphism
 from tests.conftest import (CountingTable, brute_force_congruences, cep_by_definition,
-                            chain4, chain_algebra, directly_indecomposable_by_definition,
+                            chain4, chain_algebra, chain_products, directly_indecomposable_by_definition,
                             distributive_algebras, forget_facts, generated_members,
                             iter_partitions, kept_facts, log_calls,
                             pairwise_congruence_lattice, renumber, renumbered_products, replace,
@@ -97,17 +97,34 @@ def test_principal_congruence_matches_translation_closure_on_chains(case):
         assert is_congruence(algebra, theta)
 
 
+IDENTITY_2 = chain_algebra(2, (0, 1), (0, 1))
+IDENTITY_3 = chain_algebra(3, (0, 1, 2), (0, 1, 2))
+
+
 @settings(max_examples=60, deadline=None)
-@given(distributive_algebras(max_irreducibles=6))  # at most 2^6 congruences for the oracle
+# at most 2^6 congruences for the oracle
+@given(st.one_of(distributive_algebras(max_irreducibles=6), chain_products()))
 @example(chain_algebra(10))
 @example(chain_algebra(1))
+@example(direct_product([IDENTITY_2, IDENTITY_3]))
+@example(direct_product([IDENTITY_2, chain_algebra(3), IDENTITY_2]))
+# 2 x 2 with quote swapping the coordinates: a product lattice, but simple
+@example(replace(direct_product([IDENTITY_2, IDENTITY_2]), quote=(0, 2, 1, 3)))
+# 2 x 3, J = {a} + {b < c}, quote (x, y) = (min(y, 1), 0): Cg(0, b) holds a, so
+# J is connected, but c reaches a, bit 0 once renumbered, only through b
+@example(renumber(replace(direct_product([IDENTITY_2, IDENTITY_3]), quote=(0, 3, 3, 0, 3, 3)),
+                  [0, 3, 2, 1, 4, 5]))
 def test_congruence_lattice_matches_pairwise_build_on_chains(algebra):
     """A kernel that closes under star only, or starts from phi(a) | phi(b),
-    fails here too."""
-    lattice = congruence_lattice(algebra)
-    assert tuple(lattice) == pairwise_congruence_lattice(algebra)
+    fails here too, and so does a DI verdict that misses a factor pair that
+    the tables keep apart."""
+    lattice, oracle = congruence_lattice(algebra), pairwise_congruence_lattice(algebra)
+    assert tuple(lattice) == oracle
     if algebra.size <= 8:
         assert set(lattice) == set(brute_force_congruences(algebra))
+    if algebra.size >= 2:
+        assert classify(algebra).directly_indecomposable == (
+            directly_indecomposable_by_definition(oracle))
 
 
 def test_principal_congruence_reads_no_row(builtins, monkeypatch):
@@ -231,6 +248,22 @@ def test_classify_matches_brute_force_monolith(algebra):
     assert result.monolith == monolith
     assert result.subdirectly_irreducible == (monolith is not None)
     assert result.simple == (len(congruences) == 2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(distributive_algebras(max_size=16), chain_products(),
+                 renumbered_products(min_size=4, max_size=36)), st.data())
+def test_classify_does_not_depend_on_the_numbering(algebra, data):
+    """Renumbered, an algebra numbers its join-irreducibles, and so the bits
+    that classify links, in another order: simple, SI and DI stay, and the
+    monolith maps through the permutation."""
+    to = data.draw(st.permutations(range(algebra.size)))
+    before, after = classify(algebra), classify(renumber(algebra, to))
+    assert (after.simple, after.subdirectly_irreducible, after.directly_indecomposable) == (
+        before.simple, before.subdirectly_irreducible, before.directly_indecomposable)
+    order = sorted(range(algebra.size), key=to.__getitem__)  # order[to[x]] == x
+    assert after.monolith == (before.monolith and Partition.from_assignment(
+        [before.monolith.blocks[x] for x in order]))
 
 
 def test_classify_product_is_reducible(builtins):

@@ -76,9 +76,10 @@ def assert_twin_semantics(values) -> None:
 @pytest.fixture(scope="module")
 def made() -> dict[type, list]:
     """The value objects that one cold verify_paper() run constructs, plus two
-    free algebras, a variety verdict, a report, the lemmas parsed anew (the
-    shipped sentences are parsed once per process), the eight varieties and
-    the axiom systems, which are built at import."""
+    free algebras, a variety verdict, a report, the builtins' congruence
+    lattices, the lemmas parsed anew (the shipped sentences are parsed once
+    per process), the eight varieties and the axiom systems, which are built
+    at import."""
     made = {cls: [] for cls in VALUE_TYPES}
 
     def recording(init):
@@ -96,6 +97,8 @@ def made() -> dict[type, list]:
         agkit.free_algebra(agkit.variety("G"), 1)
         agkit.quasi_identity_holds(agkit.variety("G"), agkit.parse_sentence("x = x*"))
         Report(["free"], agkit.__version__)
+        for name in agkit.BUILTIN_NAMES:  # verify_paper lists no Con(A)
+            agkit.congruence_lattice(agkit.builtin(name))
         for lemma in agkit.lemma_registry():
             agkit.parse_sentence(agkit.format_sentence(lemma.sentence))
     made[agkit.VarietyDescriptor].extend(agkit.all_varieties())

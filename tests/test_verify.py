@@ -39,9 +39,10 @@ GOLDEN_RECORDS_SHA256 = "bed7a894465af4beaf80f57610d6ee82195b7ebf3ccd6500c7e308b
 # 158 lattices until one discriminator check proved CEP and hereditary SI,
 # then 239, one per pair of elements, until Con(A) was generated by one
 # principal congruence per join-irreducible of the lattice reduct, each the
-# closure of that join-irreducible's bit.)
+# closure of that join-irreducible's bit.  10 lattices while classify listed
+# Con(A) to scan its pairs; it now reads its verdicts off those closures.)
 PRINCIPAL_CONGRUENCES = 28
-CONGRUENCE_LATTICES = 10
+CONGRUENCE_LATTICES = 0
 # subuniverse searches per run from a cold start: the discriminator check
 # decides each product S x T once, the 10 products of two SI generators plus
 # the squares of the 4 lattice reducts.  (46 when every variety re-decided the
@@ -81,11 +82,11 @@ DECIDED_FACTS = 182
 # one-factor product (S).)
 TUPLED_MAPS = 0
 # calls one large_algebras op (perfbench) makes on a renumbered 48-element
-# product, loaded from JSON: classify builds Con(A) once from one closure per
-# join-irreducible (6: 2 + 2 + 2), and every congruence and
+# product, loaded from JSON: classify reads its verdicts off one closure per
+# join-irreducible (6: 2 + 2 + 2) and lists no Con(A), and every congruence and
 # scan reads the Birkhoff embedding that the load derived and kept.  The 15
 # decided facts are the ALMOST_GAUTAMA axioms of the membership check.
-LARGE_OP_CALLS = {"_closure": 6, "congruence_lattice": 1, "_birkhoff": 1,
+LARGE_OP_CALLS = {"_closure": 6, "congruence_lattice": 0, "_birkhoff": 1,
                   "_decide": 15}
 
 # scans one free_terms op (perfbench) makes on F_BA(3) = 2^8: the 21 lemma
@@ -263,9 +264,9 @@ def test_verify_paper_decides_each_diagram_once(logged_run):
 
 def test_verify_paper_congruence_budget(logged_run):
     _, calls = logged_run
-    algebras = [args[0] for args, _ in calls["congruence_lattice"]]
-    assert max(a.size for a in algebras) <= 12
-    repeated = Counter(a for a in algebras if a.size > 4)
+    closures = [args for args, _ in calls["_closure"]]
+    assert max(algebra.size for algebra, _ in closures) <= 12
+    repeated = Counter(args for args in closures if args[0].size > 4)
     assert all(count == 1 for count in repeated.values()), repeated.most_common(1)
     assert len(calls["_closure"]) == PRINCIPAL_CONGRUENCES
     assert len(calls["congruence_lattice"]) == CONGRUENCE_LATTICES
