@@ -175,16 +175,16 @@ def chain_algebra(n: int, star: tuple[int, ...] | None = None,
 
 
 @st.composite
-def chain_products(draw, max_irreducibles: int = 4):
-    """A product of two or three chains of 2 to 4 elements, at most
-    max_irreducibles join-irreducibles in all, each chain with its own
-    arbitrary star and quote tables, renumbered at random.  Its star and quote
-    act per factor, so it is never directly indecomposable, unlike almost
-    every distributive_algebras draw."""
+def chain_products(draw):
+    """A product of two or three chains of 2 to 4 elements, at most 4
+    join-irreducibles in all (at most 2^4 congruences for the DI oracle), each
+    chain with its own arbitrary star and quote tables, renumbered at random.
+    Its star and quote act per factor, so it is never directly
+    indecomposable, unlike almost every distributive_algebras draw."""
     from agkit import direct_product
 
     lengths = draw(st.lists(st.integers(2, 4), min_size=2, max_size=3).filter(
-        lambda ks: sum(k - 1 for k in ks) <= max_irreducibles))
+        lambda ks: sum(k - 1 for k in ks) <= 4))
     tables = [st.lists(st.integers(0, k - 1), min_size=k, max_size=k).map(tuple)
               for k in lengths]
     product = direct_product([chain_algebra(k, draw(t), draw(t))

@@ -14,7 +14,8 @@ from agkit import (BUILTIN_NAMES, CapExceededError, FiniteAlgebra, Partition, bu
                    load_algebra, principal_congruence, quotient, subalgebra)
 from agkit.morphisms import Homomorphism
 from tests.conftest import (CountingTable, brute_force_congruences, cep_by_definition,
-                            chain4, chain_algebra, chain_products, directly_indecomposable_by_definition,
+                            chain4, chain_algebra, chain_products,
+                            directly_indecomposable_by_definition,
                             distributive_algebras, forget_facts, generated_members,
                             iter_partitions, kept_facts, log_calls,
                             pairwise_congruence_lattice, renumber, renumbered_products, replace,
