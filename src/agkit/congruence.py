@@ -1,6 +1,7 @@
 """Congruences: principal congruences, the congruence lattice (the one list of
-Con(A)), the classification (simple / SI / DI), read off the closures that
-generate Con(A), and instance checks for the congruence extension property.
+Con(A)), the classification (simple / SI / DI) and the builtin names of the
+factors (factor_names), all read off the kept closures that generate Con(A)
+(_closures), and instance checks for the congruence extension property.
 
 A congruence is a mask S of join-irreducibles on the Birkhoff embedding
 phi(x) = {j in J : j <= x}, which every algebra keeps (algebra.birkhoff;
@@ -27,13 +28,12 @@ congruence of the subalgebra.
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 from typing import Sequence
 
 from . import caps
-from .algebra import FiniteAlgebra, birkhoff
-from .errors import _Value
+from .algebra import BUILTIN_NAMES, FiniteAlgebra, _known, birkhoff, builtin
+from .errors import AgkitError, _Value
 from .morphisms import Homomorphism
 
 
@@ -61,14 +61,15 @@ class Partition(_Value):
 
 
 def is_congruence(algebra: FiniteAlgebra, partition: Partition) -> bool:
-    """Independent compatibility check, one table at a time."""
+    """Independent compatibility check, one table at a time: each y against the
+    first x of its block, enough by transitivity (the binary tables commute)."""
     if partition.size != algebra.size:
         return False
     blocks = partition.blocks
     rng = range(algebra.size)
-    for x, y in itertools.product(rng, repeat=2):
-        if blocks[x] != blocks[y]:
-            continue
+    first = {}  # the first element of each block
+    for y in rng:
+        x = first.setdefault(blocks[y], y)
         if blocks[algebra.star[x]] != blocks[algebra.star[y]]:
             return False
         if blocks[algebra.quote[x]] != blocks[algebra.quote[y]]:
@@ -105,6 +106,13 @@ def _closure(algebra: FiniteAlgebra, collapsed: int) -> int:
         collapsed = forced
 
 
+def _closures(algebra: FiniteAlgebra) -> tuple[int, ...]:
+    """C_j = _closure(1 << j), j a bit of J = phi(one), kept per algebra:
+    congruence_lattice, classify and factor_names read them."""
+    bits = range(birkhoff(algebra)[algebra.one].bit_length())
+    return _known(algebra, "closures", lambda: tuple(_closure(algebra, 1 << j) for j in bits))
+
+
 def _partition(phi: Sequence[int], mask: int) -> Partition:
     """theta_mask on the elements whose embeddings phi lists."""
     return Partition.from_assignment([p & ~mask for p in phi])
@@ -138,12 +146,10 @@ def congruence_lattice(algebra: FiniteAlgebra) -> CongruenceLattice:
     j in S, as each lies in theta_S and collapses j.
     """
     caps.guard("congruence_universe", algebra.size)
-    phi = birkhoff(algebra)
     found = {0}  # the masks of the joins of the generators so far
-    for i in range(phi[algebra.one].bit_length()):
-        generator = _closure(algebra, 1 << i)
+    for generator in _closures(algebra):
         found |= {mask | generator for mask in found}
-    return CongruenceLattice(algebra.name, tuple(sorted(found)), phi)
+    return CongruenceLattice(algebra.name, tuple(sorted(found)), birkhoff(algebra))
 
 
 class Classification(_Value):
@@ -169,7 +175,7 @@ def classify(algebra: FiniteAlgebra) -> Classification:
         return Classification(algebra.name, False, False, None, False)
     caps.guard("congruence_universe", algebra.size)
     phi = birkhoff(algebra)
-    closures = [_closure(algebra, 1 << j) for j in range(phi[algebra.one].bit_length())]
+    closures = _closures(algebra)
     least = functools.reduce(operator.and_, closures)
     links = [c | min(p for p in phi if p >> j & 1) for j, c in enumerate(closures)]
     linked = 1  # the bits linked to bit 0: each pass adds one or is the last
@@ -177,6 +183,32 @@ def classify(algebra: FiniteAlgebra) -> Classification:
         linked = functools.reduce(operator.or_, (link for link in links if link & linked))
     return Classification(algebra.name, least == phi[algebra.one], least != 0,
                           _partition(phi, least) if least else None, linked == phi[algebra.one])
+
+
+def factor_names(algebra: FiniteAlgebra) -> frozenset[str]:
+    """The builtin names of the factors A/theta_(J - C), C a distinct C_j
+    (_closures; proof at variety.generated_subvariety).  Raises AgkitError
+    unless the C_j partition J and each factor's _shape is a builtin's."""
+    masks = set(_closures(algebra))
+    if sum(mask.bit_count() for mask in masks) != birkhoff(algebra)[algebra.one].bit_count():
+        raise AgkitError(f"{algebra.name}: the closures of J overlap (Con is not Boolean)")
+    shapes = {_shape(s, birkhoff(s)[s.one]): s.name for s in map(builtin, BUILTIN_NAMES)}
+    names = {shapes.get(_shape(algebra, mask)) for mask in masks}
+    if None in names:
+        raise AgkitError(f"{algebra.name}: a factor is no builtin; in AG, _SI_SETS misses it")
+    return frozenset(names)
+
+
+def _shape(algebra: FiniteAlgebra, mask: int) -> tuple:
+    """A/theta_(J - mask) as (order, star, quote) on the distinct phi(x) & mask,
+    numbered ascending, read through any x of each.  Equal shapes give an
+    isomorphism: a chain has one, 2^2's two differ by an automorphism of 4_dmba."""
+    phi = birkhoff(algebra)
+    some = {p & mask: x for x, p in enumerate(phi)}  # an x of each value
+    index = {value: i for i, value in enumerate(sorted(some))}
+    order = tuple(tuple(u | v == v for u in index) for v in index)
+    return (order, *(tuple(index[phi[table[some[v]]] & mask] for v in index)
+                     for table in (algebra.star, algebra.quote)))
 
 
 class ScReport(_Value):

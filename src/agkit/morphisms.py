@@ -6,9 +6,8 @@ choice through the operation tables; a clash prunes the branch.  Output order
 is lexicographic on the map arrays, so certificates are reproducible.
 
 One closure, `_propagate`, seeded by `_extend`, decides whether a partial map
-extends to a homomorphism from the subalgebra its domain generates.  The hom
-search starts from it, and so do the HS-membership and free-algebra proofs in
-`variety`.
+extends to a homomorphism from the subalgebra its domain generates.  It
+serves the hom search and the free-algebra proofs in `variety` only.
 """
 
 from __future__ import annotations

@@ -27,8 +27,9 @@ from . import caps
 from .algebra import (FiniteAlgebra, _known, _subuniverses, builtin, direct_product,
                       subuniverse_closure)
 from .axioms import satisfies_axiom_system
+from .congruence import factor_names
 from .errors import AgkitError, NotFoundError, NotInVarietyError, _Value
-from .morphisms import _extend, _generator_sequence
+from .morphisms import _extend
 from .terms import Sentence, Verdict, _parse_shipped, eval_term, holds_in
 
 VARIETY_NAMES = ("BA", "RDBLST", "RKLST", "DMBA", "G",
@@ -142,38 +143,22 @@ def _prove_member(algebra: FiniteAlgebra, v: VarietyDescriptor) -> None:
 
 def generated_subvariety(algebra: FiniteAlgebra) -> VarietyDescriptor:
     """Least of the eight subvarieties containing the algebra: the least whose
-    SI generators include every builtin S in HS(algebra), decided by in_hs.
+    SI generators include the builtin names of its factors (factor_names).
 
-    Sound because the SI members of the congruence-distributive variety
-    generated by a finite algebra lie in HS of it (Jonsson, Math. Scand. 21,
-    1967), and the SI members of each of the eight subvarieties are its
-    builtin generators.  The tests cross-check it against the least variety
-    whose base the algebra satisfies.
+    Every SI member of AG is simple, so Con(A) is Boolean: the distinct C_j
+    partition J, each J - C is an OR of closed masks, so theta_(J - C) is a
+    congruence, and they meet to theta_0 as the C cover J.  So A embeds
+    subdirectly in the product of its factors A/theta_(J - C), each in H(A)
+    (Burris & Sankappanavar, II 8): A and its factors generate one variety,
+    and one of the eight contains a builtin iff its SI generators name it.
     """
     require_in_variety(algebra, variety("AG"))
     if algebra.size == 1:
         raise AgkitError("the trivial algebra generates the trivial variety, "
                          "which is none of the eight nontrivial subvarieties")
-    reachable = {name for name in _SI_SETS["AG"] if in_hs(algebra, builtin(name))}
-    return min((v for v in all_varieties() if reachable <= v.si_names),
+    names = factor_names(algebra)
+    return min((v for v in all_varieties() if names <= v.si_names),
                key=lambda v: len(v.si_names))
-
-
-def in_hs(algebra: FiniteAlgebra, target: FiniteAlgebra) -> bool:
-    """Is the target a homomorphic image of a subalgebra of the algebra?
-
-    Let the tuple g generate the target.  Then the target is in HS(algebra)
-    iff some tuple a of the algebra makes a -> g extend to a homomorphism
-    from Sg(a) onto the target, which `morphisms._extend` decides.  Proof:
-    given a surjection h from a subalgebra B onto the target, take a
-    preimage a of g in B; h restricted to Sg(a) maps onto Sg(g), the whole
-    target.  Any generating tuple g is correct; |algebra|^len(g) tuples are
-    tried, g the hom search's greedy sequence (morphisms._generator_sequence):
-    () for 2, one element for the other builtins.
-    """
-    generators = _generator_sequence(target, frozenset())
-    return any(_extend(algebra, target, zip(a, generators)) is not None
-               for a in itertools.product(algebra.elements(), repeat=len(generators)))
 
 
 # --- discriminator -----------------------------------------------------------

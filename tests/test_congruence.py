@@ -8,10 +8,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import agkit.congruence
-from agkit import (BUILTIN_NAMES, CapExceededError, FiniteAlgebra, Partition, builtin,
+from agkit import (AgkitError, BUILTIN_NAMES, CapExceededError, FiniteAlgebra, Partition, builtin,
                    cep_instance, check_sc, classify, congruence_lattice, direct_product,
                    dump_algebra, enumerate_embeddings, is_congruence, lattice_reduct,
                    load_algebra, principal_congruence, quotient, subalgebra)
+from agkit.algebra import birkhoff
+from agkit.congruence import _closures, factor_names
 from agkit.morphisms import Homomorphism
 from tests.conftest import (CountingTable, brute_force_congruences, cep_by_definition,
                             chain4, chain_algebra, chain_products,
@@ -294,6 +296,33 @@ def test_di_iff_single_factor(builtins):
     assert not classify(triple).directly_indecomposable
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(renumbered_products(min_size=4),
+                 st.lists(st.sampled_from(BUILTIN_NAMES), min_size=1, max_size=3).map(
+                     lambda names: direct_product([builtin(n) for n in names]))),
+       st.data())
+def test_factor_names_of_a_product_are_its_builtins(product, data):
+    """However its elements are numbered: the product's name lists them."""
+    names = set(product.name.removeprefix("renumbered ").strip("()").split(" x "))
+    assert factor_names(product) == names
+    to = data.draw(st.permutations(range(product.size)))
+    assert factor_names(renumber(product, to)) == names
+
+
+def test_factor_names_refuses_what_is_no_product_of_builtins():
+    """The chain 0 < a < b < 1 with identity star and quote is a product of
+    three 2-element factors, none of them 2; with a* = 1, b* = a* = 0, the
+    closure of 0 < a holds those of a < b and b < 1."""
+    identity = chain4((0, 1, 2, 3), (0, 1, 2, 3))
+    assert _closures(identity) == (1, 2, 4)
+    with pytest.raises(AgkitError, match="no builtin"):
+        factor_names(identity)
+    nested = chain4((3, 0, 0, 0), (0, 1, 2, 3))
+    assert _closures(nested) == (7, 2, 4)
+    with pytest.raises(AgkitError, match="overlap"):
+        factor_names(nested)
+
+
 def test_check_sc_witness(builtins):
     product = direct_product([builtins["3_dblst"], builtins["3_klst"]])
     report = check_sc(product)
@@ -452,6 +481,18 @@ def test_quotient_by_projection_kernel(builtins):
     image = quotient(square, kernel)
     assert image.size == 2
     assert enumerate_embeddings(image, builtins["2"])
+
+
+def test_quotient_by_a_coatom_of_a_big_product():
+    """The kernel of a projection of 2^8 has two blocks of 128 elements;
+    moving one element makes it no congruence."""
+    cube = direct_product([builtin("2")] * 8)
+    coatom = Partition.from_assignment([p & 1 for p in birkhoff(cube)])
+    assert quotient(cube, coatom).size == 2
+    moved = list(coatom.blocks)
+    moved[cube.one] ^= 1
+    with pytest.raises(ValueError):
+        quotient(cube, Partition(tuple(moved)))
 
 
 def test_quotient_by_gapped_or_negative_block_ids(builtins):

@@ -326,13 +326,16 @@ def test_golden_digest_does_not_depend_on_the_hash_seed(tmp_path):
 
 def test_large_algebra_op_counts(builtins, monkeypatch):
     """One large_algebras op, in process: load, classify, check_sc and
-    generated_subvariety, with every fact forgotten.  The builtins are built
-    before the count: in a fresh process in_hs builds them, and each derives
-    its own embedding then."""
+    generated_subvariety, with every fact forgotten.  factor_names reads each
+    builtin's embedding: in a fresh process each builtin derives it when it is
+    built, so here each derives it again after the facts are forgotten and
+    before the count."""
     rng = random.Random(0)
     product = direct_product([builtins[n] for n in rng.sample(["3_dblst", "4_dmba", "4_dmba"], 3)])
     text = dump_algebra(renumber(product, rng.sample(range(48), 48)))
     forget_facts()
+    for algebra in builtins.values():
+        agkit.algebra.birkhoff(algebra)
     modules = {"_closure": agkit.congruence, "congruence_lattice": agkit.congruence,
                "_birkhoff": agkit.algebra, "_decide": agkit.terms}
     calls = {name: [] for name in modules}

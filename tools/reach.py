@@ -102,6 +102,8 @@ LINE_TAGS = [
     ("algebra.py:load_algebra", "raise", "hostile input"),
     ("algebra.py:read_algebra", "except", "hostile input"),
     ("algebra.py:direct_product", "raise", "hostile input"),
+    # an algebra whose Con is not Boolean, or with a factor that is no builtin
+    ("congruence.py:factor_names", "raise", "hostile input"),
     # == of two equal algebras that are distinct objects: the fact table
     # compares (hash, spec) keys, not algebras
     ("algebra.py:FiniteAlgebra.__eq__", "_spec(self) == _spec(other)", "API name"),
