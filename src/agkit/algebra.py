@@ -420,7 +420,7 @@ def direct_product(factors: Sequence[FiniteAlgebra]) -> FiniteAlgebra:
     caps.guard("product_elements", size)
     join, meet, star, quote, zero, one = _product_tables(factors, size)
     product = FiniteAlgebra(
-        name="(" + " x ".join(f.name for f in factors) + ")", size=size,
+        name=product_name(factors), size=size,
         labels=tuple("(" + ",".join(t) + ")"
                      for t in itertools.product(*(f.labels for f in factors))),
         join=join, meet=meet, star=star, quote=quote, zero=zero, one=one, validate=False)
@@ -429,6 +429,11 @@ def direct_product(factors: Sequence[FiniteAlgebra]) -> FiniteAlgebra:
         if len(set(factors)) < len(factors):
             _known(product, "diagonal", lambda: _diagonal(factors))
     return product
+
+
+def product_name(factors: Sequence[FiniteAlgebra]) -> str:
+    """The name of direct_product(factors): "(L x R)" for two factors."""
+    return "(" + " x ".join(f.name for f in factors) + ")"
 
 
 def _diagonal(factors: Sequence[FiniteAlgebra]) -> tuple[int, ...]:

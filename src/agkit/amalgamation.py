@@ -9,8 +9,9 @@ the S over a covering set of pairs with the tupled maps (S itself for one).
 Completeness: any amalgam restricts to the finite subalgebra generated by the
 images (the variety is locally finite), every finite member is a subdirect
 product of SI members, and composing with the projections yields exactly such
-pairs.  Soundness: the constructed product lies in V and the tupled maps are
-embeddings by the separation property.
+pairs.  Soundness: the product lies in V, which is closed under products, and
+the tupled maps are embeddings by the separation property.  So the covering
+pairs are the whole certificate, and no product table is built (see Amalgam).
 
 Lemma: on a diagram of SI members of a discriminator variety (classify_ap
 proves it) any one compatible pair covers.  The members are simple, and a
@@ -23,10 +24,10 @@ from __future__ import annotations
 
 import itertools
 
-from .algebra import FiniteAlgebra, _known, direct_product
+from .algebra import FiniteAlgebra, _known
 from .errors import NotFoundError, _Value
 from .morphisms import (Homomorphism, brute_force_homs, enumerate_embeddings,
-                        enumerate_homs, identity_hom, tupled_hom)
+                        enumerate_homs, identity_hom)
 from .variety import VarietyDescriptor, discriminator_is_term_op, require_in_variety
 
 
@@ -62,11 +63,18 @@ def diagram(base: FiniteAlgebra, left: FiniteAlgebra, right: FiniteAlgebra) -> D
 
 
 class Amalgam(_Value):
-    product: FiniteAlgebra
-    f1: Homomorphism  # left -> product
-    g1: Homomorphism  # right -> product
-    # the covering pairs (h: left -> S, k: right -> S), one per factor S of
-    # the product, in factor order; () when both sides are trivial
+    """The amalgam D = prod S of a diagram <A, f, B, g, C>, held as its
+    covering pairs (h: B -> S, k: C -> S), one per factor S, in factor
+    order.  Each fact about D and its tupled maps f1 = (h, ...) and g1 =
+    (k, ...) follows from the pairs, so none of the three is built:
+
+    - f1 and g1 are homomorphisms, as each h and k is a Homomorphism;
+    - f1 o f = g1 o g, as h o f = k o g for each pair (_compatible_pairs);
+    - f1 and g1 are injective, as the pairs separate every two elements of
+      B and of C (the cover in decide_amalgamation);
+    - D lies in V, as each S is an SI generator of V and V is closed under
+      products (S is the trivial B when both sides are trivial).
+    """
     pairs: tuple[tuple[Homomorphism, Homomorphism], ...]
 
     amalgamable = True  # a class attribute, not a field
@@ -122,12 +130,12 @@ def _compatible_pairs(v: VarietyDescriptor, d: Diagram):
 def decide_amalgamation(v: VarietyDescriptor, d: Diagram) -> AmalgamationResult:
     """Decide one diagram; returns a machine-checkable certificate either way.
 
-    Amalgam certificates re-verify on construction (embedding checks, the
-    commuting square, membership of the amalgam).  The amalgam is S itself
-    when one pair covers, as on every SI diagram: a simple source makes each
-    hom injective (see the module docstring).  Obstruction certificates carry
-    the least unseparated pair plus the per-SI hom census and can be
-    re-verified by exhaustive map enumeration.
+    An amalgam certificate is the covering pairs, each checked here as the
+    proof that their product is the amalgam needs (see Amalgam).  One pair
+    covers on every SI diagram: a simple source makes each hom injective
+    (see the module docstring).  Obstruction certificates carry the least
+    unseparated pair plus the per-SI hom census and can be re-verified by
+    exhaustive map enumeration.
     """
     require_in_variety(d.left, v)
     require_in_variety(d.right, v)
@@ -154,24 +162,11 @@ def decide_amalgamation(v: VarietyDescriptor, d: Diagram) -> AmalgamationResult:
     if missed is not None:
         return Obstruction("right", missed, census)
 
-    if len(chosen) == 1:
-        f1, g1 = chosen[0]
-        amalgam = f1.target
-    elif chosen:
-        amalgam = direct_product([h.target for h, _ in chosen])
-        f1 = tupled_hom(d.left, [h for h, _ in chosen], amalgam)
-        g1 = tupled_hom(d.right, [k for _, k in chosen], amalgam)
-    else:
+    if not chosen:
         # both sides are trivial (no pair: a hom out of one forces 0 = 1), and
         # the left one amalgamates them
-        amalgam, f1 = d.left, identity_hom(d.left)
-        g1 = Homomorphism(d.right, d.left, (0,))
-    if not (f1.injective and g1.injective):  # pragma: no cover
-        raise AssertionError("pair cover failed to separate")
-    if f1.after(d.f) != g1.after(d.g):  # pragma: no cover
-        raise AssertionError("amalgam square does not commute")
-    require_in_variety(amalgam, v)
-    return Amalgam(amalgam, f1, g1, tuple(chosen))
+        chosen.append((identity_hom(d.left), Homomorphism(d.right, d.left, (0,))))
+    return Amalgam(tuple(chosen))
 
 
 # --- classification over all SI diagrams --------------------------------------

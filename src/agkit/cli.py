@@ -14,11 +14,12 @@ so they give 1.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
 from . import __version__
-from .algebra import (BUILTIN_SPECS, builtin, dump_algebra, read_algebra)
+from .algebra import BUILTIN_SPECS, builtin, dump_algebra, product_name, read_algebra
 from .amalgamation import applications, classify_ap, decide_amalgamation, diagram
 from .congruence import check_sc, classify, congruence_lattice
 from .errors import AgkitError
@@ -190,8 +191,10 @@ def _cmd_amalgamate(args, report: Report) -> str:
                       verdict="amalgam" if result.amalgamable else "obstruction",
                       detail=result.as_dict()))
     if result.amalgamable:
+        factors = [h.target for h, _ in result.pairs]
+        name = factors[0].name if len(factors) == 1 else product_name(factors)
         return (f"{d.describe()} amalgamable in {v.name}: "
-                f"D = {result.product.name} ({result.product.size} elements)")
+                f"D = {name} ({math.prod(f.size for f in factors)} elements)")
     return (f"{d.describe()} NOT amalgamable in {v.name}: side={result.side} "
             f"pair={result.pair} census={result.hom_census}")
 

@@ -50,13 +50,6 @@ class Homomorphism(_Value):
     def injective(self) -> bool:
         return len(set(self.mapping)) == len(self.mapping)
 
-    def after(self, inner: "Homomorphism") -> "Homomorphism":
-        """self o inner."""
-        if inner.target != self.source:
-            raise ValueError("composition mismatch")
-        return Homomorphism(inner.source, self.target,
-                            tuple(self.mapping[v] for v in inner.mapping))
-
     def as_dict(self) -> dict:
         return {"source": self.source.name, "target": self.target.name,
                 "map": list(self.mapping)}
@@ -187,19 +180,3 @@ def enumerate_embeddings(source: FiniteAlgebra,
         return []
     return [h for h in enumerate_homs(source, target) if h.injective]
 
-
-def tupled_hom(source: FiniteAlgebra, maps: Sequence[Homomorphism],
-               product: FiniteAlgebra) -> Homomorphism:
-    """Pair jointly-defined maps h_i: source -> F_i into source -> prod F_i.
-
-    `product` must be direct_product([h.target for h in maps]); indices follow
-    its layout (last factor fastest).
-    """
-    sizes = [h.target.size for h in maps]
-    mapping = []
-    for x in range(source.size):
-        index = 0
-        for h, size in zip(maps, sizes):
-            index = index * size + h(x)
-        mapping.append(index)
-    return Homomorphism(source, product, tuple(mapping))

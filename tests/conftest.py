@@ -597,11 +597,9 @@ def brute_force_verify_amalgam(v, left: FiniteAlgebra, right: FiniteAlgebra,
     - h and k of every chosen pair (h, k) name the same SI generator S of v
       as their target, are among the maps that brute_force_homs finds into
       S, and h o f = k o g;
-    - the amalgam is the product of those generators, the generator itself
-      when there is one, else the tuple-built product, and f1, g1 are the
-      tupled maps (h and k for one generator);
-    - f1 and g1 are injective and preserve the constants and all four
-      operations, and f1 o f = g1 o g."""
+    - into the tuple-built product of those generators, the tupled maps
+      f1 = (h, ...) and g1 = (k, ...) are injective and preserve the
+      constants and all four operations, and f1 o f = g1 o g."""
     from agkit.morphisms import brute_force_homs
 
     sis = {si.name: si for si in v.si_algebras()}
@@ -616,15 +614,12 @@ def brute_force_verify_amalgam(v, left: FiniteAlgebra, right: FiniteAlgebra,
             return False
         if any(h[f[x]] != k[g[x]] for x in range(len(f))):
             return False
-    product = factors[0] if len(factors) == 1 else tuple_direct_product(factors)
-    if amalgam.product != product:
-        return False
+    product = tuple_direct_product(factors)
     index = {t: i for i, t in enumerate(itertools.product(*(range(s.size) for s in factors)))}
-    for source, maps, mapping in (
-            (left, [h.mapping for h, _ in amalgam.pairs], amalgam.f1.mapping),
-            (right, [k.mapping for _, k in amalgam.pairs], amalgam.g1.mapping)):
-        if mapping != tuple(index[tuple(m[x] for m in maps)] for x in range(source.size)):
-            return False
+    tupled = []
+    for source, maps in ((left, [h.mapping for h, _ in amalgam.pairs]),
+                         (right, [k.mapping for _, k in amalgam.pairs])):
+        mapping = tuple(index[tuple(m[x] for m in maps)] for x in range(source.size))
         if len(set(mapping)) != source.size:
             return False
         if (mapping[source.zero], mapping[source.one]) != (product.zero, product.one):
@@ -637,7 +632,8 @@ def brute_force_verify_amalgam(v, left: FiniteAlgebra, right: FiniteAlgebra,
                 if (mapping[source.join[x][y]] != product.join[mapping[x]][mapping[y]]
                         or mapping[source.meet[x][y]] != product.meet[mapping[x]][mapping[y]]):
                     return False
-    f1, g1 = amalgam.f1.mapping, amalgam.g1.mapping
+        tupled.append(mapping)
+    f1, g1 = tupled
     return all(f1[f[x]] == g1[g[x]] for x in range(len(f)))
 
 

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import gc
 import itertools
+import math
 import weakref
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
 
 import agkit.algebra
 import agkit.morphisms
@@ -16,7 +18,8 @@ from agkit import (BUILTIN_NAMES, Amalgam, FiniteAlgebra, Obstruction, applicati
 from agkit.amalgamation import Diagram, brute_force_verify_obstruction, theorem_diagrams
 from agkit.morphisms import Homomorphism, identity_hom
 from tests.conftest import (brute_force_verify_amalgam, cep_spot_checks, dual_homs, forget_facts,
-                            hereditarily_si, kept_facts, log_calls, refute_amal_base, replace)
+                            hereditarily_si, kept_facts, log_calls, refute_amal_base,
+                            renumbered_products, replace)
 
 AP_EXPECTED = {
     "BA": True, "RDBLST": True, "RKLST": True, "DMBA": True,
@@ -42,9 +45,9 @@ def test_double_stone_square_amalgamates():
     d, result = _decide("RDBLST", "2", "3_dblst", "3_dblst")
     assert isinstance(result, Amalgam)
     # the identity pair covers everything: one factor suffices
-    assert [h.target.name for h, _ in result.pairs] == ["3_dblst"]
-    assert result.f1.injective and result.g1.injective
-    assert result.f1.after(d.f) == result.g1.after(d.g)
+    ((h, k),) = result.pairs
+    assert h.target.name == "3_dblst" and h.injective and k.injective
+    assert all(h(d.f(x)) == k(d.g(x)) for x in d.base.elements())
 
 
 def test_identity_diagram_is_degenerate_single_cover(builtins):
@@ -53,8 +56,8 @@ def test_identity_diagram_is_degenerate_single_cover(builtins):
                     identity_hom(algebra), identity_hom(algebra))
         result = decide_amalgamation(variety("AG"), d)
         assert isinstance(result, Amalgam)
-        assert len(result.pairs) == 1
-        assert result.product.size == algebra.size
+        ((h, _),) = result.pairs
+        assert h.target.size == algebra.size
 
 
 def test_theorem_diagram_results():
@@ -160,12 +163,50 @@ def test_classify_ap_obstructions_are_the_known_diagrams():
     assert obstructed == {("2", "3_dblst", "3_klst"), ("2", "3_klst", "3_dblst")}
 
 
+def test_ap_is_joint_embedding_over_two():
+    """Thm 3.24's split, read off the reports for these four generators: every
+    obstruction is based at 2, and an SI base other than 2 embeds among the SI
+    members only into itself, so its diagrams are <A; A, A> and amalgamate in
+    A.  So V has AP iff its SI members embed jointly over 2, which holds iff V
+    is the bottom or an atom of the subvariety lattice."""
+    for v in all_varieties():
+        report = classify_ap(v)
+        assert {d.base.name for d, _ in report.obstructed()} <= {"2"}, v.name
+        for base in v.si_algebras():
+            if base.name != "2":
+                sides = {(d.left.name, d.right.name) for d, _ in report.diagrams
+                         if d.base.name == base.name}
+                assert sides == {(base.name, base.name)}, (v.name, base.name)
+        embedding_property = applications(report).embedding_property
+        assert report.has_ap == embedding_property == (v.level <= 1), v.name
+
+
+def test_swapping_the_sides_keeps_the_verdict():
+    """<A, f, B, g, C> is amalgamable iff <A, g, C, f, B> is; si_diagrams
+    lists both orders."""
+    for v in all_varieties():
+        decided = dict(classify_ap(v).diagrams)
+        for d, result in decided.items():
+            swapped = Diagram(d.base, d.right, d.left, d.g, d.f)
+            assert decided[swapped].amalgamable == result.amalgamable, (v.name, d)
+
+
+@settings(max_examples=8, deadline=None)
+@given(renumbered_products(min_size=6, max_size=36), renumbered_products(min_size=4, max_size=12))
+def test_swapping_renumbered_product_sides_keeps_the_verdict(left, right):
+    v, two = variety("AG"), builtin("2")
+    d = diagram(two, left, right)
+    swapped = Diagram(two, right, left, d.g, d.f)
+    assert decide_amalgamation(v, swapped).amalgamable == decide_amalgamation(v, d).amalgamable
+
+
 def test_amalgam_certificates_reverify_in_ap_varieties():
     for name in ("BA", "RDBLST", "RKLST", "DMBA"):
         v = variety(name)
         for _, result in classify_ap(v).diagrams:
             assert isinstance(result, Amalgam)
-            assert generated_subvariety(result.product).si_names <= v.si_names
+            product = direct_product([h.target for h, _ in result.pairs])
+            assert generated_subvariety(product).si_names <= v.si_names
 
 
 def test_every_amalgam_certificate_reverifies_by_table_scans():
@@ -182,38 +223,61 @@ def test_every_amalgam_certificate_reverifies_by_table_scans():
     # member is the amalgam
     for v, d, result in amalgams:
         ((h, k),) = result.pairs
-        assert result.product == builtin(h.target.name) == h.target, (v.name, d)
+        assert builtin(h.target.name) == h.target, (v.name, d)
 
     # the oracle rejects a tampered certificate
     v, d, result = next((v, d, r) for v, d, r in amalgams if d.f.target.size > 2)
     left, right, f, g = d.f.target, d.g.target, d.f.mapping, d.g.mapping
-    f1 = SimpleNamespace(mapping=tuple(reversed(result.f1.mapping)))
+    ((h, k),) = result.pairs
+    h_reversed = SimpleNamespace(mapping=tuple(reversed(h.mapping)), target=h.target)
     assert not brute_force_verify_amalgam(v, left, right, f, g,
-                                          replace(result, f1=f1))
+                                          replace(result, pairs=((h_reversed, k),)))
     assert not brute_force_verify_amalgam(v, left, right, f, g,
                                           replace(result, pairs=()))
     assert not brute_force_verify_amalgam(variety("BA"), left, right, f, g, result)
-    member = result.product
     other = next(builtin(name) for name in BUILTIN_NAMES
-                 if name != member.name and builtin(name).size == member.size)
+                 if name != h.target.name and builtin(name).size == h.target.size)
+    # both maps name another SI member of the same size as their target
+    h_elsewhere, k_elsewhere = (SimpleNamespace(mapping=m.mapping, target=other) for m in (h, k))
     assert not brute_force_verify_amalgam(v, left, right, f, g,
-                                          replace(result, product=other))
+                                          replace(result, pairs=((h_elsewhere, k_elsewhere),)))
     # k names another SI member than h, with the maps themselves unchanged
-    ((h, k),) = result.pairs
-    k_elsewhere = SimpleNamespace(mapping=k.mapping, target=other)
     assert not brute_force_verify_amalgam(v, left, right, f, g,
                                           replace(result, pairs=((h, k_elsewhere),)))
+    # of the two pairs that <2; 2 x 3_dblst, 3_dblst> needs, the one left
+    # maps (0, 0) and (0, a) of the product side together
+    v, product = variety("RDBLST"), direct_product([builtin("2"), builtin("3_dblst")])
+    d = diagram(builtin("2"), product, builtin("3_dblst"))
+    result = decide_amalgamation(v, d)
+    args = (v, product, d.right, d.f.mapping, d.g.mapping)
+    assert len(result.pairs) == 2 and brute_force_verify_amalgam(*args, result)
+    assert not brute_force_verify_amalgam(*args, replace(result, pairs=result.pairs[1:]))
 
 
 def test_trivial_diagram_amalgamates_in_its_left_side():
+    """No SI member receives a hom from a trivial side, so the certificate's
+    one pair maps both sides onto the left one."""
     one = FiniteAlgebra(name="1", size=1, labels=("0",), join=((0,),), meet=((0,),),
                         star=(0,), quote=(0,), zero=0, one=0)
     d = Diagram(one, one, one, identity_hom(one), identity_hom(one))
     result = decide_amalgamation(variety("BA"), d)
     assert isinstance(result, Amalgam)
-    assert result.product == one and result.pairs == ()
-    assert result.f1 == identity_hom(one) and result.g1.after(d.g) == result.f1.after(d.f)
-    assert result.as_dict() == {"result": "amalgam", "factors": [], "f1": [], "g1": []}
+    assert result.pairs == ((identity_hom(one), Homomorphism(one, one, (0,))),)
+    assert result.as_dict() == {"result": "amalgam", "factors": ["1"], "f1": [[0]], "g1": [[0]]}
+
+
+def test_decide_amalgamation_builds_no_product(monkeypatch):
+    """<2; 4_dmba^3, 4_dmba^3> in DMBA needs five of the 36 compatible pairs
+    into 4_dmba, an amalgam of 4^5 elements: no direct_product is called."""
+    power = direct_product([builtin("4_dmba")] * 3)
+    d = diagram(builtin("2"), power, power)
+    products = []
+    log_calls(monkeypatch, agkit.algebra, "direct_product", products)
+    result = decide_amalgamation(variety("DMBA"), d)
+    assert products == []
+    factors = [h.target for h, _ in result.pairs]
+    assert factors == [builtin("4_dmba")] * 5
+    assert math.prod(f.size for f in factors) == 1024
 
 
 def test_hom_sets_of_a_product_source_are_kept_and_go_with_it(monkeypatch):

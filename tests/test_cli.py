@@ -176,6 +176,18 @@ def test_amalgamate_trivial_diagram(capsys, tmp_path):
     assert "D = 1 (1 elements)" in out
 
 
+def test_amalgamate_names_a_product_it_does_not_build(capsys, tmp_path):
+    """<4_dmba; 4_dmba^3, 4_dmba^3> in DMBA: the amalgam's name and size are
+    read off its five factors, and its 2^20-entry tables are never built."""
+    path = tmp_path / "cube.json"
+    path.write_text(dump_algebra(direct_product([builtin("4_dmba")] * 3)))
+    code, out, _ = run(capsys, "amalgamate", "--variety", "DMBA", "--base", "4_dmba",
+                       "--left", str(path), "--right", str(path))
+    assert code == 0
+    assert out.rstrip().endswith(
+        "D = (4_dmba x 4_dmba x 4_dmba x 4_dmba x 4_dmba) (1024 elements)")
+
+
 def test_homs_from_a_trivial_source(capsys, tmp_path):
     one, c2 = tmp_path / "one.json", tmp_path / "c2.json"
     one.write_text('{"name": "one", "size": 1, "labels": ["0"], "join": [[0]], '

@@ -12,7 +12,7 @@ from agkit import (BUILTIN_NAMES, FiniteAlgebra, builtin, direct_product,
                    subalgebra, subuniverse_closure)
 from agkit.algebra import BUILTIN_SPECS
 from agkit.amalgamation import _homs
-from agkit.morphisms import Homomorphism, _extend, brute_force_homs, tupled_hom
+from agkit.morphisms import Homomorphism, _extend, brute_force_homs
 from tests.conftest import dual_homs, generated_members, kept_facts, renumber, renumbered_products
 
 ONE = FiniteAlgebra(name="one", size=1, labels=("0",), join=((0,),), meet=((0,),),
@@ -211,28 +211,6 @@ def test_is_isomorphic_examples(builtins):
     from agkit import principal_congruence, quotient
     collapsed = quotient(square, principal_congruence(square, 0, 1))
     assert collapsed.size == 2 and enumerate_embeddings(collapsed, builtins["2"])
-
-
-def test_composition_and_identity(builtins):
-    two, dmba = builtins["2"], builtins["4_dmba"]
-    embed = enumerate_embeddings(two, dmba)[0]
-    swap = enumerate_embeddings(dmba, dmba)[1]
-    composed = swap.after(embed)
-    assert composed.source == two and composed.target == dmba
-    assert composed.mapping == (0, 3)
-    assert swap.after(identity_hom(dmba)) == swap
-    assert identity_hom(dmba).after(swap) == swap
-    with pytest.raises(ValueError):
-        embed.after(swap)
-
-
-def test_tupling_is_a_homomorphism(builtins):
-    klst = builtins["3_klst"]
-    h = enumerate_homs(klst, klst)[0]
-    product = direct_product([klst, klst])
-    paired = tupled_hom(klst, [h, h], product)
-    assert paired.mapping == tuple(x * klst.size + x for x in klst.elements())
-    assert paired.injective
 
 
 def test_flags_are_consistent(builtins):

@@ -77,10 +77,11 @@ AXIOM_SYSTEM_CHECKS = 60
 # membership re-checked ALMOST_GAUTAMA on the builtins; 256 while the
 # one-factor product copies added 74.)
 DECIDED_FACTS = 182
-# tupled_hom calls per run: an SI diagram's amalgam is its one SI member with
-# the pair's own maps.  (136, two per amalgam, while each amalgam was the
-# one-factor product (S).)
-TUPLED_MAPS = 0
+# amalgams per run with more than one factor: an SI diagram's amalgam is its
+# one SI member with the pair's own maps.  (Pinned as 0 tupled_hom calls
+# until the certificates became their pairs; 136, two per amalgam, while each
+# amalgam was the one-factor product (S).)
+MULTI_FACTOR_AMALGAMS = 0
 # calls one large_algebras op (perfbench) makes on a renumbered 48-element
 # product, loaded from JSON: classify reads its verdicts off one closure per
 # join-irreducible (6: 2 + 2 + 2) and lists no Con(A), and every congruence and
@@ -101,7 +102,7 @@ FREE_OP_SCANS = {"diagonal": 35, "full": 0, "facts": 35}
 def logged_run():
     """One verify_paper() run, with the arguments and results of every
     classify_ap, decide_amalgamation, congruence_lattice,
-    _closure, enumerate_embeddings, enumerate_homs, tupled_hom,
+    _closure, enumerate_embeddings, enumerate_homs,
     _subuniverses, _adjoin, satisfies_axiom_system and _decide call it made,
     with the table of kept facts (sentence verdicts, memberships,
     discriminator verdicts and hom sets) emptied first."""
@@ -110,7 +111,6 @@ def logged_run():
               "_closure": agkit.congruence,
               "enumerate_embeddings": agkit.morphisms,
               "enumerate_homs": agkit.morphisms,
-              "tupled_hom": agkit.morphisms,
               # the package root rebinds agkit.variety to the function
               "_subuniverses": importlib.import_module("agkit.variety"),
               "_adjoin": agkit.algebra,
@@ -294,7 +294,9 @@ def test_verify_paper_enumerates_each_hom_set_once(logged_run):
 
 def test_verify_paper_builds_no_product_for_an_amalgam(logged_run):
     _, calls = logged_run
-    assert len(calls["tupled_hom"]) == TUPLED_MAPS
+    amalgams = [result for _, result in calls["decide_amalgamation"] if result.amalgamable]
+    assert len(amalgams) == 68
+    assert sum(len(result.pairs) > 1 for result in amalgams) == MULTI_FACTOR_AMALGAMS
 
 
 def test_verify_paper_proves_each_membership_once(logged_run):

@@ -121,7 +121,6 @@ LINE_TAGS = [
     ("cli.py:_cmd_verify_paper", '== "error"', "hostile input"),
     ("cli.py:_Parser.error", "raise", "hostile input"),
     ("morphisms.py:Homomorphism.__post_init__", "raise", "hostile input"),
-    ("morphisms.py:Homomorphism.after", "raise", "hostile input"),
     ("morphisms.py:brute_force_homs", "continue", "oracle"),
     ("terms.py:_tokenize", "raise", "hostile input"),
     ("terms.py:_tokenize", "pos = _offset", "hostile input"),
