@@ -91,9 +91,14 @@ def axiom_system(name: str) -> AxiomSystem:
 
 
 class SentenceCheck(_Value):
+    """One sentence's verdict.  It keeps the sentence, formatted as `text` when read."""
     label: str
-    text: str
+    sentence: Sentence
     verdict: Verdict
+
+    @property
+    def text(self) -> str:
+        return str(self.sentence)
 
 
 class AxiomReport(_Value):
@@ -119,7 +124,7 @@ def satisfies_axiom_system(algebra: FiniteAlgebra,
     if isinstance(system, str):
         system = axiom_system(system)
     checks = tuple(
-        SentenceCheck(label, str(sentence), holds_in(algebra, sentence))
+        SentenceCheck(label, sentence, holds_in(algebra, sentence))
         for label, sentence in system.sentences
     )
     return AxiomReport(algebra.name, system.name, checks)

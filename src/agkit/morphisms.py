@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Sequence
 
-from .algebra import FiniteAlgebra, _adjoin, subuniverse_closure
+from .algebra import FiniteAlgebra, _adjoin, _known, subuniverse_closure
 from .errors import _Value
 
 
@@ -59,8 +59,8 @@ def identity_hom(algebra: FiniteAlgebra) -> Homomorphism:
     return Homomorphism(algebra, algebra, tuple(range(algebra.size)))
 
 
-def _generator_sequence(algebra: FiniteAlgebra, seeded: frozenset[int]) -> list[int]:
-    closed = subuniverse_closure(algebra, seeded)
+def _generator_sequence(algebra: FiniteAlgebra) -> tuple[int, ...]:
+    closed = subuniverse_closure(algebra, ())
     generators = []
     while len(closed) < algebra.size:
         best_element, best_closure = -1, closed
@@ -72,7 +72,7 @@ def _generator_sequence(algebra: FiniteAlgebra, seeded: frozenset[int]) -> list[
                 best_element, best_closure = element, candidate
         generators.append(best_element)
         closed = best_closure
-    return generators
+    return tuple(generators)
 
 
 def _propagate(source: FiniteAlgebra, target: FiniteAlgebra,
@@ -130,7 +130,8 @@ def enumerate_homs(source: FiniteAlgebra, target: FiniteAlgebra) -> list[Homomor
     start = _extend(source, target, ())
     if start is None:
         return []
-    generators = _generator_sequence(source, frozenset(start))
+    # start's domain is Sg{0, 1}: the sequence reads the source alone
+    generators = _known(source, "generator sequence", lambda: _generator_sequence(source))
 
     found: list[tuple[int, ...]] = []
 

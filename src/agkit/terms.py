@@ -131,6 +131,9 @@ def _offset(text: str, index: int) -> int:
     return len(text)
 
 
+_INFIX = {"\\/": (0, Join), "/\\": (1, Meet)}  # token: (binding level, node)
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -162,48 +165,39 @@ class _Parser:
                              _offset(self.text, at))
         return depth + 1
 
-    # term := join ; join := meet (\/ meet)* ; meet := unary (/\ unary)*
-    # Each returns the term and its depth, the operators nested in it.
-    def term(self) -> tuple[Term, int]:
-        node, depth = self.meet()
-        while self.peek() == "\\/":
-            at = self.advance()
-            right, right_depth = self.meet()
-            node, depth = Join(node, right), self.nest(max(depth, right_depth), at)
-        return node, depth
-
-    def meet(self) -> tuple[Term, int]:
+    # Precedence climbing: term(least) reads a unary term, then each infix
+    # operator binding at least as tightly as `least` (join 0 < meet 1), its
+    # right operand one level tighter, so both are left-associative.  Each
+    # returns the term and its depth, the operators nested in it.
+    def term(self, least: int = 0) -> tuple[Term, int]:
         node, depth = self.unary()
-        while self.peek() == "/\\":
+        while (infix := _INFIX.get(self.peek())) and infix[0] >= least:
             at = self.advance()
-            right, right_depth = self.unary()
-            node, depth = Meet(node, right), self.nest(max(depth, right_depth), at)
+            right, right_depth = self.term(infix[0] + 1)
+            node, depth = infix[1](node, right), self.nest(max(depth, right_depth), at)
         return node, depth
 
     def unary(self) -> tuple[Term, int]:
-        node, depth = self.atom()
-        while self.peek() in ("*", "'"):
-            at = self.advance()
-            node = Star(node) if self.tokens[at] == "*" else Quote(node)
-            depth = self.nest(depth, at)
-        return node, depth
-
-    def atom(self) -> tuple[Term, int]:
         token = self.peek()
         if token[:1].isalpha():  # only variables start with a letter
             self.advance()
-            return Var(token), 0
-        if token in ("0", "1"):
+            node, depth = Var(token), 0
+        elif token in ("0", "1"):
             self.advance()
-            return Const(int(token)), 0
-        if token == "(":
+            node, depth = Const(int(token)), 0
+        elif token == "(":
             # the parser recurses once per open parenthesis
             self.parens = self.nest(self.parens, self.advance())
             node, depth = self.term()
             self.expect(")", ("')'",))
             self.parens -= 1
-            return node, depth
-        raise self.error(("variable", "'0'", "'1'", "'('"))
+        else:
+            raise self.error(("variable", "'0'", "'1'", "'('"))
+        while self.peek() in ("*", "'"):
+            at = self.advance()
+            node = Star(node) if self.tokens[at] == "*" else Quote(node)
+            depth = self.nest(depth, at)
+        return node, depth
 
     def equation(self) -> Equation:
         lhs, depth = self.term()
@@ -291,16 +285,19 @@ def format_sentence(sentence: Sentence) -> str:
 # --- evaluation --------------------------------------------------------------
 
 def term_variables(term: Term) -> set[str]:
-    match term:
-        case Var(name):
-            return {name}
-        case Const(_):
-            return set()
-        case Star(arg) | Quote(arg):
-            return term_variables(arg)
-        case Join(left, right) | Meet(left, right):
-            return term_variables(left) | term_variables(right)
-    raise AssertionError(f"bad term {term!r}")
+    names, stack = set(), [term]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is Var:
+            names.add(node.name)
+        elif kind is Star or kind is Quote:
+            stack.append(node.arg)
+        elif kind is Join or kind is Meet:
+            stack += (node.left, node.right)
+        elif kind is not Const:
+            raise AssertionError(f"bad term {node!r}")
+    return names
 
 
 def eval_term(algebra: FiniteAlgebra, term: Term, assignment: Mapping[str, int]) -> int:

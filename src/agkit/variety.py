@@ -26,7 +26,7 @@ import weakref
 from . import caps
 from .algebra import (FiniteAlgebra, _known, _subuniverses, builtin, direct_product,
                       subuniverse_closure)
-from .axioms import satisfies_axiom_system
+from .axioms import axiom_system
 from .congruence import factor_names
 from .errors import AgkitError, NotFoundError, NotInVarietyError, _Value
 from .morphisms import _extend
@@ -127,18 +127,15 @@ def require_in_variety(algebra: FiniteAlgebra, v: VarietyDescriptor) -> None:
 
 
 def _prove_member(algebra: FiniteAlgebra, v: VarietyDescriptor) -> None:
-    report = satisfies_axiom_system(algebra, "ALMOST_GAUTAMA")
-    if not report.ok:
-        failure = report.failures()[0]
-        raise NotInVarietyError(
-            "AG", algebra.name, failure.text,
-            {k: algebra.labels[i] for k, i in (failure.verdict.witness or {}).items()})
-    for label, sentence in v.base:
-        verdict = holds_in(algebra, sentence)
-        if not verdict.holds:
-            raise NotInVarietyError(
-                v.name, algebra.name, str(sentence),
-                {k: algebra.labels[i] for k, i in (verdict.witness or {}).items()})
+    """Check the ALMOST_GAUTAMA axioms, then v's base, in order; raise at the
+    first sentence that fails, so no later one is scanned or capped."""
+    for name, sentences in (("AG", axiom_system("ALMOST_GAUTAMA").sentences), (v.name, v.base)):
+        for _, sentence in sentences:
+            verdict = holds_in(algebra, sentence)
+            if not verdict.holds:
+                raise NotInVarietyError(
+                    name, algebra.name, str(sentence),
+                    {k: algebra.labels[i] for k, i in (verdict.witness or {}).items()})
 
 
 def generated_subvariety(algebra: FiniteAlgebra) -> VarietyDescriptor:

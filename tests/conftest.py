@@ -10,6 +10,7 @@ import pytest
 from hypothesis import strategies as st
 
 from agkit import BUILTIN_NAMES, FiniteAlgebra, ParseError, builtin
+from agkit.terms import Const, Join, Meet, Quote, Star, Var, _Parser
 
 # The pairwise oracle makes n(n-1)/2 principal congruences: 0.5 s at 36
 # elements, 7 s at 64, so generated members stay at or below this size.
@@ -477,6 +478,68 @@ def match_loop_tokens(text: str) -> list[tuple[str, str, int]]:
         pos = match.end()
     tokens.append(("end", "", len(text)))
     return tokens
+
+
+class RecursiveDescentParser(_Parser):
+    """Oracle for _Parser's precedence climbing: the recursive-descent
+    grammar it replaced, one method per level, on the same tokens, errors
+    and depth limits.  term := meet (\\/ meet)*, meet := unary (/\\ unary)*,
+    unary := atom (* | ')*, atom := variable | 0 | 1 | ( term )."""
+
+    def term(self):
+        node, depth = self.meet()
+        while self.peek() == "\\/":
+            at = self.advance()
+            right, right_depth = self.meet()
+            node, depth = Join(node, right), self.nest(max(depth, right_depth), at)
+        return node, depth
+
+    def meet(self):
+        node, depth = self.unary()
+        while self.peek() == "/\\":
+            at = self.advance()
+            right, right_depth = self.unary()
+            node, depth = Meet(node, right), self.nest(max(depth, right_depth), at)
+        return node, depth
+
+    def unary(self):
+        node, depth = self.atom()
+        while self.peek() in ("*", "'"):
+            at = self.advance()
+            node = Star(node) if self.tokens[at] == "*" else Quote(node)
+            depth = self.nest(depth, at)
+        return node, depth
+
+    def atom(self):
+        token = self.peek()
+        if token[:1].isalpha():
+            self.advance()
+            return Var(token), 0
+        if token in ("0", "1"):
+            self.advance()
+            return Const(int(token)), 0
+        if token == "(":
+            self.parens = self.nest(self.parens, self.advance())
+            node, depth = self.term()
+            self.expect(")", ("')'",))
+            self.parens -= 1
+            return node, depth
+        raise self.error(("variable", "'0'", "'1'", "'('"))
+
+
+def recursive_term_variables(term) -> set[str]:
+    """Oracle for terms.term_variables: the recursive walk, one set union
+    per binary node."""
+    match term:
+        case Var(name):
+            return {name}
+        case Const(_):
+            return set()
+        case Star(arg) | Quote(arg):
+            return recursive_term_variables(arg)
+        case Join(left, right) | Meet(left, right):
+            return recursive_term_variables(left) | recursive_term_variables(right)
+    raise AssertionError(f"bad term {term!r}")
 
 
 def dual_homs(source: FiniteAlgebra, target: FiniteAlgebra,

@@ -7,13 +7,15 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+import agkit.morphisms
 from agkit import (BUILTIN_NAMES, FiniteAlgebra, builtin, direct_product,
                    enumerate_embeddings, enumerate_homs, identity_hom, lattice_reduct,
                    subalgebra, subuniverse_closure)
 from agkit.algebra import BUILTIN_SPECS
 from agkit.amalgamation import _homs
 from agkit.morphisms import Homomorphism, _extend, brute_force_homs
-from tests.conftest import dual_homs, generated_members, kept_facts, renumber, renumbered_products
+from tests.conftest import (dual_homs, generated_members, kept_facts, log_calls, renumber,
+                            renumbered_products)
 
 ONE = FiniteAlgebra(name="one", size=1, labels=("0",), join=((0,),), meet=((0,),),
                     star=(0,), quote=(0,), zero=0, one=0)
@@ -152,6 +154,20 @@ def test_homs_from_products(builtins):
     homs = enumerate_homs(product, builtins["3_klst"])
     oracle = brute_force_homs(product, builtins["3_klst"])
     assert [h.mapping for h in homs] == sorted(oracle)
+
+
+def test_one_generator_sequence_serves_every_target(builtins, monkeypatch):
+    """The generator sequence reads only the source (its Sg{0, 1} and
+    tables), so homs from one source into two targets build it once."""
+    source = direct_product([builtins["2"], builtins["4_dmba"]])
+    kept_facts(source).pop("generator sequence", None)
+    calls = []
+    log_calls(monkeypatch, agkit.morphisms, "_generator_sequence", calls)
+    for target in (builtins["2"], builtins["4_dmba"]):
+        homs = enumerate_homs(source, target)
+        assert [h.mapping for h in homs] == sorted(brute_force_homs(source, target))
+    assert [args for args, _ in calls] == [(source,)]
+    assert kept_facts(source)["generator sequence"] == calls[0][1]
 
 
 def test_embeddings_examples(builtins):

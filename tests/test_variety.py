@@ -14,8 +14,8 @@ import agkit.algebra
 import agkit.morphisms
 import agkit.terms
 from agkit import (AgkitError, BUILTIN_NAMES, CapExceededError, FiniteAlgebra,
-                   NotFoundError, NotInVarietyError, builtin, direct_product, load_algebra,
-                   discriminator_is_term_op, free_algebra, generated_subvariety,
+                   NotFoundError, NotInVarietyError, builtin, direct_product, dump_algebra,
+                   load_algebra, discriminator_is_term_op, free_algebra, generated_subvariety,
                    lattice_reduct, lemma_registry, parse_sentence,
                    quasi_identity_holds, satisfies_axiom_system, variety, all_varieties,
                    VARIETY_NAMES, enumerate_embeddings, subuniverse_closure)
@@ -261,6 +261,21 @@ def test_non_members_are_refuted_on_every_call(builtins):
         raised.append((err.value.variety_name, err.value.sentence, err.value.witness))
     assert raised[0] == raised[1]
     assert ("member", rklst, cap_value("assignments")) not in kept_facts(dblst)
+
+
+def test_membership_fails_at_the_first_failing_axiom(builtins, monkeypatch):
+    """2^5 with 0* = 0 fails p1, 0* = 1, which has no variable, so the
+    membership check raises there under a cap of 33 assignments: the first
+    2-variable axiom, which would need 32^2, is never asked.  (Checking every
+    axiom before the first failure was reported raised CapExceededError.)"""
+    spec = json.loads(dump_algebra(direct_product([builtins["2"]] * 5)))
+    spec["star"][spec["zero"]] = spec["zero"]
+    bad = load_algebra(json.dumps(dict(spec, name="bad")))
+    monkeypatch.setenv("AGKIT_CAP", "33")
+    with pytest.raises(NotInVarietyError) as err:
+        generated_subvariety(bad)
+    assert str(err.value) == "bad is not in AG: fails '0* = 1'"
+    assert (err.value.variety_name, err.value.sentence, err.value.witness) == ("AG", "0* = 1", {})
 
 
 def test_membership_is_remembered_by_value(builtins):

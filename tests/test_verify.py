@@ -50,10 +50,11 @@ CONGRUENCE_LATTICES = 0
 DISCRIMINATOR_PRODUCTS = 14
 # one-point extensions (_adjoin) per run: the discriminator check stops at the
 # first subuniverse it breaks, which for each lattice-reduct square comes
-# early.  (5,060 when every subuniverse of each product was enumerated before
-# the scan; 326 while si_diagrams ran enumerate_embeddings, whose searches
-# each built a generator sequence.)
-SUBUNIVERSE_EXTENSIONS = 262
+# early, and the hom searches build one generator sequence per source.
+# (5,060 when every subuniverse of each product was enumerated before the
+# scan; 326 while si_diagrams ran enumerate_embeddings, whose searches each
+# built a generator sequence; 262 while each hom set built its own.)
+SUBUNIVERSE_EXTENSIONS = 238
 # enumerate_homs calls per run: the 16 distinct (SI member, SI generator) hom
 # sets, once each, kept among the facts that both si_diagrams and the
 # amalgamation decisions read.  (524 when every diagram enumerated its hom sets again; 56 while
@@ -64,13 +65,14 @@ HOM_ENUMERATIONS = 16
 # every left member; 56, the sum over the varieties of (SI generators)^2,
 # while si_diagrams enumerated each base's embeddings once per variety.)
 EMBEDDING_ENUMERATIONS = 0
-# satisfies_axiom_system calls per run from a cold start: 40 for section 1's
-# axiom grid (4 builtins x 10 systems) plus one per distinct (SI member,
-# variety) membership, 20 of them, proved once however many diagrams ask.
-# (268 when decide_amalgamation re-proved its SI members and its amalgam
-# product for each of its 228 membership checks; 80 while each amalgam was
-# a one-factor product copy (S) whose 20 memberships were proved again.)
-AXIOM_SYSTEM_CHECKS = 60
+# satisfies_axiom_system calls per run from a cold start: the 40 of section
+# 1's axiom grid (4 builtins x 10 systems).  A membership checks its
+# sentences with holds_in and builds no report.  (268 when
+# decide_amalgamation re-proved its SI members and its amalgam product for
+# each of its 228 membership checks; 80 while each amalgam was a one-factor
+# product copy (S) whose 20 memberships were proved again; 60 while each of
+# the 20 distinct (SI member, variety) memberships built an AxiomReport.)
+AXIOM_SYSTEM_CHECKS = 40
 # sentence scans (_decide) per run from a cold start: one per distinct
 # (algebra, sentence) fact, all 182 on the builtins.  (1,120, one per
 # holds_in call, before verdicts were kept: the axiom grid and each
@@ -368,3 +370,20 @@ def test_free_algebra_op_counts(monkeypatch):
     assert {"diagonal": sum(len(args) == 3 for args, _ in calls),
             "full": sum(len(args) == 2 for args, _ in calls),
             "facts": len({args[:2] for args, _ in calls})} == FREE_OP_SCANS
+
+
+def test_membership_builds_no_axiom_report(builtins, monkeypatch):
+    """A cold generated_subvariety on a loaded 36-element product proves AG
+    membership by holds_in on each axiom: no satisfies_axiom_system call, and
+    the same decided facts as a large_algebras op."""
+    rng = random.Random(1)
+    product = direct_product([builtins[n] for n in ("3_dblst", "3_klst", "4_dmba")])
+    text = dump_algebra(renumber(product, rng.sample(range(36), 36)))
+    forget_facts()
+    calls = {"satisfies_axiom_system": [], "_decide": []}
+    log_calls(monkeypatch, agkit.axioms, "satisfies_axiom_system", calls["satisfies_axiom_system"])
+    log_calls(monkeypatch, agkit.terms, "_decide", calls["_decide"])
+    algebra = load_algebra(text)
+    assert generated_subvariety(algebra).name == "AG"
+    assert len(calls["satisfies_axiom_system"]) == 0
+    assert len(calls["_decide"]) == LARGE_OP_CALLS["_decide"]

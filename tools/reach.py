@@ -126,14 +126,13 @@ LINE_TAGS = [
     ("terms.py:_tokenize", "pos = _offset", "hostile input"),
     ("terms.py:_Parser.expect", "raise", "hostile input"),
     ("terms.py:_Parser.nest", "raise", "hostile input"),
-    ("terms.py:_Parser.atom", "raise", "hostile input"),
+    ("terms.py:_Parser.unary", "raise", "hostile input"),
     ("terms.py:_Parser.equation", "raise", "hostile input"),
     ("terms.py:_Parser.sentence", "raise", "hostile input"),
     ("terms.py:eval_term", "except KeyError", "hostile input"),
     # a variable: only identity_holds_via_free evaluates a term that has one
     ("terms.py:eval_term", "try:", "API name"),
     ("variety.py:variety", "except KeyError", "hostile input"),
-    ("variety.py:_prove_member", "failure =", "hostile input"),
     ("variety.py:_prove_member", "raise", "hostile input"),
     ("variety.py:generated_subvariety", "raise", "hostile input"),
     ("variety.py:free_algebra", "raise", "hostile input"),
