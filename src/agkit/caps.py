@@ -2,8 +2,7 @@
 
 Every potentially explosive computation is bounded by a named cap.  The
 AGKIT_CAP environment variable, when set, must be an integer; it replaces the
-default of every cap.  One call site overrides a cap explicitly: free_algebra's
-max_elements (`agkit free --cap`) replaces the free_elements cap.
+default of every cap.
 """
 
 from __future__ import annotations
@@ -22,9 +21,7 @@ DEFAULT_CAPS = {
 }
 
 
-def cap_value(name: str, override: int | None = None) -> int:
-    if override is not None:
-        return override
+def cap_value(name: str) -> int:
     env = os.environ.get("AGKIT_CAP")
     if env is not None:
         try:
@@ -34,7 +31,7 @@ def cap_value(name: str, override: int | None = None) -> int:
     return DEFAULT_CAPS[name]
 
 
-def guard(name: str, requested: int, override: int | None = None) -> None:
-    limit = cap_value(name, override)
+def guard(name: str, requested: int) -> None:
+    limit = cap_value(name)
     if requested > limit:
         raise CapExceededError(name, limit, requested)

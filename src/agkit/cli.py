@@ -260,20 +260,18 @@ def _cmd_applications(args, report: Report) -> str:
 
 
 @_command("free", "free algebra on n generators", _arg("--variety", required=True),
-          _arg("-n", type=int, required=True), _arg("--cap", type=int), _JSON)
+          _arg("-n", type=int, required=True), _JSON)
 def _cmd_free(args, report: Report) -> str:
-    if args.cap is not None and args.cap < 1:
-        raise AgkitError("--cap must be a positive integer")
     v = variety(args.variety)
-    free = free_algebra(v, args.n, args.cap)
+    free = free_algebra(v, args.n)
     factors = [{"si": si.name, "generators": [si.labels[x] for x in t]}
                for si, t in free.factors]
     report.add(Record(
         id=f"free/{v.name}/{args.n}", label="free algebra",
-        verdict=free.algebra.size,
+        verdict=free.size,
         detail={"generators": list(free.generators), "factors": factors}))
     return (f"free algebra of {v.name} on {args.n} generator(s): "
-            f"{free.algebra.size} elements; generators at indices {list(free.generators)}\n"
+            f"{free.size} elements; generators at indices {list(free.generators)}\n"
             "factors: " + " x ".join(f"{f['si']}[{','.join(f['generators'])}]" for f in factors))
 
 

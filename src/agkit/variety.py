@@ -210,14 +210,24 @@ def _discriminator_preserves(left: FiniteAlgebra, right: FiniteAlgebra) -> bool:
 # --- free algebras -----------------------------------------------------------
 
 class FreeAlgebra(_Value):
-    algebra: FiniteAlgebra
+    """F_V(n) as free_algebra proves it: the product of its factors' S, its
+    generators indices into it.  The product's tables are built on the first
+    read of `algebra`, past the free_elements cap, and kept."""
     generators: tuple[int, ...]
     variety_name: str
     factors: tuple[tuple[FiniteAlgebra, tuple[int, ...]], ...]  # (S, generators in S)
 
+    @property
+    def size(self) -> int:
+        return math.prod(si.size for si, _ in self.factors)
 
-def free_algebra(v: VarietyDescriptor, n: int,
-                 max_elements: int | None = None) -> FreeAlgebra:
+    @functools.cached_property
+    def algebra(self) -> FiniteAlgebra:
+        caps.guard("free_elements", self.size)
+        return direct_product([si for si, _ in self.factors])
+
+
+def free_algebra(v: VarietyDescriptor, n: int) -> FreeAlgebra:
     """Free algebra of the variety on n generators (n <= 3): an identity in
     at most n variables holds in V iff its sides agree at the generators.
 
@@ -227,15 +237,15 @@ def free_algebra(v: VarietyDescriptor, n: int,
     Aut(S)-orbit of n-tuples that generate S (Pixley, Math. Ann. 191, 1971;
     Baker & Pixley, Math. Z. 143, 1975).  The walk keeps (S, t) if t generates
     S and no kept (K, u) has u -> t extend to a homomorphism K -> S (decided
-    by `morphisms._extend`).  The result is direct_product of the kept S,
-    generator i the vector (t_i).
+    by `morphisms._extend`).  F_V(n) is the product of the kept S, generator
+    i the vector (t_i).
     Each call proves, else raises AgkitError naming the coordinate or pair:
     (a) each dropped (S, t) is the image of a kept (K, u) under a homomorphism
         with u -> t, so projecting onto the kept coordinates is injective;
     (b) for each pair of kept (S, t), (T, u), the (t_i, u_i) generate S x T, so
         the projection is onto the whole product by Baker-Pixley: the lattice
         median is a majority term.
-    The free_elements cap is checked before the product's tables are built.
+    Only (b)'s squares get tables here; F.algebra builds the product's.
     """
     if not 0 <= n <= 3:
         raise AgkitError(f"free_algebra supports 0 <= n <= 3, got n = {n}")
@@ -252,8 +262,6 @@ def free_algebra(v: VarietyDescriptor, n: int,
         if not any(_extend(k, si, zip(u, t)) is not None for k, u in kept):
             raise AgkitError(f"{name}: coordinate {_coordinate(si, t)} is the image "
                              "of no kept coordinate under a homomorphism")
-    caps.guard("free_elements", math.prod(si.size for si, _ in kept), max_elements)
-    product = direct_product([si for si, _ in kept])
     square = functools.cache(lambda s, r: direct_product([s, r]))
     for (s, t), (r, u) in itertools.combinations(kept, 2):
         generated = subuniverse_closure(square(s, r), [a * r.size + b for a, b in zip(t, u)])
@@ -264,7 +272,7 @@ def free_algebra(v: VarietyDescriptor, n: int,
     generators = [0] * n
     for si, t in kept:
         generators = [g * si.size + x for g, x in zip(generators, t)]
-    return FreeAlgebra(product, tuple(generators), v.name, tuple(kept))
+    return FreeAlgebra(tuple(generators), v.name, tuple(kept))
 
 
 def _coordinate(si: FiniteAlgebra, t: tuple[int, ...]) -> str:

@@ -24,10 +24,6 @@ from .variety import (LemmaRecord, _load_data, all_varieties, discriminator_is_t
                       lemma_registry, quasi_identity_holds, satisfies_base, variety)
 
 
-def load_expectations() -> dict:
-    return _load_data("expected_verdicts.json")
-
-
 def _add_unit(report: Report, work, rows):
     """Add the records of one unit of work and return its outcome.
 
@@ -78,7 +74,7 @@ def _si_facts(names: tuple[str, ...]) -> dict[str, bool]:
 
 def verify_paper() -> Report:
     caps.cap_value("assignments")  # a malformed AGKIT_CAP fails the run, not each unit
-    expect = load_expectations()
+    expect = _load_data("expected_verdicts.json")
     report = Report(["verify-paper"], __version__)
 
     # 1. axiom systems on the builtins

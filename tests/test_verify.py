@@ -23,8 +23,8 @@ from agkit import (check_sc, classify, direct_product, dump_algebra, free_algebr
                    generated_subvariety, holds_in, lemma_registry, load_algebra,
                    satisfies_axiom_system, variety)
 from agkit.caps import DEFAULT_CAPS
-from agkit.variety import VARIETY_NAMES
-from agkit.verify import load_expectations, verify_paper
+from agkit.variety import VARIETY_NAMES, _load_data
+from agkit.verify import verify_paper
 from tests.conftest import forget_facts, log_calls, renumber
 
 # sha256 of the canonical records of the untampered run: sorted keys, no
@@ -144,7 +144,7 @@ def test_report_round_trips_through_canonical_json():
 
 
 def test_expectations_file_is_versioned():
-    expect = load_expectations()
+    expect = _load_data("expected_verdicts.json")
     assert expect["version"] == 1
     assert set(expect["ap"]["expected"]) == {
         "BA", "RDBLST", "RKLST", "DMBA", "G", "V_DBLST_DMBA", "V_KLST_DMBA", "AG"}

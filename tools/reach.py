@@ -11,8 +11,8 @@ interpreter so that no cache is warm from another phase:
   cli    all 11 CLI commands, in text and --json form (verify-paper, which
          has no --json, with and without --out), on builtins and on the
          inputs of CLI_INPUTS: algebra files, amalgamable diagrams, a
-         right-side obstruction, a base with no embedding, --variety, --cap
-         and AGKIT_CAP; and --version;
+         right-side obstruction, a base with no embedding, --variety, a free
+         algebra past the free_elements cap, and AGKIT_CAP; and --version;
   tests  the Tier-1 suite (pytest, in process).
 
 A line is a function-body line of src/agkit that the code objects' `co_lines`
@@ -117,7 +117,6 @@ LINE_TAGS = [
     ("cli.py:_resolve_algebra", "raise", "hostile input"),
     ("cli.py:_emit", "except OSError", "hostile input"),
     ("cli.py:_cmd_classify_ap", "raise", "hostile input"),
-    ("cli.py:_cmd_free", "raise", "hostile input"),
     ("cli.py:_cmd_verify_paper", '== "error"', "hostile input"),
     ("cli.py:_Parser.error", "raise", "hostile input"),
     ("morphisms.py:Homomorphism.__post_init__", "raise", "hostile input"),
@@ -167,7 +166,7 @@ CLI_INPUTS = (
     ["amalgamate", "--variety", "AG", "--base", "trivial", "--left", "trivial",
      "--right", "trivial"],
     ["classify-ap", "--variety", "BA"],
-    ["free", "--variety", "AG", "-n", "1", "--cap", "4096"],
+    ["free", "--variety", "AG", "-n", "3"],
     ["amalgamate", "--variety", "AG", "--base", "4_dmba", "--left", "2", "--right", "2"],
 )
 FILES = {
