@@ -8,11 +8,11 @@ carries there: for the regular double Stone algebra on the three-element
 chain that is the dual pseudocomplement, for the Kleene-style algebras the
 De Morgan operation.
 
-Construction verifies the bounded-distributive-lattice axioms in O(n^2), a row
-at a time, by Birkhoff's embedding (verify_lattice_axioms); loading checks the
-entries' types a row at a time too.  The star/quote tables are only
-range-checked here (whether they satisfy any particular axiom system is a
-separate check, see agkit.axioms).
+Construction verifies the bounded-distributive-lattice axioms by Birkhoff's
+embedding (verify_lattice_axioms), in whole-table byte operations on byte
+rows; loading checks the entries' types a row at a time.  The star/quote
+tables are only range-checked here (whether they satisfy any particular
+axiom system is a separate check, see agkit.axioms).
 """
 
 from __future__ import annotations
@@ -93,34 +93,28 @@ class FiniteAlgebra(_Value):
             raise AlgebraFormatError(f"{self.name}: zero = one in a nontrivial algebra")
 
     def verify_lattice_axioms(self) -> None:
-        """Check the bounded distributive lattice laws in O(n^2), a row at a
-        time; raises LatticeAxiomError naming a law and a witness that breaks it.
+        """Check the bounded distributive lattice laws in O(n^2); raises
+        LatticeAxiomError naming a law and a witness that breaks it.
 
-        The tables pass iff the join row of zero and the meet row of one are
-        the identity, and phi(x) = J & down(x) is injective and sends \\/ to |
-        and /\\ to &, J the elements other than zero that are the join of no
-        two other elements.  Sound: an injective \\/,/\\-map into a powerset
-        makes the tables a sublattice of a distributive lattice, whatever J
-        is, and the two rows make zero and one its bounds.  Complete: in a
-        bounded distributive lattice J is the set of join-irreducibles and phi
-        is Birkhoff's embedding (Davey & Priestley, ch. 5).
+        Byte rows pass iff the join row of zero and the meet row of one are
+        the identity and phi (_birkhoff) is an injective \\/,/\\-map into a
+        powerset (_homomorphic).  Sound: then the tables are a sublattice of a
+        distributive lattice, whatever phi is, with bounds zero and one.
+        Complete: in a bounded distributive lattice phi is Birkhoff's
+        embedding (Davey & Priestley, ch. 5).
 
-        Only tables that fail are scanned, to name the law.  Given
-        commutativity and absorption, x <= y iff x \\/ y = y is an order if
-        transitive; if the tables also give its lubs and glbs, both
-        associative laws hold.  It is distributive iff x -> J & down[x]
-        preserves joins (Birkhoff).
+        Tables that fail, and tuple rows (past 256 elements, where no phi is
+        kept), are scanned, to name the law.  Given commutativity and
+        absorption, x <= y iff x \\/ y = y is an order if transitive; if the
+        tables also give its lubs and glbs, both associative laws hold.  It is
+        distributive iff x -> J & down[x] preserves joins (Birkhoff).
         """
         n, jn, mt = self.size, self.join, self.meet
         rng = range(n)
-        phi = _birkhoff(self)
-        at = phi.__getitem__
-        if (len(set(phi)) == n and list(jn[self.zero]) == list(rng) == list(mt[self.one])
-                and all(list(map(at, j_row)) == list(map(or_, itertools.repeat(p), phi))
-                        and list(map(at, m_row)) == list(map(and_, itertools.repeat(p), phi))
-                        for p, j_row, m_row in zip(phi, jn, mt))):
-            if n <= 256:  # the congruence_universe cap, and the scans' byte form
-                _known(self, "birkhoff", lambda: phi)
+        if n <= 256 and (len(set(phi := _birkhoff(self))) == n
+                         and list(jn[self.zero]) == list(rng) == list(mt[self.one])
+                         and _homomorphic(phi, jn, mt)):
+            _known(self, "birkhoff", lambda: phi)
             return
         for x, y in itertools.product(rng, repeat=2):
             if jn[x][y] != jn[y][x]:
@@ -256,18 +250,43 @@ def _facts_of(algebra: FiniteAlgebra) -> dict:
 def _birkhoff(algebra: FiniteAlgebra) -> tuple[int, ...]:
     """phi(x) = J & down(x) as a bitmask, J the elements other than zero that
     are the join of no two other elements: Birkhoff's embedding into 2^J if
-    the tables are a bounded distributive lattice.  Reads the join rows twice."""
+    the tables are a bounded distributive lattice.  Byte k of phi ORs the k-th
+    eight of J's meet rows, with j's bit where j /\\ x = j, i.e. j <= x."""
     n, jn = algebra.size, algebra.join
     rng = range(n)
-    reducible = {algebra.zero}
-    for x, row in enumerate(jn):
-        found = set(itertools.compress(row, map(ne, row, rng)))  # the x \/ y other than y
-        found.discard(x)
-        reducible |= found
-    bit = [0] * n  # a bit per element of J
-    for i, j in enumerate(set(rng) - reducible):
-        bit[j] = 1 << i
-    return tuple(sum(itertools.compress(bit, map(x.__eq__, row))) for x, row in enumerate(jn))
+    if n > 256:  # tuple rows, a row at a time
+        reducible = {algebra.zero}
+        for x, row in enumerate(jn):
+            found = set(itertools.compress(row, map(ne, row, rng)))  # the x \/ y other than y
+            found.discard(x)
+            reducible |= found
+    else:  # the whole join table: x \/ y where its bytes ^ x and ^ y are nonzero, else zero
+        table, rows, columns, ones = (int.from_bytes(b, "big") for b in (
+            b"".join(jn), b"".join([bytes((x,)) * n for x in rng]), bytes(rng) * n, b"\1" * n * n))
+        low, high, zero = 127 * ones, 128 * ones, algebra.zero * ones  # in every byte
+        nonzero = [((v & low) + low | v) & high for v in (table ^ rows, table ^ columns)]
+        values = zero ^ (table ^ zero) & (nonzero[0] & nonzero[1]) // 128 * 255
+        reducible = {algebra.zero, *filter(values.to_bytes(n * n, "big").__contains__, rng)}
+    irreducible = set(rng) - reducible  # its order numbers the bits, as it always has
+    planes = [0] * ((len(irreducible) + 7) // 8 or 1)
+    for i, j in enumerate(irreducible):
+        planes[i // 8] |= int.from_bytes(bytes(map(j.__eq__, algebra.meet[j])), "big") << i % 8
+    return tuple(map(int.from_bytes, zip(*(p.to_bytes(n, "big") for p in planes)),
+                     itertools.repeat("little")))
+
+
+def _homomorphic(phi: Sequence[int], join: Sequence[bytes], meet: Sequence[bytes]) -> bool:
+    """phi(x \\/ y) = phi(x) | phi(y) and phi(x /\\ y) = phi(x) & phi(y) at every
+    pair of byte rows, a byte of phi at a time, on whole tables read as big ints."""
+    n, joins, meets = len(phi), b"".join(join), b"".join(meet)
+    for k in range(0, max(phi).bit_length() or 1, 8):
+        to = bytes(p >> k & 255 for p in phi) + bytes(256 - n)
+        r, c, j, m = (int.from_bytes(b, "big") for b in (  # to[x] and to[y] at (x, y)
+            b"".join([to[x:x + 1] * n for x in range(n)]), to[:n] * n,
+            joins.translate(to), meets.translate(to)))
+        if j != r | c or m != r & c:  # | and & act bytewise
+            return False
+    return True
 
 
 def birkhoff(algebra: FiniteAlgebra) -> tuple[int, ...]:

@@ -57,7 +57,7 @@ _JSON = _arg("--json", action="store_true")  # print the report as JSON
 
 def _show(parser) -> None:
     """algebra's one subcommand, which takes --json itself."""
-    _add(parser.add_subparsers(dest="algebra_command", required=True), "show",
+    _add(parser.add_subparsers(required=True), "show",
          "print tables and canonical form",
          (_arg("target", help="builtin name or spec file path"), _JSON))
 
@@ -301,7 +301,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         prog="agkit",
         description="finite-algebra workbench for the Almost Gautama subvarieties")
     parser.add_argument("--version", action="version", version=f"agkit {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # Optional after an option, so that parse_args names an unknown one ("--" ends options)
+    sub = parser.add_subparsers(required=command in (None, "--"))
     for name in [command] if command in _COMMANDS else _COMMANDS:
         help, arguments, handler = _COMMANDS[name]
         _add(sub, name, help, arguments).set_defaults(handler=handler)
@@ -312,7 +313,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = build_parser(argv[0] if argv else None).parse_args(argv)
-        report = Report([args.command] + argv[1:], __version__)
+        report = Report(argv, __version__)
         text = args.handler(args, report)
         _emit(report, text, getattr(args, "json", False), getattr(args, "out", None))
         return 0 if report.ok else 1

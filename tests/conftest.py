@@ -5,6 +5,7 @@ import math
 import random
 import re
 import sys
+from operator import and_, ne, or_
 
 import pytest
 from hypothesis import strategies as st
@@ -175,6 +176,13 @@ def chain_algebra(n: int, star: tuple[int, ...] | None = None,
         zero=0, one=n - 1)
 
 
+def renumbered_chains(min_size: int = 2, max_size: int = 40):
+    """chain_algebra of min_size to max_size elements, renumbered at random.
+    A chain of n has n - 1 join-irreducibles, past a byte from 10 on."""
+    return st.integers(min_size, max_size).flatmap(
+        lambda n: st.permutations(range(n)).map(lambda to: renumber(chain_algebra(n), to)))
+
+
 @st.composite
 def chain_products(draw):
     """A product of two or three chains of 2 to 4 elements, at most 4
@@ -232,6 +240,32 @@ def brute_force_lattice_axioms(algebra: FiniteAlgebra):
             if not holds(algebra, *witness):
                 return law, witness
     return None
+
+
+def row_loop_birkhoff(algebra: FiniteAlgebra) -> tuple[int, ...]:
+    """Oracle for algebra._birkhoff on byte rows: the loop that read the join
+    rows twice, a row at a time, kept verbatim.  Its bits are numbered in the
+    iteration order of set(rng) - reducible, which the kernel must keep."""
+    n, jn = algebra.size, algebra.join
+    rng = range(n)
+    reducible = {algebra.zero}
+    for x, row in enumerate(jn):
+        found = set(itertools.compress(row, map(ne, row, rng)))  # the x \/ y other than y
+        found.discard(x)
+        reducible |= found
+    bit = [0] * n  # a bit per element of J
+    for i, j in enumerate(set(rng) - reducible):
+        bit[j] = 1 << i
+    return tuple(sum(itertools.compress(bit, map(x.__eq__, row))) for x, row in enumerate(jn))
+
+
+def row_loop_homomorphic(phi, join, meet) -> bool:
+    """Oracle for algebra._homomorphic on byte rows: the per-row check that
+    verify_lattice_axioms made, kept verbatim."""
+    at = phi.__getitem__
+    return all(list(map(at, j_row)) == list(map(or_, itertools.repeat(p), phi))
+               and list(map(at, m_row)) == list(map(and_, itertools.repeat(p), phi))
+               for p, j_row, m_row in zip(phi, join, meet))
 
 
 def breaks_law(algebra: FiniteAlgebra, law: str, witness: tuple[int, ...]) -> bool:

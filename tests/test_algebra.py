@@ -22,7 +22,8 @@ from agkit.caps import DEFAULT_CAPS
 from tests.conftest import (CountingTable, breaks_law, brute_force_lattice_axioms, chain_algebra,
                             brute_force_subuniverses, fixpoint_closure, forget_facts,
                             generated_members, kept_facts, log_calls, plain_holds_in,
-                            renumber, renumbered_products, replace, tuple_direct_product)
+                            renumber, renumbered_chains, renumbered_products, replace,
+                            row_loop_birkhoff, row_loop_homomorphic, tuple_direct_product)
 
 GOLDEN_3_KLST = ('{"name":"3_klst","size":3,"labels":["0","a","1"],'
                  '"join":[[0,1,2],[1,1,2],[2,2,2]],"meet":[[0,0,0],[0,1,1],[0,1,2]],'
@@ -335,9 +336,28 @@ ONE_SIDED_MEET = replace(builtin("3_klst"), name="3-chain, one-sided meet",
                          meet=((0, 0, 2), (0, 1, 1), (0, 1, 2)), validate=False)
 
 
+@st.composite
+def tampered_lattices(draw):
+    """A renumbered product of 36 to 64 elements, or a renumbered chain of 10
+    to 40 (|J| past a byte), with one join or meet entry changed, or now and
+    then the two entries of a pair, which keeps the table commutative."""
+    product = draw(st.one_of(renumbered_products(min_size=36, max_size=64),
+                             renumbered_chains(10, 40)))
+    table = draw(st.sampled_from(["join", "meet"]))
+    x, y = draw(st.integers(0, product.size - 1)), draw(st.integers(0, product.size - 1))
+    current = getattr(product, table)[x][y]
+    z = draw(st.integers(0, product.size - 1).filter(lambda z: z != current))
+    if draw(st.booleans()):
+        return with_entry(product, table, x, y, z)
+    rows = list(getattr(product, table))
+    rows[x] = rows[x][:y] + bytes((z,)) + rows[x][y + 1:]
+    return replace(product, **{table: tuple(rows)})
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(relation_algebras(), perturbed_lattices(), random_tables(),
-                 generated_members()))
+                 generated_members(), renumbered_chains(),
+                 renumbered_products(min_size=4, max_size=36), tampered_lattices()))
 @example(M3)
 @example(N5)
 @example(relation_algebra(5, [(1, 2), (2, 3)]))  # 1 <= 2 <= 3, not 1 <= 3
@@ -355,6 +375,65 @@ def test_verify_lattice_axioms_matches_the_brute_force_scan(algebra):
         assert breaks_law(algebra, err.axiom, err.witness)
     else:
         assert expected is None
+
+
+def _lattice_verdict(algebra: FiniteAlgebra):
+    try:
+        algebra.verify_lattice_axioms()
+    except LatticeAxiomError as err:
+        return err.axiom, err.witness
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(tampered_lattices())
+def test_tampered_tables_name_the_law_and_witness_the_row_loops_name(algebra):
+    """With the row loops in place of the kernels, as before the kernels,
+    verify_lattice_axioms names the same law and witness."""
+    verdict = _lattice_verdict(algebra)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(agkit.algebra, "_birkhoff", row_loop_birkhoff)
+        patch.setattr(agkit.algebra, "_homomorphic", row_loop_homomorphic)
+        assert _lattice_verdict(algebra) == verdict is not None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(renumbered_products(min_size=4, max_size=256), renumbered_chains(),
+                 generated_members()))
+def test_birkhoff_kernel_matches_the_row_loop(algebra):
+    """_birkhoff gives the row loop's phi, bit order included, and the
+    whole-table check passes it where the row check does: on byte rows up to
+    256 elements, and past |J| = 8, where phi takes more than one byte."""
+    phi = agkit.algebra._birkhoff(algebra)
+    assert phi == row_loop_birkhoff(algebra)
+    assert agkit.algebra._homomorphic(phi, algebra.join, algebra.meet)
+    assert row_loop_homomorphic(phi, algebra.join, algebra.meet)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(renumbered_products(min_size=4, max_size=36), renumbered_chains(),
+                 generated_members()))
+def test_law_scans_alone_pass_every_lattice(algebra):
+    """The scans that decide tuple rows, run on byte rows by failing the
+    whole-table check, raise on no bounded distributive lattice."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(agkit.algebra, "_homomorphic", lambda phi, join, meet: False)
+        algebra.verify_lattice_axioms()
+
+
+def test_tuple_rows_are_decided_by_the_law_scans():
+    """Past 256 elements the rows are tuples and the scans decide alone: a
+    288-element product passes, keeping no phi, and a copy with one join
+    entry changed fails at a witness of the law it names."""
+    product = direct_product([builtin("2")] * 5 + [builtin("3_klst")] * 2)
+    checked = replace(product, name="checked 288", validate=True)
+    assert isinstance(checked.join[0], tuple) and "birkhoff" not in kept_facts(checked)
+    rows = [list(row) for row in product.join]
+    rows[3][5] = product.one  # was 5
+    tampered = replace(product, name="tampered 288", join=tuple(map(tuple, rows)))
+    with pytest.raises(LatticeAxiomError) as err:
+        replace(tampered, validate=True)
+    assert breaks_law(tampered, err.value.axiom, err.value.witness)
 
 
 @pytest.mark.parametrize("lattice", [M3, N5], ids=["M3", "N5"])

@@ -296,6 +296,20 @@ def test_unknown_command_exits_2(capsys):
     assert main(["bogus"]) == 2
 
 
+COMMAND_CHOICES = "{" + ",".join(agkit.cli._COMMANDS) + "}"  # as the usage line shows them
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], f"the following arguments are required: {COMMAND_CHOICES}"),
+    (["algebra"], "the following arguments are required: {show}"),
+    (["--bogus"], "unrecognized arguments: --bogus"),
+], ids=["no command", "no algebra command", "unknown option"])
+def test_rejection_names_the_argument_as_the_usage_line_does(capsys, argv, message):
+    """A missing command is named by its choices, not by an internal
+    destination, and an unknown option is named before a missing command."""
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_json_reports_are_canonical_and_deterministic(capsys):
     _, first, _ = run(capsys, "classify-ap", "--all", "--json")
     _, second, _ = run(capsys, "classify-ap", "--all", "--json")

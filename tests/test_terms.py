@@ -654,17 +654,18 @@ def test_scan_reads_what_no_prefix_changes_once():
 
 def test_scan_reads_each_join_row_once_per_scalar_value():
     product = _product("4_dmba", "4_dmba")
-    join = CountingTable(product.join)
-    algebra = replace(product, name="counting", join=join, validate=False)
+    join, meet = CountingTable(product.join), CountingTable(product.meet)
+    algebra = replace(product, name="counting", join=join, meet=meet, validate=False)
     n = algebra.size
-    join.reads = 0  # the constructor's shape check reads every row
-    # x is the prefix and y the column variable.  The join rows are read
-    # twice for the Birkhoff embedding that joins two columns, and once as
-    # the algebra's byte rows, which the scalar side of every other join
-    # picks from; neither is read again per prefix.  The scalar x' \/ x'*
-    # reads one row per x.
+    join.reads = meet.reads = 0  # the constructor's shape check reads every row
+    # x is the prefix and y the column variable.  The Birkhoff embedding that
+    # joins two columns reads the join table once, whole (n rows), and the
+    # meet rows of its |J| = 4 join-irreducibles; the algebra's byte rows,
+    # which the scalar side of every other join picks from, read the join
+    # rows once more.  Neither is read again per prefix.  The scalar
+    # x' \/ x'* reads one row per x.
     assert agkit.terms._decide(algebra, parse_sentence(LX))
-    assert join.reads == 4 * n
+    assert (join.reads, meet.reads) == (3 * n, 4)
     # Every join here has one scalar side, which picks a kept byte row.
     join.reads = 0
     assert agkit.terms._decide(algebra, parse_sentence("(x \\/ y)* = x* /\\ y*"))
@@ -684,9 +685,10 @@ def test_scan_reads_no_row_per_prefix_for_two_columns():
     # a is the prefix and x the column variable.  a \/ x picks a kept byte
     # row (n join rows, once).  The meet and the outer join are of two
     # columns, so they are an & and an | on the Birkhoff embedding, which
-    # _birkhoff derives from the join rows in two passes (2n rows, once).
+    # _birkhoff derives from the whole join table (n rows, once) and the meet
+    # rows of its |J| = 4 join-irreducibles, once; none is read per prefix.
     assert agkit.terms._decide(algebra, parse_sentence(L37_FREE))
-    assert (join.reads, meet.reads) == (3 * n, 0)
+    assert (join.reads, meet.reads) == (2 * n, 4)
 
 
 def test_product_scan_reads_the_embedding_the_product_kept(monkeypatch):
@@ -700,27 +702,33 @@ def test_product_scan_reads_the_embedding_the_product_kept(monkeypatch):
     assert [args[0] for args, _ in derived] == [builtin("2")]  # the factor's, once
 
 
-@pytest.mark.parametrize("make, byte_path", [
-    (lambda: chain_algebra(9), True),  # |J| = 8
-    (lambda: chain_algebra(10), False),  # |J| = 9
-    (lambda: _product(*["3_klst"] * 4), True),  # 81 elements, |J| = 8
+@pytest.mark.parametrize("make, irreducibles, byte_path", [
+    (lambda: chain_algebra(9), 8, True),
+    (lambda: chain_algebra(10), 9, False),
+    (lambda: _product(*["3_klst"] * 4), 8, True),  # 81 elements
 ], ids=["chain9", "chain10", "3_klst^4"])
-def test_join_of_two_columns_reads_no_row_iff_j_fits_a_byte(make, byte_path):
+def test_join_of_two_columns_reads_no_row_iff_j_fits_a_byte(make, irreducibles, byte_path):
     """A join of two columns reads no join row where |J| <= 8, and one row
     per column entry where |J| > 8.  Verdicts agree with the plain scan."""
     source = make()
-    join = CountingTable(source.join)
-    algebra = replace(source, name=f"counting {source.name}", join=join, validate=False)
+    join, meet = CountingTable(source.join), CountingTable(source.meet)
+    algebra = replace(source, name=f"counting {source.name}", join=join, meet=meet,
+                      validate=False)
     n = algebra.size
     forget_facts()
-    join.reads = 0
+    join.reads = meet.reads = 0
     # x is the prefix and y the column variable.  The left side joins two
     # columns at each prefix, the right side once, as y \/ y' reads no
-    # prefix; x \/ y' picks a kept byte row (n rows) and the embedding is
-    # derived from the join rows (2n), each once.
+    # prefix; x \/ y' picks a kept byte row (n join rows) and so does the
+    # scalar side of x /\ y (n meet rows).  The embedding is derived from the
+    # whole join table (n rows) and the meet rows of J, each once; none is
+    # read per prefix.  Past a byte, the two-column join and meet read a row
+    # per column entry.
     sentence = parse_sentence("(x /\\ y) \\/ y' = (x \\/ y') /\\ (y \\/ y')")
     assert agkit.terms._decide(algebra, sentence) == plain_holds_in(source, sentence)
-    assert join.reads == 3 * n + (0 if byte_path else n + n * n)
+    per_entry = 0 if byte_path else n * n
+    assert join.reads == 2 * n + (0 if byte_path else n) + per_entry
+    assert meet.reads == irreducibles + n + per_entry
     assert (agkit.algebra.birkhoff_bytes(algebra) is not None) == byte_path
 
 

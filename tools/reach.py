@@ -10,7 +10,8 @@ interpreter so that no cache is warm from another phase:
          `OPS` of perfbench/child.py (imported, not edited), seed 0;
   cli    all 11 CLI commands, in text and --json form (verify-paper, which
          has no --json, with and without --out), on builtins and on the
-         inputs of CLI_INPUTS: algebra files, amalgamable diagrams, a
+         inputs of CLI_INPUTS: algebra files (among them chains of 10 and 12,
+         whose phi takes two bytes), amalgamable diagrams, a
          right-side obstruction, a base with no embedding, --variety, a free
          algebra past the free_elements cap, and AGKIT_CAP; and --version;
   tests  the Tier-1 suite (pytest, in process).
@@ -94,6 +95,7 @@ LINE_TAGS = [
     # the scans that name the law, after the check that the tables pass
     ("algebra.py:FiniteAlgebra.verify_lattice_axioms", "for x, y in", "hostile input"),
     ("algebra.py:builtin", "except KeyError", "hostile input"),
+    ("algebra.py:_homomorphic", "return False", "hostile input"),  # tables that are no lattice
     ("algebra.py:_json_int", "raise", "hostile input"),
     ("algebra.py:_json_str", "raise", "hostile input"),
     ("algebra.py:_json_array", "raise", "hostile input"),
@@ -155,6 +157,7 @@ CLI_COMMANDS = (
 # for that algebra's file.
 CLI_INPUTS = (
     ["algebra", "show", "chain10"],
+    ["classify", "chain12"],  # |J| = 11: phi past a byte, in the load and in the scans
     ["classify", "trivial"],
     ["homs", "trivial", "2"],
     ["check", "--variety", "AG", "--sentence", "x = y, 0 = 1 => x' = y"],
@@ -172,10 +175,11 @@ CLI_INPUTS = (
 FILES = {
     "trivial": dict(name="trivial", size=1, labels=["0"], join=[[0]], meet=[[0]],
                     star=[0], quote=[0], zero=0, one=0),
-    "chain10": dict(name="chain10", size=10, labels=list("0123456789"),
-                    join=[[max(x, y) for y in range(10)] for x in range(10)],
-                    meet=[[min(x, y) for y in range(10)] for x in range(10)],
-                    star=[9] + [0] * 9, quote=list(reversed(range(10))), zero=0, one=9),
+    **{f"chain{n}": dict(name=f"chain{n}", size=n, labels=[str(x) for x in range(n)],
+                         join=[[max(x, y) for y in range(n)] for x in range(n)],
+                         meet=[[min(x, y) for y in range(n)] for x in range(n)],
+                         star=[n - 1] + [0] * (n - 1), quote=list(reversed(range(n))),
+                         zero=0, one=n - 1) for n in (10, 12)},
 }  # and "product", the file of 3_klst x 4_dmba
 
 
