@@ -260,7 +260,7 @@ def _birkhoff(algebra: FiniteAlgebra) -> tuple[int, ...]:
             found = set(itertools.compress(row, map(ne, row, rng)))  # the x \/ y other than y
             found.discard(x)
             reducible |= found
-    else:  # the whole join table: x \/ y where its bytes ^ x and ^ y are nonzero, else zero
+    else:  # the whole table at once: x \/ y where table ^ rows and table ^ columns are nonzero
         table, rows, columns, ones = (int.from_bytes(b, "big") for b in (
             b"".join(jn), b"".join([bytes((x,)) * n for x in rng]), bytes(rng) * n, b"\1" * n * n))
         low, high, zero = 127 * ones, 128 * ones, algebra.zero * ones  # in every byte

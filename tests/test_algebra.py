@@ -331,6 +331,8 @@ WRONG_LUB = with_entry(relation_algebra(7, [(1, 2), (1, 4), (1, 5), (2, 5), (3, 
                                             (4, 5)]), "join", 2, 4, 6)
 # the 3-chain with one = a, its middle: only the unit laws see 1 /\ a = a
 MIDDLE_ONE = replace(builtin("3_klst"), name="3-chain, one = a", one=1, validate=False)
+# and with zero = a: only the unit laws see 0 \/ a = a
+MIDDLE_ZERO = replace(builtin("3_klst"), name="3-chain, zero = a", zero=1, validate=False)
 # the 3-chain with 0 /\ 1 = 1 but 1 /\ 0 = 0: its join is still commutative
 ONE_SIDED_MEET = replace(builtin("3_klst"), name="3-chain, one-sided meet",
                          meet=((0, 0, 2), (0, 1, 1), (0, 1, 2)), validate=False)
@@ -341,17 +343,17 @@ def tampered_lattices(draw):
     """A renumbered product of 36 to 64 elements, or a renumbered chain of 10
     to 40 (|J| past a byte), with one join or meet entry changed, or now and
     then the two entries of a pair, which keeps the table commutative."""
-    product = draw(st.one_of(renumbered_products(min_size=36, max_size=64),
+    lattice = draw(st.one_of(renumbered_products(min_size=36, max_size=64),
                              renumbered_chains(10, 40)))
     table = draw(st.sampled_from(["join", "meet"]))
-    x, y = draw(st.integers(0, product.size - 1)), draw(st.integers(0, product.size - 1))
-    current = getattr(product, table)[x][y]
-    z = draw(st.integers(0, product.size - 1).filter(lambda z: z != current))
+    x, y = draw(st.integers(0, lattice.size - 1)), draw(st.integers(0, lattice.size - 1))
+    current = getattr(lattice, table)[x][y]
+    z = draw(st.integers(0, lattice.size - 1).filter(lambda z: z != current))
     if draw(st.booleans()):
-        return with_entry(product, table, x, y, z)
-    rows = list(getattr(product, table))
+        return with_entry(lattice, table, x, y, z)
+    rows = list(getattr(lattice, table))
     rows[x] = rows[x][:y] + bytes((z,)) + rows[x][y + 1:]
-    return replace(product, **{table: tuple(rows)})
+    return replace(lattice, **{table: tuple(rows)})
 
 
 @settings(max_examples=300, deadline=None)
@@ -450,8 +452,9 @@ def test_non_distributive_lattices_are_rejected(lattice):
     (N5, "distributivity (meet over join)", (2, 1, 3)),
     (WRONG_LUB, "join associativity", (2, 4, 5)),
     (MIDDLE_ONE, "one is a meet unit", (2,)),
+    (MIDDLE_ZERO, "zero is a join unit", (0,)),
     (ONE_SIDED_MEET, "meet commutativity", (0, 2)),
-], ids=["M3", "N5", "WRONG_LUB", "MIDDLE_ONE", "ONE_SIDED_MEET"])
+], ids=["M3", "N5", "WRONG_LUB", "MIDDLE_ONE", "MIDDLE_ZERO", "ONE_SIDED_MEET"])
 def test_rejected_tables_name_a_fixed_law_and_witness(algebra, axiom, witness):
     with pytest.raises(LatticeAxiomError) as err:
         algebra.verify_lattice_axioms()
