@@ -723,7 +723,7 @@ def test_join_of_two_columns_reads_no_row_iff_j_fits_a_byte(make, irreducibles, 
     # scalar side of x /\ y (n meet rows).  The embedding is derived from the
     # whole join table (n rows) and the meet rows of J, each once; none is
     # read per prefix.  Past a byte, the two-column join and meet read a row
-    # per column entry.
+    # per column entry at each prefix (n^2), and y \/ y' one per entry once.
     sentence = parse_sentence("(x /\\ y) \\/ y' = (x \\/ y') /\\ (y \\/ y')")
     assert agkit.terms._decide(algebra, sentence) == plain_holds_in(source, sentence)
     per_entry = 0 if byte_path else n * n
