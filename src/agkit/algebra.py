@@ -1,18 +1,17 @@
 """Finite algebras in the fixed signature (join, meet, star, quote, 0, 1).
 
-Elements are dense indices 0..n-1; display labels live on the algebra.  Up
-to 256 elements the join and meet rows are bytes, however they were given,
-and above that tuples, so one spec is one value either way; star and quote
-are tuples.  The quote slot holds whichever unary operation the algebra
-carries there: for the regular double Stone algebra on the three-element
-chain that is the dual pseudocomplement, for the Kleene-style algebras the
-De Morgan operation.
+Elements are dense indices 0..n-1, at most 256 of them; display labels live
+on the algebra.  The join and meet rows are bytes, however they were given,
+so one spec is one value either way; star and quote are tuples.  The quote
+slot holds whichever unary operation the algebra carries there: for the
+regular double Stone algebra on the three-element chain that is the dual
+pseudocomplement, for the Kleene-style algebras the De Morgan operation.
 
 Construction verifies the bounded-distributive-lattice axioms by Birkhoff's
-embedding (verify_lattice_axioms), in whole-table byte operations on byte
-rows; loading checks the entries' types a row at a time.  The star/quote
-tables are only range-checked here (whether they satisfy any particular
-axiom system is a separate check, see agkit.axioms).
+embedding (verify_lattice_axioms), in whole-table byte operations; loading
+checks the entries' types a row at a time.  The star/quote tables are only
+range-checked here (whether they satisfy any particular axiom system is a
+separate check, see agkit.axioms).
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import itertools
 import json
 import math
 import weakref
-from operator import and_, attrgetter, iadd, itemgetter, ne, or_
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from . import caps
@@ -36,8 +35,8 @@ class FiniteAlgebra(_Value):
     name: str
     size: int
     labels: tuple[str, ...]
-    join: tuple[bytes | tuple[int, ...], ...]  # rows: bytes up to 256 elements, else tuples
-    meet: tuple[bytes | tuple[int, ...], ...]
+    join: tuple[bytes, ...]
+    meet: tuple[bytes, ...]
     star: tuple[int, ...]
     quote: tuple[int, ...]
     zero: int
@@ -54,10 +53,9 @@ class FiniteAlgebra(_Value):
         object.__setattr__(self, "_hashed", None)
         object.__setattr__(self, "_facts", None)
         self._check_shape()
-        row = bytes if self.size <= 256 else tuple  # after the range check: bytes() refuses 256
-        for name in ("join", "meet"):
-            if not {row}.issuperset(map(type, table := getattr(self, name))):
-                object.__setattr__(self, name, tuple(map(row, table)))
+        for name in ("join", "meet"):  # after the range check: bytes() refuses 256
+            if not {bytes}.issuperset(map(type, table := getattr(self, name))):
+                object.__setattr__(self, name, tuple(map(bytes, table)))
         if self.validate:
             self.verify_lattice_axioms()
 
@@ -72,8 +70,8 @@ class FiniteAlgebra(_Value):
 
     def _check_shape(self) -> None:
         n = self.size
-        if n < 1:
-            raise AlgebraFormatError(f"{self.name}: size must be >= 1")
+        if not 1 <= n <= 256:  # the most elements that byte rows index
+            raise AlgebraFormatError(f"{self.name}: size must be 1 to 256")
         if len(self.labels) != n or len(set(self.labels)) != n:
             raise AlgebraFormatError(f"{self.name}: need {n} distinct labels")
         universe = frozenset(range(n))
@@ -96,24 +94,23 @@ class FiniteAlgebra(_Value):
         """Check the bounded distributive lattice laws in O(n^2); raises
         LatticeAxiomError naming a law and a witness that breaks it.
 
-        Byte rows pass iff the join row of zero and the meet row of one are
+        The tables pass iff the join row of zero and the meet row of one are
         the identity and phi (_birkhoff) is an injective \\/,/\\-map into a
         powerset (_homomorphic).  Sound: then the tables are a sublattice of a
         distributive lattice, whatever phi is, with bounds zero and one.
         Complete: in a bounded distributive lattice phi is Birkhoff's
         embedding (Davey & Priestley, ch. 5).
 
-        Tables that fail, and tuple rows (past 256 elements, where no phi is
-        kept), are scanned, to name the law.  Given commutativity and
+        Tables that fail are scanned, to name the law.  Given commutativity and
         absorption, x <= y iff x \\/ y = y is an order if transitive; if the
         tables also give its lubs and glbs, both associative laws hold.  It is
         distributive iff x -> J & down[x] preserves joins (Birkhoff).
         """
         n, jn, mt = self.size, self.join, self.meet
         rng = range(n)
-        if n <= 256 and (len(set(phi := _birkhoff(self))) == n
-                         and list(jn[self.zero]) == list(rng) == list(mt[self.one])
-                         and _homomorphic(phi, jn, mt)):
+        if (len(set(phi := _birkhoff(self))) == n
+                and jn[self.zero] == bytes(rng) == mt[self.one]
+                and _homomorphic(phi, jn, mt)):
             _known(self, "birkhoff", lambda: phi)
             return
         for x, y in itertools.product(rng, repeat=2):
@@ -254,19 +251,13 @@ def _birkhoff(algebra: FiniteAlgebra) -> tuple[int, ...]:
     eight of J's meet rows, with j's bit where j /\\ x = j, i.e. j <= x."""
     n, jn = algebra.size, algebra.join
     rng = range(n)
-    if n > 256:  # tuple rows, a row at a time
-        reducible = {algebra.zero}
-        for x, row in enumerate(jn):
-            found = set(itertools.compress(row, map(ne, row, rng)))  # the x \/ y other than y
-            found.discard(x)
-            reducible |= found
-    else:  # the whole table at once: x \/ y where table ^ rows and table ^ columns are nonzero
-        table, rows, columns, ones = (int.from_bytes(b, "big") for b in (
-            b"".join(jn), b"".join([bytes((x,)) * n for x in rng]), bytes(rng) * n, b"\1" * n * n))
-        low, high, zero = 127 * ones, 128 * ones, algebra.zero * ones  # in every byte
-        nonzero = [((v & low) + low | v) & high for v in (table ^ rows, table ^ columns)]
-        values = zero ^ (table ^ zero) & (nonzero[0] & nonzero[1]) // 128 * 255
-        reducible = {algebra.zero, *filter(values.to_bytes(n * n, "big").__contains__, rng)}
+    # the whole table at once: x \/ y where table ^ rows and table ^ columns are nonzero
+    table, rows, columns, ones = (int.from_bytes(b, "big") for b in (
+        b"".join(jn), b"".join([bytes((x,)) * n for x in rng]), bytes(rng) * n, b"\1" * n * n))
+    low, high, zero = 127 * ones, 128 * ones, algebra.zero * ones  # in every byte
+    nonzero = [((v & low) + low | v) & high for v in (table ^ rows, table ^ columns)]
+    values = zero ^ (table ^ zero) & (nonzero[0] & nonzero[1]) // 128 * 255
+    reducible = {algebra.zero, *filter(values.to_bytes(n * n, "big").__contains__, rng)}
     irreducible = set(rng) - reducible  # its order numbers the bits, as it always has
     planes = [0] * ((len(irreducible) + 7) // 8 or 1)
     for i, j in enumerate(irreducible):
@@ -421,10 +412,10 @@ def direct_product(factors: Sequence[FiniteAlgebra]) -> FiniteAlgebra:
     """The product, its elements the tuples in lexicographic order (last
     factor fastest): (x, y) of L x R gets index x * |R| + y (_product_tables).
 
-    Up to 256 elements it keeps its Birkhoff embedding (birkhoff), in O(n)
-    from the factors': phi(x, y) = phi_L(x) << |J_R| | phi_R(y) is injective
-    and sends \\/ to | and /\\ to & as phi_L and phi_R do.  Larger products
-    keep none: that would hash their tables, past the congruence_universe cap.
+    A product past the `elements` cap is refused before any table is built.
+    It keeps its Birkhoff embedding (birkhoff), in O(n) from the factors':
+    phi(x, y) = phi_L(x) << |J_R| | phi_R(y) is injective and sends \\/ to |
+    and /\\ to & as phi_L and phi_R do.
 
     If factors repeat, it also keeps ("diagonal") the elements whose
     coordinates agree across equal factors, in index order: a subuniverse D
@@ -436,17 +427,16 @@ def direct_product(factors: Sequence[FiniteAlgebra]) -> FiniteAlgebra:
     if not factors:
         raise ValueError("direct_product needs at least one factor")
     size = math.prod(f.size for f in factors)
-    caps.guard("product_elements", size)
+    caps.guard("elements", size)
     join, meet, star, quote, zero, one = _product_tables(factors, size)
     product = FiniteAlgebra(
         name=product_name(factors), size=size,
         labels=tuple("(" + ",".join(t) + ")"
                      for t in itertools.product(*(f.labels for f in factors))),
         join=join, meet=meet, star=star, quote=quote, zero=zero, one=one, validate=False)
-    if size <= 256:
-        _known(product, "birkhoff", lambda: _product_embedding(factors))
-        if len(set(factors)) < len(factors):
-            _known(product, "diagonal", lambda: _diagonal(factors))
+    _known(product, "birkhoff", lambda: _product_embedding(factors))
+    if len(set(factors)) < len(factors):
+        _known(product, "diagonal", lambda: _diagonal(factors))
     return product
 
 
@@ -482,27 +472,19 @@ def _product_tables(factors: Sequence[FiniteAlgebra], size: int) -> tuple:
             lz * k + rz, lo * k + ro)
 
 
-def _fold_table(table: Sequence[Sequence[int]], factor_table: Sequence[Sequence[int]],
-                k: int) -> tuple[Sequence[int], ...]:
+def _fold_table(table: Sequence[bytes], factor_table: Sequence[bytes],
+                k: int) -> tuple[bytes, ...]:
     """A binary table of P x f from those of P and f (|f| = k): entry
     (x * k + a, y * k + b) is table[x][y] * k + factor_table[a][b].
 
-    blocks[a][z] holds the k entries z * k + factor_table[a][b] over b, so a
-    row is the concatenation of blocks[a][table[x][y]] over y.  Up to 256
-    elements, where FiniteAlgebra keeps bytes rows, a block is factor_table[a]
-    translated by v -> z * k + v and a row one join of blocks, with no
-    Python step per entry.  Above, tuple rows share the blocks' int objects.
+    blocks[a][z] holds the k entries z * k + factor_table[a][b] over b:
+    factor_table[a] translated by v -> z * k + v.  So a row is one join of
+    the blocks[a][table[x][y]] over y, with no Python step per entry.
     """
-    if len(table) * k <= 256:
-        ramp = bytes(range(256))  # rotated by z * k: each v < k goes to z * k + v <= 255
-        blocks = [[row.translate(ramp[z * k:] + ramp[:z * k]) for z in range(len(table))]
-                  for row in factor_table]
-        glue = b"".join
-    else:
-        blocks = [[tuple(z * k + v for v in row) for z in range(len(table))]
-                  for row in factor_table]
-        glue = lambda runs: tuple(functools.reduce(iadd, runs, []))  # list += run: C copies
-    return tuple(glue(map(block.__getitem__, row)) for row in table for block in blocks)
+    ramp = bytes(range(256))  # rotated by z * k: each v < k goes to z * k + v <= 255
+    blocks = [[row.translate(ramp[z * k:] + ramp[:z * k]) for z in range(len(table))]
+              for row in factor_table]
+    return tuple(b"".join(map(block.__getitem__, row)) for row in table for block in blocks)
 
 
 def _product_embedding(factors: Sequence[FiniteAlgebra]) -> tuple[int, ...]:

@@ -311,6 +311,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    if argv[:1] == ["--"] and argv[1:] and not argv[1].startswith("-"):
+        del argv[0]  # Python 3.11's argparse would take the "--" for the command
     try:
         args = build_parser(argv[0] if argv else None).parse_args(argv)
         report = Report(argv, __version__)

@@ -145,7 +145,7 @@ def congruence_lattice(algebra: FiniteAlgebra) -> CongruenceLattice:
     = phi(j) XOR that bit; theta_S in Con(A) is the join of the Cg(j_, j) over
     j in S, as each lies in theta_S and collapses j.
     """
-    caps.guard("congruence_universe", algebra.size)
+    caps.guard("elements", algebra.size)
     found = {0}  # the masks of the joins of the generators so far
     for generator in _closures(algebra):
         found |= {mask | generator for mask in found}
@@ -173,7 +173,7 @@ def classify(algebra: FiniteAlgebra) -> Classification:
     """
     if algebra.size < 2:
         return Classification(algebra.name, False, False, None, False)
-    caps.guard("congruence_universe", algebra.size)
+    caps.guard("elements", algebra.size)
     phi = birkhoff(algebra)
     closures = _closures(algebra)
     least = functools.reduce(operator.and_, closures)

@@ -323,21 +323,18 @@ def eval_term(algebra: FiniteAlgebra, term: Term, assignment: Mapping[str, int])
 
 
 # A compiled term: the values of the prefix variables in, a value or a column out.
-# Every column has the type of the column variable's domain (bytes or list), so
-# two compare equal exactly when their values do.  A closure that reads the
-# prefix computes its value anew on each call; one that does not returns one
-# shared object, such as a prefix-free column or the column variable's domain:
-# only read it.
-Closure = Callable[[tuple[int, ...]], "int | bytes | list[int]"]
+# Every column is bytes, so two compare equal exactly when their values do.  A
+# closure that reads the prefix computes its value anew on each call; one that
+# does not returns one shared object, such as a prefix-free column or the
+# column variable's domain: only read it.
+Closure = Callable[[tuple[int, ...]], "int | bytes"]
 
 
-def _lookup(table, domain: bytes | list[int]) -> Callable:
-    """Map a column of `domain`'s type through a unary table: one translate
-    by the table padded to 256 bytes (no value reads the pad)."""
-    if isinstance(domain, bytes):
-        translation = bytes(table) + bytes(256 - len(table))
-        return lambda column: column.translate(translation)
-    return lambda column, at=table.__getitem__: list(map(at, column))
+def _lookup(table) -> Callable:
+    """Map a column through a unary table: one translate by the table padded
+    to 256 bytes (no value reads the pad)."""
+    translation = bytes(table) + bytes(256 - len(table))
+    return lambda column: column.translate(translation)
 
 
 def _hoist(closure: Closure, is_column: bool, reads: bool) -> tuple[Closure, bool, bool]:
@@ -349,23 +346,23 @@ def _hoist(closure: Closure, is_column: bool, reads: bool) -> tuple[Closure, boo
 
 
 def _compile(algebra: FiniteAlgebra, term: Term, positions: Mapping[str, int],
-             column: str, domain: bytes | list[int]) -> tuple[Closure, bool, bool]:
+             column: str, domain: bytes) -> tuple[Closure, bool, bool]:
     """Compile a term for the column scan in holds_in: (closure, is_column, reads).
 
     Each closure takes the values of the variables in `positions`, as a tuple.
     A scalar closure returns the term's value.  A column closure returns its
-    values as the variable `column` runs over `domain`, in `domain`'s type.
+    values, as bytes, as the variable `column` runs over `domain`.
     `reads` says whether the term reads a variable in `positions`; a node
     that reads none is evaluated here, once (_hoist).
 
-    A lattice operation with one scalar side picks that side's row: on bytes
-    the table's own bytes rows padded to 256, kept in the algebra's facts
+    A lattice operation with one scalar side picks that side's row: the
+    table's own bytes rows padded to 256, kept in the algebra's facts
     (_known) as ("byte rows", "join" or "meet"), 128 KiB at n = 256.
-    One of two bytes columns maps both by the algebra's Birkhoff embedding
-    phi, reads them as ints, takes | or &, and maps back by phi's inverse,
-    where phi fits a byte (|J| <= 8, so n <= 256): exact, as phi is an
-    injective lattice map (algebra.birkhoff_bytes).  Otherwise, and on
-    lists, it reads one table row per column entry.
+    One of two columns maps both by the algebra's Birkhoff embedding phi,
+    reads them as ints, takes | or &, and maps back by phi's inverse, where
+    phi fits a byte (|J| <= 8): exact, as phi is an injective lattice map
+    (algebra.birkhoff_bytes).  Otherwise it reads one table row per column
+    entry.
     """
     match term:
         case Var(name):
@@ -385,7 +382,7 @@ def _compile(algebra: FiniteAlgebra, term: Term, positions: Mapping[str, int],
                 chain = list(map(table.__getitem__, chain))
             inner, is_column, reads = _compile(algebra, term, positions, column, domain)
             if is_column:
-                lookup = _lookup(chain, domain)
+                lookup = _lookup(chain)
                 return _hoist(lambda env: lookup(inner(env)), True, reads)
             return _hoist(lambda env: chain[inner(env)], False, reads)
         case Join(left, right) | Meet(left, right):
@@ -395,41 +392,38 @@ def _compile(algebra: FiniteAlgebra, term: Term, positions: Mapping[str, int],
             fr, right_column, right_reads = _compile(algebra, right, positions, column, domain)
             reads = left_reads or right_reads
             if left_column and right_column:
-                if isinstance(domain, bytes) and (embedding := birkhoff_bytes(algebra)):
+                if embedding := birkhoff_bytes(algebra):
                     into, back = embedding
                     combine, width = (int.__or__ if name == "join" else int.__and__), len(domain)
                     return _hoist(lambda env: combine(
                         int.from_bytes(fl(env).translate(into), "big"),
                         int.from_bytes(fr(env).translate(into), "big"),
                     ).to_bytes(width, "big").translate(back), True, reads)
-                rows, kind = table.__getitem__, type(domain)
-                return _hoist(lambda env: kind(map(getitem, map(rows, fl(env)), fr(env))),
+                rows = table.__getitem__
+                return _hoist(lambda env: bytes(map(getitem, map(rows, fl(env)), fr(env))),
                               True, reads)
             if left_column or right_column:
                 # Lattice tables are commutative (checked on construction and
                 # kept by every internal constructor), so the scalar side may
                 # pick the row.
                 scalar, col = (fr, fl) if left_column else (fl, fr)
-                if isinstance(domain, bytes):
-                    translations = _known(algebra, ("byte rows", name), lambda: tuple(
-                        row + bytes(256 - len(row)) for row in table))
-                    return _hoist(lambda env: col(env).translate(translations[scalar(env)]),
-                                  True, reads)
-                return _hoist(lambda env: list(map(table[scalar(env)].__getitem__, col(env))),
+                translations = _known(algebra, ("byte rows", name), lambda: tuple(
+                    row + bytes(256 - len(row)) for row in table))
+                return _hoist(lambda env: col(env).translate(translations[scalar(env)]),
                               True, reads)
             return _hoist(lambda env: table[fl(env)][fr(env)], False, reads)
     raise AssertionError(f"bad term {term!r}")
 
 
 def _compile_columns(algebra: FiniteAlgebra, equation: Equation, positions: Mapping[str, int],
-                     column: str, domain: bytes | list[int]) -> tuple[Closure, Closure]:
+                     column: str, domain: bytes) -> tuple[Closure, Closure]:
     """Both sides of an equation as column closures; a scalar side is repeated."""
 
     def as_column(term: Term) -> Closure:
         closure, is_column, reads = _compile(algebra, term, positions, column, domain)
         if is_column:
             return closure
-        return _hoist(lambda env: type(domain)([closure(env)]) * len(domain), True, reads)[0]
+        return _hoist(lambda env: bytes([closure(env)]) * len(domain), True, reads)[0]
 
     return as_column(equation[0]), as_column(equation[1])
 
@@ -488,21 +482,20 @@ def _decide(algebra: FiniteAlgebra, sentence: Sentence,
       as the column of its values over the column variable's filtered domain.
       The two sides of the conclusion are compared as columns; only where
       they differ are the remaining premises evaluated.
-    - Columns are bytes on an algebra of at most 256 elements, chosen here
-      once, and lists above.  A table lookup over a bytes column is one
-      bytes.translate, by a chain of * and ' composed into one table or by
-      the row of a lattice operation's scalar side, from the byte rows kept
-      per algebra.  A join or meet of two bytes columns is one | or & on
-      the Birkhoff embedding where |J| <= 8.  Per prefix only what reads it
-      is redone (_compile): a subterm that reads no prefix variable is
-      computed once, before the scan.  The scan only reads columns.
+    - Columns are bytes, as an algebra has at most 256 elements.  A table
+      lookup over a column is one bytes.translate, by a chain of * and '
+      composed into one table or by the row of a lattice operation's scalar
+      side, from the byte rows kept per algebra.  A join or meet of two
+      columns is one | or & on the Birkhoff embedding where |J| <= 8.  Per
+      prefix only what reads it is redone (_compile): a subterm that reads
+      no prefix variable is computed once, before the scan.  The scan only
+      reads columns.
 
     Prefixes run in the plain scan's order and each column in index order, so
     the first failing assignment found is the plain scan's witness.
     """
     variables = sentence.variables()
-    kind = bytes if algebra.size <= 256 else list  # the columns' type
-    domains = dict.fromkeys(variables, kind(range(algebra.size) if domain is None else domain))
+    domains = dict.fromkeys(variables, bytes(range(algebra.size) if domain is None else domain))
     remaining = []
     for (lhs, rhs), names in zip(sentence.premises, sentence.premise_variables):
         if len(names) > 1:
@@ -511,7 +504,7 @@ def _decide(algebra: FiniteAlgebra, sentence: Sentence,
             (name,) = names
             domain = domains[name]
             left, right = _compile_columns(algebra, (lhs, rhs), {}, name, domain)
-            domains[name] = kind(x for x, l, r in zip(domain, left(()), right(())) if l == r)
+            domains[name] = bytes(x for x, l, r in zip(domain, left(()), right(())) if l == r)
         elif eval_term(algebra, lhs, {}) != eval_term(algebra, rhs, {}):
             return Verdict(True)
     if not variables:

@@ -173,7 +173,7 @@ def discriminator_is_term_op(*algebras: FiniteAlgebra) -> bool:
     for algebra in algebras:
         caps.guard("discriminator_universe", algebra.size)
     for left, right in itertools.combinations_with_replacement(algebras, 2):
-        for cap in ("product_elements", "subalgebra_universe"):  # as deciding the pair cold would
+        for cap in ("elements", "subalgebra_universe"):  # as deciding the pair cold would
             caps.guard(cap, left.size * right.size)
         verdicts = _known(left, "discriminator", weakref.WeakKeyDictionary)  # weak on right
         if right not in verdicts:
@@ -212,7 +212,7 @@ def _discriminator_preserves(left: FiniteAlgebra, right: FiniteAlgebra) -> bool:
 class FreeAlgebra(_Value):
     """F_V(n) as free_algebra proves it: the product of its factors' S, its
     generators indices into it.  The product's tables are built on the first
-    read of `algebra`, past the free_elements cap, and kept."""
+    read of `algebra`, within direct_product's `elements` cap, and kept."""
     generators: tuple[int, ...]
     variety_name: str
     factors: tuple[tuple[FiniteAlgebra, tuple[int, ...]], ...]  # (S, generators in S)
@@ -223,7 +223,6 @@ class FreeAlgebra(_Value):
 
     @functools.cached_property
     def algebra(self) -> FiniteAlgebra:
-        caps.guard("free_elements", self.size)
         return direct_product([si for si, _ in self.factors])
 
 

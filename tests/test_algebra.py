@@ -416,26 +416,11 @@ def test_birkhoff_kernel_matches_the_row_loop(algebra):
 @given(st.one_of(renumbered_products(min_size=4, max_size=36), renumbered_chains(),
                  generated_members()))
 def test_law_scans_alone_pass_every_lattice(algebra):
-    """The scans that decide tuple rows, run on byte rows by failing the
+    """The scans that name a broken law, run on valid tables by failing the
     whole-table check, raise on no bounded distributive lattice."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(agkit.algebra, "_homomorphic", lambda phi, join, meet: False)
         algebra.verify_lattice_axioms()
-
-
-def test_tuple_rows_are_decided_by_the_law_scans():
-    """Past 256 elements the rows are tuples and the scans decide alone: a
-    288-element product passes, keeping no phi, and a copy with one join
-    entry changed fails at a witness of the law it names."""
-    product = direct_product([builtin("2")] * 5 + [builtin("3_klst")] * 2)
-    checked = replace(product, name="checked 288", validate=True)
-    assert isinstance(checked.join[0], tuple) and "birkhoff" not in kept_facts(checked)
-    rows = [list(row) for row in product.join]
-    rows[3][5] = product.one  # was 5
-    tampered = replace(product, name="tampered 288", join=tuple(map(tuple, rows)))
-    with pytest.raises(LatticeAxiomError) as err:
-        replace(tampered, validate=True)
-    assert breaks_law(tampered, err.value.axiom, err.value.witness)
 
 
 @pytest.mark.parametrize("lattice", [M3, N5], ids=["M3", "N5"])
@@ -565,10 +550,9 @@ def test_equal_algebras_built_apart_are_equal_and_share_their_facts(builtins):
 
 
 def test_tuple_and_bytes_rows_give_one_value():
-    """Up to 256 elements the join and meet rows are kept as bytes however
-    they are given, so the two forms of one spec are one value: equal, hashed
-    alike and with one facts dict.  A table of bytes rows is kept as given.
-    Above 256 elements rows are kept as tuples, also when given as lists."""
+    """The join and meet rows are kept as bytes however they are given, so
+    the two forms of one spec are one value: equal, hashed alike and with one
+    facts dict.  A table of bytes rows is kept as given."""
     spec = dict(BUILTIN_SPECS["4_dmba"], name="rows")
     as_bytes = {key: tuple(map(bytes, spec[key])) for key in ("join", "meet")}
     from_tuples, from_bytes = FiniteAlgebra(**spec), FiniteAlgebra(**spec | as_bytes)
@@ -576,11 +560,6 @@ def test_tuple_and_bytes_rows_give_one_value():
     assert from_tuples == from_bytes and hash(from_tuples) == hash(from_bytes)
     assert kept_facts(from_tuples) is kept_facts(from_bytes)
     assert type(from_tuples.star) is type(from_tuples.quote) is tuple
-    large = direct_product([builtin("2")] * 5 + [builtin("3_klst")] * 2)  # 288 elements
-    from_lists = replace(large, join=tuple(map(list, large.join)), validate=False)
-    assert {tuple} == set(map(type, from_lists.join)) == set(map(type, large.meet))
-    assert from_lists == large and hash(from_lists) == hash(large)
-    assert kept_facts(from_lists) is kept_facts(large)
 
 
 def test_canonical_dumps_are_unchanged_by_the_row_type():
@@ -660,26 +639,6 @@ def test_product_past_a_byte_keeps_no_embedding():
         assert holds_in(product, sentence) == plain_holds_in(product, sentence), text
 
 
-# the oracle takes ~0.35 s on a 256-element product
-@settings(max_examples=10, deadline=None)
-@given(st.lists(st.sampled_from(BUILTIN_NAMES), min_size=1, max_size=4))
-# The factors split where the later ones first reach sqrt(|P|): after the
-# first factor, in the middle, before the last, and in F_AG(1)'s shape
-@example(["4_dmba", "2", "2"])
-@example(["3_dblst", "2", "4_dmba", "3_klst"])
-@example(["2", "2", "4_dmba"])
-@example(["2", "2", "3_dblst", "3_klst", "4_dmba"])
-@example(["2"] * 5 + ["3_klst"] * 2)  # 288 elements: the fold's tuple rows
-def test_direct_product_matches_tuple_oracle(names):
-    factors = [builtin(name) for name in names]
-    product = direct_product(factors)
-    # equality compares name, labels, every table and both constants
-    assert product == tuple_direct_product(factors)
-    row = bytes if product.size <= 256 else tuple
-    assert {row} == set(map(type, product.join)) == set(map(type, product.meet))
-    assert type(product.star) is type(product.quote) is tuple
-
-
 def _up_to_256_elements(names: list[str]) -> list[str]:
     """The longest prefix of the names whose product has at most 256 elements."""
     size = 1
@@ -688,6 +647,25 @@ def _up_to_256_elements(names: list[str]) -> list[str]:
         if size > 256:
             return names[:i]
     return names
+
+
+# the oracle takes ~0.35 s on a 256-element product
+@settings(max_examples=10, deadline=None)
+@given(st.lists(st.sampled_from(BUILTIN_NAMES), min_size=1, max_size=5).map(
+    _up_to_256_elements))
+# The factors split where the later ones first reach sqrt(|P|): after the
+# first factor, in the middle, before the last, and in F_AG(1)'s shape
+@example(["4_dmba", "2", "2"])
+@example(["3_dblst", "2", "4_dmba", "3_klst"])
+@example(["2", "2", "4_dmba"])
+@example(["2", "2", "3_dblst", "3_klst", "4_dmba"])
+def test_direct_product_matches_tuple_oracle(names):
+    factors = [builtin(name) for name in names]
+    product = direct_product(factors)
+    # equality compares name, labels, every table and both constants
+    assert product == tuple_direct_product(factors)
+    assert {bytes} == set(map(type, product.join)) == set(map(type, product.meet))
+    assert type(product.star) is type(product.quote) is tuple
 
 
 @settings(max_examples=10, deadline=None)
@@ -720,9 +698,39 @@ def test_direct_product_keeps_its_diagonal(names):
         == [getattr(expected, f) for f in ("join", "meet", "star", "quote", "zero", "one")]
 
 
-def test_product_past_a_byte_keeps_no_diagonal():
-    product = direct_product([builtin("2")] * 9)
-    assert "diagonal" not in kept_facts(product)
+def test_product_past_a_byte_keeps_no_diagonal(monkeypatch):
+    """2^9 has 512 elements, past what byte rows index: it is refused at the
+    `elements` cap, so no product is made to keep a diagonal."""
+    monkeypatch.delenv("AGKIT_CAP", raising=False)
+    with pytest.raises(CapExceededError) as err:
+        direct_product([builtin("2")] * 9)
+    assert (err.value.guard, err.value.limit, err.value.requested) == ("elements", 256, 512)
+
+
+def test_product_past_256_elements_is_refused_whatever_agkit_cap_says(monkeypatch):
+    """AGKIT_CAP may lower the `elements` cap, not raise it past 256: a
+    288-element product is refused before any table is folded."""
+    monkeypatch.setenv("AGKIT_CAP", "1000")
+    folded = []
+    log_calls(monkeypatch, agkit.algebra, "_product_tables", folded)
+    with pytest.raises(CapExceededError) as err:
+        direct_product([builtin("2")] * 5 + [builtin("3_klst")] * 2)
+    assert (err.value.guard, err.value.limit, err.value.requested) == ("elements", 256, 288)
+    assert folded == []
+    assert direct_product([builtin("2")] * 8).size == 256
+
+
+@pytest.mark.parametrize("validate", [True, False])
+def test_hand_built_algebra_past_256_elements_is_a_format_error(validate):
+    """The constructor refuses more than 256 elements before it makes byte
+    rows, so the error is typed, not bytes()'s own ValueError."""
+    n = 257
+    with pytest.raises(AlgebraFormatError, match="chain257: size must be 1 to 256"):
+        FiniteAlgebra(name="chain257", size=n, labels=tuple(map(str, range(n))),
+                      join=tuple(tuple(max(x, y) for y in range(n)) for x in range(n)),
+                      meet=tuple(tuple(min(x, y) for y in range(n)) for x in range(n)),
+                      star=(n - 1,) + (0,) * (n - 1), quote=tuple(reversed(range(n))),
+                      zero=0, one=n - 1, validate=validate)
 
 
 @settings(max_examples=40, deadline=None)
@@ -770,7 +778,7 @@ def test_unary_product_isomorphic_to_factor(builtins):
 
 def test_product_cap(monkeypatch):
     monkeypatch.delenv("AGKIT_CAP", raising=False)
-    monkeypatch.setitem(DEFAULT_CAPS, "product_elements", 10)
+    monkeypatch.setitem(DEFAULT_CAPS, "elements", 10)
     with pytest.raises(CapExceededError):
         direct_product([builtin("4_dmba")] * 3)
 

@@ -60,6 +60,25 @@ def test_every_exported_function_has_a_caller():
     assert sorted(UNCALLED_EXPORTS.keys() - functions) == []
 
 
+def _unused_imports(path: Path) -> list[str]:
+    """The names that the module's imports bind and that no expression in it
+    reads, each as "<module>:<line> <name>"."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = [(node.lineno, alias.asname or alias.name.partition(".")[0])
+             for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__" for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.stem}:{line} {name}" for line, name in bound if name not in read]
+
+
+def test_every_module_uses_the_names_it_imports():
+    """Each module of src/agkit reads every name it imports; __init__, which
+    imports to re-export, is left out."""
+    unused = [name for path in sorted((ROOT / "src" / "agkit").glob("*.py"))
+              if path.name != "__init__.py" for name in _unused_imports(path)]
+    assert unused == []
+
+
 # the only places in src/agkit that keep results between calls, and why each
 # is not a fact kept through algebra._known
 CACHE_HOMES = {

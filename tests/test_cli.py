@@ -118,7 +118,7 @@ def test_classify_command(capsys):
 
 
 def test_classify_file_at_the_congruence_cap(capsys, tmp_path, monkeypatch):
-    # 2^8: 256 elements, the default congruence_universe cap, and 2^8
+    # 2^8: 256 elements, the elements bound and default cap, and 2^8
     # congruences by Fraser-Horn, which classify reads off 8 closures
     # without listing them
     path = tmp_path / "power.json"
@@ -230,6 +230,16 @@ def test_lemmas_command(capsys):
     code, out, _ = run(capsys, "lemmas", "--variety", "V_KLST_DMBA")
     assert code == 0
     assert "L3.14" in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize("argv", [["lemmas"], ["lemmas", "--json"],
+                                  ["classify", "4_dmba", "--json"]])
+def test_a_separator_before_the_command_changes_nothing(capsys, argv):
+    """`agkit -- lemmas` runs `agkit lemmas`: the "--" ends the options of
+    agkit, which has none here, so the command still follows it."""
+    assert run(capsys, "--", *argv) == run(capsys, *argv)
+    code, out, err = run(capsys, "--", "bogus")
+    assert (code, out) == (2, "") and "invalid choice: 'bogus'" in err
 
 
 def test_applications_command(capsys):
@@ -517,7 +527,7 @@ CONGRUENCE_FILES = {
     "product36.json": lambda: renumber(
         direct_product([builtin(n) for n in ("3_dblst", "3_klst", "4_dmba")]),
         random.Random(0).sample(range(36), 36)),
-    # 2^8: 256 congruences, at the congruence_universe cap
+    # 2^8: 256 elements and congruences, at the elements bound
     "power8.json": lambda: direct_product([builtin("2")] * 8),
     # the chain 0 < a < b < 1 with five congruences and the monolith {0,a | b | 1}
     "chain4.json": lambda: chain4((0, 0, 0, 0), (0, 0, 1, 0)),
@@ -541,18 +551,38 @@ def test_congruence_output_matches_golden_digest(capsys, tmp_path, monkeypatch, 
 def _hostile_algebras(tmp_path) -> list[str]:
     """An algebra argument from each hostile class: a missing file, a
     directory, a file that is not UTF-8, not JSON, nested too deeply, not an
-    object, short of keys or with a ragged table, then an unknown builtin and
-    an empty name."""
+    object, short of keys, with a ragged table or with more elements than an
+    algebra holds, then an unknown builtin and an empty name."""
     files = {"not_utf8.json": b"\xff\xfe{", "not_json.json": b"{not json",
              "nested.json": b"[" * 100_000, "array.json": b"[1, 2]",
              "keys.json": b'{"name": "x", "size": 2}',
              "ragged.json": json.dumps(dict(json.loads(dump_algebra(builtin("2"))),
-                                            join=[[0, 1], [1]])).encode()}
+                                            join=[[0, 1], [1]])).encode(),
+             "chain300.json": CHAIN_300}
     for name, data in files.items():
         (tmp_path / name).write_bytes(data)
     (tmp_path / "directory").mkdir()
     return [str(tmp_path / name) for name in ("missing.json", "directory", *files)] + [
         "3_kldst", ""]
+
+
+def _chain_document(n: int) -> dict:
+    """The JSON document of the n-element chain, written without building it."""
+    return dict(name=f"chain{n}", size=n, labels=[str(x) for x in range(n)],
+                join=[[max(x, y) for y in range(n)] for x in range(n)],
+                meet=[[min(x, y) for y in range(n)] for x in range(n)],
+                star=[n - 1] + [0] * (n - 1), quote=list(reversed(range(n))), zero=0, one=n - 1)
+
+
+CHAIN_300 = json.dumps(_chain_document(300)).encode()
+
+
+def test_algebra_past_256_elements_exits_2(capsys, tmp_path):
+    path = tmp_path / "chain300.json"
+    path.write_bytes(CHAIN_300)
+    code, out, err = run(capsys, "algebra", "show", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: chain300: size must be 1 to 256\n"
 
 
 BAD_VARIETIES = ("NOPE", "")

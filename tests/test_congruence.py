@@ -13,6 +13,7 @@ from agkit import (AgkitError, BUILTIN_NAMES, CapExceededError, FiniteAlgebra, P
                    dump_algebra, enumerate_embeddings, is_congruence, lattice_reduct,
                    load_algebra, principal_congruence, quotient, subalgebra)
 from agkit.algebra import birkhoff
+from agkit.caps import DEFAULT_CAPS
 from agkit.congruence import _closures, factor_names
 from agkit.morphisms import Homomorphism
 from tests.conftest import (CountingTable, brute_force_congruences, cep_by_definition,
@@ -214,10 +215,13 @@ def test_congruence_lattice_one_principal_congruence_per_join_irreducible(
     assert len(calls) == 6
 
 
-def test_congruence_lattice_cap():
-    big = direct_product([builtin("3_klst")] * 4 + [builtin("4_dmba")])
-    with pytest.raises(CapExceededError):
+def test_congruence_lattice_cap(monkeypatch):
+    big = direct_product([builtin("3_klst")] * 3 + [builtin("4_dmba")])  # 108 elements
+    monkeypatch.delenv("AGKIT_CAP", raising=False)
+    monkeypatch.setitem(DEFAULT_CAPS, "elements", 100)
+    with pytest.raises(CapExceededError) as err:
         congruence_lattice(big)
+    assert (err.value.guard, err.value.limit, err.value.requested) == ("elements", 100, 108)
 
 
 def test_classify_builtins_all_irreducible(builtins):
@@ -378,7 +382,7 @@ def test_sc_equivalence_on_small_members(builtins):
         assert classify(algebra).simple == check_sc(algebra).sc
 
 
-def test_cep_instances(builtins):
+def test_cep_instances(builtins, monkeypatch):
     dmba = builtins["4_dmba"]
     for embedding in enumerate_embeddings(builtins["2"], dmba):
         assert cep_instance(builtins["2"], dmba, embedding)
@@ -390,9 +394,14 @@ def test_cep_instances(builtins):
     from agkit.morphisms import identity_hom
     for algebra in builtins.values():
         assert cep_instance(algebra, algebra, identity_hom(algebra))
-    # only Con(sub) is enumerated, so a sup past the congruence cap is fine
-    big = direct_product([klst] * 4 + [dmba])
-    assert cep_instance(builtins["2"], big, enumerate_embeddings(builtins["2"], big)[0])
+    # only Con(sub) is enumerated, so a sup past the elements cap is fine
+    big = direct_product([dmba] * 4)  # 256 elements
+    embedding = enumerate_embeddings(builtins["2"], big)[0]
+    monkeypatch.delenv("AGKIT_CAP", raising=False)
+    monkeypatch.setitem(DEFAULT_CAPS, "elements", 16)
+    with pytest.raises(CapExceededError):
+        congruence_lattice(big)
+    assert cep_instance(builtins["2"], big, embedding)
 
 
 def _products(factors: int) -> list[FiniteAlgebra]:

@@ -619,16 +619,10 @@ LX = "y'' \\/ y* = (x' \\/ x'*)' \\/ y'' \\/ y*"
     (("2", "3_klst", "4_dmba"), "z* = 0 => (x' \\/ y'*)' \\/ z = z",
      {"x": 8, "y": 0, "z": 19}),
     (("2", "3_klst", "4_dmba"), "z' = z => (x /\\ y)* \\/ z = x* \\/ y'* \\/ z", None),
-    # 288 elements: the same shapes on list columns
-    (("2",) * 5 + ("3_dblst", "3_klst"), "(x' \\/ x'*)' \\/ y = y''", {"x": 0, "y": 3}),
-    (("2",) * 5 + ("3_dblst", "3_klst"), "y* = 0 => (x /\\ x'*)' \\/ y = y",
-     {"x": 0, "y": 283}),
-    (("2",) * 5 + ("3_dblst", "3_klst"), "y* = 0 => (x' \\/ x'*)' \\/ y = (x /\\ x*) \\/ y",
-     None),
 ])
 def test_holds_in_matches_plain_scan_on_kept_columns(names, text, witness):
     """Verdicts and witnesses where a column reads the prefix only through a
-    compound scalar subterm, on bytes and on list columns."""
+    compound scalar subterm."""
     algebra, sentence = _product(*names), parse_sentence(text)
     verdict = holds_in(algebra, sentence)
     assert verdict.witness == witness and verdict.holds == (witness is None)
@@ -801,14 +795,13 @@ def test_desugaring_soundness(builtins):
 
 
 @pytest.mark.parametrize("names, kind", [
-    (("2",) * 8, bytes),  # 256 elements: bytes columns, with an empty pad
-    (("2",) * 5 + ("3_dblst", "3_klst"), list),  # 288 elements: list columns
+    (("2",) * 8, bytes),  # 256 elements, the most an algebra has: an empty pad
 ])
 def test_holds_in_matches_plain_scan_in_both_column_types(monkeypatch, names, kind):
-    """Verdicts and witnesses on either side of the 256-element threshold.  A
-    scan in the wrong column type gives the same verdicts, only slower, so
-    the type of every column that a compiled node returns is recorded too:
-    unary chains, rows picked by a scalar, and column-column operations."""
+    """Verdicts and witnesses at the 256-element bound.  A scan in another
+    column type would give the same verdicts, only slower, so the type of
+    every column that a compiled node returns is recorded too: unary chains,
+    rows picked by a scalar, and column-column operations."""
     algebra = direct_product([builtin(name) for name in names])
     kinds, compile_node = set(), agkit.terms._compile
 

@@ -347,7 +347,7 @@ def test_discriminator_verdict_goes_with_the_right_algebra():
     assert len(kept_facts(two)["discriminator"]) == verdicts
 
 
-@pytest.mark.parametrize("cap", ["product_elements", "subalgebra_universe"])
+@pytest.mark.parametrize("cap", ["elements", "subalgebra_universe"])
 def test_cached_discriminator_verdict_meets_the_guards_of_a_cold_check(
         builtins, monkeypatch, cap):
     algebra = builtins["4_dmba"]  # its square has 16 elements
@@ -460,12 +460,12 @@ def test_free_algebra_keeps_the_facts_its_product_seeded():
 
 
 def test_free_algebra_cap(monkeypatch):
-    """The free_elements cap bounds reading F.algebra, which builds the
-    product's tables; free_algebra itself builds none, so it passes."""
+    """The elements cap bounds reading F.algebra, whose direct_product builds
+    the product's tables; free_algebra itself builds none, so it passes."""
     monkeypatch.delenv("AGKIT_CAP", raising=False)
     for name, size in (("AG", 3_869_835_264), ("DMBA", 65_536)):
         free = free_algebra(variety(name), 2)
-        with pytest.raises(CapExceededError, match=f"requested {size}, limit 4096"):
+        with pytest.raises(CapExceededError, match=f"requested {size}, limit 256"):
             free.algebra
     monkeypatch.setenv("AGKIT_CAP", "100")
     free = free_algebra(variety("RKLST"), 2)

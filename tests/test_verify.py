@@ -200,13 +200,12 @@ def test_renumbered_builtins_keep_every_record(monkeypatch, seed):
 # (cap, limit) pairs of the sweep that some unit exceeds, so that the run has
 # "error" records; under every other pair it gives the default verdicts.
 CAPPED_RUNS_WITH_ERRORS = {
-    ("product_elements", 1), ("product_elements", 8),
+    ("elements", 1), ("elements", 8),
     ("assignments", 1), ("assignments", 8), ("assignments", 16),
-    ("congruence_universe", 1), ("congruence_universe", 8),
     ("subalgebra_universe", 1), ("subalgebra_universe", 8),
     ("discriminator_universe", 1)}
 # the caps that guard work whose result is kept between calls
-CACHED_WORK_CAPS = ("product_elements", "subalgebra_universe", "discriminator_universe",
+CACHED_WORK_CAPS = ("elements", "subalgebra_universe", "discriminator_universe",
                     "assignments")
 
 

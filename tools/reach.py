@@ -13,7 +13,8 @@ interpreter so that no cache is warm from another phase:
          inputs of CLI_INPUTS: algebra files (among them chains of 10 and 12,
          whose phi takes two bytes), amalgamable diagrams, a
          right-side obstruction, a base with no embedding, --variety, a free
-         algebra past the free_elements cap, and AGKIT_CAP; and --version;
+         algebra past the `elements` cap (held as its factors, so no table is
+         built), a "--" before the command, and AGKIT_CAP; and --version;
   tests  the Tier-1 suite (pytest, in process).
 
 A line is a function-body line of src/agkit that the code objects' `co_lines`
@@ -169,6 +170,7 @@ CLI_INPUTS = (
     ["amalgamate", "--variety", "AG", "--base", "trivial", "--left", "trivial",
      "--right", "trivial"],
     ["classify-ap", "--variety", "BA"],
+    ["--", "lemmas"],  # a separator before the command
     ["free", "--variety", "AG", "-n", "3"],
     ["amalgamate", "--variety", "AG", "--base", "4_dmba", "--left", "2", "--right", "2"],
 )
