@@ -42,9 +42,8 @@ class FiniteAlgebra(_Value):
     zero: int
     one: int
     # Products, subalgebras, and quotients of valid lattices are valid by
-    # construction, so internal constructors skip the O(n^2) checks: the
-    # lattice laws and the range of every join and meet entry, which would
-    # more than triple building F_BA(3).  Loading always validates.
+    # construction, so internal constructors skip the lattice laws, which would
+    # more than triple building F_BA(3).  Shape and range are always checked.
     validate: bool = True
 
     def __post_init__(self):
@@ -53,9 +52,6 @@ class FiniteAlgebra(_Value):
         object.__setattr__(self, "_hashed", None)
         object.__setattr__(self, "_facts", None)
         self._check_shape()
-        for name in ("join", "meet"):  # after the range check: bytes() refuses 256
-            if not {bytes}.issuperset(map(type, table := getattr(self, name))):
-                object.__setattr__(self, name, tuple(map(bytes, table)))
         if self.validate:
             self.verify_lattice_axioms()
 
@@ -74,13 +70,19 @@ class FiniteAlgebra(_Value):
             raise AlgebraFormatError(f"{self.name}: size must be 1 to 256")
         if len(self.labels) != n or len(set(self.labels)) != n:
             raise AlgebraFormatError(f"{self.name}: need {n} distinct labels")
-        universe = frozenset(range(n))
+        universe, below_n = frozenset(range(n)), bytes(range(n))
         for table_name in ("join", "meet"):
             table = getattr(self, table_name)
             if len(table) != n or set(map(len, table)) != {n}:
                 raise AlgebraFormatError(f"{self.name}: {table_name} table must be {n}x{n}")
-            if self.validate and not universe.issuperset(itertools.chain.from_iterable(table)):
-                raise AlgebraFormatError(f"{self.name}: {table_name} entry out of range")
+            try:  # bytes() refuses a non-integer, -1 and 256, and keeps a bytes row as it is
+                rows = tuple(map(bytes, table))
+                for row in rows:  # in range, a row is empty once 0..n-1 are deleted
+                    if row.translate(None, below_n):
+                        raise ValueError
+            except (TypeError, ValueError):
+                raise AlgebraFormatError(f"{self.name}: {table_name} entry out of range") from None
+            object.__setattr__(self, table_name, table if rows == table else rows)
         for table_name in ("star", "quote"):
             table = getattr(self, table_name)
             if len(table) != n or not universe.issuperset(table):
@@ -213,7 +215,6 @@ _built = functools.cache(lambda name, spec: FiniteAlgebra(name=name, **dict(spec
 
 # The facts about each algebra value: one dict, held weakly here and strongly in
 # the _facts slot of every equal algebra (_known), so it lives while one does.
-# A fact that refers to its algebra (amalgamation._homs) makes a cycle: gc frees it.
 class _Facts(dict):
     __slots__ = ("__weakref__",)
 

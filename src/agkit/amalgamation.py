@@ -26,8 +26,7 @@ import itertools
 
 from .algebra import FiniteAlgebra, _known
 from .errors import NotFoundError, _Value
-from .morphisms import (Homomorphism, brute_force_homs, enumerate_embeddings,
-                        enumerate_homs, identity_hom)
+from .morphisms import Homomorphism, brute_force_homs, enumerate_embeddings, enumerate_homs
 from .variety import VarietyDescriptor, discriminator_is_term_op, require_in_variety
 
 
@@ -57,34 +56,34 @@ def diagram(base: FiniteAlgebra, left: FiniteAlgebra, right: FiniteAlgebra) -> D
         embeddings = enumerate_embeddings(base, target)
         if not embeddings:
             raise NotFoundError(f"no embedding {base.name} -> {target.name}")
-        return embeddings[0]
+        return Homomorphism(base, target, embeddings[0])
 
     return Diagram(base, left, right, first_embedding(left), first_embedding(right))
 
 
 class Amalgam(_Value):
     """The amalgam D = prod S of a diagram <A, f, B, g, C>, held as its
-    covering pairs (h: B -> S, k: C -> S), one per factor S, in factor
+    covering pairs (h, k, S), h: B -> S and k: C -> S as map arrays, in factor
     order.  Each fact about D and its tupled maps f1 = (h, ...) and g1 =
     (k, ...) follows from the pairs, so none of the three is built:
 
-    - f1 and g1 are homomorphisms, as each h and k is a Homomorphism;
+    - f1 and g1 are homomorphisms, as _propagate proved each h and k;
     - f1 o f = g1 o g, as h o f = k o g for each pair (_compatible_pairs);
     - f1 and g1 are injective, as the pairs separate every two elements of
       B and of C (the cover in decide_amalgamation);
     - D lies in V, as each S is an SI generator of V and V is closed under
       products (S is the trivial B when both sides are trivial).
     """
-    pairs: tuple[tuple[Homomorphism, Homomorphism], ...]
+    pairs: tuple[tuple[tuple[int, ...], tuple[int, ...], FiniteAlgebra], ...]
 
     amalgamable = True  # a class attribute, not a field
 
     def as_dict(self) -> dict:
         return {
             "result": "amalgam",
-            "factors": [h.target.name for h, _ in self.pairs],
-            "f1": [list(h.mapping) for h, _ in self.pairs],
-            "g1": [list(k.mapping) for _, k in self.pairs],
+            "factors": [s.name for _, _, s in self.pairs],
+            "f1": [list(h) for h, _, _ in self.pairs],
+            "g1": [list(k) for _, k, _ in self.pairs],
         }
 
 
@@ -107,21 +106,21 @@ class Obstruction(_Value):
 AmalgamationResult = Amalgam | Obstruction
 
 
-def _homs(source: FiniteAlgebra, target: FiniteAlgebra) -> tuple[Homomorphism, ...]:
+def _homs(source: FiniteAlgebra, target: FiniteAlgebra) -> tuple[tuple[int, ...], ...]:
     """enumerate_homs once per (source, target) value, kept as ("homs",
-    target) in the source's facts, so a tampered builtin never matches.  A
-    hom set refers to its source, a cycle that goes when the source does."""
+    target) in the source's facts, so a tampered builtin never matches.  The
+    map arrays refer to no algebra, so an equal source keeps no other alive."""
     return _known(source, ("homs", target), lambda: tuple(enumerate_homs(source, target)))
 
 
 def _compatible_pairs(v: VarietyDescriptor, d: Diagram):
-    pairs: list[tuple[Homomorphism, Homomorphism]] = []
+    pairs: list[tuple[tuple[int, ...], tuple[int, ...], FiniteAlgebra]] = []
     census: dict[str, tuple[int, int, int]] = {}
-    base_range = range(d.base.size)
+    f, g = d.f.mapping, d.g.mapping
     for si in v.si_algebras():
         homs_left, homs_right = _homs(d.left, si), _homs(d.right, si)
-        found = [(h, k) for h, k in itertools.product(homs_left, homs_right)
-                 if all(h(d.f(x)) == k(d.g(x)) for x in base_range)]
+        found = [(h, k, si) for h, k in itertools.product(homs_left, homs_right)
+                 if all(h[fx] == k[gx] for fx, gx in zip(f, g))]
         pairs += found
         census[si.name] = (len(homs_left), len(homs_right), len(found))
     return pairs, census
@@ -141,14 +140,14 @@ def decide_amalgamation(v: VarietyDescriptor, d: Diagram) -> AmalgamationResult:
     require_in_variety(d.right, v)
     pairs, census = _compatible_pairs(v, d)
 
-    chosen: list[tuple[Homomorphism, Homomorphism]] = []
+    chosen: list[tuple[tuple[int, ...], tuple[int, ...], FiniteAlgebra]] = []
 
     def cover(size: int, side: int) -> tuple[int, int] | None:
         for x, y in itertools.combinations(range(size), 2):
-            if any(p[side](x) != p[side](y) for p in chosen):
+            if any(p[side][x] != p[side][y] for p in chosen):
                 continue
             for p in pairs:
-                if p[side](x) != p[side](y):
+                if p[side][x] != p[side][y]:
                     chosen.append(p)
                     break
             else:
@@ -165,7 +164,7 @@ def decide_amalgamation(v: VarietyDescriptor, d: Diagram) -> AmalgamationResult:
     if not chosen:
         # both sides are trivial (no pair: a hom out of one forces 0 = 1), and
         # the left one amalgamates them
-        chosen.append((identity_hom(d.left), Homomorphism(d.right, d.left, (0,))))
+        chosen.append(((0,), (0,), d.left))
     return Amalgam(tuple(chosen))
 
 
@@ -209,7 +208,8 @@ def si_diagrams(v: VarietyDescriptor):
     """
     sis = v.si_algebras()
     for base in sis:
-        into = [[h for h in _homs(base, target) if h.injective] for target in sis]
+        into = [[Homomorphism(base, target, h) for h in _homs(base, target)
+                 if len(set(h)) == base.size] for target in sis]
         for left, fs in zip(sis, into):
             for right, gs in zip(sis, into):
                 for f, g in itertools.product(fs, gs):
@@ -314,7 +314,7 @@ def brute_force_verify_obstruction(v: VarietyDescriptor, d: Diagram,
         homs_right = brute_force_homs(d.right, si)
         for h in brute_force_homs(d.left, si):
             for k in homs_right:
-                if any(h[d.f(z)] != k[d.g(z)] for z in range(d.base.size)):
+                if any(h[fz] != k[gz] for fz, gz in zip(d.f.mapping, d.g.mapping)):
                     continue
                 separated = (h[x] != h[y]) if obstruction.side == "left" else (k[x] != k[y])
                 if separated:

@@ -134,13 +134,14 @@ def _cmd_check(args, report: Report) -> str:
 def _cmd_homs(args, report: Report) -> str:
     source, target = _resolve_algebra(args.source), _resolve_algebra(args.target)
     homs = enumerate_homs(source, target)
+    maps = [{"source": source.name, "target": target.name, "map": list(h)} for h in homs]
     report.add(Record(id=f"homs/{source.name}/{target.name}", label="homomorphisms",
-                      verdict=len(homs), detail={"maps": [h.as_dict() for h in homs]}))
+                      verdict=len(homs), detail={"maps": maps}))
     lines = [f"{len(homs)} homomorphism(s) {source.name} -> {target.name}"]
     for h in homs:
-        arrow = " ".join(f"{source.labels[x]}->{target.labels[h(x)]}"
+        arrow = " ".join(f"{source.labels[x]}->{target.labels[h[x]]}"
                          for x in source.elements())
-        lines.append("  " + arrow + ("  [embedding]" if h.injective else ""))
+        lines.append("  " + arrow + ("  [embedding]" if len(set(h)) == source.size else ""))
     return "\n".join(lines)
 
 
@@ -191,7 +192,7 @@ def _cmd_amalgamate(args, report: Report) -> str:
                       verdict="amalgam" if result.amalgamable else "obstruction",
                       detail=result.as_dict()))
     if result.amalgamable:
-        factors = [h.target for h, _ in result.pairs]
+        factors = [s for _, _, s in result.pairs]
         name = factors[0].name if len(factors) == 1 else product_name(factors)
         return (f"{d.describe()} amalgamable in {v.name}: "
                 f"D = {name} ({math.prod(f.size for f in factors)} elements)")
@@ -294,6 +295,11 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise AgkitError(message)
 
+    def _get_values(self, action, arg_strings):  # Python 3.11 keeps a "--" for a command
+        if action.nargs == argparse.PARSER and arg_strings[:1] == ["--"]:
+            del arg_strings[0]
+        return super()._get_values(action, arg_strings)
+
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The whole tree, or only `command`'s branch when it names a command."""
@@ -301,8 +307,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         prog="agkit",
         description="finite-algebra workbench for the Almost Gautama subvarieties")
     parser.add_argument("--version", action="version", version=f"agkit {__version__}")
-    # Optional after an option, so that parse_args names an unknown one ("--" ends options)
-    sub = parser.add_subparsers(required=command in (None, "--"))
+    # Optional after an option, so that parse_args names an unknown one
+    sub = parser.add_subparsers(required=command is None)
     for name in [command] if command in _COMMANDS else _COMMANDS:
         help, arguments, handler = _COMMANDS[name]
         _add(sub, name, help, arguments).set_defaults(handler=handler)
@@ -311,11 +317,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv[:1] == ["--"] and argv[1:] and not argv[1].startswith("-"):
-        del argv[0]  # Python 3.11's argparse would take the "--" for the command
+    words = argv[1:] if argv[:1] == ["--"] else argv  # as if the separator were left out
     try:
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
-        report = Report(argv, __version__)
+        args = build_parser(words[0] if words else None).parse_args(argv)
+        report = Report(words, __version__)
         text = args.handler(args, report)
         _emit(report, text, getattr(args, "json", False), getattr(args, "out", None))
         return 0 if report.ok else 1

@@ -7,7 +7,8 @@ is lexicographic on the map arrays, so certificates are reproducible.
 
 One closure, `_propagate`, seeded by `_extend`, decides whether a partial map
 extends to a homomorphism from the subalgebra its domain generates.  It
-serves the hom search and the free-algebra proofs in `variety` only.
+serves the hom search and the free-algebra proofs in `variety` only.  So the
+search returns proved map arrays; a `Homomorphism` checks a map handed in.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ class Homomorphism(_Value):
     mapping: tuple[int, ...]
 
     def __post_init__(self):
-        # Independent post-check: every constructed map re-verifies
-        # preservation on all input tuples.
+        # a map handed in, unproved: check preservation on every input tuple
         src, tgt, f = self.source, self.target, self.mapping
         if len(f) != src.size or any(not (0 <= v < tgt.size) for v in f):
             raise ValueError(f"map array has wrong shape for {src.name} -> {tgt.name}")
@@ -43,16 +43,9 @@ class Homomorphism(_Value):
                 if f[src.meet[x][y]] != tgt.meet[f[x]][f[y]]:
                     raise ValueError(f"meet not preserved at ({src.labels[x]}, {src.labels[y]})")
 
-    def __call__(self, x: int) -> int:
-        return self.mapping[x]
-
     @property
     def injective(self) -> bool:
         return len(set(self.mapping)) == len(self.mapping)
-
-    def as_dict(self) -> dict:
-        return {"source": self.source.name, "target": self.target.name,
-                "map": list(self.mapping)}
 
 
 def identity_hom(algebra: FiniteAlgebra) -> Homomorphism:
@@ -121,8 +114,8 @@ def _extend(source: FiniteAlgebra, target: FiniteAlgebra,
     return _propagate(source, target, mapping, list(mapping))
 
 
-def enumerate_homs(source: FiniteAlgebra, target: FiniteAlgebra) -> list[Homomorphism]:
-    """All homomorphisms, lexicographic on map arrays.
+def enumerate_homs(source: FiniteAlgebra, target: FiniteAlgebra) -> list[tuple[int, ...]]:
+    """All homomorphisms as sorted map arrays, each closed by _propagate.
 
     The empty list is a legitimate outcome; several pairs of the builtin
     algebras admit no homomorphism at all.
@@ -149,7 +142,7 @@ def enumerate_homs(source: FiniteAlgebra, target: FiniteAlgebra) -> list[Homomor
                 search(extended, remaining[1:])
 
     search(start, generators)
-    return [Homomorphism(source, target, mapping) for mapping in sorted(found)]
+    return sorted(found)
 
 
 def brute_force_homs(source: FiniteAlgebra, target: FiniteAlgebra) -> list[tuple[int, ...]]:
@@ -175,9 +168,8 @@ def brute_force_homs(source: FiniteAlgebra, target: FiniteAlgebra) -> list[tuple
     return out
 
 
-def enumerate_embeddings(source: FiniteAlgebra,
-                         target: FiniteAlgebra) -> list[Homomorphism]:
+def enumerate_embeddings(source: FiniteAlgebra, target: FiniteAlgebra) -> list[tuple[int, ...]]:
     if source.size > target.size:
         return []
-    return [h for h in enumerate_homs(source, target) if h.injective]
+    return [h for h in enumerate_homs(source, target) if len(set(h)) == source.size]
 

@@ -648,7 +648,7 @@ def hereditarily_si(v) -> bool:
 def cep_spot_checks(v) -> bool:
     """Oracle for CEP (Cor 2.8(3)): every embedding of an SI generator of v
     into a generator or a 2-factor product of generators extends congruences."""
-    from agkit import cep_instance, direct_product, enumerate_embeddings
+    from agkit import Homomorphism, cep_instance, direct_product, enumerate_embeddings
 
     sis = v.si_algebras()
     supers = list(sis)
@@ -656,7 +656,7 @@ def cep_spot_checks(v) -> bool:
     for sub in sis:
         for sup in supers:
             for embedding in enumerate_embeddings(sub, sup):
-                if not cep_instance(sub, sup, embedding):
+                if not cep_instance(sub, sup, Homomorphism(sub, sup, embedding)):
                     return False
     return True
 
@@ -669,7 +669,7 @@ def refute_amal_base(v, algebra: FiniteAlgebra):
     hit refutes membership of `algebra` in the amalgamation class; no hit
     proves nothing.
     """
-    from agkit import Obstruction, decide_amalgamation, enumerate_embeddings
+    from agkit import Homomorphism, Obstruction, decide_amalgamation, enumerate_embeddings
     from agkit.amalgamation import Diagram
     from agkit.variety import require_in_variety
 
@@ -679,7 +679,8 @@ def refute_amal_base(v, algebra: FiniteAlgebra):
         fs = enumerate_embeddings(algebra, left)
         for right in sis:
             for f, g in itertools.product(fs, enumerate_embeddings(algebra, right)):
-                d = Diagram(algebra, left, right, f, g)
+                d = Diagram(algebra, left, right, Homomorphism(algebra, left, f),
+                            Homomorphism(algebra, right, g))
                 result = decide_amalgamation(v, d)
                 if isinstance(result, Obstruction):
                     return d, result
@@ -691,22 +692,20 @@ def brute_force_verify_amalgam(v, left: FiniteAlgebra, right: FiniteAlgebra,
     """Oracle for an amalgam certificate of the diagram f: A -> left,
     g: A -> right of nontrivial algebras (map arrays), by direct table scans:
 
-    - h and k of every chosen pair (h, k) name the same SI generator S of v
-      as their target, are among the maps that brute_force_homs finds into
-      S, and h o f = k o g;
+    - the factor S of every chosen pair (h, k, S) is an SI generator of v,
+      h and k are among the maps that brute_force_homs finds into S, and
+      h o f = k o g;
     - into the tuple-built product of those generators, the tupled maps
       f1 = (h, ...) and g1 = (k, ...) are injective and preserve the
       constants and all four operations, and f1 o f = g1 o g."""
     from agkit.morphisms import brute_force_homs
 
     sis = {si.name: si for si in v.si_algebras()}
-    names = [h.target.name for h, _ in amalgam.pairs]
-    if not names or any(name not in sis or k.target.name != name
-                        for name, (_, k) in zip(names, amalgam.pairs)):
+    names = [s.name for _, _, s in amalgam.pairs]
+    if not names or any(name not in sis for name in names):
         return False
     factors = [sis[name] for name in names]
-    for si, (h, k) in zip(factors, amalgam.pairs):
-        h, k = h.mapping, k.mapping
+    for si, (h, k, _) in zip(factors, amalgam.pairs):
         if h not in brute_force_homs(left, si) or k not in brute_force_homs(right, si):
             return False
         if any(h[f[x]] != k[g[x]] for x in range(len(f))):
@@ -714,8 +713,8 @@ def brute_force_verify_amalgam(v, left: FiniteAlgebra, right: FiniteAlgebra,
     product = tuple_direct_product(factors)
     index = {t: i for i, t in enumerate(itertools.product(*(range(s.size) for s in factors)))}
     tupled = []
-    for source, maps in ((left, [h.mapping for h, _ in amalgam.pairs]),
-                         (right, [k.mapping for _, k in amalgam.pairs])):
+    for source, maps in ((left, [h for h, _, _ in amalgam.pairs]),
+                         (right, [k for _, k, _ in amalgam.pairs])):
         mapping = tuple(index[tuple(m[x] for m in maps)] for x in range(source.size))
         if len(set(mapping)) != source.size:
             return False

@@ -593,6 +593,19 @@ def test_load_refuses_an_entry_that_fits_no_row(builtins, table, entry, message)
     assert str(err.value) == message.format(table)
 
 
+@pytest.mark.parametrize("entry", [300, 5])
+@pytest.mark.parametrize("table", ["join", "meet"])
+def test_unvalidated_algebra_refuses_an_entry_out_of_range(table, entry):
+    """validate=False skips the lattice laws only: an entry that no byte row
+    holds, or one past the size, is refused as on load."""
+    tables = {"join": [[0, 1], [1, 1]], "meet": [[0, 0], [0, 1]]}
+    tables[table][1][0] = entry
+    with pytest.raises(AlgebraFormatError) as err:
+        FiniteAlgebra(name="2", size=2, labels=("0", "1"), star=(1, 0), quote=(1, 0),
+                      zero=0, one=1, validate=False, **tables)
+    assert str(err.value) == f"2: {table} entry out of range"
+
+
 def test_product_of_eight_twos_allocates_its_tables_as_bytes():
     """2^8's join and meet are 512 rows of 256 bytes, ≈150 KB; as tuples of
     ints they were ≈1.2 MB (tracemalloc peak of the construction)."""

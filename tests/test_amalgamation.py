@@ -4,7 +4,6 @@ import gc
 import itertools
 import math
 import weakref
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +12,8 @@ import agkit.algebra
 import agkit.morphisms
 from agkit import (BUILTIN_NAMES, Amalgam, FiniteAlgebra, Obstruction, applications,
                    builtin, classify_ap, decide_amalgamation, diagram, direct_product,
-                   enumerate_embeddings, generated_subvariety, lattice_reduct, variety,
-                   NotFoundError, NotInVarietyError, all_varieties)
+                   dump_algebra, enumerate_embeddings, generated_subvariety, lattice_reduct,
+                   load_algebra, variety, NotFoundError, NotInVarietyError, all_varieties)
 from agkit.amalgamation import Diagram, brute_force_verify_obstruction, theorem_diagrams
 from agkit.morphisms import Homomorphism, identity_hom
 from tests.conftest import (brute_force_verify_amalgam, cep_spot_checks, dual_homs, forget_facts,
@@ -45,9 +44,9 @@ def test_double_stone_square_amalgamates():
     d, result = _decide("RDBLST", "2", "3_dblst", "3_dblst")
     assert isinstance(result, Amalgam)
     # the identity pair covers everything: one factor suffices
-    ((h, k),) = result.pairs
-    assert h.target.name == "3_dblst" and h.injective and k.injective
-    assert all(h(d.f(x)) == k(d.g(x)) for x in d.base.elements())
+    ((h, k, s),) = result.pairs
+    assert s.name == "3_dblst" and len(set(h)) == len(h) and len(set(k)) == len(k)
+    assert all(h[d.f.mapping[x]] == k[d.g.mapping[x]] for x in d.base.elements())
 
 
 def test_identity_diagram_is_degenerate_single_cover(builtins):
@@ -56,8 +55,8 @@ def test_identity_diagram_is_degenerate_single_cover(builtins):
                     identity_hom(algebra), identity_hom(algebra))
         result = decide_amalgamation(variety("AG"), d)
         assert isinstance(result, Amalgam)
-        ((h, _),) = result.pairs
-        assert h.target.size == algebra.size
+        ((_, _, s),) = result.pairs
+        assert s.size == algebra.size
 
 
 def test_theorem_diagram_results():
@@ -205,7 +204,7 @@ def test_amalgam_certificates_reverify_in_ap_varieties():
         v = variety(name)
         for _, result in classify_ap(v).diagrams:
             assert isinstance(result, Amalgam)
-            product = direct_product([h.target for h, _ in result.pairs])
+            product = direct_product([s for _, _, s in result.pairs])
             assert generated_subvariety(product).si_names <= v.si_names
 
 
@@ -222,28 +221,23 @@ def test_every_amalgam_certificate_reverifies_by_table_scans():
     # simple sources make every hom injective, so one pair covers and its SI
     # member is the amalgam
     for v, d, result in amalgams:
-        ((h, k),) = result.pairs
-        assert builtin(h.target.name) == h.target, (v.name, d)
+        ((_, _, s),) = result.pairs
+        assert builtin(s.name) == s, (v.name, d)
 
     # the oracle rejects a tampered certificate
     v, d, result = next((v, d, r) for v, d, r in amalgams if d.f.target.size > 2)
     left, right, f, g = d.f.target, d.g.target, d.f.mapping, d.g.mapping
-    ((h, k),) = result.pairs
-    h_reversed = SimpleNamespace(mapping=tuple(reversed(h.mapping)), target=h.target)
+    ((h, k, s),) = result.pairs
     assert not brute_force_verify_amalgam(v, left, right, f, g,
-                                          replace(result, pairs=((h_reversed, k),)))
+                                          replace(result, pairs=((tuple(reversed(h)), k, s),)))
     assert not brute_force_verify_amalgam(v, left, right, f, g,
                                           replace(result, pairs=()))
     assert not brute_force_verify_amalgam(variety("BA"), left, right, f, g, result)
     other = next(builtin(name) for name in BUILTIN_NAMES
-                 if name != h.target.name and builtin(name).size == h.target.size)
-    # both maps name another SI member of the same size as their target
-    h_elsewhere, k_elsewhere = (SimpleNamespace(mapping=m.mapping, target=other) for m in (h, k))
+                 if name != s.name and builtin(name).size == s.size)
+    # the maps unchanged, and another SI member of the same size as their factor
     assert not brute_force_verify_amalgam(v, left, right, f, g,
-                                          replace(result, pairs=((h_elsewhere, k_elsewhere),)))
-    # k names another SI member than h, with the maps themselves unchanged
-    assert not brute_force_verify_amalgam(v, left, right, f, g,
-                                          replace(result, pairs=((h, k_elsewhere),)))
+                                          replace(result, pairs=((h, k, other),)))
     # of the two pairs that <2; 2 x 3_dblst, 3_dblst> needs, the one left
     # maps (0, 0) and (0, a) of the product side together
     v, product = variety("RDBLST"), direct_product([builtin("2"), builtin("3_dblst")])
@@ -262,7 +256,7 @@ def test_trivial_diagram_amalgamates_in_its_left_side():
     d = Diagram(one, one, one, identity_hom(one), identity_hom(one))
     result = decide_amalgamation(variety("BA"), d)
     assert isinstance(result, Amalgam)
-    assert result.pairs == ((identity_hom(one), Homomorphism(one, one, (0,))),)
+    assert result.pairs == (((0,), (0,), one),)
     assert result.as_dict() == {"result": "amalgam", "factors": ["1"], "f1": [[0]], "g1": [[0]]}
 
 
@@ -275,7 +269,7 @@ def test_decide_amalgamation_builds_no_product(monkeypatch):
     log_calls(monkeypatch, agkit.algebra, "direct_product", products)
     result = decide_amalgamation(variety("DMBA"), d)
     assert products == []
-    factors = [h.target for h, _ in result.pairs]
+    factors = [s for _, _, s in result.pairs]
     assert factors == [builtin("4_dmba")] * 5
     assert math.prod(f.size for f in factors) == 1024
 
@@ -283,15 +277,17 @@ def test_decide_amalgamation_builds_no_product(monkeypatch):
 def test_hom_sets_of_a_product_source_are_kept_and_go_with_it(monkeypatch):
     """A member outside the SI generators keeps its hom sets, one per SI
     generator, as its SI right side does: a second decision enumerates
-    none.  A kept hom set refers to its source, and the source is still
-    collected once nothing else does."""
-    v = variety("RDBLST")
-    left = direct_product([builtin("2"), builtin("3_dblst")])
-    d = diagram(builtin("2"), left, builtin("3_dblst"))
+    none.  A kept hom set is map arrays, which refer to no algebra, so the
+    source is collected once nothing else refers to it, even while an equal
+    copy lives and keeps the facts they share."""
+    v, dblst = variety("RDBLST"), builtin("3_dblst")
+    left = direct_product([builtin("2"), dblst])
+    document = dump_algebra(left)
+    d = diagram(builtin("2"), left, dblst)
     forget_facts()
     result = decide_amalgamation(v, d)
     for si in v.si_algebras():
-        assert [h.mapping for h in kept_facts(left)[("homs", si)]] == dual_homs(left, si)
+        assert list(kept_facts(left)[("homs", si)]) == dual_homs(left, si)
         assert ("homs", si) in kept_facts(d.right)
     assert brute_force_verify_amalgam(v, left, d.right, d.f.mapping, d.g.mapping, result)
     enumerated = []
@@ -303,6 +299,13 @@ def test_hom_sets_of_a_product_source_are_kept_and_go_with_it(monkeypatch):
     del left, d, result
     gc.collect()
     assert alive() is None
+    first, second = load_algebra(document), load_algebra(document)
+    assert decide_amalgamation(v, diagram(builtin("2"), first, dblst)).amalgamable
+    assert kept_facts(second)[("homs", dblst)] == tuple(dual_homs(second, dblst))
+    alive = weakref.ref(first)
+    del first
+    gc.collect()
+    assert alive() is None and ("homs", dblst) in kept_facts(second)
 
 
 def test_monotone_in_the_variety():
@@ -383,7 +386,7 @@ def test_refute_amal_base():
 
 def test_diagram_validation(builtins):
     two, klst, dmba = builtins["2"], builtins["3_klst"], builtins["4_dmba"]
-    embed = enumerate_embeddings(two, dmba)[0]
+    embed = Homomorphism(two, dmba, enumerate_embeddings(two, dmba)[0])
     with pytest.raises(ValueError, match="g must map"):
         Diagram(two, dmba, dmba, embed, identity_hom(dmba))  # g has wrong source
     with pytest.raises(ValueError, match="f must map"):

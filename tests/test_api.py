@@ -17,6 +17,7 @@ UNCALLED_EXPORTS = {
     "cep_instance": "perfbench/tracing.py traces it by name",
     "enumerate_subalgebras": "perfbench/tracing.py traces it by name",
     "principal_congruence": "perfbench/tracing.py traces it by name",
+    "identity_hom": "user-facing constructor",
     "quotient": "user-facing constructor",
     "subalgebra": "user-facing constructor",
     "parse_term": "user-facing parser",

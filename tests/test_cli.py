@@ -312,7 +312,11 @@ COMMAND_CHOICES = "{" + ",".join(agkit.cli._COMMANDS) + "}"  # as the usage line
     ([], f"the following arguments are required: {COMMAND_CHOICES}"),
     (["algebra"], "the following arguments are required: {show}"),
     (["--bogus"], "unrecognized arguments: --bogus"),
-], ids=["no command", "no algebra command", "unknown option"])
+    (["--"], f"the following arguments are required: {COMMAND_CHOICES}"),
+    (["--", "--help"], f"argument {COMMAND_CHOICES}: invalid choice: '--help' (choose from "
+                       + ", ".join(map(repr, agkit.cli._COMMANDS)) + ")"),
+], ids=["no command", "no algebra command", "unknown option", "separator alone",
+        "option-like command after the separator"])
 def test_rejection_names_the_argument_as_the_usage_line_does(capsys, argv, message):
     """A missing command is named by its choices, not by an internal
     destination, and an unknown option is named before a missing command."""

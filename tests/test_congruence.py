@@ -385,18 +385,18 @@ def test_sc_equivalence_on_small_members(builtins):
 def test_cep_instances(builtins, monkeypatch):
     dmba = builtins["4_dmba"]
     for embedding in enumerate_embeddings(builtins["2"], dmba):
-        assert cep_instance(builtins["2"], dmba, embedding)
+        assert cep_instance(builtins["2"], dmba, Homomorphism(builtins["2"], dmba, embedding))
     klst = builtins["3_klst"]
     square = direct_product([klst, klst])
     diagonal = next(e for e in enumerate_embeddings(klst, square)
-                    if all(e(x) == x * klst.size + x for x in klst.elements()))
-    assert cep_instance(klst, square, diagonal)
+                    if all(e[x] == x * klst.size + x for x in klst.elements()))
+    assert cep_instance(klst, square, Homomorphism(klst, square, diagonal))
     from agkit.morphisms import identity_hom
     for algebra in builtins.values():
         assert cep_instance(algebra, algebra, identity_hom(algebra))
     # only Con(sub) is enumerated, so a sup past the elements cap is fine
     big = direct_product([dmba] * 4)  # 256 elements
-    embedding = enumerate_embeddings(builtins["2"], big)[0]
+    embedding = Homomorphism(builtins["2"], big, enumerate_embeddings(builtins["2"], big)[0])
     monkeypatch.delenv("AGKIT_CAP", raising=False)
     monkeypatch.setitem(DEFAULT_CAPS, "elements", 16)
     with pytest.raises(CapExceededError):
@@ -419,9 +419,10 @@ def test_cep_instance_matches_definition_on_products(builtins):
     sup_congruences = {sup: congruence_lattice(sup) for sup in small + large}
     checked = 0
     for sub, sup in cases:
-        for embedding in enumerate_embeddings(sub, sup):
+        for mapping in enumerate_embeddings(sub, sup):
+            embedding = Homomorphism(sub, sup, mapping)
             assert cep_instance(sub, sup, embedding) == cep_by_definition(
-                sub, sup_congruences[sup], embedding), (sub.name, sup.name, embedding.mapping)
+                sub, sup_congruences[sup], embedding), (sub.name, sup.name, mapping)
             checked += 1
     assert checked == 100
 

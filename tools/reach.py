@@ -65,6 +65,7 @@ FUNCTION_TAGS = {
     "congruence.py:quotient": "API name",
     "variety.py:identity_holds_via_free": "API name",
     "terms.py:parse_term": "API name",
+    "morphisms.py:identity_hom": "API name",  # src wraps maps it did not prove, never the identity
     "terms.py:_offset": "hostile input",  # a ParseError's offset: only errors ask for it
     # congruence_lattice and cep_instance close masks with _closure
     "congruence.py:principal_congruence": "API name",
@@ -93,6 +94,7 @@ FUNCTION_TAGS = {
 # starts there).  The first entry that covers a line tags it.
 LINE_TAGS = [
     ("algebra.py:FiniteAlgebra._check_shape", "raise", "hostile input"),
+    ("algebra.py:FiniteAlgebra._check_shape", "except", "hostile input"),  # bytes() refuses an entry
     # the scans that name the law, after the check that the tables pass
     ("algebra.py:FiniteAlgebra.verify_lattice_axioms", "for x, y in", "hostile input"),
     ("algebra.py:builtin", "except KeyError", "hostile input"),
@@ -113,7 +115,7 @@ LINE_TAGS = [
     ("amalgamation.py:Diagram.__post_init__", "raise", "hostile input"),
     # a target that receives homs from both sides: no obstruction the paper's
     # diagrams give has one
-    ("amalgamation.py:brute_force_verify_obstruction", "if any(h[d.f(z)]", "oracle"),
+    ("amalgamation.py:brute_force_verify_obstruction", "if any(h[fz]", "oracle"),
     ("axioms.py:axiom_system", "except KeyError", "hostile input"),
     ("caps.py:cap_value", "except ValueError", "hostile input"),
     ("caps.py:guard", "raise", "hostile input"),
